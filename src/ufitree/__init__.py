@@ -18,8 +18,8 @@ from .simgen import (
     gen_discrete10, gen_null_mixed, gen_signal, run_experiment,
 )
 from .tree import (
-    Split, Tree, TreeConfig, best_split, candidate_thresholds,
-    evaluate_split, grow, impurity_from_counts, impurity_from_values,
+    Split, Tree, TreeConfig, best_split, evaluate_split, grow,
+    impurity_from_counts, impurity_from_values,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -18,7 +18,9 @@ from .data import (
     inject_random_feature, load_csv, parse_schema,
 )
 from .forest import Forest, ForestConfig, fit
-from .importance import permutation_importance, si_forest, ufi_forest
+from .importance import (
+    ImportanceReport, permutation_importance, si_forest, ufi_forest,
+)
 from .simgen import SimSetting, run_experiment, summary_json, tidy_csv
 from .tree import TreeConfig
 
@@ -91,25 +93,16 @@ def _load_dataset(data_path, schema_path, task):
 def _forest_config(trees, max_depth, max_features, min_samples_leaf,
                    bootstrap, seed, task):
     criterion = "gini" if task == "classification" else "mse"
-    return ForestConfig(
-        n_trees=trees,
-        tree=TreeConfig(criterion=criterion, max_depth=max_depth,
-                        min_samples_leaf=min_samples_leaf),
-        bootstrap=bootstrap,
-        seed=seed,
-        max_features=_parse_max_features(max_features),
-    )
+    tree = TreeConfig(criterion=criterion, max_depth=max_depth,
+                      min_samples_leaf=min_samples_leaf,
+                      max_features=_parse_max_features(max_features))
+    return ForestConfig(n_trees=trees, tree=tree.resolved(task),
+                        bootstrap=bootstrap, seed=seed)
 
 
 def _resolve_seed(seed: int | None) -> int:
     # absent --seed draws a seed so the manifest can still pin the run
     return int.from_bytes(os.urandom(4), "big") if seed is None else seed
-
-
-def _threads(threads: int | None) -> int:
-    if threads is not None:
-        return max(1, threads)
-    return max(1, int(os.environ.get("UFI_THREADS", "1")))
 
 
 def _model_payload(forest: Forest, gmap: DummyGroupMap | None,
@@ -149,8 +142,9 @@ forest_flags = [
     click.option("--min-samples-leaf", type=int, default=1, show_default=True),
     click.option("--bootstrap/--no-bootstrap", default=True, show_default=True),
     click.option("--seed", type=int, default=None),
-    click.option("--threads", type=int, default=None,
-                 help="worker threads (default: env UFI_THREADS or 1)"),
+    # accepted for old command lines; fitting is serial
+    click.option("--threads", type=int, default=None, hidden=True,
+                 expose_value=False),
 ]
 
 
@@ -168,7 +162,7 @@ def with_forest_flags(f):
 @click.option("--out", type=click.Path(file_okay=False), default="ufitree_model")
 @with_forest_flags
 def cmd_train(data, schema, task, out, trees, max_depth, max_features,
-              min_samples_leaf, bootstrap, seed, threads):
+              min_samples_leaf, bootstrap, seed):
     """Fit a forest on a CSV and write the model plus a run manifest."""
     started = time.time()
     seed = _resolve_seed(seed)
@@ -177,11 +171,11 @@ def cmd_train(data, schema, task, out, trees, max_depth, max_features,
                  else (d, None))
     config = _forest_config(trees, max_depth, max_features, min_samples_leaf,
                             bootstrap, seed, enc.task)
-    forest = fit(enc, config, n_jobs=_threads(threads))
+    forest = fit(enc, config)
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _save_model(out_dir / "model.json", _model_payload(forest, gmap, d))
-    _write_manifest(out_dir, "train", config.to_dict(), seed,
+    _write_manifest(out_dir, "train", forest.config.to_dict(), seed,
                     _fingerprint(data, d), started,
                     extra={"class_labels": d.class_labels})
     click.echo(f"model written to {out_dir / 'model.json'}")
@@ -204,7 +198,7 @@ def cmd_train(data, schema, task, out, trees, max_depth, max_features,
 @with_forest_flags
 def cmd_importance(data, schema, task, method, test_source, fold_dummies,
                    inject_random, out, trees, max_depth, max_features,
-                   min_samples_leaf, bootstrap, seed, threads):
+                   min_samples_leaf, bootstrap, seed):
     """Train a forest and score features with one importance method."""
     started = time.time()
     seed = _resolve_seed(seed)
@@ -217,7 +211,7 @@ def cmd_importance(data, schema, task, method, test_source, fold_dummies,
         _die_usage(f"--method {method} --test oob requires --bootstrap")
     config = _forest_config(trees, max_depth, max_features, min_samples_leaf,
                             bootstrap, seed, enc.task)
-    forest = fit(enc, config, n_jobs=_threads(threads))
+    forest = fit(enc, config)
 
     if test_source != "oob":
         dt = _load_dataset(test_source, schema, enc.task)
@@ -257,19 +251,14 @@ def cmd_importance(data, schema, task, method, test_source, fold_dummies,
         lines = ["feature,score"]
         lines += [f"{n},{float(s)!r}" for n, s in zip(names, folded)]
         (out_dir / "scores.csv").write_text("\n".join(lines) + "\n")
-        (out_dir / "scores.json").write_text(json.dumps({
-            "method": method,
-            "feature_names": names,
-            "scores": [float(s) for s in folded],
-            "skipped_nodes": report.skipped_nodes,
-            "n_trees": report.n_trees,
-        }, indent=2) + "\n")
+        folded_report = ImportanceReport(report.method, names, folded,
+                                         report.skipped_nodes, report.n_trees)
+        (out_dir / "scores.json").write_text(folded_report.to_json() + "\n")
     else:
         (out_dir / "scores.csv").write_text(report.to_csv())
         (out_dir / "scores.json").write_text(report.to_json() + "\n")
     _write_manifest(out_dir, "importance", {
-        **_forest_config(trees, max_depth, max_features, min_samples_leaf,
-                         bootstrap, seed, enc.task).to_dict(),
+        **forest.config.to_dict(),
         "method": method,
         "test": test_source,
         "fold_dummies": fold_dummies,
@@ -293,8 +282,7 @@ def cmd_importance(data, schema, task, method, test_source, fold_dummies,
 @click.option("--out", type=click.Path(file_okay=False), default="ufitree_sim")
 @with_forest_flags
 def cmd_simulate(scenario, task, rho, n, reps, encoding, methods, out, trees,
-                 max_depth, max_features, min_samples_leaf, bootstrap, seed,
-                 threads):
+                 max_depth, max_features, min_samples_leaf, bootstrap, seed):
     """Run a synthetic benchmark and emit tidy scores plus a summary."""
     started = time.time()
     seed = _resolve_seed(seed)
@@ -310,8 +298,7 @@ def cmd_simulate(scenario, task, rho, n, reps, encoding, methods, out, trees,
         _die_usage(str(e))
     config = _forest_config(trees, max_depth, max_features, min_samples_leaf,
                             bootstrap, seed, task)
-    results = run_experiment(setting, config, method_list,
-                             n_jobs=_threads(threads))
+    results = run_experiment(setting, config, method_list)
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "scores.csv").write_text(tidy_csv(results))

@@ -156,7 +156,7 @@ def load_csv(path, target: str, task: str, kinds: dict[str, FeatureKind] | None 
     categorical levels and class labels are coded in first-appearance order.
     """
     kinds = kinds or {}
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -2,15 +2,15 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+import hashlib
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .data import Dataset
 from .tree import Tree, TreeConfig, grow
 
-FORMAT_VERSION = "ufiforest/1"
+FORMAT_VERSION = "ufiforest/2"
 
 
 @dataclass
@@ -19,23 +19,6 @@ class ForestConfig:
     tree: TreeConfig = field(default_factory=TreeConfig)
     bootstrap: bool = True
     seed: int = 0
-    # None picks the task default: sqrt(p) for classification, all for regression
-    max_features: object = None
-
-    def resolved_tree_config(self, task: str) -> TreeConfig:
-        cfg = TreeConfig(
-            criterion=self.tree.criterion,
-            max_depth=self.tree.max_depth,
-            min_samples_split=self.tree.min_samples_split,
-            min_samples_leaf=self.tree.min_samples_leaf,
-            max_features=self.tree.max_features,
-            seed=self.tree.seed,
-        )
-        if self.max_features is not None:
-            cfg.max_features = self.max_features
-        elif cfg.max_features == "all" and task == "classification":
-            cfg.max_features = "sqrt"
-        return cfg
 
     def to_dict(self) -> dict:
         return {
@@ -46,20 +29,19 @@ class ForestConfig:
             "max_depth": self.tree.max_depth,
             "min_samples_split": self.tree.min_samples_split,
             "min_samples_leaf": self.tree.min_samples_leaf,
-            "max_features": self.tree.max_features
-            if isinstance(self.tree.max_features, (str, int, float))
-            else str(self.tree.max_features),
+            "max_features": self.tree.max_features,
         }
 
 
 class Forest:
     """B grown trees plus their in-bag multisets and out-of-bag index lists."""
 
-    def __init__(self, trees, in_bag, oob, task, n_classes, n_features,
+    def __init__(self, trees, in_bag, oob, n_rows, task, n_classes, n_features,
                  config, feature_names=None):
         self.trees: list[Tree] = trees
         self.in_bag: list[np.ndarray] = in_bag
         self.oob: list[np.ndarray] = oob
+        self.n_rows = n_rows  # rows of the training data
         self.task = task
         self.n_classes = n_classes
         self.n_features = n_features
@@ -96,8 +78,10 @@ class Forest:
             "feature_names": self.feature_names,
             "config": self.config.to_dict(),
             "trees": [t.to_dict() for t in self.trees],
-            "in_bag": [b.tolist() for b in self.in_bag],
-            "oob": [o.tolist() for o in self.oob],
+            # the bags are redrawn from config.seed on load; the digest
+            # catches a seed stream that no longer reproduces them
+            "n_rows": self.n_rows,
+            "bag_sha256": bag_digest(self.in_bag),
         }
 
     @classmethod
@@ -118,10 +102,28 @@ class Forest:
             seed=c["seed"],
         )
         trees = [Tree.from_dict(td) for td in d["trees"]]
-        in_bag = [np.array(b, dtype=np.intp) for b in d["in_bag"]]
-        oob = [np.array(o, dtype=np.intp) for o in d["oob"]]
-        return cls(trees, in_bag, oob, d["task"], d["n_classes"],
-                   d["n_features"], config, d.get("feature_names"))
+        bags = [draw_bag(d["n_rows"], rng, config.bootstrap)
+                for rng in tree_rngs(config)]
+        in_bag = [b[0] for b in bags]
+        if bag_digest(in_bag) != d["bag_sha256"]:
+            raise ValueError("rebuilt bootstrap samples do not match the "
+                             "model's bag digest")
+        return cls(trees, in_bag, [b[1] for b in bags], d["n_rows"], d["task"],
+                   d["n_classes"], d["n_features"], config, d.get("feature_names"))
+
+
+def bag_digest(in_bag: list[np.ndarray]) -> str:
+    """sha256 over the trees' in-bag row indices as little-endian int64."""
+    h = hashlib.sha256()
+    for rows in in_bag:
+        h.update(np.asarray(rows, dtype="<i8").tobytes())
+    return h.hexdigest()
+
+
+def tree_rngs(config: ForestConfig) -> list[np.random.Generator]:
+    """One generator per tree, spawned from the master seed by tree index."""
+    children = np.random.SeedSequence(config.seed).spawn(config.n_trees)
+    return [np.random.default_rng(c) for c in children]
 
 
 def bootstrap_indices(n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -133,34 +135,28 @@ def bootstrap_indices(n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.
     return in_bag, oob
 
 
-def fit(d: Dataset, config: ForestConfig, n_jobs: int = 1) -> Forest:
+def draw_bag(n: int, rng: np.random.Generator,
+             bootstrap: bool) -> tuple[np.ndarray, np.ndarray]:
+    """A tree's (in-bag, out-of-bag) rows: a bootstrap draw, or all n rows."""
+    if bootstrap:
+        return bootstrap_indices(n, rng)
+    return np.arange(n), np.empty(0, dtype=np.intp)
+
+
+def fit(d: Dataset, config: ForestConfig) -> Forest:
     """Fit B trees on bootstrap (or full) samples; deterministic per master seed.
 
-    Per-tree seeds are spawned from the master seed by tree index, so the
-    result is independent of execution order and of n_jobs.
+    Each tree's generator draws its bag and then its feature subsets. The
+    returned forest's config holds the resolved max_features.
     """
-    tree_cfg = config.resolved_tree_config(d.task)
+    tree_cfg = config.tree.resolved(d.task)
     tree_cfg.validate(d.p, d.task)
-    master = np.random.SeedSequence(config.seed)
-    children = master.spawn(config.n_trees)
-
-    def build_one(b: int):
-        rng = np.random.default_rng(children[b])
-        if config.bootstrap:
-            in_bag, oob = bootstrap_indices(d.n, rng)
-        else:
-            in_bag, oob = np.arange(d.n), np.empty(0, dtype=np.intp)
-        tree = grow(d.X, d.y, in_bag, tree_cfg, d.task, d.n_classes, rng=rng)
-        return tree, in_bag, oob
-
-    if n_jobs > 1:
-        with ThreadPoolExecutor(max_workers=n_jobs) as ex:
-            results = list(ex.map(build_one, range(config.n_trees)))
-    else:
-        results = [build_one(b) for b in range(config.n_trees)]
-
-    trees = [r[0] for r in results]
-    in_bag = [r[1] for r in results]
-    oob = [r[2] for r in results]
-    return Forest(trees, in_bag, oob, d.task, d.n_classes, d.p, config,
+    config = replace(config, tree=tree_cfg)
+    trees, in_bag, oob = [], [], []
+    for rng in tree_rngs(config):
+        rows, out = draw_bag(d.n, rng, config.bootstrap)
+        trees.append(grow(d.X, d.y, rows, tree_cfg, d.task, d.n_classes, rng=rng))
+        in_bag.append(rows)
+        oob.append(out)
+    return Forest(trees, in_bag, oob, d.n, d.task, d.n_classes, d.p, config,
                   feature_names=list(d.feature_names))

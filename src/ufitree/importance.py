@@ -90,22 +90,26 @@ def ufi_tree_classification(tree: Tree, X_test, y_test,
     """
     if tree.task != "classification":
         raise ValueError("classification tree required")
+    if tree.config.criterion != "gini":
+        raise ValueError(f"ufi needs a Gini-grown tree, not {tree.config.criterion!r}")
     y_test = np.asarray(y_test, dtype=np.int64)
     assign = tree.route(X_test)
     tcounts = _test_class_counts(tree, assign, y_test, tree.n_classes)
     scores = np.zeros(tree.n_features)
     node_terms = {}
     skipped = 0
+    n_root = tree.n_root
     for node in tree.internal_nodes():
-        cm, cl, cr = (tcounts[node.node_id], tcounts[node.left.node_id],
-                      tcounts[node.right.node_id])
+        left, right = node.left, node.right
+        cm, cl, cr = (tcounts[node.node_id], tcounts[left.node_id],
+                      tcounts[right.node_id])
         if cm.sum() == 0 or cl.sum() == 0 or cr.sum() == 0:
             skipped += 1
             continue
         hm = predictive_gini(node.class_counts / node.n, cm / cm.sum())
-        hl = predictive_gini(node.left.class_counts / node.left.n, cl / cl.sum())
-        hr = predictive_gini(node.right.class_counts / node.right.n, cr / cr.sum())
-        delta_p = node.weight * hm - (node.left.weight * hl + node.right.weight * hr)
+        hl = predictive_gini(left.class_counts / left.n, cl / cl.sum())
+        hr = predictive_gini(right.class_counts / right.n, cr / cr.sum())
+        delta_p = node.n / n_root * hm - (left.n / n_root * hl + right.n / n_root * hr)
         scores[node.split.feature] += delta_p
         if per_node:
             node_terms[node.node_id] = delta_p
@@ -133,16 +137,18 @@ def ufi_tree_regression(tree: Tree, X_test, y_test, per_node: bool = False):
     scores = np.zeros(tree.n_features)
     node_terms = {}
     skipped = 0
+    n_root = tree.n_root
     for node in tree.internal_nodes():
+        left, right = node.left, node.right
         nm = len(assign[node.node_id])
-        nl = len(assign[node.left.node_id])
-        nr = len(assign[node.right.node_id])
+        nl = len(assign[left.node_id])
+        nr = len(assign[right.node_id])
         if nm == 0 or nl == 0 or nr == 0:
             skipped += 1
             continue
-        delta_p = (node.weight * h_prime(node)
-                   - (node.left.weight * h_prime(node.left)
-                      + node.right.weight * h_prime(node.right)))
+        delta_p = (node.n / n_root * h_prime(node)
+                   - (left.n / n_root * h_prime(left)
+                      + right.n / n_root * h_prime(right)))
         term = node.train_decrease + delta_p
         scores[node.split.feature] += term
         if per_node:

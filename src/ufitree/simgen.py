@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.stats import rankdata
@@ -172,7 +172,7 @@ def compute_method_scores(method: str, forest, enc: Dataset,
 
 
 def run_experiment(setting: SimSetting, config: ForestConfig,
-                   methods: list[str], n_jobs: int = 1) -> dict[str, ExperimentResult]:
+                   methods: list[str]) -> dict[str, ExperimentResult]:
     """Repeat generate -> encode -> fit -> score and aggregate per method."""
     setting.validate()
     for m in methods:
@@ -186,11 +186,8 @@ def run_experiment(setting: SimSetting, config: ForestConfig,
         rng = np.random.default_rng(rep_seeds[r])
         raw = generate(setting, rng)
         enc, gmap = _encode(raw, setting.encoding)
-        rep_config = ForestConfig(
-            n_trees=config.n_trees, tree=config.tree, bootstrap=config.bootstrap,
-            seed=int(rng.integers(0, 2**31 - 1)), max_features=config.max_features,
-        )
-        fitted = forest_mod.fit(enc, rep_config, n_jobs=n_jobs)
+        rep_config = replace(config, seed=int(rng.integers(0, 2**31 - 1)))
+        fitted = forest_mod.fit(enc, rep_config)
         for m in methods:
             names, scores = compute_method_scores(m, fitted, enc, gmap, raw, rng)
             per_method[m].append(scores)

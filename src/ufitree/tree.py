@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 CLS_CRITERIA = ("gini", "entropy", "misclassification")
-REG_CRITERIA = ("mse", "mae")
+REG_CRITERIA = ("mse",)
 
 # Gains at or below this are treated as zero (no admissible improvement).
 GAIN_EPS = 1e-12
@@ -19,7 +19,7 @@ GAIN_EPS = 1e-12
 # floating-point bits.
 LOSS_TIE_TOL = 1e-9
 
-FORMAT_VERSION = "ufitree/1"
+FORMAT_VERSION = "ufitree/2"
 
 
 @dataclass(frozen=True)
@@ -36,8 +36,15 @@ class TreeConfig:
     max_depth: int | None = None
     min_samples_split: int = 2
     min_samples_leaf: int = 1
-    max_features: object = "all"  # "all" | "sqrt" | int count | float fraction
-    seed: int = 0
+    # "all" | "sqrt" | int count | float fraction; None picks the task
+    # default: sqrt(p) for classification, all for regression
+    max_features: object = None
+
+    def resolved(self, task: str) -> "TreeConfig":
+        """This config with max_features set to the task default if it is None."""
+        if self.max_features is not None:
+            return self
+        return replace(self, max_features="sqrt" if task == "classification" else "all")
 
     def validate(self, p: int, task: str):
         valid = CLS_CRITERIA if task == "classification" else REG_CRITERIA
@@ -97,31 +104,20 @@ def impurity_from_values(y: np.ndarray, criterion: str) -> float:
         raise ValueError("empty node has no impurity")
     if criterion == "mse":
         return float(np.sum((y - y.mean()) ** 2)) / len(y)
-    if criterion == "mae":
-        return float(np.abs(y - np.median(y)).mean())
     raise ValueError(f"not a regression criterion: {criterion!r}")
-
-
-def candidate_thresholds(values: np.ndarray) -> np.ndarray:
-    """Midpoints between consecutive distinct sorted values."""
-    values = np.asarray(values, dtype=np.float64)
-    if len(values) < 2:
-        return np.empty(0)
-    return (values[:-1] + values[1:]) / 2.0
 
 
 class TreeNode:
     """One node; internal nodes carry a split and the recorded train decrease."""
 
     __slots__ = (
-        "node_id", "n", "weight", "class_counts", "mean", "impurity",
+        "node_id", "n", "class_counts", "mean", "impurity",
         "split", "train_decrease", "left", "right",
     )
 
-    def __init__(self, node_id, n, weight, class_counts, mean, impurity):
+    def __init__(self, node_id, n, class_counts, mean, impurity):
         self.node_id = node_id
         self.n = n
-        self.weight = weight
         self.class_counts = class_counts  # classification only
         self.mean = mean                  # regression only
         self.impurity = impurity
@@ -218,7 +214,6 @@ class Tree:
             nodes.append({
                 "id": nd.node_id,
                 "n": int(nd.n),
-                "weight": nd.weight,
                 "class_counts": None if nd.class_counts is None else [int(c) for c in nd.class_counts],
                 "mean": nd.mean,
                 "impurity": nd.impurity,
@@ -247,7 +242,7 @@ class Tree:
         built = {}
         for nd in d["nodes"]:
             node = TreeNode(
-                nd["id"], nd["n"], nd["weight"],
+                nd["id"], nd["n"],
                 None if nd["class_counts"] is None else np.array(nd["class_counts"], dtype=np.int64),
                 nd["mean"], nd["impurity"],
             )
@@ -318,7 +313,7 @@ def _scan_features(X, y, idx, feats, criterion, n_classes, msl):
                 maxr = np.maximum(maxr, (tot - cum) / nr)
             Hl = 1.0 - maxl
             Hr = 1.0 - maxr
-    elif criterion == "mse":
+    else:  # mse
         yv = y[idx].astype(np.float64)
         ys = yv[order]
         cum = np.cumsum(ys, axis=0)[:-1]
@@ -327,8 +322,6 @@ def _scan_features(X, y, idx, feats, criterion, n_classes, msl):
         tot2 = float(np.dot(yv, yv))
         Hl = np.maximum(cum2 / nl - (cum / nl) ** 2, 0.0)
         Hr = np.maximum((tot2 - cum2) / nr - ((tot - cum) / nr) ** 2, 0.0)
-    else:
-        return _scan_features_slow(X, y, idx, feats, criterion, msl)
 
     loss = (nl * Hl + nr * Hr) / n
     valid = sv[1:] > sv[:-1]
@@ -345,27 +338,6 @@ def _scan_features(X, y, idx, feats, criterion, n_classes, msl):
     f_pos, t_pos = divmod(best, n - 1)
     threshold = float((sv[t_pos, f_pos] + sv[t_pos + 1, f_pos]) / 2.0)
     return int(feats[f_pos]), threshold, float(flat[best])
-
-
-def _scan_features_slow(X, y, idx, feats, criterion, msl):
-    """Scalar fallback used for MAE (median-based, not prefix-summable)."""
-    n = len(idx)
-    cands = []
-    for f in feats:
-        vals = np.sort(np.unique(X[idx, f]))
-        for s in candidate_thresholds(vals):
-            mask = X[idx, f] <= s
-            nl = int(mask.sum())
-            if nl < msl or n - nl < msl:
-                continue
-            hl = impurity_from_values(y[idx[mask]], criterion)
-            hr = impurity_from_values(y[idx[~mask]], criterion)
-            cands.append((int(f), float(s), (nl * hl + (n - nl) * hr) / n))
-    if not cands:
-        return None
-    m = min(c[2] for c in cands)
-    tol = LOSS_TIE_TOL * max(1.0, abs(m))
-    return next(c for c in cands if c[2] <= m + tol)
 
 
 def best_split(X, y, idx, feats, criterion, n_classes=None,
@@ -419,16 +391,20 @@ def evaluate_split(X, y, idx, split: Split, criterion, n_root,
 
 
 def grow(X, y, indices, config: TreeConfig, task: str,
-         n_classes: int | None = None, rng: np.random.Generator | None = None) -> Tree:
-    """Grow a tree on the given row indices of (X, y)."""
+         n_classes: int | None = None, rng=0) -> Tree:
+    """Grow a tree on the given row indices of (X, y).
+
+    ``rng`` is a seed or a Generator; it draws the max_features subsets.
+    """
     X = np.asarray(X, dtype=np.float64)
     indices = np.asarray(indices, dtype=np.intp)
     if len(indices) == 0:
         raise ValueError("cannot grow a tree on an empty index set")
+    config = config.resolved(task)
     config.validate(X.shape[1], task)
     if task == "classification" and n_classes is None:
         n_classes = int(y.max()) + 1
-    rng = rng if rng is not None else np.random.default_rng(config.seed)
+    rng = np.random.default_rng(rng)
     p = X.shape[1]
     k_feats = resolve_max_features(config.max_features, p)
     n_root = len(indices)
@@ -436,15 +412,14 @@ def grow(X, y, indices, config: TreeConfig, task: str,
 
     def make_node(idx):
         n = len(idx)
-        weight = n / n_root
         if task == "classification":
             counts = np.bincount(y[idx], minlength=n_classes)
             imp = impurity_from_counts(counts, config.criterion)
-            node = TreeNode(counter[0], n, weight, counts, None, imp)
+            node = TreeNode(counter[0], n, counts, None, imp)
         else:
             yv = y[idx]
             imp = impurity_from_values(yv, config.criterion)
-            node = TreeNode(counter[0], n, weight, None, float(yv.mean()), imp)
+            node = TreeNode(counter[0], n, None, float(yv.mean()), imp)
         counter[0] += 1
         return node
 
@@ -470,10 +445,10 @@ def grow(X, y, indices, config: TreeConfig, task: str,
         node.left = build(idx[mask], depth + 1)
         node.right = build(idx[~mask], depth + 1)
         # recompute the decrease from node stats so downstream identities are exact
+        left, right = node.left, node.right
         node.train_decrease = (
-            node.weight * node.impurity
-            - (node.left.weight * node.left.impurity
-               + node.right.weight * node.right.impurity)
+            n / n_root * node.impurity
+            - (left.n / n_root * left.impurity + right.n / n_root * right.impurity)
         )
         return node
 

@@ -6,6 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from ufitree.cli import main
+from ufitree.forest import Forest
 
 TOY_CSV = "x1,x2,label\n1.0,a,0\n2.0,b,0\n3.0,a,1\n4.0,b,1\n"
 TOY_SCHEMA = {
@@ -35,7 +36,7 @@ class TestTrain:
                     "--no-bootstrap", "--seed", "0", "--out", str(out)])
         assert res.exit_code == 0, res.output
         payload = json.loads((out / "model.json").read_text())
-        assert payload["version"] == "ufiforest/1"
+        assert payload["version"] == "ufiforest/2"
         tree = payload["trees"][0]
         splits = [nd for nd in tree["nodes"] if nd["split"] is not None]
         assert len(splits) == 1
@@ -60,6 +61,19 @@ class TestTrain:
             "--schema", str(workspace / "schema.json"), "--seed", "0"])
         assert res.exit_code == 1
         assert "missing value" in res.output
+
+    def test_max_features_override_recorded(self, workspace):
+        out = workspace / "model"
+        res = _run(["train", "--data", str(workspace / "data.csv"),
+                    "--schema", str(workspace / "schema.json"),
+                    "--trees", "2", "--max-features", "1", "--seed", "0",
+                    "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        payload = json.loads((out / "model.json").read_text())
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert payload["config"]["max_features"] == 1
+        assert manifest["config"]["max_features"] == 1
+        assert Forest.from_dict(payload).config.tree.max_features == 1
 
     def test_same_seed_byte_identical_models(self, workspace):
         args = ["train", "--data", str(workspace / "data.csv"),

@@ -64,6 +64,13 @@ class TestLoadCsv:
         assert d.kinds[0].cardinality == 3
         assert d.X[:, 0].tolist() == [0.0, 1.0, 0.0, 2.0]
 
+    def test_utf8_bom_not_in_first_name(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_text("x,label\n1.0,a\n2.0,b\n", encoding="utf-8-sig")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+        d = load_csv(path, target="label", task="classification")
+        assert d.feature_names == ["x"]
+
     def test_ragged_row_rejected(self, tmp_path):
         path = _write(tmp_path, "x,y\n1.0,0\n2.0\n")
         with pytest.raises(DataError, match="row 2"):

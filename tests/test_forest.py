@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -48,8 +50,8 @@ class TestFit:
     def test_single_tree_no_bootstrap_reduces_to_grow(self):
         d = _dataset()
         cfg = ForestConfig(n_trees=1, bootstrap=False, seed=3,
-                           tree=TreeConfig(criterion="gini", max_depth=3),
-                           max_features="all")
+                           tree=TreeConfig(criterion="gini", max_depth=3,
+                                           max_features="all"))
         f = fit(d, cfg)
         solo = grow(d.X, d.y, np.arange(d.n),
                     TreeConfig(criterion="gini", max_depth=3, max_features="all"),
@@ -75,27 +77,19 @@ class TestFit:
         r2 = si_forest(fit(d, cfg))
         assert np.array_equal(r1.scores, r2.scores)
 
-    def test_result_independent_of_thread_count(self):
-        d = _dataset()
-        cfg = ForestConfig(n_trees=8, seed=13, tree=TreeConfig(max_depth=4))
-        f1 = fit(d, cfg, n_jobs=1)
-        f2 = fit(d, cfg, n_jobs=3)
-        assert [t.to_dict() for t in f1.trees] == [t.to_dict() for t in f2.trees]
-        assert all(np.array_equal(a, b) for a, b in zip(f1.in_bag, f2.in_bag))
-
     def test_classification_defaults_to_sqrt_features(self):
         d = _dataset()
         cfg = ForestConfig(n_trees=1, seed=0, tree=TreeConfig(max_depth=2))
-        assert cfg.resolved_tree_config("classification").max_features == "sqrt"
-        assert ForestConfig(tree=TreeConfig(criterion="mse")) \
-            .resolved_tree_config("regression").max_features == "all"
+        assert fit(d, cfg).config.tree.max_features == "sqrt"
+        reg = ForestConfig(n_trees=1, tree=TreeConfig(criterion="mse", max_depth=2))
+        assert fit(_dataset("regression"), reg).config.tree.max_features == "all"
 
 
 class TestPredict:
     def test_identical_single_leaf_trees(self):
         d = _dataset(n=30)
         cfg = ForestConfig(n_trees=5, bootstrap=False, seed=1,
-                           tree=TreeConfig(max_depth=0), max_features="all")
+                           tree=TreeConfig(max_depth=0, max_features="all"))
         f = fit(d, cfg)
         proba = f.predict_proba(d.X[:3])
         expected = np.bincount(d.y, minlength=2) / d.n
@@ -122,10 +116,29 @@ class TestPredict:
 class TestSerialization:
     def test_round_trip(self):
         d = _dataset(n=60)
-        f = fit(d, ForestConfig(n_trees=4, seed=8, tree=TreeConfig(max_depth=3)))
-        clone = Forest.from_dict(f.to_dict())
-        assert np.array_equal(clone.predict(d.X), f.predict(d.X))
-        assert clone.to_dict() == f.to_dict()
+        for bootstrap in (True, False):
+            f = fit(d, ForestConfig(n_trees=4, seed=8, bootstrap=bootstrap,
+                                    tree=TreeConfig(max_depth=3)))
+            payload = json.loads(json.dumps(f.to_dict()))
+            assert "in_bag" not in payload and "oob" not in payload
+            clone = Forest.from_dict(payload)
+            assert np.array_equal(clone.predict(d.X), f.predict(d.X))
+            assert clone.to_dict() == f.to_dict()
+            for got, want in zip(clone.in_bag + clone.oob, f.in_bag + f.oob):
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("key,value", [
+        ("bag_sha256", "0" * 64),
+        ("n_rows", 59),
+        ("n_rows", 0),
+    ])
+    def test_tampered_bags_rejected(self, key, value):
+        d = _dataset(n=60)
+        payload = fit(d, ForestConfig(n_trees=3, seed=8,
+                                      tree=TreeConfig(max_depth=2))).to_dict()
+        payload[key] = value
+        with pytest.raises(ValueError):
+            Forest.from_dict(payload)
 
     def test_unknown_version_rejected(self):
         with pytest.raises(ValueError):

@@ -50,8 +50,8 @@ class TestSiTree:
         y = rng.integers(0, 2, size=80)
         tree = _grow(X, y, "classification", max_depth=4)
         leaves = [nd for nd in tree.nodes() if nd.is_leaf]
-        expected = tree.root.weight * tree.root.impurity \
-            - sum(nd.weight * nd.impurity for nd in leaves)
+        expected = tree.root.n / tree.n_root * tree.root.impurity \
+            - sum(nd.n / tree.n_root * nd.impurity for nd in leaves)
         assert si_tree(tree).sum() == pytest.approx(expected, abs=1e-10)
 
     def test_nonnegative(self):
@@ -65,7 +65,7 @@ class TestSiForest:
     def test_copies_of_one_tree(self):
         d = _dataset("classification")
         cfg = ForestConfig(n_trees=5, bootstrap=False, seed=0,
-                           tree=TreeConfig(max_depth=3), max_features="all")
+                           tree=TreeConfig(max_depth=3, max_features="all"))
         f = fit(d, cfg)
         report = si_forest(f)
         assert report.scores == pytest.approx(si_tree(f.trees[0]).tolist())
@@ -113,6 +113,12 @@ class TestUfiReductions:
             for node in tree.internal_nodes():
                 assert terms[node.node_id] == 2.0 * node.train_decrease
 
+    @pytest.mark.parametrize("criterion", ["entropy", "misclassification"])
+    def test_non_gini_tree_rejected(self, criterion):
+        tree = _grow(FOUR_X, FOUR_Y, "classification", criterion=criterion)
+        with pytest.raises(ValueError, match="Gini"):
+            ufi_tree_classification(tree, FOUR_X, FOUR_Y)
+
     def test_empty_test_set_all_zero_all_skipped(self):
         rng = np.random.default_rng(7)
         X = rng.standard_normal((50, 2))
@@ -126,7 +132,7 @@ class TestUfiReductions:
     def test_forest_reduction_to_si(self):
         d = _dataset("classification")
         cfg = ForestConfig(n_trees=1, bootstrap=False, seed=1,
-                           tree=TreeConfig(max_depth=3), max_features="all")
+                           tree=TreeConfig(max_depth=3, max_features="all"))
         f = fit(d, cfg)
         ufi = ufi_forest(f, d.X, d.y, test="explicit", X_test=d.X, y_test=d.y)
         assert np.array_equal(ufi.scores, si_forest(f).scores)
@@ -213,8 +219,8 @@ class TestPermutationImportance:
         y = (X[:, 0] > 0).astype(int)
         d = Dataset(X, y, ["a", "b"], [FeatureKind(CONTINUOUS)] * 2,
                     "classification", 2)
-        f = fit(d, ForestConfig(n_trees=10, seed=1, tree=TreeConfig(max_depth=3),
-                                max_features="all"))
+        f = fit(d, ForestConfig(n_trees=10, seed=1,
+                                tree=TreeConfig(max_depth=3, max_features="all")))
         report = permutation_importance(f, d.X, d.y, rng=0)
         assert report.scores[1] == 0.0
 

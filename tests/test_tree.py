@@ -5,8 +5,8 @@ import pytest
 from conftest import brute_force_best_split, random_instance
 
 from ufitree.tree import (
-    Split, Tree, TreeConfig, best_split, candidate_thresholds, evaluate_split,
-    grow, impurity_from_counts, impurity_from_values,
+    Split, Tree, TreeConfig, best_split, evaluate_split, grow,
+    impurity_from_counts, impurity_from_values,
 )
 
 FOUR_X = np.array([[1.0], [2.0], [3.0], [4.0]])
@@ -36,25 +36,11 @@ class TestImpurity:
         assert impurity_from_values([1.0, 1.0, 1.0], "mse") == 0.0
         assert impurity_from_values([0.0, 2.0], "mse") == pytest.approx(1.0)
 
-    def test_mae(self):
-        assert impurity_from_values([0.0, 2.0, 4.0], "mae") == pytest.approx(4 / 3)
-
     def test_empty_node_rejected(self):
         with pytest.raises(ValueError):
             impurity_from_counts([], "gini")
         with pytest.raises(ValueError):
             impurity_from_values([], "mse")
-
-
-class TestCandidateThresholds:
-    def test_midpoints(self):
-        assert candidate_thresholds([1.0, 2.0, 4.0]).tolist() == [1.5, 3.0]
-
-    def test_constant_feature(self):
-        assert candidate_thresholds([7.0]).tolist() == []
-
-    def test_dummy_column(self):
-        assert candidate_thresholds([0.0, 1.0]).tolist() == [0.5]
 
 
 class TestEvaluateSplit:
@@ -122,12 +108,12 @@ class TestBestSplit:
                 assert got[0] == want[0]
 
 
-def _fit(X, y, task, **kw):
+def _fit(X, y, task, seed=0, **kw):
     defaults = dict(criterion="gini" if task == "classification" else "mse")
     defaults.update(kw)
     cfg = TreeConfig(**defaults)
     n_classes = int(np.max(y)) + 1 if task == "classification" else None
-    return grow(X, y, np.arange(len(y)), cfg, task, n_classes)
+    return grow(X, y, np.arange(len(y)), cfg, task, n_classes, rng=seed)
 
 
 class TestGrow:
@@ -175,8 +161,8 @@ class TestGrow:
         tree = _fit(X, y, task, max_depth=4)
         total = sum(nd.train_decrease for nd in tree.internal_nodes())
         leaves = [nd for nd in tree.nodes() if nd.is_leaf]
-        expected = tree.root.weight * tree.root.impurity \
-            - sum(nd.weight * nd.impurity for nd in leaves)
+        expected = tree.root.n / tree.n_root * tree.root.impurity \
+            - sum(nd.n / tree.n_root * nd.impurity for nd in leaves)
         assert total == pytest.approx(expected, abs=1e-10)
 
     def test_train_decrease_nonnegative(self):
@@ -249,7 +235,7 @@ class TestSerialization:
         y = rng.integers(0, 2, size=40)
         tree = _fit(X, y, "classification", max_depth=3)
         payload = json.loads(json.dumps(tree.to_dict()))
-        assert payload["version"] == "ufitree/1"
+        assert payload["version"] == "ufitree/2"
         clone = Tree.from_dict(payload)
         assert np.array_equal(clone.predict(X), tree.predict(X))
         assert clone.to_dict() == tree.to_dict()
