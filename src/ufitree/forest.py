@@ -8,7 +8,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import Dataset
-from .tree import Tree, TreeConfig, grow
+from .tree import Tree, TreeConfig, grow, sort_keys
 
 FORMAT_VERSION = "ufiforest/2"
 
@@ -152,10 +152,12 @@ def fit(d: Dataset, config: ForestConfig) -> Forest:
     tree_cfg = config.tree.resolved(d.task)
     tree_cfg.validate(d.p, d.task)
     config = replace(config, tree=tree_cfg)
+    keys = sort_keys(d.X)
     trees, in_bag, oob = [], [], []
     for rng in tree_rngs(config):
         rows, out = draw_bag(d.n, rng, config.bootstrap)
-        trees.append(grow(d.X, d.y, rows, tree_cfg, d.task, d.n_classes, rng=rng))
+        trees.append(grow(d.X, d.y, rows, tree_cfg, d.task, d.n_classes,
+                          rng=rng, keys=keys))
         in_bag.append(rows)
         oob.append(out)
     return Forest(trees, in_bag, oob, d.n, d.task, d.n_classes, d.p, config,

@@ -103,8 +103,18 @@ def impurity_from_values(y: np.ndarray, criterion: str) -> float:
     if len(y) == 0:
         raise ValueError("empty node has no impurity")
     if criterion == "mse":
-        return float(np.sum((y - y.mean()) ** 2)) / len(y)
+        return _mean_and_mse(y)[1]
     raise ValueError(f"not a regression criterion: {criterion!r}")
+
+
+def _mean_and_mse(y: np.ndarray) -> tuple[float, float]:
+    """Mean and mean squared deviation of non-empty float64 values.
+
+    add.reduce is what ndarray.mean and np.sum run, without their wrappers,
+    so the bits are those of y.mean() and np.sum((y - y.mean()) ** 2) / n.
+    """
+    mean = np.add.reduce(y) / len(y)
+    return float(mean), float(np.add.reduce((y - mean) ** 2)) / len(y)
 
 
 class TreeNode:
@@ -258,35 +268,56 @@ class Tree:
                    d["n_classes"], config)
 
 
-def _node_impurity(y_node, class_counts, criterion):
-    if criterion in CLS_CRITERIA:
-        return impurity_from_counts(class_counts, criterion)
-    return impurity_from_values(y_node, criterion)
+def sort_keys(X: np.ndarray) -> np.ndarray:
+    """Per-feature sort keys, one row per column of X.
+
+    Dense ranks as uint16 order and tie exactly like the values, and numpy
+    sorts them with a radix sort, several times faster than floats. X.T
+    itself is returned when X has non-finite values (NaN orders unlike its
+    rank) or more rows than uint16 ranks can hold.
+    """
+    if X.shape[0] > 2**16 or not np.isfinite(X).all():
+        return X.T
+    keys = np.empty((X.shape[1], X.shape[0]), dtype=np.uint16)
+    for j in range(X.shape[1]):
+        keys[j] = np.unique(X[:, j], return_inverse=True)[1]
+    return keys
 
 
-def _scan_features(X, y, idx, feats, criterion, n_classes, msl):
+def _scan_features(X, keys, y, idx, feats, criterion, n_classes, msl):
     """Vectorized scan over candidate features; returns (feature, threshold, loss) or None.
 
     Loss is the weighted child impurity L(Q, theta) relative to the node.
-    Ties resolve to the smallest feature index, then smallest threshold,
-    because candidates are scanned feature-major in ascending order.
+    Only admissible thresholds (between distinct values, leaving msl rows on
+    each side) are scored. Ties resolve to the smallest feature index, then
+    smallest threshold, because candidates are scanned feature-major in
+    ascending order. Arrays are (feature, sorted position), so sorts and
+    prefix sums run along contiguous rows.
     """
     n = len(idx)
-    sub = X[np.ix_(idx, feats)]
-    order = np.argsort(sub, axis=0, kind="stable")
-    sv = np.take_along_axis(sub, order, axis=0)
+    sub = keys[feats].take(idx, axis=1)
+    order = sub.argsort(axis=1, kind="stable")
+    sk = np.sort(sub, axis=1)  # sub in that order, and cheaper than gathering
+    valid = sk[:, 1:] > sk[:, :-1]
+    if msl > 1:
+        pos = np.arange(1, n)
+        valid = valid & (pos >= msl) & (n - pos >= msl)
+    # candidate (feature, threshold position) pairs, feature-major
+    f_pos, t_pos = np.nonzero(valid)
+    if len(f_pos) == 0:
+        return None
 
-    nl = np.arange(1, n, dtype=np.float64)[:, None]
+    nl = t_pos + 1.0
     nr = n - nl
     if criterion in CLS_CRITERIA:
         yk = y[idx]
-        # per-class left counts for every (threshold position, feature) pair
-        cums = []
-        totals = []
-        for k in range(n_classes):
-            z = (yk == k).astype(np.float64)
-            cums.append(np.cumsum(z[order], axis=0)[:-1])
-            totals.append(float(z.sum()))
+        yo = yk[order]
+        # per-class left counts at every candidate; the last class holds the
+        # rest, exactly, since the counts are integers
+        cums = [(yo == k).cumsum(axis=1, dtype=np.float64)[f_pos, t_pos]
+                for k in range(n_classes - 1)]
+        cums.append(nl - sum(cums))
+        totals = np.bincount(yk, minlength=n_classes).astype(np.float64)
         if criterion == "gini":
             sl = 0.0
             sr = 0.0
@@ -298,55 +329,50 @@ def _scan_features(X, y, idx, feats, criterion, n_classes, msl):
             Hl = 1.0 - sl
             Hr = 1.0 - sr
         elif criterion == "entropy":
-            Hl = np.zeros((n - 1, len(feats)))
-            Hr = np.zeros((n - 1, len(feats)))
+            Hl = np.zeros(len(t_pos))
+            Hr = np.zeros(len(t_pos))
             for cum, tot in zip(cums, totals):
                 pl = cum / nl
                 pr = (tot - cum) / nr
                 Hl -= np.where(pl > 0, pl * np.log(np.where(pl > 0, pl, 1.0)), 0.0)
                 Hr -= np.where(pr > 0, pr * np.log(np.where(pr > 0, pr, 1.0)), 0.0)
         else:  # misclassification
-            maxl = np.zeros((n - 1, len(feats)))
-            maxr = np.zeros((n - 1, len(feats)))
+            maxl = np.zeros(len(t_pos))
+            maxr = np.zeros(len(t_pos))
             for cum, tot in zip(cums, totals):
                 maxl = np.maximum(maxl, cum / nl)
                 maxr = np.maximum(maxr, (tot - cum) / nr)
             Hl = 1.0 - maxl
             Hr = 1.0 - maxr
     else:  # mse
-        yv = y[idx].astype(np.float64)
+        yv = np.asarray(y[idx], dtype=np.float64)
         ys = yv[order]
-        cum = np.cumsum(ys, axis=0)[:-1]
-        cum2 = np.cumsum(ys * ys, axis=0)[:-1]
-        tot = yv.sum()
+        cum = ys.cumsum(axis=1)[f_pos, t_pos]
+        cum2 = (ys * ys).cumsum(axis=1)[f_pos, t_pos]
+        tot = np.add.reduce(yv)
         tot2 = float(np.dot(yv, yv))
         Hl = np.maximum(cum2 / nl - (cum / nl) ** 2, 0.0)
         Hr = np.maximum((tot2 - cum2) / nr - ((tot - cum) / nr) ** 2, 0.0)
 
     loss = (nl * Hl + nr * Hr) / n
-    valid = sv[1:] > sv[:-1]
-    if msl > 1:
-        pos = np.arange(1, n)[:, None]
-        valid = valid & (pos >= msl) & (n - pos >= msl)
-    if not valid.any():
-        return None
-    loss = np.where(valid, loss, np.inf)
-    flat = loss.T.ravel()  # feature-major, thresholds ascending within feature
-    m = flat.min()
+    m = float(loss.min())
     # first candidate within tie tolerance of the minimum
-    best = int(np.argmax(flat <= m + LOSS_TIE_TOL * max(1.0, abs(m))))
-    f_pos, t_pos = divmod(best, n - 1)
-    threshold = float((sv[t_pos, f_pos] + sv[t_pos + 1, f_pos]) / 2.0)
-    return int(feats[f_pos]), threshold, float(flat[best])
+    best = int((loss <= m + LOSS_TIE_TOL * max(1.0, abs(m))).argmax())
+    f, t = f_pos[best], t_pos[best]
+    rows, j = order[f], feats[f]
+    threshold = (X[idx[rows[t]], j] + X[idx[rows[t + 1]], j]) / 2.0
+    return int(j), float(threshold), float(loss[best])
 
 
 def best_split(X, y, idx, feats, criterion, n_classes=None,
-               min_samples_leaf=1, parent_impurity=None):
+               min_samples_leaf=1, parent_impurity=None, keys=None):
     """Best (feature, threshold) over the candidate features, or None.
 
     Returns (Split, loss) minimizing the weighted child impurity; None when
     no admissible candidate improves on the parent (gain <= GAIN_EPS).
+    ``keys`` is sort_keys(X), computed once per tree by grow; X.T if None.
     """
+    idx = np.asarray(idx, dtype=np.intp)
     feats = np.sort(np.asarray(feats, dtype=np.intp))
     if parent_impurity is None:
         if criterion in CLS_CRITERIA:
@@ -354,7 +380,8 @@ def best_split(X, y, idx, feats, criterion, n_classes=None,
             parent_impurity = impurity_from_counts(counts, criterion)
         else:
             parent_impurity = impurity_from_values(y[idx], criterion)
-    found = _scan_features(X, y, idx, feats, criterion, n_classes, min_samples_leaf)
+    found = _scan_features(X, X.T if keys is None else keys, y, idx, feats,
+                           criterion, n_classes, min_samples_leaf)
     if found is None:
         return None
     f, s, loss = found
@@ -391,10 +418,12 @@ def evaluate_split(X, y, idx, split: Split, criterion, n_root,
 
 
 def grow(X, y, indices, config: TreeConfig, task: str,
-         n_classes: int | None = None, rng=0) -> Tree:
+         n_classes: int | None = None, rng=0, keys=None) -> Tree:
     """Grow a tree on the given row indices of (X, y).
 
     ``rng`` is a seed or a Generator; it draws the max_features subsets.
+    ``keys`` is sort_keys(X), which the trees of a forest share; computed
+    here if None.
     """
     X = np.asarray(X, dtype=np.float64)
     indices = np.asarray(indices, dtype=np.intp)
@@ -404,9 +433,13 @@ def grow(X, y, indices, config: TreeConfig, task: str,
     config.validate(X.shape[1], task)
     if task == "classification" and n_classes is None:
         n_classes = int(y.max()) + 1
+    if task == "regression":
+        y = np.asarray(y, dtype=np.float64)
     rng = np.random.default_rng(rng)
     p = X.shape[1]
     k_feats = resolve_max_features(config.max_features, p)
+    if keys is None:
+        keys = sort_keys(X)
     n_root = len(indices)
     counter = [0]
 
@@ -416,10 +449,9 @@ def grow(X, y, indices, config: TreeConfig, task: str,
             counts = np.bincount(y[idx], minlength=n_classes)
             imp = impurity_from_counts(counts, config.criterion)
             node = TreeNode(counter[0], n, counts, None, imp)
-        else:
-            yv = y[idx]
-            imp = impurity_from_values(yv, config.criterion)
-            node = TreeNode(counter[0], n, None, float(yv.mean()), imp)
+        else:  # mse, the only regression criterion
+            mean, imp = _mean_and_mse(y[idx])
+            node = TreeNode(counter[0], n, None, mean, imp)
         counter[0] += 1
         return node
 
@@ -432,11 +464,11 @@ def grow(X, y, indices, config: TreeConfig, task: str,
         feats = np.sort(rng.choice(p, size=k_feats, replace=False)) if k_feats < p \
             else np.arange(p)
         found = best_split(X, y, idx, feats, config.criterion, n_classes,
-                           config.min_samples_leaf, parent_impurity=node.impurity)
+                           config.min_samples_leaf, node.impurity, keys)
         if found is None and k_feats < p:
             # drawn subset unsplittable: fall back to scanning all features
             found = best_split(X, y, idx, np.arange(p), config.criterion, n_classes,
-                               config.min_samples_leaf, parent_impurity=node.impurity)
+                               config.min_samples_leaf, node.impurity, keys)
         if found is None:
             return node
         split, _ = found

@@ -6,7 +6,7 @@ from conftest import brute_force_best_split, random_instance
 
 from ufitree.tree import (
     Split, Tree, TreeConfig, best_split, evaluate_split, grow,
-    impurity_from_counts, impurity_from_values,
+    impurity_from_counts, impurity_from_values, sort_keys,
 )
 
 FOUR_X = np.array([[1.0], [2.0], [3.0], [4.0]])
@@ -106,6 +106,28 @@ class TestBestSplit:
             else:
                 assert got is not None
                 assert got[0] == want[0]
+
+    @pytest.mark.parametrize("task,criterion", [
+        ("classification", "gini"),
+        ("regression", "mse"),
+    ])
+    def test_sort_keys_give_the_same_split(self, task, criterion):
+        rng = np.random.default_rng(7)
+        for trial in range(60):
+            X, y, k = random_instance(rng, task, duplicates=trial % 2 == 0)
+            idx = rng.integers(0, len(y), size=len(y))
+            feats = np.arange(X.shape[1])
+            want = best_split(X, y, idx, feats, criterion, n_classes=k)
+            keys = sort_keys(X)
+            assert keys.dtype == np.uint16
+            got = best_split(X, y, idx, feats, criterion, n_classes=k, keys=keys)
+            assert got == want
+
+    def test_sort_keys_fall_back_to_values_on_nan(self):
+        X = np.array([[1.0, np.nan], [2.0, 0.0]])
+        keys = sort_keys(X)
+        assert keys.dtype == np.float64
+        assert np.array_equal(keys, X.T, equal_nan=True)
 
 
 def _fit(X, y, task, seed=0, **kw):
