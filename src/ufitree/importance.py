@@ -101,14 +101,15 @@ def ufi_tree_classification(tree: Tree, X_test, y_test,
     n_root = tree.n_root
     for node in tree.internal_nodes():
         left, right = node.left, node.right
-        cm, cl, cr = (tcounts[node.node_id], tcounts[left.node_id],
-                      tcounts[right.node_id])
-        if cm.sum() == 0 or cl.sum() == 0 or cr.sum() == 0:
+        nm = len(assign[node.node_id])
+        nl = len(assign[left.node_id])
+        nr = len(assign[right.node_id])
+        if nm == 0 or nl == 0 or nr == 0:
             skipped += 1
             continue
-        hm = predictive_gini(node.class_counts / node.n, cm / cm.sum())
-        hl = predictive_gini(left.class_counts / left.n, cl / cl.sum())
-        hr = predictive_gini(right.class_counts / right.n, cr / cr.sum())
+        hm = predictive_gini(node.class_counts / node.n, tcounts[node.node_id] / nm)
+        hl = predictive_gini(left.class_counts / left.n, tcounts[left.node_id] / nl)
+        hr = predictive_gini(right.class_counts / right.n, tcounts[right.node_id] / nr)
         delta_p = node.n / n_root * hm - (left.n / n_root * hl + right.n / n_root * hr)
         scores[node.split.feature] += delta_p
         if per_node:

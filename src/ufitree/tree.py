@@ -84,7 +84,7 @@ def predictive_gini(p_train: np.ndarray, p_test: np.ndarray) -> float:
 
 def impurity_from_counts(counts: np.ndarray, criterion: str) -> float:
     counts = np.asarray(counts, dtype=np.float64)
-    n = counts.sum()
+    n = np.add.reduce(counts)
     if n <= 0:
         raise ValueError("empty node has no impurity")
     p = counts / n
