@@ -100,6 +100,15 @@ def _forest_config(trees, max_depth, max_features, min_samples_leaf,
                         bootstrap=bootstrap, seed=seed)
 
 
+def _usage_errors(fn, *args):
+    """fn(*args), with a ValueError (a setting the flags do not allow, such
+    as --trees 0) reported as a usage error."""
+    try:
+        return fn(*args)
+    except ValueError as e:
+        _die_usage(str(e))
+
+
 def _resolve_seed(seed: int | None) -> int:
     # absent --seed draws a seed so the manifest can still pin the run
     return int.from_bytes(os.urandom(4), "big") if seed is None else seed
@@ -171,7 +180,7 @@ def cmd_train(data, schema, task, out, trees, max_depth, max_features,
                  else (d, None))
     config = _forest_config(trees, max_depth, max_features, min_samples_leaf,
                             bootstrap, seed, enc.task)
-    forest = fit(enc, config)
+    forest = _usage_errors(fit, enc, config)
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _save_model(out_dir / "model.json", _model_payload(forest, gmap, d))
@@ -211,7 +220,7 @@ def cmd_importance(data, schema, task, method, test_source, fold_dummies,
         _die_usage(f"--method {method} --test oob requires --bootstrap")
     config = _forest_config(trees, max_depth, max_features, min_samples_leaf,
                             bootstrap, seed, enc.task)
-    forest = fit(enc, config)
+    forest = _usage_errors(fit, enc, config)
 
     if test_source != "oob":
         dt = _load_dataset(test_source, schema, enc.task)
@@ -298,7 +307,7 @@ def cmd_simulate(scenario, task, rho, n, reps, encoding, methods, out, trees,
         _die_usage(str(e))
     config = _forest_config(trees, max_depth, max_features, min_samples_leaf,
                             bootstrap, seed, task)
-    results = run_experiment(setting, config, method_list)
+    results = _usage_errors(run_experiment, setting, config, method_list)
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "scores.csv").write_text(tidy_csv(results))

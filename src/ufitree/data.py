@@ -205,6 +205,10 @@ def load_csv(path, target: str, task: str, kinds: dict[str, FeatureKind] | None 
                     ) from None
                 if not math.isfinite(val):
                     raise DataError(f"non-finite value at row {r + 1}, column {name!r}")
+                if kind.kind == BINARY and val not in (0.0, 1.0):
+                    raise DataError(
+                        f"binary value {cell!r} is not 0 or 1 at row {r + 1}, column {name!r}"
+                    )
                 X[r, j] = val
             j += 1
 

@@ -10,7 +10,7 @@ import numpy as np
 from .data import Dataset
 from .tree import Tree, TreeConfig, grow, sort_keys
 
-FORMAT_VERSION = "ufiforest/2"
+FORMAT_VERSION = "ufiforest/3"
 
 
 @dataclass
@@ -149,6 +149,8 @@ def fit(d: Dataset, config: ForestConfig) -> Forest:
     Each tree's generator draws its bag and then its feature subsets. The
     returned forest's config holds the resolved max_features.
     """
+    if config.n_trees < 1:
+        raise ValueError("n_trees must be >= 1")
     tree_cfg = config.tree.resolved(d.task)
     tree_cfg.validate(d.p, d.task)
     config = replace(config, tree=tree_cfg)

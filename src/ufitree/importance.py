@@ -51,10 +51,10 @@ class ImportanceReport:
 
 def si_tree(tree: Tree) -> np.ndarray:
     """Per-feature sum of recorded train impurity decreases."""
-    scores = np.zeros(tree.n_features)
-    for node in tree.internal_nodes():
-        scores[node.split.feature] += node.train_decrease
-    return scores
+    inner = ~tree.is_leaf
+    # bincount adds in node order, as a += loop over the nodes would
+    return np.bincount(tree.feature[inner], weights=tree.train_decrease[inner],
+                       minlength=tree.n_features)
 
 
 def si_forest(forest: Forest) -> ImportanceReport:
@@ -72,92 +72,79 @@ def _default_names(p: int) -> list[str]:
     return [f"x{j}" for j in range(p)]
 
 
-def _test_class_counts(tree: Tree, assign, y_test, n_classes):
-    counts = {}
-    for node_id, idx in assign.items():
-        counts[node_id] = np.bincount(y_test[idx], minlength=n_classes)
-    return counts
+def _test_decrease(tree: Tree, h: np.ndarray, routed: np.ndarray):
+    """Root-weighted decrease of a per-node test impurity ``h`` at each
+    internal node: n_m/n h_m - (n_l/n h_l + n_r/n h_r).
+
+    Returns (internal node ids, whether both children got test rows, decrease).
+    """
+    w = tree.n / tree.n_root
+    node = np.flatnonzero(~tree.is_leaf)
+    lo, hi = tree.left[node], tree.right[node]
+    ok = (routed[lo] > 0) & (routed[hi] > 0)
+    return node, ok, w[node] * h[node] - (w[lo] * h[lo] + w[hi] * h[hi])
 
 
-def ufi_tree_classification(tree: Tree, X_test, y_test,
-                            per_node: bool = False):
+def _ufi_result(tree: Tree, node: np.ndarray, ok: np.ndarray, term: np.ndarray):
+    """(scores, skipped, terms): per-feature sums of the counted nodes' terms,
+    the number of skipped nodes, and the per-node terms (0 at leaves and at
+    skipped nodes)."""
+    node, term = node[ok], term[ok]
+    terms = np.zeros(tree.n_nodes())
+    terms[node] = term
+    # bincount adds in node order, as a += loop over the nodes would
+    scores = np.bincount(tree.feature[node], weights=term, minlength=tree.n_features)
+    return scores, int(len(ok) - len(node)), terms
+
+
+def ufi_tree_classification(tree: Tree, X_test, y_test):
     """Corrected split-improvement for one Gini-grown tree.
 
     Each internal node contributes its decrease in predictive Gini, where
     node impurities mix training proportions with test proportions routed
     through the same tree.  Nodes with an empty test side contribute 0 and
-    are counted as skipped.
+    are counted as skipped. Returns (scores, skipped, per-node terms).
     """
     if tree.task != "classification":
         raise ValueError("classification tree required")
     if tree.config.criterion != "gini":
         raise ValueError(f"ufi needs a Gini-grown tree, not {tree.config.criterion!r}")
     y_test = np.asarray(y_test, dtype=np.int64)
-    assign = tree.route(X_test)
-    tcounts = _test_class_counts(tree, assign, y_test, tree.n_classes)
-    scores = np.zeros(tree.n_features)
-    node_terms = {}
-    skipped = 0
-    n_root = tree.n_root
-    for node in tree.internal_nodes():
-        left, right = node.left, node.right
-        nm = len(assign[node.node_id])
-        nl = len(assign[left.node_id])
-        nr = len(assign[right.node_id])
-        if nm == 0 or nl == 0 or nr == 0:
-            skipped += 1
-            continue
-        hm = predictive_gini(node.class_counts / node.n, tcounts[node.node_id] / nm)
-        hl = predictive_gini(left.class_counts / left.n, tcounts[left.node_id] / nl)
-        hr = predictive_gini(right.class_counts / right.n, tcounts[right.node_id] / nr)
-        delta_p = node.n / n_root * hm - (left.n / n_root * hl + right.n / n_root * hr)
-        scores[node.split.feature] += delta_p
-        if per_node:
-            node_terms[node.node_id] = delta_p
-    if per_node:
-        return scores, skipped, node_terms
-    return scores, skipped
+    k = tree.n_classes
+    if len(y_test) and (y_test.min() < 0 or y_test.max() >= k):
+        raise ValueError(f"test labels must lie in [0, {k})")
+    rows, offsets = tree.route(X_test)
+    routed = np.diff(offsets)
+    visits = np.repeat(np.arange(tree.n_nodes()) * k, routed) + y_test[rows]
+    tcounts = np.bincount(visits, minlength=tree.n_nodes() * k).reshape(-1, k)
+    p_train = tree.class_counts / tree.n[:, None]
+    h = np.zeros(tree.n_nodes())
+    for i in np.flatnonzero(routed):
+        h[i] = predictive_gini(p_train[i], tcounts[i] / routed[i])
+    return _ufi_result(tree, *_test_decrease(tree, h, routed))
 
 
-def ufi_tree_regression(tree: Tree, X_test, y_test, per_node: bool = False):
+def ufi_tree_regression(tree: Tree, X_test, y_test):
     """Corrected split-improvement for one MSE-grown tree.
 
     Test impurity at a node is the mean squared deviation of routed test
     targets from that node's training mean; each node contributes its train
-    decrease plus the (typically negative) test-side decrease.
+    decrease plus the (typically negative) test-side decrease. Returns
+    (scores, skipped, per-node terms).
     """
     if tree.task != "regression":
         raise ValueError("regression tree required")
     y_test = np.asarray(y_test, dtype=np.float64)
-    assign = tree.route(X_test)
-
-    def h_prime(node):
-        idx = assign[node.node_id]
-        # np.add.reduce is np.sum without its dispatch overhead: same bits
-        return float(np.add.reduce((y_test[idx] - node.mean) ** 2)) / len(idx)
-
-    scores = np.zeros(tree.n_features)
-    node_terms = {}
-    skipped = 0
-    n_root = tree.n_root
-    for node in tree.internal_nodes():
-        left, right = node.left, node.right
-        nm = len(assign[node.node_id])
-        nl = len(assign[left.node_id])
-        nr = len(assign[right.node_id])
-        if nm == 0 or nl == 0 or nr == 0:
-            skipped += 1
-            continue
-        delta_p = (node.n / n_root * h_prime(node)
-                   - (left.n / n_root * h_prime(left)
-                      + right.n / n_root * h_prime(right)))
-        term = node.train_decrease + delta_p
-        scores[node.split.feature] += term
-        if per_node:
-            node_terms[node.node_id] = term
-    if per_node:
-        return scores, skipped, node_terms
-    return scores, skipped
+    rows, offsets = tree.route(X_test)
+    routed = np.diff(offsets)
+    h = np.zeros(tree.n_nodes())
+    for i in np.flatnonzero(routed):
+        yi = y_test[rows[offsets[i]:offsets[i + 1]]]
+        # np.add.reduce is np.sum without its dispatch overhead: same bits,
+        # given the rows in ascending order
+        h[i] = float(np.add.reduce((yi - tree.mean[i]) ** 2)) / routed[i]
+    node, ok, delta = _test_decrease(tree, h, routed)
+    return _ufi_result(tree, node, ok, tree.train_decrease[node] + delta)
 
 
 def ufi_tree(tree: Tree, X_test, y_test):
@@ -190,7 +177,7 @@ def ufi_forest(forest: Forest, X, y, test: str = "oob",
             xt, yt = np.asarray(X)[rows], np.asarray(y)[rows]
         else:
             xt, yt = X_test, y_test
-        scores, sk = ufi_tree(tree, xt, yt)
+        scores, sk, _ = ufi_tree(tree, xt, yt)
         per_tree[b] = scores
         skipped += sk
     return ImportanceReport(

@@ -19,7 +19,11 @@ GAIN_EPS = 1e-12
 # floating-point bits.
 LOSS_TIE_TOL = 1e-9
 
-FORMAT_VERSION = "ufitree/2"
+FORMAT_VERSION = "ufitree/3"
+
+# the per-node arrays of a Tree, in constructor order; also its JSON columns
+COLUMNS = ("feature", "threshold", "left", "right", "n", "class_counts", "mean",
+           "impurity", "train_decrease")
 
 
 @dataclass(frozen=True)
@@ -50,6 +54,8 @@ class TreeConfig:
         valid = CLS_CRITERIA if task == "classification" else REG_CRITERIA
         if self.criterion not in valid:
             raise ValueError(f"criterion {self.criterion!r} not valid for {task}")
+        if self.max_depth is not None and self.max_depth < 0:
+            raise ValueError("max_depth must be >= 0")
         if self.min_samples_split < 2 or self.min_samples_leaf < 1:
             raise ValueError("min_samples_split >= 2 and min_samples_leaf >= 1 required")
         if isinstance(self.max_features, int) and not isinstance(self.max_features, bool):
@@ -117,124 +123,95 @@ def _mean_and_mse(y: np.ndarray) -> tuple[float, float]:
     return float(mean), float(np.add.reduce((y - mean) ** 2)) / len(y)
 
 
-class TreeNode:
-    """One node; internal nodes carry a split and the recorded train decrease."""
-
-    __slots__ = (
-        "node_id", "n", "class_counts", "mean", "impurity",
-        "split", "train_decrease", "left", "right",
-    )
-
-    def __init__(self, node_id, n, class_counts, mean, impurity):
-        self.node_id = node_id
-        self.n = n
-        self.class_counts = class_counts  # classification only
-        self.mean = mean                  # regression only
-        self.impurity = impurity
-        self.split = None
-        self.train_decrease = 0.0
-        self.left = None
-        self.right = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.split is None
-
-
 class Tree:
-    """A grown tree over a fixed feature space."""
+    """A grown tree as parallel arrays indexed by node id, in preorder.
 
-    def __init__(self, root, n_features, n_root, task, n_classes, config):
-        self.root = root
+    Node 0 is the root, and an internal node's left subtree follows it
+    directly, as in scikit-learn's ``Tree``. A leaf has ``left == -1``; its
+    ``feature``, ``right`` and ``threshold`` are -1, -1 and 0.0, and its
+    ``train_decrease`` is 0.0. ``class_counts`` (nodes x classes) is None on
+    regression trees, and ``mean`` is None on classification trees.
+    """
+
+    def __init__(self, feature, threshold, left, right, n, class_counts, mean,
+                 impurity, train_decrease, n_features, n_root, task, n_classes,
+                 config):
+        self.feature = np.asarray(feature, dtype=np.intp)
+        self.threshold = np.asarray(threshold, dtype=np.float64)
+        self.left = np.asarray(left, dtype=np.intp)
+        self.right = np.asarray(right, dtype=np.intp)
+        self.n = np.asarray(n, dtype=np.int64)
+        self.class_counts = None if class_counts is None \
+            else np.asarray(class_counts, dtype=np.int64)
+        self.mean = None if mean is None else np.asarray(mean, dtype=np.float64)
+        self.impurity = np.asarray(impurity, dtype=np.float64)
+        self.train_decrease = np.asarray(train_decrease, dtype=np.float64)
         self.n_features = n_features
         self.n_root = n_root
         self.task = task
         self.n_classes = n_classes
         self.config = config
 
-    def nodes(self):
-        """Preorder traversal (node_id order)."""
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            yield node
-            if not node.is_leaf:
-                stack.append(node.right)
-                stack.append(node.left)
-
-    def internal_nodes(self):
-        return (nd for nd in self.nodes() if not nd.is_leaf)
-
     def n_nodes(self) -> int:
-        return sum(1 for _ in self.nodes())
+        return len(self.feature)
 
-    def route(self, X: np.ndarray) -> dict[int, np.ndarray]:
-        """Assign every row to the nodes along its root-to-leaf path.
+    @property
+    def is_leaf(self) -> np.ndarray:
+        return self.left == -1
 
-        Returns node_id -> row indices (in traversal-stable order).
-        """
+    def _descend(self, X: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(rows, nodes) per depth: the rows that reach that depth, ascending,
+        and the node each reaches. One vectorized step per depth."""
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.n_features:
             raise ValueError(f"expected {self.n_features} columns, got {X.shape}")
-        assign: dict[int, np.ndarray] = {}
-        stack = [(self.root, np.arange(X.shape[0]))]
-        while stack:
-            node, idx = stack.pop()
-            assign[node.node_id] = idx
-            if not node.is_leaf:
-                mask = X[idx, node.split.feature] <= node.split.threshold
-                stack.append((node.right, idx[~mask]))
-                stack.append((node.left, idx[mask]))
-        return assign
+        rows = np.arange(X.shape[0])
+        nodes = np.zeros(len(rows), dtype=np.intp)
+        steps = [(rows, nodes)]
+        while True:
+            inner = self.left[nodes] != -1
+            rows, nodes = rows[inner], nodes[inner]
+            if not len(rows):
+                return steps
+            go_left = X[rows, self.feature[nodes]] <= self.threshold[nodes]
+            nodes = np.where(go_left, self.left[nodes], self.right[nodes])
+            steps.append((rows, nodes))
 
-    def apply(self, X: np.ndarray) -> list[TreeNode]:
-        """Leaf reached by each row."""
-        X = np.asarray(X, dtype=np.float64)
-        leaves = [None] * X.shape[0]
-        stack = [(self.root, np.arange(X.shape[0]))]
-        while stack:
-            node, idx = stack.pop()
-            if node.is_leaf:
-                for i in idx:
-                    leaves[i] = node
-            else:
-                mask = X[idx, node.split.feature] <= node.split.threshold
-                stack.append((node.right, idx[~mask]))
-                stack.append((node.left, idx[mask]))
+    def route(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Every row's root-to-leaf path, grouped by node.
+
+        Returns (rows, offsets): the rows that pass through node i are
+        ``rows[offsets[i]:offsets[i + 1]]``, in ascending order.
+        """
+        steps = self._descend(X)
+        rows = np.concatenate([r for r, _ in steps])
+        nodes = np.concatenate([nd for _, nd in steps])
+        offsets = np.zeros(self.n_nodes() + 1, dtype=np.intp)
+        np.cumsum(np.bincount(nodes, minlength=self.n_nodes()), out=offsets[1:])
+        # every visit to a node happens at one depth, where rows ascend
+        return rows[np.argsort(nodes, kind="stable")], offsets
+
+    def apply(self, X: np.ndarray) -> np.ndarray:
+        """Leaf id reached by each row."""
+        steps = self._descend(X)
+        leaves = np.empty(len(steps[0][0]), dtype=np.intp)
+        for rows, nodes in steps:
+            leaves[rows] = nodes
         return leaves
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         if self.task != "classification":
             raise ValueError("predict_proba requires a classification tree")
         leaves = self.apply(X)
-        out = np.empty((len(leaves), self.n_classes))
-        for i, leaf in enumerate(leaves):
-            out[i] = leaf.class_counts / leaf.n
-        return out
+        return self.class_counts[leaves] / self.n[leaves][:, None]
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         leaves = self.apply(X)
         if self.task == "classification":
-            return np.array([int(np.argmax(leaf.class_counts)) for leaf in leaves])
-        return np.array([leaf.mean for leaf in leaves])
+            return np.argmax(self.class_counts[leaves], axis=1)
+        return self.mean[leaves]
 
     def to_dict(self) -> dict:
-        nodes = []
-        for nd in sorted(self.nodes(), key=lambda nd: nd.node_id):
-            nodes.append({
-                "id": nd.node_id,
-                "n": int(nd.n),
-                "class_counts": None if nd.class_counts is None else [int(c) for c in nd.class_counts],
-                "mean": nd.mean,
-                "impurity": nd.impurity,
-                "split": None if nd.is_leaf else {
-                    "feature": nd.split.feature,
-                    "threshold": nd.split.threshold,
-                },
-                "train_decrease": nd.train_decrease,
-                "left": None if nd.is_leaf else nd.left.node_id,
-                "right": None if nd.is_leaf else nd.right.node_id,
-            })
         return {
             "version": FORMAT_VERSION,
             "task": self.task,
@@ -242,30 +219,17 @@ class Tree:
             "n_root": self.n_root,
             "n_classes": self.n_classes,
             "criterion": self.config.criterion,
-            "nodes": nodes,
+            **{name: None if getattr(self, name) is None else getattr(self, name).tolist()
+               for name in COLUMNS},
         }
 
     @classmethod
     def from_dict(cls, d: dict, config: TreeConfig | None = None) -> "Tree":
         if d.get("version") != FORMAT_VERSION:
             raise ValueError(f"unsupported tree format: {d.get('version')!r}")
-        built = {}
-        for nd in d["nodes"]:
-            node = TreeNode(
-                nd["id"], nd["n"],
-                None if nd["class_counts"] is None else np.array(nd["class_counts"], dtype=np.int64),
-                nd["mean"], nd["impurity"],
-            )
-            node.train_decrease = nd["train_decrease"]
-            built[nd["id"]] = (node, nd)
-        for node, nd in built.values():
-            if nd["split"] is not None:
-                node.split = Split(nd["split"]["feature"], nd["split"]["threshold"])
-                node.left = built[nd["left"]][0]
-                node.right = built[nd["right"]][0]
         config = config or TreeConfig(criterion=d["criterion"])
-        return cls(built[0][0], d["n_features"], d["n_root"], d["task"],
-                   d["n_classes"], config)
+        return cls(*(d[name] for name in COLUMNS), d["n_features"], d["n_root"],
+                   d["task"], d["n_classes"], config)
 
 
 def sort_keys(X: np.ndarray) -> np.ndarray:
@@ -441,48 +405,55 @@ def grow(X, y, indices, config: TreeConfig, task: str,
     if keys is None:
         keys = sort_keys(X)
     n_root = len(indices)
-    counter = [0]
-
-    def make_node(idx):
-        n = len(idx)
-        if task == "classification":
-            counts = np.bincount(y[idx], minlength=n_classes)
-            imp = impurity_from_counts(counts, config.criterion)
-            node = TreeNode(counter[0], n, counts, None, imp)
-        else:  # mse, the only regression criterion
-            mean, imp = _mean_and_mse(y[idx])
-            node = TreeNode(counter[0], n, None, mean, imp)
-        counter[0] += 1
-        return node
+    classify = task == "classification"
+    # one list per column of COLUMNS, appended in preorder as nodes are made
+    (feature, threshold, left, right, n_rows, counts, means, impurity,
+     decrease) = ([] for _ in COLUMNS)
 
     def build(idx, depth):
-        node = make_node(idx)
+        node = len(n_rows)
         n = len(idx)
+        if classify:
+            c = np.bincount(y[idx], minlength=n_classes)
+            imp = impurity_from_counts(c, config.criterion)
+            counts.append(c)
+        else:  # mse, the only regression criterion
+            mean, imp = _mean_and_mse(y[idx])
+            means.append(mean)
+        n_rows.append(n)
+        impurity.append(imp)
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        decrease.append(0.0)
         if (config.max_depth is not None and depth >= config.max_depth) \
-                or n < config.min_samples_split or node.impurity <= 0.0:
+                or n < config.min_samples_split or imp <= 0.0:
             return node
         feats = np.sort(rng.choice(p, size=k_feats, replace=False)) if k_feats < p \
             else np.arange(p)
         found = best_split(X, y, idx, feats, config.criterion, n_classes,
-                           config.min_samples_leaf, node.impurity, keys)
+                           config.min_samples_leaf, imp, keys)
         if found is None and k_feats < p:
             # drawn subset unsplittable: fall back to scanning all features
             found = best_split(X, y, idx, np.arange(p), config.criterion, n_classes,
-                               config.min_samples_leaf, node.impurity, keys)
+                               config.min_samples_leaf, imp, keys)
         if found is None:
             return node
         split, _ = found
         mask = X[idx, split.feature] <= split.threshold
-        node.split = split
-        node.left = build(idx[mask], depth + 1)
-        node.right = build(idx[~mask], depth + 1)
+        lo = build(idx[mask], depth + 1)
+        hi = build(idx[~mask], depth + 1)
+        feature[node], threshold[node] = split.feature, split.threshold
+        left[node], right[node] = lo, hi
         # recompute the decrease from node stats so downstream identities are exact
-        left, right = node.left, node.right
-        node.train_decrease = (
-            n / n_root * node.impurity
-            - (left.n / n_root * left.impurity + right.n / n_root * right.impurity)
+        decrease[node] = (
+            n / n_root * imp
+            - (n_rows[lo] / n_root * impurity[lo] + n_rows[hi] / n_root * impurity[hi])
         )
         return node
 
-    root = build(indices, 0)
-    return Tree(root, p, n_root, task, n_classes, config)
+    build(indices, 0)
+    return Tree(feature, threshold, left, right, n_rows,
+                counts if classify else None, None if classify else means,
+                impurity, decrease, p, n_root, task, n_classes, config)

@@ -134,18 +134,15 @@ def test_criterion_3_reduction_identities_exact():
         X, y, _ = random_instance(rng, task, n_max=60)
         tree = _grow(X, y, task, max_depth=5)
         si = si_tree(tree)
+        inner = ~tree.is_leaf
         if task == "classification":
-            scores, skipped, terms = ufi_tree_classification(
-                tree, X, y, per_node=True)
+            scores, skipped, terms = ufi_tree_classification(tree, X, y)
             assert np.array_equal(scores, si)
-            for node in tree.internal_nodes():
-                assert terms[node.node_id] == node.train_decrease
+            assert np.array_equal(terms[inner], tree.train_decrease[inner])
         else:
-            scores, skipped, terms = ufi_tree_regression(
-                tree, X, y, per_node=True)
+            scores, skipped, terms = ufi_tree_regression(tree, X, y)
             assert np.array_equal(scores, 2.0 * si)
-            for node in tree.internal_nodes():
-                assert terms[node.node_id] == 2.0 * node.train_decrease
+            assert np.array_equal(terms[inner], 2.0 * tree.train_decrease[inner])
         assert skipped == 0
     _report(3, "UFI-C(test=train) == SI and UFI-R(test=train) == 2*SI, "
                "exact per node and per feature on 100 random trees", True)
@@ -168,12 +165,12 @@ def test_criterion_4_lemma_level_unbiasedness():
                 y = rng.standard_normal(n)
                 yt = rng.standard_normal(n)
             tree = _grow(X, y, task, max_depth=1)
-            if tree.root.is_leaf:
+            if tree.is_leaf[0]:
                 continue
             if task == "classification":
-                scores, _ = ufi_tree_classification(tree, Xt, yt)
+                scores = ufi_tree_classification(tree, Xt, yt)[0]
             else:
-                scores, _ = ufi_tree_regression(tree, Xt, yt)
+                scores = ufi_tree_regression(tree, Xt, yt)[0]
             vals.append(scores[0])
         vals = np.array(vals)
         se = vals.std(ddof=1) / np.sqrt(len(vals))

@@ -36,11 +36,10 @@ class TestTrain:
                     "--no-bootstrap", "--seed", "0", "--out", str(out)])
         assert res.exit_code == 0, res.output
         payload = json.loads((out / "model.json").read_text())
-        assert payload["version"] == "ufiforest/2"
+        assert payload["version"] == "ufiforest/3"
         tree = payload["trees"][0]
-        splits = [nd for nd in tree["nodes"] if nd["split"] is not None]
-        assert len(splits) == 1
-        assert splits[0]["split"]["feature"] == 0  # x1 separates the labels
+        splits = [f for f, lo in zip(tree["feature"], tree["left"]) if lo != -1]
+        assert splits == [0]  # one split, on x1, which separates the labels
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == "train"
         assert manifest["dataset"]["rows"] == 4
@@ -61,6 +60,26 @@ class TestTrain:
             "--schema", str(workspace / "schema.json"), "--seed", "0"])
         assert res.exit_code == 1
         assert "missing value" in res.output
+
+    def test_bad_binary_value_is_data_error(self, workspace):
+        (workspace / "bin.csv").write_text("b,label\n0,0\n1,1\n3,0\n")
+        (workspace / "bin.json").write_text(json.dumps({
+            "target": "label", "task": "classification", "kinds": {"b": "binary"}}))
+        res = CliRunner().invoke(main, [
+            "train", "--data", str(workspace / "bin.csv"),
+            "--schema", str(workspace / "bin.json"), "--seed", "0",
+            "--out", str(workspace / "model")])
+        assert res.exit_code == 1
+        assert "row 3, column 'b'" in res.output
+
+    @pytest.mark.parametrize("flags", [["--trees", "0"], ["--max-depth", "-1"]])
+    def test_bad_forest_setting_is_usage_error(self, workspace, flags):
+        res = CliRunner().invoke(main, [
+            "train", "--data", str(workspace / "data.csv"),
+            "--schema", str(workspace / "schema.json"), "--seed", "0",
+            *flags, "--out", str(workspace / "model")])
+        assert res.exit_code == 2, res.output
+        assert not (workspace / "model" / "model.json").exists()
 
     def test_max_features_override_recorded(self, workspace):
         out = workspace / "model"
@@ -122,6 +141,15 @@ class TestImportance:
         payload = json.loads((out / "scores.json").read_text())
         assert payload["feature_names"][-1] == "random"
 
+    def test_zero_trees_is_usage_error(self, workspace):
+        out = workspace / "imp"
+        res = CliRunner().invoke(main, [
+            "importance", "--data", str(workspace / "data.csv"),
+            "--schema", str(workspace / "schema.json"), "--method", "ufi",
+            "--trees", "0", "--seed", "0", "--out", str(out)])
+        assert res.exit_code == 2, res.output
+        assert not (out / "scores.json").exists()
+
     def test_permutation_runs(self, workspace):
         out = workspace / "perm"
         res = _run(["importance", "--data", str(workspace / "data.csv"),
@@ -149,6 +177,13 @@ class TestSimulate:
         res = CliRunner().invoke(main, [
             "simulate", "--scenario", "signal", "--task", "classification",
             "--rho", "1.5", "--n", "100", "--reps", "1", "--seed", "0",
+            "--out", str(tmp_path / "x")])
+        assert res.exit_code == 2
+
+    def test_zero_trees_is_usage_error(self, tmp_path):
+        res = CliRunner().invoke(main, [
+            "simulate", "--scenario", "signal", "--task", "classification",
+            "--n", "100", "--reps", "1", "--trees", "0", "--seed", "0",
             "--out", str(tmp_path / "x")])
         assert res.exit_code == 2
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ufitree.data import (
-    CATEGORICAL, CONTINUOUS, ORDINAL,
+    BINARY, CATEGORICAL, CONTINUOUS, ORDINAL,
     DataError, Dataset, FeatureKind, dummy_encode, fold_importances,
     inject_random_feature, load_csv, parse_schema,
 )
@@ -75,6 +75,16 @@ class TestLoadCsv:
         path = _write(tmp_path, "x,y\n1.0,0\n2.0\n")
         with pytest.raises(DataError, match="row 2"):
             load_csv(path, target="y", task="classification")
+
+    def test_binary_value_other_than_0_or_1_rejected(self, tmp_path):
+        path = _write(tmp_path, "b,y\n0,0\n1,1\n2,0\n")
+        with pytest.raises(DataError, match="row 3, column 'b'"):
+            load_csv(path, target="y", task="classification",
+                     kinds={"b": FeatureKind(BINARY)})
+        d = load_csv(_write(tmp_path, "b,y\n0,0\n1.0,1\n", name="ok.csv"),
+                     target="y", task="classification",
+                     kinds={"b": FeatureKind(BINARY)})
+        assert d.X[:, 0].tolist() == [0.0, 1.0]
 
 
 class TestParseSchema:

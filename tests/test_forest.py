@@ -84,6 +84,10 @@ class TestFit:
         reg = ForestConfig(n_trees=1, tree=TreeConfig(criterion="mse", max_depth=2))
         assert fit(_dataset("regression"), reg).config.tree.max_features == "all"
 
+    def test_no_trees_rejected(self):
+        with pytest.raises(ValueError, match="n_trees"):
+            fit(_dataset(), ForestConfig(n_trees=0))
+
 
 class TestPredict:
     def test_identical_single_leaf_trees(self):
@@ -143,3 +147,6 @@ class TestSerialization:
     def test_unknown_version_rejected(self):
         with pytest.raises(ValueError):
             Forest.from_dict({"version": "nope/0"})
+        with pytest.raises(ValueError, match="ufiforest/2"):
+            Forest.from_dict({"version": "ufiforest/2"})
+

@@ -49,9 +49,9 @@ class TestSiTree:
         X = rng.standard_normal((80, 4))
         y = rng.integers(0, 2, size=80)
         tree = _grow(X, y, "classification", max_depth=4)
-        leaves = [nd for nd in tree.nodes() if nd.is_leaf]
-        expected = tree.root.n / tree.n_root * tree.root.impurity \
-            - sum(nd.n / tree.n_root * nd.impurity for nd in leaves)
+        leaf = tree.is_leaf
+        expected = tree.n[0] / tree.n_root * tree.impurity[0] \
+            - (tree.n[leaf] / tree.n_root * tree.impurity[leaf]).sum()
         assert si_tree(tree).sum() == pytest.approx(expected, abs=1e-10)
 
     def test_nonnegative(self):
@@ -95,11 +95,11 @@ class TestUfiReductions:
             X, y, k = random_instance(rng, "classification")
             tree = _grow(X, y, "classification", max_depth=4)
             scores, skipped, terms = ufi_tree_classification(
-                X_test=X, y_test=y, tree=tree, per_node=True)
+                X_test=X, y_test=y, tree=tree)
             assert skipped == 0
             assert np.array_equal(scores, si_tree(tree))
-            for node in tree.internal_nodes():
-                assert terms[node.node_id] == node.train_decrease
+            inner = ~tree.is_leaf
+            assert np.array_equal(terms[inner], tree.train_decrease[inner])
 
     def test_regression_test_equals_train_is_twice_si(self):
         rng = np.random.default_rng(6)
@@ -107,11 +107,11 @@ class TestUfiReductions:
             X, y, _ = random_instance(rng, "regression")
             tree = _grow(X, y, "regression", max_depth=4)
             scores, skipped, terms = ufi_tree_regression(
-                X_test=X, y_test=y, tree=tree, per_node=True)
+                X_test=X, y_test=y, tree=tree)
             assert skipped == 0
             assert np.array_equal(scores, 2.0 * si_tree(tree))
-            for node in tree.internal_nodes():
-                assert terms[node.node_id] == 2.0 * node.train_decrease
+            inner = ~tree.is_leaf
+            assert np.array_equal(terms[inner], 2.0 * tree.train_decrease[inner])
 
     @pytest.mark.parametrize("criterion", ["entropy", "misclassification"])
     def test_non_gini_tree_rejected(self, criterion):
@@ -119,15 +119,20 @@ class TestUfiReductions:
         with pytest.raises(ValueError, match="Gini"):
             ufi_tree_classification(tree, FOUR_X, FOUR_Y)
 
+    def test_test_label_outside_classes_rejected(self):
+        tree = _grow(FOUR_X, FOUR_Y, "classification")
+        with pytest.raises(ValueError):
+            ufi_tree_classification(tree, FOUR_X, np.array([0, 1, 2, 1]))
+
     def test_empty_test_set_all_zero_all_skipped(self):
         rng = np.random.default_rng(7)
         X = rng.standard_normal((50, 2))
         y = rng.integers(0, 2, size=50)
         tree = _grow(X, y, "classification", max_depth=3)
-        scores, skipped = ufi_tree_classification(tree, np.empty((0, 2)),
-                                                  np.empty(0, dtype=int))
+        scores, skipped, _ = ufi_tree_classification(tree, np.empty((0, 2)),
+                                                     np.empty(0, dtype=int))
         assert np.array_equal(scores, np.zeros(2))
-        assert skipped == sum(1 for _ in tree.internal_nodes())
+        assert skipped == np.count_nonzero(~tree.is_leaf)
 
     def test_forest_reduction_to_si(self):
         d = _dataset("classification")
@@ -178,12 +183,12 @@ class TestLemmaUnbiasedness:
                 y = rng.standard_normal(n)
                 yt = rng.standard_normal(n)
             tree = _grow(X, y, task, max_depth=1)
-            if tree.root.is_leaf:
+            if tree.is_leaf[0]:
                 continue
             if task == "classification":
-                scores, _ = ufi_tree_classification(tree, Xt, yt)
+                scores = ufi_tree_classification(tree, Xt, yt)[0]
             else:
-                scores, _ = ufi_tree_regression(tree, Xt, yt)
+                scores = ufi_tree_regression(tree, Xt, yt)[0]
             vals.append(scores[0])
         return np.array(vals)
 
@@ -201,13 +206,14 @@ class TestWeightIdentity:
         y = rng.integers(0, 2, size=60)
         tree = _grow(X, y, "classification", max_depth=4)
         n_root = tree.n_root
-        for node in tree.internal_nodes():
+        n = [int(v) for v in tree.n]
+        counts = tree.class_counts.tolist()
+        for node in np.flatnonzero(~tree.is_leaf):
+            lo, hi = tree.left[node], tree.right[node]
             for k in range(2):
-                lhs = Fraction(node.n, n_root) * Fraction(int(node.class_counts[k]), node.n)
-                rhs = (Fraction(node.left.n, n_root)
-                       * Fraction(int(node.left.class_counts[k]), node.left.n)
-                       + Fraction(node.right.n, n_root)
-                       * Fraction(int(node.right.class_counts[k]), node.right.n))
+                lhs = Fraction(n[node], n_root) * Fraction(counts[node][k], n[node])
+                rhs = (Fraction(n[lo], n_root) * Fraction(counts[lo][k], n[lo])
+                       + Fraction(n[hi], n_root) * Fraction(counts[hi][k], n[hi]))
                 assert lhs == rhs
 
 

@@ -141,7 +141,7 @@ def _fit(X, y, task, seed=0, **kw):
 class TestGrow:
     def test_depth_zero_single_leaf(self):
         tree = _fit(FOUR_X, FOUR_Y, "classification", max_depth=0)
-        assert tree.root.is_leaf
+        assert tree.n_nodes() == 1 and tree.is_leaf[0]
         assert tree.predict(FOUR_X).tolist() == [0, 0, 0, 0]
 
     def test_unlimited_depth_zero_training_error(self):
@@ -159,6 +159,18 @@ class TestGrow:
         t2 = _fit(X, y, "regression", max_features=2, seed=11)
         assert t1.to_dict() == t2.to_dict()
 
+    @pytest.mark.parametrize("bad", [
+        dict(max_depth=-1),
+        dict(min_samples_split=1),
+        dict(min_samples_leaf=0),
+        dict(max_features=0),
+        dict(max_features=1.5),
+        dict(criterion="mse"),
+    ])
+    def test_bad_config_rejected(self, bad):
+        with pytest.raises(ValueError):
+            _fit(FOUR_X, FOUR_Y, "classification", **bad)
+
     def test_empty_index_set_rejected(self):
         with pytest.raises(ValueError):
             grow(FOUR_X, FOUR_Y, np.array([], dtype=int),
@@ -169,10 +181,11 @@ class TestGrow:
         X = rng.standard_normal((80, 3))
         y = rng.integers(0, 2, size=80)
         tree = _fit(X, y, "classification")
-        for node in tree.internal_nodes():
-            assert node.n == node.left.n + node.right.n
-            assert np.array_equal(node.class_counts,
-                                  node.left.class_counts + node.right.class_counts)
+        inner = ~tree.is_leaf
+        lo, hi = tree.left[inner], tree.right[inner]
+        assert np.array_equal(tree.n[inner], tree.n[lo] + tree.n[hi])
+        assert np.array_equal(tree.class_counts[inner],
+                              tree.class_counts[lo] + tree.class_counts[hi])
 
     @pytest.mark.parametrize("task", ["classification", "regression"])
     def test_decomposition_identity(self, task):
@@ -181,10 +194,10 @@ class TestGrow:
         y = (rng.integers(0, 2, size=100) if task == "classification"
              else rng.standard_normal(100))
         tree = _fit(X, y, task, max_depth=4)
-        total = sum(nd.train_decrease for nd in tree.internal_nodes())
-        leaves = [nd for nd in tree.nodes() if nd.is_leaf]
-        expected = tree.root.n / tree.n_root * tree.root.impurity \
-            - sum(nd.n / tree.n_root * nd.impurity for nd in leaves)
+        total = tree.train_decrease[~tree.is_leaf].sum()
+        leaf = tree.is_leaf
+        expected = tree.n[0] / tree.n_root * tree.impurity[0] \
+            - (tree.n[leaf] / tree.n_root * tree.impurity[leaf]).sum()
         assert total == pytest.approx(expected, abs=1e-10)
 
     def test_train_decrease_nonnegative(self):
@@ -192,16 +205,15 @@ class TestGrow:
         for task in ("classification", "regression"):
             X, y, k = random_instance(rng, task)
             tree = _fit(X, y, task)
-            for node in tree.internal_nodes():
-                assert node.train_decrease >= 0.0
+            assert np.all(tree.train_decrease[~tree.is_leaf] >= 0.0)
 
     def test_feature_subset_falls_back_to_full_scan(self):
         # column 0 is constant; with max_features=1 some draws see only it
         X = np.column_stack([np.ones(8), np.arange(8.0)])
         y = np.array([0, 0, 0, 0, 1, 1, 1, 1])
         tree = _fit(X, y, "classification", max_features=1, max_depth=1, seed=0)
-        assert not tree.root.is_leaf
-        assert tree.root.split.feature == 1
+        assert not tree.is_leaf[0]
+        assert tree.feature[0] == 1
 
 
 class TestRouteAndPredict:
@@ -210,27 +222,44 @@ class TestRouteAndPredict:
         X = rng.standard_normal((50, 3))
         y = rng.integers(0, 2, size=50)
         tree = _fit(X, y, "classification", max_depth=3)
-        assign = tree.route(X)
-        for node in tree.nodes():
-            assert len(assign[node.node_id]) == node.n
+        _, offsets = tree.route(X)
+        assert np.array_equal(np.diff(offsets), tree.n)
 
     def test_empty_sample_set(self):
         tree = _fit(FOUR_X, FOUR_Y, "classification")
-        assign = tree.route(np.empty((0, 1)))
-        assert all(len(v) == 0 for v in assign.values())
+        rows, offsets = tree.route(np.empty((0, 1)))
+        assert len(rows) == 0
+        assert np.array_equal(offsets, np.zeros(tree.n_nodes() + 1))
 
     def test_single_sample_hits_one_leaf_and_all_ancestors(self):
         tree = _fit(FOUR_X, FOUR_Y, "classification")
-        assign = tree.route(np.array([[3.7]]))
-        leaves = [nd for nd in tree.nodes() if nd.is_leaf]
-        hit_leaves = [nd for nd in leaves if len(assign[nd.node_id]) == 1]
+        _, offsets = tree.route(np.array([[3.7]]))
+        routed = np.diff(offsets)
+        hit_leaves = np.flatnonzero(tree.is_leaf & (routed == 1))
         assert len(hit_leaves) == 1
-        assert len(assign[tree.root.node_id]) == 1
+        assert routed[0] == 1
 
     def test_column_count_mismatch_rejected(self):
         tree = _fit(FOUR_X, FOUR_Y, "classification")
         with pytest.raises(ValueError):
             tree.route(np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("method", ["apply", "predict", "predict_proba"])
+    def test_column_count_mismatch_rejected_by_every_reader(self, method):
+        tree = _fit(FOUR_X, FOUR_Y, "classification")
+        with pytest.raises(ValueError, match="expected 1 columns"):
+            getattr(tree, method)(np.zeros((2, 2)))
+
+    def test_apply_matches_route(self):
+        rng = np.random.default_rng(22)
+        X = rng.standard_normal((60, 3))
+        tree = _fit(X, rng.integers(0, 3, size=60), "classification")
+        rows, offsets = tree.route(X)
+        leaves = tree.apply(X)
+        assert tree.is_leaf[leaves].all()
+        for leaf in np.flatnonzero(tree.is_leaf):
+            assert np.array_equal(rows[offsets[leaf]:offsets[leaf + 1]],
+                                  np.flatnonzero(leaves == leaf))
 
     def test_single_leaf_probabilities(self):
         X = np.zeros((3, 1))
@@ -257,7 +286,7 @@ class TestSerialization:
         y = rng.integers(0, 2, size=40)
         tree = _fit(X, y, "classification", max_depth=3)
         payload = json.loads(json.dumps(tree.to_dict()))
-        assert payload["version"] == "ufitree/2"
+        assert payload["version"] == "ufitree/3"
         clone = Tree.from_dict(payload)
         assert np.array_equal(clone.predict(X), tree.predict(X))
         assert clone.to_dict() == tree.to_dict()
