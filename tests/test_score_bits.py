@@ -43,6 +43,8 @@ DIGESTS = {
         "e1c843d317140dfedbfa08ba828bb0321d5e9b6d92a898afb77f57d7f2cff50a",
     ("classification", "permutation", "oob"):
         "934f3e33c69a80fa273c8ab30c5ff655818ab183993a4faef6e5a2a399202bb1",
+    ("classification", "permutation", "test.csv"):
+        "67b07d0e8fba8d54a0108fe14a70a693cc28e18fda05cb74d49582625eee823a",
     ("regression", "si", "oob"):
         "45f39165fb3770971fdbbf0fb863da39aeca86d7dc8f6a812683e26638d85192",
     ("regression", "ufi", "oob"):
@@ -51,6 +53,8 @@ DIGESTS = {
         "c40233450a8b186905e09f0d264fef718a640aa6dd93ee4443db394fb82728a8",
     ("regression", "permutation", "oob"):
         "e84827d9aee357ea4415312c9cdcc3886e04b19073241f22af382f4a97cbbc21",
+    ("regression", "permutation", "test.csv"):
+        "08d9e0bcbbe882c0e2e36f2db1dbd6572b0a00d78d071f635b55173113a3be13",
 }
 
 
