@@ -92,9 +92,7 @@ def _load_dataset(data_path, schema_path, task):
 
 def _forest_config(trees, max_depth, max_features, min_samples_leaf,
                    bootstrap, seed, task):
-    criterion = "gini" if task == "classification" else "mse"
-    tree = TreeConfig(criterion=criterion, max_depth=max_depth,
-                      min_samples_leaf=min_samples_leaf,
+    tree = TreeConfig(max_depth=max_depth, min_samples_leaf=min_samples_leaf,
                       max_features=_parse_max_features(max_features))
     return ForestConfig(n_trees=trees, tree=tree.resolved(task),
                         bootstrap=bootstrap, seed=seed)
@@ -176,8 +174,7 @@ def cmd_train(data, schema, task, out, trees, max_depth, max_features,
     started = time.time()
     seed = _resolve_seed(seed)
     d = _load_dataset(data, schema, task)
-    enc, gmap = (dummy_encode(d) if any(k.is_categorical for k in d.kinds)
-                 else (d, None))
+    enc, gmap = dummy_encode(d)
     config = _forest_config(trees, max_depth, max_features, min_samples_leaf,
                             bootstrap, seed, enc.task)
     forest = _usage_errors(fit, enc, config)
@@ -214,8 +211,7 @@ def cmd_importance(data, schema, task, method, test_source, fold_dummies,
     d = _load_dataset(data, schema, task)
     if inject_random:
         d = inject_random_feature(d, seed=seed + 1)
-    enc, gmap = (dummy_encode(d) if any(k.is_categorical for k in d.kinds)
-                 else (d, None))
+    enc, gmap = dummy_encode(d)
     if method in ("ufi", "permutation") and test_source == "oob" and not bootstrap:
         _die_usage(f"--method {method} --test oob requires --bootstrap")
     config = _forest_config(trees, max_depth, max_features, min_samples_leaf,
@@ -226,8 +222,7 @@ def cmd_importance(data, schema, task, method, test_source, fold_dummies,
         dt = _load_dataset(test_source, schema, enc.task)
         if inject_random:
             dt = inject_random_feature(dt, seed=seed + 2)
-        enc_t, _ = (dummy_encode(dt) if any(k.is_categorical for k in dt.kinds)
-                    else (dt, None))
+        enc_t, _ = dummy_encode(dt)
         if enc_t.p != enc.p:
             _die_data("test file encodes to a different column count than training")
         xt, yt = enc_t.X, enc_t.y
@@ -237,19 +232,10 @@ def cmd_importance(data, schema, task, method, test_source, fold_dummies,
     if method == "si":
         report = si_forest(forest)
     elif method == "ufi":
-        if test_source == "oob":
-            report = ufi_forest(forest, enc.X, enc.y, test="oob")
-        else:
-            report = ufi_forest(forest, enc.X, enc.y, test="explicit",
-                                X_test=xt, y_test=yt)
+        report = ufi_forest(forest, enc.X, enc.y, xt, yt)
     else:
         rng = np.random.default_rng(np.random.SeedSequence((seed, 1)))
-        if test_source == "oob":
-            report = permutation_importance(forest, enc.X, enc.y,
-                                            mode="oob_per_tree", rng=rng)
-        else:
-            report = permutation_importance(forest, enc.X, enc.y, mode="test_set",
-                                            rng=rng, X_test=xt, y_test=yt)
+        report = permutation_importance(forest, enc.X, enc.y, rng, xt, yt)
 
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)

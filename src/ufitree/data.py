@@ -264,12 +264,15 @@ def _is_float(s: str) -> bool:
         return False
 
 
-def dummy_encode(d: Dataset) -> tuple[Dataset, DummyGroupMap]:
+def dummy_encode(d: Dataset) -> tuple[Dataset, DummyGroupMap | None]:
     """Expand each categorical(k) column into k indicator columns.
 
     Continuous/ordinal/binary columns pass through unchanged.  Indicator
     column order follows level-code order (first appearance in the source).
+    A dataset with no categorical column is returned as is, with no map.
     """
+    if not any(k.is_categorical for k in d.kinds):
+        return d, None
     cols = []
     names = []
     enc_kinds = []

@@ -10,7 +10,7 @@ import numpy as np
 from .data import Dataset
 from .tree import Tree, TreeConfig, grow, sort_keys
 
-FORMAT_VERSION = "ufiforest/3"
+FORMAT_VERSION = "ufiforest/4"
 
 
 @dataclass
@@ -25,7 +25,6 @@ class ForestConfig:
             "n_trees": self.n_trees,
             "bootstrap": self.bootstrap,
             "seed": self.seed,
-            "criterion": self.tree.criterion,
             "max_depth": self.tree.max_depth,
             "min_samples_split": self.tree.min_samples_split,
             "min_samples_leaf": self.tree.min_samples_leaf,
@@ -92,7 +91,6 @@ class Forest:
         config = ForestConfig(
             n_trees=c["n_trees"],
             tree=TreeConfig(
-                criterion=c["criterion"],
                 max_depth=c["max_depth"],
                 min_samples_split=c["min_samples_split"],
                 min_samples_leaf=c["min_samples_leaf"],
@@ -152,7 +150,7 @@ def fit(d: Dataset, config: ForestConfig) -> Forest:
     if config.n_trees < 1:
         raise ValueError("n_trees must be >= 1")
     tree_cfg = config.tree.resolved(d.task)
-    tree_cfg.validate(d.p, d.task)
+    tree_cfg.validate(d.p)
     config = replace(config, tree=tree_cfg)
     keys = sort_keys(d.X)
     trees, in_bag, oob = [], [], []

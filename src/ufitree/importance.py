@@ -72,6 +72,18 @@ def _default_names(p: int) -> list[str]:
     return [f"x{j}" for j in range(p)]
 
 
+def _route_test(tree: Tree, X_test, y_test):
+    """Route the test rows through the tree: (rows, offsets, routed), where
+    routed[i] counts the rows through node i (see Tree.route)."""
+    rows, offsets = tree.route(X_test)
+    routed = np.diff(offsets)
+    # every row passes through the root
+    if len(y_test) != routed[0]:
+        raise ValueError(f"y_test has {len(y_test)} entries for "
+                         f"{routed[0]} test rows")
+    return rows, offsets, routed
+
+
 def _test_decrease(tree: Tree, h: np.ndarray, routed: np.ndarray):
     """Root-weighted decrease of a per-node test impurity ``h`` at each
     internal node: n_m/n h_m - (n_l/n h_l + n_r/n h_r).
@@ -98,7 +110,7 @@ def _ufi_result(tree: Tree, node: np.ndarray, ok: np.ndarray, term: np.ndarray):
 
 
 def ufi_tree_classification(tree: Tree, X_test, y_test):
-    """Corrected split-improvement for one Gini-grown tree.
+    """Corrected split-improvement for one classification (Gini) tree.
 
     Each internal node contributes its decrease in predictive Gini, where
     node impurities mix training proportions with test proportions routed
@@ -107,14 +119,11 @@ def ufi_tree_classification(tree: Tree, X_test, y_test):
     """
     if tree.task != "classification":
         raise ValueError("classification tree required")
-    if tree.config.criterion != "gini":
-        raise ValueError(f"ufi needs a Gini-grown tree, not {tree.config.criterion!r}")
     y_test = np.asarray(y_test, dtype=np.int64)
     k = tree.n_classes
     if len(y_test) and (y_test.min() < 0 or y_test.max() >= k):
         raise ValueError(f"test labels must lie in [0, {k})")
-    rows, offsets = tree.route(X_test)
-    routed = np.diff(offsets)
+    rows, _, routed = _route_test(tree, X_test, y_test)
     visits = np.repeat(np.arange(tree.n_nodes()) * k, routed) + y_test[rows]
     tcounts = np.bincount(visits, minlength=tree.n_nodes() * k).reshape(-1, k)
     p_train = tree.class_counts / tree.n[:, None]
@@ -135,8 +144,7 @@ def ufi_tree_regression(tree: Tree, X_test, y_test):
     if tree.task != "regression":
         raise ValueError("regression tree required")
     y_test = np.asarray(y_test, dtype=np.float64)
-    rows, offsets = tree.route(X_test)
-    routed = np.diff(offsets)
+    rows, offsets, routed = _route_test(tree, X_test, y_test)
     h = np.zeros(tree.n_nodes())
     for i in np.flatnonzero(routed):
         yi = y_test[rows[offsets[i]:offsets[i + 1]]]
@@ -153,26 +161,27 @@ def ufi_tree(tree: Tree, X_test, y_test):
     return ufi_tree_regression(tree, X_test, y_test)
 
 
-def ufi_forest(forest: Forest, X, y, test: str = "oob",
-               X_test=None, y_test=None) -> ImportanceReport:
+def _use_oob(forest: Forest, X_test, y_test) -> bool:
+    """True when no test set is given, so that each tree is scored on its
+    out-of-bag rows of the training data."""
+    if (X_test is None) != (y_test is None):
+        raise ValueError("pass both X_test and y_test, or neither")
+    if X_test is None and not forest.config.bootstrap:
+        raise ValueError("out-of-bag scoring requires a bootstrap-trained forest")
+    return X_test is None
+
+
+def ufi_forest(forest: Forest, X, y, X_test=None, y_test=None) -> ImportanceReport:
     """Average per-tree corrected importances over the forest.
 
-    ``test="oob"`` uses each tree's out-of-bag rows of the training data
-    (X, y); ``test="explicit"`` evaluates every tree on the supplied test set.
+    Every tree is scored on (X_test, y_test) if given, else on its
+    out-of-bag rows of the training data (X, y).
     """
-    if test == "oob":
-        if not forest.config.bootstrap:
-            raise ValueError("oob mode requires a bootstrap-trained forest")
-    elif test == "explicit":
-        if X_test is None or y_test is None:
-            raise ValueError("explicit mode requires X_test and y_test")
-    else:
-        raise ValueError(f"unknown test source {test!r}")
-
+    oob = _use_oob(forest, X_test, y_test)
     per_tree = np.zeros((forest.n_trees, forest.n_features))
     skipped = 0
     for b, tree in enumerate(forest.trees):
-        if test == "oob":
+        if oob:
             rows = forest.oob[b]
             xt, yt = np.asarray(X)[rows], np.asarray(y)[rows]
         else:
@@ -190,43 +199,33 @@ def ufi_forest(forest: Forest, X, y, test: str = "oob",
     )
 
 
-def _loss_per_sample(pred, y, loss: str) -> float:
-    if loss == "zero_one":
+def _mean_loss(pred, y, task: str) -> float:
+    """Zero-one loss for classification, squared error for regression."""
+    if task == "classification":
         return float(np.mean(pred != y))
-    if loss == "mse":
-        return float(np.mean((pred - y) ** 2))
-    raise ValueError(f"unknown loss {loss!r}")
+    return float(np.mean((pred - y) ** 2))
 
 
-def _tree_perm_increase(tree: Tree, X, y, j: int, perm: np.ndarray, loss: str) -> float:
-    """Per-sample loss increase for one tree when column j is permuted by perm."""
-    baseline = _loss_per_sample(tree.predict(X), y, loss)
+def _permuted_loss(model, X, y, j: int, perm: np.ndarray) -> float:
+    """Mean loss of a tree or forest on X with column j permuted by perm."""
     Xp = np.array(X, copy=True)
     Xp[:, j] = Xp[perm, j]
-    return _loss_per_sample(tree.predict(Xp), y, loss) - baseline
+    return _mean_loss(model.predict(Xp), y, model.task)
 
 
-def permutation_importance(forest: Forest, X, y, mode: str = "oob_per_tree",
-                           loss: str | None = None, rng=None,
-                           X_test=None, y_test=None,
-                           n_repeats: int = 1) -> ImportanceReport:
+def permutation_importance(forest: Forest, X, y, rng=None,
+                           X_test=None, y_test=None) -> ImportanceReport:
     """Mean per-sample loss increase when one feature's values are shuffled.
 
-    ``oob_per_tree`` permutes within each tree's out-of-bag rows and averages
-    the per-tree increases; ``test_set`` evaluates the whole forest on an
-    explicit test set.
+    With no test set, each tree permutes within its out-of-bag rows of
+    (X, y) and the per-tree increases are averaged; with (X_test, y_test),
+    the whole forest is evaluated on the test set.
     """
-    if loss is None:
-        loss = "zero_one" if forest.task == "classification" else "mse"
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y)
+    rng = np.random.default_rng(rng)
     p = forest.n_features
-    scores = np.zeros(p)
-
-    if mode == "oob_per_tree":
-        if not forest.config.bootstrap:
-            raise ValueError("oob mode requires a bootstrap-trained forest")
+    if _use_oob(forest, X_test, y_test):
+        X = np.asarray(X, dtype=np.float64)
+        y = np.asarray(y)
         per_tree = np.zeros((forest.n_trees, p))
         used = 0
         for b, tree in enumerate(forest.trees):
@@ -235,32 +234,22 @@ def permutation_importance(forest: Forest, X, y, mode: str = "oob_per_tree",
                 continue
             used += 1
             xo, yo = X[rows], y[rows]
+            baseline = _mean_loss(tree.predict(xo), yo, forest.task)
             for j in range(p):
-                inc = 0.0
-                for _ in range(n_repeats):
-                    perm = rng.permutation(len(rows))
-                    inc += _tree_perm_increase(tree, xo, yo, j, perm, loss)
-                per_tree[b, j] = inc / n_repeats
+                perm = rng.permutation(len(rows))
+                per_tree[b, j] = _permuted_loss(tree, xo, yo, j, perm) - baseline
         if used == 0:
             raise ValueError("no tree has out-of-bag samples")
         scores = per_tree.sum(axis=0) / used
-    elif mode == "test_set":
-        if X_test is None or y_test is None:
-            raise ValueError("test_set mode requires X_test and y_test")
+    else:
         X_test = np.asarray(X_test, dtype=np.float64)
         y_test = np.asarray(y_test)
-        baseline = _loss_per_sample(forest.predict(X_test), y_test, loss)
+        baseline = _mean_loss(forest.predict(X_test), y_test, forest.task)
         per_tree = None
-        for j in range(p):
-            inc = 0.0
-            for _ in range(n_repeats):
-                perm = rng.permutation(len(y_test))
-                Xp = np.array(X_test, copy=True)
-                Xp[:, j] = Xp[perm, j]
-                inc += _loss_per_sample(forest.predict(Xp), y_test, loss) - baseline
-            scores[j] = inc / n_repeats
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+        scores = np.array([
+            _permuted_loss(forest, X_test, y_test, j, rng.permutation(len(y_test)))
+            - baseline
+            for j in range(p)])
 
     return ImportanceReport(
         method="permutation",

@@ -144,7 +144,7 @@ def generate(setting: SimSetting, rng: np.random.Generator) -> Dataset:
 
 
 def _encode(d: Dataset, encoding: str):
-    if encoding == "dummy" and any(k.is_categorical for k in d.kinds):
+    if encoding == "dummy":
         return dummy_encode(d)
     return d, None
 
@@ -162,10 +162,9 @@ def compute_method_scores(method: str, forest, enc: Dataset,
     if method == "si":
         report = si_forest(forest)
     elif method == "ufi":
-        report = ufi_forest(forest, enc.X, enc.y, test="oob")
+        report = ufi_forest(forest, enc.X, enc.y)
     elif method == "permutation":
-        report = permutation_importance(forest, enc.X, enc.y,
-                                        mode="oob_per_tree", rng=rng)
+        report = permutation_importance(forest, enc.X, enc.y, rng)
     else:
         raise ValueError(f"unknown method {method!r}")
     return _folded(report.scores, gmap, raw)

@@ -6,9 +6,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-CLS_CRITERIA = ("gini", "entropy", "misclassification")
-REG_CRITERIA = ("mse",)
-
 # Gains at or below this are treated as zero (no admissible improvement).
 GAIN_EPS = 1e-12
 
@@ -19,7 +16,7 @@ GAIN_EPS = 1e-12
 # floating-point bits.
 LOSS_TIE_TOL = 1e-9
 
-FORMAT_VERSION = "ufitree/3"
+FORMAT_VERSION = "ufitree/4"
 
 # the per-node arrays of a Tree, in constructor order; also its JSON columns
 COLUMNS = ("feature", "threshold", "left", "right", "n", "class_counts", "mean",
@@ -36,7 +33,9 @@ class Split:
 
 @dataclass
 class TreeConfig:
-    criterion: str = "gini"
+    """Growth limits. The impurity follows from the task: Gini for
+    classification, mean squared error for regression."""
+
     max_depth: int | None = None
     min_samples_split: int = 2
     min_samples_leaf: int = 1
@@ -50,10 +49,7 @@ class TreeConfig:
             return self
         return replace(self, max_features="sqrt" if task == "classification" else "all")
 
-    def validate(self, p: int, task: str):
-        valid = CLS_CRITERIA if task == "classification" else REG_CRITERIA
-        if self.criterion not in valid:
-            raise ValueError(f"criterion {self.criterion!r} not valid for {task}")
+    def validate(self, p: int):
         if self.max_depth is not None and self.max_depth < 0:
             raise ValueError("max_depth must be >= 0")
         if self.min_samples_split < 2 or self.min_samples_leaf < 1:
@@ -78,39 +74,27 @@ def resolve_max_features(max_features, p: int) -> int:
     return int(max_features)
 
 
-def gini_from_counts(counts: np.ndarray) -> float:
-    props = counts / counts.sum()
-    return predictive_gini(props, props)
-
-
 def predictive_gini(p_train: np.ndarray, p_test: np.ndarray) -> float:
     """Gini evaluated with train/test proportions mixed: 1 - sum_k p_k p'_k."""
     return 1.0 - float(np.dot(p_train, p_test))
 
 
-def impurity_from_counts(counts: np.ndarray, criterion: str) -> float:
+def impurity_from_counts(counts: np.ndarray) -> float:
+    """Gini impurity of a node's class counts."""
     counts = np.asarray(counts, dtype=np.float64)
     n = np.add.reduce(counts)
     if n <= 0:
         raise ValueError("empty node has no impurity")
     p = counts / n
-    if criterion == "gini":
-        return predictive_gini(p, p)
-    if criterion == "entropy":
-        nz = p[p > 0]
-        return float(-(nz * np.log(nz)).sum())
-    if criterion == "misclassification":
-        return 1.0 - float(p.max())
-    raise ValueError(f"not a classification criterion: {criterion!r}")
+    return predictive_gini(p, p)
 
 
-def impurity_from_values(y: np.ndarray, criterion: str) -> float:
+def impurity_from_values(y: np.ndarray) -> float:
+    """Mean squared deviation of a node's targets from their mean."""
     y = np.asarray(y, dtype=np.float64)
     if len(y) == 0:
         raise ValueError("empty node has no impurity")
-    if criterion == "mse":
-        return _mean_and_mse(y)[1]
-    raise ValueError(f"not a regression criterion: {criterion!r}")
+    return _mean_and_mse(y)[1]
 
 
 def _mean_and_mse(y: np.ndarray) -> tuple[float, float]:
@@ -134,8 +118,7 @@ class Tree:
     """
 
     def __init__(self, feature, threshold, left, right, n, class_counts, mean,
-                 impurity, train_decrease, n_features, n_root, task, n_classes,
-                 config):
+                 impurity, train_decrease, n_features, n_root, task, n_classes):
         self.feature = np.asarray(feature, dtype=np.intp)
         self.threshold = np.asarray(threshold, dtype=np.float64)
         self.left = np.asarray(left, dtype=np.intp)
@@ -150,7 +133,6 @@ class Tree:
         self.n_root = n_root
         self.task = task
         self.n_classes = n_classes
-        self.config = config
 
     def n_nodes(self) -> int:
         return len(self.feature)
@@ -218,18 +200,16 @@ class Tree:
             "n_features": self.n_features,
             "n_root": self.n_root,
             "n_classes": self.n_classes,
-            "criterion": self.config.criterion,
             **{name: None if getattr(self, name) is None else getattr(self, name).tolist()
                for name in COLUMNS},
         }
 
     @classmethod
-    def from_dict(cls, d: dict, config: TreeConfig | None = None) -> "Tree":
+    def from_dict(cls, d: dict) -> "Tree":
         if d.get("version") != FORMAT_VERSION:
             raise ValueError(f"unsupported tree format: {d.get('version')!r}")
-        config = config or TreeConfig(criterion=d["criterion"])
         return cls(*(d[name] for name in COLUMNS), d["n_features"], d["n_root"],
-                   d["task"], d["n_classes"], config)
+                   d["task"], d["n_classes"])
 
 
 def sort_keys(X: np.ndarray) -> np.ndarray:
@@ -248,10 +228,11 @@ def sort_keys(X: np.ndarray) -> np.ndarray:
     return keys
 
 
-def _scan_features(X, keys, y, idx, feats, criterion, n_classes, msl):
+def _scan_features(X, keys, y, idx, feats, n_classes, msl):
     """Vectorized scan over candidate features; returns (feature, threshold, loss) or None.
 
-    Loss is the weighted child impurity L(Q, theta) relative to the node.
+    Loss is the weighted child impurity L(Q, theta) relative to the node:
+    Gini when n_classes is given, mean squared error when it is None.
     Only admissible thresholds (between distinct values, leaving msl rows on
     each side) are scored. Ties resolve to the smallest feature index, then
     smallest threshold, because candidates are scanned feature-major in
@@ -273,7 +254,7 @@ def _scan_features(X, keys, y, idx, feats, criterion, n_classes, msl):
 
     nl = t_pos + 1.0
     nr = n - nl
-    if criterion in CLS_CRITERIA:
+    if n_classes is not None:
         yk = y[idx]
         yo = yk[order]
         # per-class left counts at every candidate; the last class holds the
@@ -282,33 +263,16 @@ def _scan_features(X, keys, y, idx, feats, criterion, n_classes, msl):
                 for k in range(n_classes - 1)]
         cums.append(nl - sum(cums))
         totals = np.bincount(yk, minlength=n_classes).astype(np.float64)
-        if criterion == "gini":
-            sl = 0.0
-            sr = 0.0
-            for cum, tot in zip(cums, totals):
-                pl = cum / nl
-                pr = (tot - cum) / nr
-                sl = sl + pl * pl
-                sr = sr + pr * pr
-            Hl = 1.0 - sl
-            Hr = 1.0 - sr
-        elif criterion == "entropy":
-            Hl = np.zeros(len(t_pos))
-            Hr = np.zeros(len(t_pos))
-            for cum, tot in zip(cums, totals):
-                pl = cum / nl
-                pr = (tot - cum) / nr
-                Hl -= np.where(pl > 0, pl * np.log(np.where(pl > 0, pl, 1.0)), 0.0)
-                Hr -= np.where(pr > 0, pr * np.log(np.where(pr > 0, pr, 1.0)), 0.0)
-        else:  # misclassification
-            maxl = np.zeros(len(t_pos))
-            maxr = np.zeros(len(t_pos))
-            for cum, tot in zip(cums, totals):
-                maxl = np.maximum(maxl, cum / nl)
-                maxr = np.maximum(maxr, (tot - cum) / nr)
-            Hl = 1.0 - maxl
-            Hr = 1.0 - maxr
-    else:  # mse
+        sl = 0.0
+        sr = 0.0
+        for cum, tot in zip(cums, totals):
+            pl = cum / nl
+            pr = (tot - cum) / nr
+            sl = sl + pl * pl
+            sr = sr + pr * pr
+        Hl = 1.0 - sl
+        Hr = 1.0 - sr
+    else:
         yv = np.asarray(y[idx], dtype=np.float64)
         ys = yv[order]
         cum = ys.cumsum(axis=1)[f_pos, t_pos]
@@ -328,24 +292,21 @@ def _scan_features(X, keys, y, idx, feats, criterion, n_classes, msl):
     return int(j), float(threshold), float(loss[best])
 
 
-def best_split(X, y, idx, feats, criterion, n_classes=None,
-               min_samples_leaf=1, parent_impurity=None, keys=None):
+def best_split(X, y, idx, feats, n_classes=None, min_samples_leaf=1,
+               parent_impurity=None, keys=None):
     """Best (feature, threshold) over the candidate features, or None.
 
-    Returns (Split, loss) minimizing the weighted child impurity; None when
+    Returns (Split, loss) minimizing the weighted child impurity: Gini when
+    ``n_classes`` is given, mean squared error when it is None. None when
     no admissible candidate improves on the parent (gain <= GAIN_EPS).
     ``keys`` is sort_keys(X), computed once per tree by grow; X.T if None.
     """
     idx = np.asarray(idx, dtype=np.intp)
     feats = np.sort(np.asarray(feats, dtype=np.intp))
     if parent_impurity is None:
-        if criterion in CLS_CRITERIA:
-            counts = np.bincount(y[idx], minlength=n_classes)
-            parent_impurity = impurity_from_counts(counts, criterion)
-        else:
-            parent_impurity = impurity_from_values(y[idx], criterion)
+        parent_impurity = _node_impurity(y[idx], n_classes)
     found = _scan_features(X, X.T if keys is None else keys, y, idx, feats,
-                           criterion, n_classes, min_samples_leaf)
+                           n_classes, min_samples_leaf)
     if found is None:
         return None
     f, s, loss = found
@@ -354,9 +315,17 @@ def best_split(X, y, idx, feats, criterion, n_classes=None,
     return Split(f, s), loss
 
 
-def evaluate_split(X, y, idx, split: Split, criterion, n_root,
-                   n_classes=None, min_samples_leaf=1):
-    """Loss L(Q, theta) and root-weighted decrease for one concrete split.
+def _node_impurity(y_node, n_classes) -> float:
+    """Gini of the node's labels if n_classes is given, else their MSE."""
+    if n_classes is None:
+        return impurity_from_values(y_node)
+    return impurity_from_counts(np.bincount(y_node, minlength=n_classes))
+
+
+def evaluate_split(X, y, idx, split: Split, n_root, n_classes=None,
+                   min_samples_leaf=1):
+    """Loss L(Q, theta) and root-weighted decrease for one concrete split,
+    under Gini when ``n_classes`` is given and MSE when it is None.
 
     Returns (loss, delta) or None when a child would fall below
     min_samples_leaf (the candidate is inadmissible, not an error).
@@ -368,14 +337,9 @@ def evaluate_split(X, y, idx, split: Split, criterion, n_root,
     nr = n - nl
     if nl < min_samples_leaf or nr < min_samples_leaf:
         return None
-    if criterion in CLS_CRITERIA:
-        hm = impurity_from_counts(np.bincount(y[idx], minlength=n_classes), criterion)
-        hl = impurity_from_counts(np.bincount(y[idx[mask]], minlength=n_classes), criterion)
-        hr = impurity_from_counts(np.bincount(y[idx[~mask]], minlength=n_classes), criterion)
-    else:
-        hm = impurity_from_values(y[idx], criterion)
-        hl = impurity_from_values(y[idx[mask]], criterion)
-        hr = impurity_from_values(y[idx[~mask]], criterion)
+    hm = _node_impurity(y[idx], n_classes)
+    hl = _node_impurity(y[idx[mask]], n_classes)
+    hr = _node_impurity(y[idx[~mask]], n_classes)
     loss = (nl * hl + nr * hr) / n
     delta = (n / n_root) * hm - ((nl / n_root) * hl + (nr / n_root) * hr)
     return loss, delta
@@ -394,18 +358,19 @@ def grow(X, y, indices, config: TreeConfig, task: str,
     if len(indices) == 0:
         raise ValueError("cannot grow a tree on an empty index set")
     config = config.resolved(task)
-    config.validate(X.shape[1], task)
-    if task == "classification" and n_classes is None:
-        n_classes = int(y.max()) + 1
-    if task == "regression":
+    config.validate(X.shape[1])
+    classify = task == "classification"
+    if not classify:
+        n_classes = None  # None selects MSE in the split scan
         y = np.asarray(y, dtype=np.float64)
+    elif n_classes is None:
+        n_classes = int(y.max()) + 1
     rng = np.random.default_rng(rng)
     p = X.shape[1]
     k_feats = resolve_max_features(config.max_features, p)
     if keys is None:
         keys = sort_keys(X)
     n_root = len(indices)
-    classify = task == "classification"
     # one list per column of COLUMNS, appended in preorder as nodes are made
     (feature, threshold, left, right, n_rows, counts, means, impurity,
      decrease) = ([] for _ in COLUMNS)
@@ -415,9 +380,9 @@ def grow(X, y, indices, config: TreeConfig, task: str,
         n = len(idx)
         if classify:
             c = np.bincount(y[idx], minlength=n_classes)
-            imp = impurity_from_counts(c, config.criterion)
+            imp = impurity_from_counts(c)
             counts.append(c)
-        else:  # mse, the only regression criterion
+        else:
             mean, imp = _mean_and_mse(y[idx])
             means.append(mean)
         n_rows.append(n)
@@ -432,11 +397,11 @@ def grow(X, y, indices, config: TreeConfig, task: str,
             return node
         feats = np.sort(rng.choice(p, size=k_feats, replace=False)) if k_feats < p \
             else np.arange(p)
-        found = best_split(X, y, idx, feats, config.criterion, n_classes,
+        found = best_split(X, y, idx, feats, n_classes,
                            config.min_samples_leaf, imp, keys)
         if found is None and k_feats < p:
             # drawn subset unsplittable: fall back to scanning all features
-            found = best_split(X, y, idx, np.arange(p), config.criterion, n_classes,
+            found = best_split(X, y, idx, np.arange(p), n_classes,
                                config.min_samples_leaf, imp, keys)
         if found is None:
             return node
@@ -456,4 +421,4 @@ def grow(X, y, indices, config: TreeConfig, task: str,
     build(indices, 0)
     return Tree(feature, threshold, left, right, n_rows,
                 counts if classify else None, None if classify else means,
-                impurity, decrease, p, n_root, task, n_classes, config)
+                impurity, decrease, p, n_root, task, n_classes)

@@ -5,15 +5,10 @@ import numpy as np
 from ufitree.tree import GAIN_EPS, LOSS_TIE_TOL, Split
 
 
-def oracle_impurity_cls(counts, criterion):
+def oracle_impurity_cls(counts):
     counts = np.asarray(counts, dtype=np.float64)
     p = counts / counts.sum()
-    if criterion == "gini":
-        return 1.0 - float(np.dot(p, p))
-    if criterion == "entropy":
-        nz = p[p > 0]
-        return float(-(nz * np.log(nz)).sum())
-    return 1.0 - float(p.max())
+    return 1.0 - float(np.dot(p, p))
 
 
 def oracle_impurity_reg(y):
@@ -21,9 +16,10 @@ def oracle_impurity_reg(y):
     return float(np.mean((y - y.mean()) ** 2))
 
 
-def brute_force_best_split(X, y, idx, feats, criterion, n_classes=None,
+def brute_force_best_split(X, y, idx, feats, n_classes=None,
                            min_samples_leaf=1):
-    """Exhaustive scan over every (feature, midpoint) candidate.
+    """Exhaustive scan over every (feature, midpoint) candidate, under Gini
+    when n_classes is given and MSE when it is None.
 
     Applies the documented contract: smallest loss wins, losses within the
     relative tie tolerance of the minimum count as tied and resolve to the
@@ -32,9 +28,9 @@ def brute_force_best_split(X, y, idx, feats, criterion, n_classes=None,
     """
     idx = np.asarray(idx)
     n = len(idx)
-    is_cls = criterion in ("gini", "entropy", "misclassification")
+    is_cls = n_classes is not None
     if is_cls:
-        parent = oracle_impurity_cls(np.bincount(y[idx], minlength=n_classes), criterion)
+        parent = oracle_impurity_cls(np.bincount(y[idx], minlength=n_classes))
     else:
         parent = oracle_impurity_reg(y[idx])
     cands = []
@@ -47,8 +43,8 @@ def brute_force_best_split(X, y, idx, feats, criterion, n_classes=None,
             if nl < min_samples_leaf or nr < min_samples_leaf:
                 continue
             if is_cls:
-                hl = oracle_impurity_cls(np.bincount(y[idx[mask]], minlength=n_classes), criterion)
-                hr = oracle_impurity_cls(np.bincount(y[idx[~mask]], minlength=n_classes), criterion)
+                hl = oracle_impurity_cls(np.bincount(y[idx[mask]], minlength=n_classes))
+                hr = oracle_impurity_cls(np.bincount(y[idx[~mask]], minlength=n_classes))
             else:
                 hl = oracle_impurity_reg(y[idx[mask]])
                 hr = oracle_impurity_reg(y[idx[~mask]])

@@ -30,20 +30,17 @@ def _report(num, desc, ok):
 
 
 def _grow(X, y, task, **kw):
-    defaults = dict(criterion="gini" if task == "classification" else "mse")
-    defaults.update(kw)
     n_classes = int(np.max(y)) + 1 if task == "classification" else None
-    return grow(X, y, np.arange(len(y)), TreeConfig(**defaults), task, n_classes)
+    return grow(X, y, np.arange(len(y)), TreeConfig(**kw), task, n_classes)
 
 
 def _sim(scenario, task, depth, reps, seed, methods, rho=0.0, n=1000,
          trees=100, encoding="dummy"):
-    criterion = "gini" if task == "classification" else "mse"
     setting = SimSetting(scenario, task, rho=rho, encoding=encoding,
                          n=n, reps=reps, seed=seed)
     config = ForestConfig(
         n_trees=trees, seed=0,
-        tree=TreeConfig(criterion=criterion, max_depth=depth),
+        tree=TreeConfig(max_depth=depth),
     )
     return run_experiment(setting, config, methods)
 
@@ -76,15 +73,13 @@ def test_criterion_1_split_search_oracle_equivalence():
     checked = 0
     for trial in range(500):
         task = "classification" if trial % 2 == 0 else "regression"
-        criterion = "gini" if task == "classification" else "mse"
         X, y, k = random_instance(rng, task, duplicates=trial % 3 == 0)
         msl = int(rng.integers(1, 4))
         idx = np.arange(len(y))
         feats = np.arange(X.shape[1])
-        got = best_split(X, y, idx, feats, criterion, n_classes=k,
-                         min_samples_leaf=msl)
-        want = brute_force_best_split(X, y, idx, feats, criterion,
-                                      n_classes=k, min_samples_leaf=msl)
+        got = best_split(X, y, idx, feats, n_classes=k, min_samples_leaf=msl)
+        want = brute_force_best_split(X, y, idx, feats, n_classes=k,
+                                      min_samples_leaf=msl)
         if want is None:
             assert got is None, f"trial {trial}: expected no split, got {got}"
         else:
@@ -109,7 +104,7 @@ def test_criterion_2_weighted_mean_square_identity_and_nonnegativity():
             continue
         mids = (vals[:-1] + vals[1:]) / 2
         s = float(mids[rng.integers(0, len(mids))])
-        out = evaluate_split(X, y, idx, Split(j, s), "mse", n_root=n)
+        out = evaluate_split(X, y, idx, Split(j, s), n_root=n)
         assert out is not None
         _, delta = out
         mask = X[idx, j] <= s
@@ -120,8 +115,7 @@ def test_criterion_2_weighted_mean_square_identity_and_nonnegativity():
         assert delta >= -1e-15
 
         yc = (y > np.median(y)).astype(int)
-        out_g = evaluate_split(X, yc, idx, Split(j, s), "gini",
-                               n_root=n, n_classes=2)
+        out_g = evaluate_split(X, yc, idx, Split(j, s), n_root=n, n_classes=2)
         assert out_g is not None and out_g[1] >= -1e-15
     _report(2, f"regression decrease identity (max dev {worst:.2e} < 1e-10) "
                "and nonnegative Gini/MSE decreases", worst < 1e-10)
@@ -282,11 +276,11 @@ def test_criterion_9_random_probe_workflow():
         raw = inject_random_feature(raw, seed=int(rng.integers(0, 2**31)))
         enc, gmap = dummy_encode(raw)
         config = ForestConfig(n_trees=20, seed=int(rng.integers(0, 2**31)),
-                              tree=TreeConfig(criterion="gini", max_depth=5))
+                              tree=TreeConfig(max_depth=5))
         forest = fit(enc, config)
         names, si_f = fold_importances(si_forest(forest).scores, gmap)
         _, ufi_f = fold_importances(
-            ufi_forest(forest, enc.X, enc.y, test="oob").scores, gmap)
+            ufi_forest(forest, enc.X, enc.y).scores, gmap)
         si_scores.append(si_f)
         ufi_scores.append(ufi_f)
     si_scores = np.vstack(si_scores)

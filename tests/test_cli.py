@@ -36,7 +36,7 @@ class TestTrain:
                     "--no-bootstrap", "--seed", "0", "--out", str(out)])
         assert res.exit_code == 0, res.output
         payload = json.loads((out / "model.json").read_text())
-        assert payload["version"] == "ufiforest/3"
+        assert payload["version"] == "ufiforest/4"
         tree = payload["trees"][0]
         splits = [f for f, lo in zip(tree["feature"], tree["left"]) if lo != -1]
         assert splits == [0]  # one split, on x1, which separates the labels

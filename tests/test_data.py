@@ -132,7 +132,17 @@ class TestDummyEncode:
                     ["a", "b"], [FeatureKind(CONTINUOUS)] * 2, "regression")
         enc, gmap = dummy_encode(d)
         assert np.array_equal(enc.X, d.X)
-        assert gmap.groups == {}
+        assert gmap is None
+
+    def test_no_categorical_column_passes_through(self):
+        rng = np.random.default_rng(3)
+        X = np.column_stack([rng.standard_normal(6), rng.integers(0, 5, 6),
+                             rng.integers(0, 2, 6)]).astype(float)
+        d = Dataset(X, rng.integers(0, 2, 6), ["c", "o", "b"],
+                    [FeatureKind(CONTINUOUS), FeatureKind(ORDINAL),
+                     FeatureKind(BINARY)], "classification", 2)
+        enc, gmap = dummy_encode(d)
+        assert enc is d and gmap is None
 
     def test_paper_mixed_design_column_count(self):
         rng = np.random.default_rng(2)

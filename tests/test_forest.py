@@ -50,11 +50,11 @@ class TestFit:
     def test_single_tree_no_bootstrap_reduces_to_grow(self):
         d = _dataset()
         cfg = ForestConfig(n_trees=1, bootstrap=False, seed=3,
-                           tree=TreeConfig(criterion="gini", max_depth=3,
+                           tree=TreeConfig(max_depth=3,
                                            max_features="all"))
         f = fit(d, cfg)
         solo = grow(d.X, d.y, np.arange(d.n),
-                    TreeConfig(criterion="gini", max_depth=3, max_features="all"),
+                    TreeConfig(max_depth=3, max_features="all"),
                     d.task, d.n_classes)
         assert f.trees[0].to_dict() == solo.to_dict()
         assert len(f.oob[0]) == 0
@@ -81,8 +81,13 @@ class TestFit:
         d = _dataset()
         cfg = ForestConfig(n_trees=1, seed=0, tree=TreeConfig(max_depth=2))
         assert fit(d, cfg).config.tree.max_features == "sqrt"
-        reg = ForestConfig(n_trees=1, tree=TreeConfig(criterion="mse", max_depth=2))
+        reg = ForestConfig(n_trees=1, tree=TreeConfig(max_depth=2))
         assert fit(_dataset("regression"), reg).config.tree.max_features == "all"
+
+    def test_regression_with_default_tree_config(self):
+        # the impurity follows from the task, so TreeConfig() fits either task
+        f = fit(_dataset("regression"), ForestConfig(n_trees=2, seed=0))
+        assert f.task == "regression" and f.n_trees == 2
 
     def test_no_trees_rejected(self):
         with pytest.raises(ValueError, match="n_trees"):
@@ -103,7 +108,7 @@ class TestPredict:
     def test_regression_mean_of_trees(self):
         d = _dataset("regression", n=40)
         f = fit(d, ForestConfig(n_trees=7, seed=2,
-                                tree=TreeConfig(criterion="mse", max_depth=3)))
+                                tree=TreeConfig(max_depth=3)))
         pred = f.predict(d.X[:5])
         manual = np.mean([t.predict(d.X[:5]) for t in f.trees], axis=0)
         assert pred == pytest.approx(manual.tolist())
@@ -149,4 +154,7 @@ class TestSerialization:
             Forest.from_dict({"version": "nope/0"})
         with pytest.raises(ValueError, match="ufiforest/2"):
             Forest.from_dict({"version": "ufiforest/2"})
+        # v3 recorded a criterion that v4 no longer has; refuse, do not guess
+        with pytest.raises(ValueError, match="ufiforest/3"):
+            Forest.from_dict({"version": "ufiforest/3"})
 

@@ -7,7 +7,7 @@ from conftest import random_instance
 from ufitree.data import CONTINUOUS, Dataset, FeatureKind
 from ufitree.forest import ForestConfig, fit
 from ufitree.importance import (
-    _tree_perm_increase, permutation_importance, si_forest, si_tree,
+    _permuted_loss, permutation_importance, si_forest, si_tree,
     ufi_forest, ufi_tree_classification, ufi_tree_regression,
 )
 from ufitree.tree import TreeConfig, grow, predictive_gini
@@ -17,10 +17,8 @@ FOUR_Y = np.array([0, 0, 1, 1])
 
 
 def _grow(X, y, task, **kw):
-    defaults = dict(criterion="gini" if task == "classification" else "mse")
-    defaults.update(kw)
     n_classes = int(np.max(y)) + 1 if task == "classification" else None
-    return grow(X, y, np.arange(len(y)), TreeConfig(**defaults), task, n_classes)
+    return grow(X, y, np.arange(len(y)), TreeConfig(**kw), task, n_classes)
 
 
 def _dataset(task, n=100, p=3, seed=0):
@@ -73,7 +71,7 @@ class TestSiForest:
     def test_forest_linearity_exact(self):
         d = _dataset("regression")
         f = fit(d, ForestConfig(n_trees=9, seed=4,
-                                tree=TreeConfig(criterion="mse", max_depth=3)))
+                                tree=TreeConfig(max_depth=3)))
         report = si_forest(f)
         assert np.array_equal(report.scores, report.per_tree.mean(axis=0))
 
@@ -113,16 +111,19 @@ class TestUfiReductions:
             inner = ~tree.is_leaf
             assert np.array_equal(terms[inner], 2.0 * tree.train_decrease[inner])
 
-    @pytest.mark.parametrize("criterion", ["entropy", "misclassification"])
-    def test_non_gini_tree_rejected(self, criterion):
-        tree = _grow(FOUR_X, FOUR_Y, "classification", criterion=criterion)
-        with pytest.raises(ValueError, match="Gini"):
-            ufi_tree_classification(tree, FOUR_X, FOUR_Y)
-
     def test_test_label_outside_classes_rejected(self):
         tree = _grow(FOUR_X, FOUR_Y, "classification")
         with pytest.raises(ValueError):
             ufi_tree_classification(tree, FOUR_X, np.array([0, 1, 2, 1]))
+
+    @pytest.mark.parametrize("task", ["classification", "regression"])
+    def test_y_test_length_mismatch_rejected(self, task):
+        y = FOUR_Y if task == "classification" else FOUR_Y.astype(float)
+        tree = _grow(FOUR_X, y, task)
+        ufi = ufi_tree_classification if task == "classification" \
+            else ufi_tree_regression
+        with pytest.raises(ValueError, match="y_test has 4 entries for 3"):
+            ufi(tree, FOUR_X[:3], y)
 
     def test_empty_test_set_all_zero_all_skipped(self):
         rng = np.random.default_rng(7)
@@ -139,7 +140,7 @@ class TestUfiReductions:
         cfg = ForestConfig(n_trees=1, bootstrap=False, seed=1,
                            tree=TreeConfig(max_depth=3, max_features="all"))
         f = fit(d, cfg)
-        ufi = ufi_forest(f, d.X, d.y, test="explicit", X_test=d.X, y_test=d.y)
+        ufi = ufi_forest(f, d.X, d.y, X_test=d.X, y_test=d.y)
         assert np.array_equal(ufi.scores, si_forest(f).scores)
 
 
@@ -149,21 +150,31 @@ class TestUfiForest:
         f = fit(d, ForestConfig(n_trees=2, bootstrap=False, seed=0,
                                 tree=TreeConfig(max_depth=2)))
         with pytest.raises(ValueError):
-            ufi_forest(f, d.X, d.y, test="oob")
+            ufi_forest(f, d.X, d.y)
 
     def test_linearity_exact(self):
         d = _dataset("regression")
         f = fit(d, ForestConfig(n_trees=6, seed=2,
-                                tree=TreeConfig(criterion="mse", max_depth=3)))
-        report = ufi_forest(f, d.X, d.y, test="oob")
+                                tree=TreeConfig(max_depth=3)))
+        report = ufi_forest(f, d.X, d.y)
         assert np.array_equal(report.scores, report.per_tree.mean(axis=0))
 
     def test_column_mismatch_rejected(self):
         d = _dataset("classification")
         f = fit(d, ForestConfig(n_trees=2, seed=3, tree=TreeConfig(max_depth=2)))
         with pytest.raises(ValueError):
-            ufi_forest(f, d.X, d.y, test="explicit",
-                       X_test=np.zeros((4, d.p + 1)), y_test=np.zeros(4, dtype=int))
+            ufi_forest(f, d.X, d.y, X_test=np.zeros((4, d.p + 1)),
+                       y_test=np.zeros(4, dtype=int))
+
+    @pytest.mark.parametrize("given", ["X_test", "y_test"])
+    def test_half_a_test_set_rejected(self, given):
+        d = _dataset("classification")
+        f = fit(d, ForestConfig(n_trees=2, seed=3, tree=TreeConfig(max_depth=2)))
+        half = {"X_test": d.X} if given == "X_test" else {"y_test": d.y}
+        with pytest.raises(ValueError, match="neither"):
+            ufi_forest(f, d.X, d.y, **half)
+        with pytest.raises(ValueError, match="neither"):
+            permutation_importance(f, d.X, d.y, rng=0, **half)
 
 
 class TestLemmaUnbiasedness:
@@ -231,16 +242,14 @@ class TestPermutationImportance:
         assert report.scores[1] == 0.0
 
     def test_identity_permutation_contributes_zero(self):
+        # the tree fits the four points exactly, so the unpermuted loss is 0
+        # and the permuted zero-one loss is the increase
         tree = _grow(FOUR_X, FOUR_Y, "classification")
-        inc = _tree_perm_increase(tree, FOUR_X, FOUR_Y, 0,
-                                  np.arange(4), "zero_one")
-        assert inc == 0.0
+        assert _permuted_loss(tree, FOUR_X, FOUR_Y, 0, np.arange(4)) == 0.0
 
     def test_reversing_permutation_on_pure_split(self):
         tree = _grow(FOUR_X, FOUR_Y, "classification")
-        inc = _tree_perm_increase(tree, FOUR_X, FOUR_Y, 0,
-                                  np.array([3, 2, 1, 0]), "zero_one")
-        assert inc == 1.0
+        assert _permuted_loss(tree, FOUR_X, FOUR_Y, 0, np.array([3, 2, 1, 0])) == 1.0
 
     def test_oob_mode_smoke_and_signal_feature_wins(self):
         d = _dataset("classification", n=300)
@@ -251,9 +260,9 @@ class TestPermutationImportance:
     def test_test_set_mode(self):
         d = _dataset("regression", n=200)
         f = fit(d, ForestConfig(n_trees=10, seed=4,
-                                tree=TreeConfig(criterion="mse", max_depth=4)))
+                                tree=TreeConfig(max_depth=4)))
         dt = _dataset("regression", n=100, seed=42)
-        report = permutation_importance(f, d.X, d.y, mode="test_set", rng=5,
+        report = permutation_importance(f, d.X, d.y, rng=5,
                                         X_test=dt.X, y_test=dt.y)
         assert int(np.argmax(report.scores)) == 0
 

@@ -97,27 +97,26 @@ class TestAverageRank:
 
 
 class TestRunExperiment:
-    def _config(self, criterion):
-        return ForestConfig(n_trees=5, seed=0,
-                            tree=TreeConfig(criterion=criterion, max_depth=3))
+    def _config(self):
+        return ForestConfig(n_trees=5, seed=0, tree=TreeConfig(max_depth=3))
 
     def test_deterministic(self):
         setting = SimSetting("null_mixed", "classification", n=100, reps=2, seed=3)
-        r1 = run_experiment(setting, self._config("gini"), ["si", "ufi"])
-        r2 = run_experiment(setting, self._config("gini"), ["si", "ufi"])
+        r1 = run_experiment(setting, self._config(), ["si", "ufi"])
+        r2 = run_experiment(setting, self._config(), ["si", "ufi"])
         for m in ("si", "ufi"):
             assert np.array_equal(r1[m].scores, r2[m].scores)
 
     def test_folds_to_original_features(self):
         setting = SimSetting("null_mixed", "regression", n=100, reps=1, seed=4)
-        res = run_experiment(setting, self._config("mse"), ["si"])
+        res = run_experiment(setting, self._config(), ["si"])
         assert res["si"].feature_names == ["X1", "X2", "X3", "X4", "X5"]
         assert res["si"].scores.shape == (1, 5)
 
     def test_ordinal_encoding_skips_dummies(self):
         setting = SimSetting("null_mixed", "regression", encoding="ordinal",
                              n=100, reps=1, seed=5)
-        res = run_experiment(setting, self._config("mse"), ["si"])
+        res = run_experiment(setting, self._config(), ["si"])
         assert res["si"].scores.shape == (1, 5)
 
     def test_bad_setting_rejected(self):
@@ -125,11 +124,11 @@ class TestRunExperiment:
             SimSetting("null_mixed", "classification", rho=1.5).validate()
         with pytest.raises(ValueError):
             run_experiment(SimSetting("null_mixed", "classification", n=100, reps=1),
-                           self._config("gini"), ["bogus"])
+                           self._config(), ["bogus"])
 
     def test_outputs_serialize(self):
         setting = SimSetting("discrete10", "classification", n=100, reps=2, seed=6)
-        res = run_experiment(setting, self._config("gini"), ["si"])
+        res = run_experiment(setting, self._config(), ["si"])
         csv_text = tidy_csv(res)
         assert csv_text.splitlines()[0] == "rep,method,feature,score"
         assert len(csv_text.splitlines()) == 1 + 2 * 10

@@ -16,111 +16,98 @@ ALL4 = np.arange(4)
 
 class TestImpurity:
     def test_gini_symmetric_binary(self):
-        assert impurity_from_counts([5, 5], "gini") == 0.5
+        assert impurity_from_counts([5, 5]) == 0.5
 
     def test_gini_pure(self):
-        assert impurity_from_counts([8, 0], "gini") == 0.0
+        assert impurity_from_counts([8, 0]) == 0.0
 
     def test_gini_hand_value(self):
         # 1 - (0.75^2 + 0.25^2)
-        assert impurity_from_counts([3, 1], "gini") == pytest.approx(0.375)
-
-    def test_entropy_uses_natural_log(self):
-        assert impurity_from_counts([1, 1], "entropy") == pytest.approx(np.log(2))
-        assert impurity_from_counts([4, 0], "entropy") == 0.0
-
-    def test_misclassification(self):
-        assert impurity_from_counts([3, 1], "misclassification") == pytest.approx(0.25)
+        assert impurity_from_counts([3, 1]) == pytest.approx(0.375)
 
     def test_mse(self):
-        assert impurity_from_values([1.0, 1.0, 1.0], "mse") == 0.0
-        assert impurity_from_values([0.0, 2.0], "mse") == pytest.approx(1.0)
+        assert impurity_from_values([1.0, 1.0, 1.0]) == 0.0
+        assert impurity_from_values([0.0, 2.0]) == pytest.approx(1.0)
 
     def test_empty_node_rejected(self):
         with pytest.raises(ValueError):
-            impurity_from_counts([], "gini")
+            impurity_from_counts([])
         with pytest.raises(ValueError):
-            impurity_from_values([], "mse")
+            impurity_from_values([])
 
 
 class TestEvaluateSplit:
     def test_four_point_pure_split(self):
         loss, delta = evaluate_split(FOUR_X, FOUR_Y, ALL4, Split(0, 2.5),
-                                     "gini", n_root=4, n_classes=2)
+                                     n_root=4, n_classes=2)
         assert loss == 0.0
         assert delta == pytest.approx(0.5)
 
     def test_pure_node_zero_decrease(self):
         y = np.zeros(4, dtype=np.int64)
         loss, delta = evaluate_split(FOUR_X, y, ALL4, Split(0, 2.5),
-                                     "gini", n_root=4, n_classes=2)
+                                     n_root=4, n_classes=2)
         assert delta == 0.0
 
     def test_regression_hand_value(self):
         y = np.array([0.0, 0.0, 2.0, 2.0])
-        loss, delta = evaluate_split(FOUR_X, y, ALL4, Split(0, 2.5),
-                                     "mse", n_root=4)
+        loss, delta = evaluate_split(FOUR_X, y, ALL4, Split(0, 2.5), n_root=4)
         assert loss == 0.0
         assert delta == pytest.approx(1.0)
 
     def test_child_below_min_samples_leaf_rejected(self):
         out = evaluate_split(FOUR_X, FOUR_Y, ALL4, Split(0, 1.5),
-                             "gini", n_root=4, n_classes=2, min_samples_leaf=2)
+                             n_root=4, n_classes=2, min_samples_leaf=2)
         assert out is None
 
 
 class TestBestSplit:
     def test_four_point_optimum(self):
-        split, loss = best_split(FOUR_X, FOUR_Y, ALL4, [0], "gini", n_classes=2)
+        split, loss = best_split(FOUR_X, FOUR_Y, ALL4, [0], n_classes=2)
         assert split == Split(0, 2.5)
         assert loss == 0.0
 
     def test_all_constant_returns_none(self):
         X = np.ones((6, 2))
         y = np.array([0, 1, 0, 1, 0, 1])
-        assert best_split(X, y, np.arange(6), [0, 1], "gini", n_classes=2) is None
+        assert best_split(X, y, np.arange(6), [0, 1], n_classes=2) is None
 
     def test_tie_breaks_to_lower_feature_index(self):
         X = np.column_stack([FOUR_X[:, 0], FOUR_X[:, 0]])
-        split, _ = best_split(X, FOUR_Y, ALL4, [0, 1], "gini", n_classes=2)
+        split, _ = best_split(X, FOUR_Y, ALL4, [0, 1], n_classes=2)
         assert split.feature == 0
 
-    @pytest.mark.parametrize("task,criterion", [
-        ("classification", "gini"),
-        ("classification", "entropy"),
-        ("regression", "mse"),
-    ])
-    def test_matches_brute_force_on_random_instances(self, task, criterion):
+    # ids name the impurity that the task implies
+    @pytest.mark.parametrize("task", ["classification", "regression"],
+                             ids=["classification-gini", "regression-mse"])
+    def test_matches_brute_force_on_random_instances(self, task):
         rng = np.random.default_rng(42)
         for trial in range(60):
             X, y, k = random_instance(rng, task, duplicates=trial % 2 == 0)
             msl = int(rng.integers(1, 4))
             idx = np.arange(len(y))
             feats = np.arange(X.shape[1])
-            got = best_split(X, y, idx, feats, criterion, n_classes=k,
-                             min_samples_leaf=msl)
-            want = brute_force_best_split(X, y, idx, feats, criterion,
-                                          n_classes=k, min_samples_leaf=msl)
+            got = best_split(X, y, idx, feats, n_classes=k, min_samples_leaf=msl)
+            want = brute_force_best_split(X, y, idx, feats, n_classes=k,
+                                          min_samples_leaf=msl)
             if want is None:
                 assert got is None
             else:
                 assert got is not None
                 assert got[0] == want[0]
 
-    @pytest.mark.parametrize("task,criterion", [
-        ("classification", "gini"),
-        ("regression", "mse"),
-    ])
-    def test_sort_keys_give_the_same_split(self, task, criterion):
+    @pytest.mark.parametrize("task", ["classification", "regression"],
+                             ids=["classification-gini", "regression-mse"])
+    def test_sort_keys_give_the_same_split(self, task):
         rng = np.random.default_rng(7)
         for trial in range(60):
             X, y, k = random_instance(rng, task, duplicates=trial % 2 == 0)
             idx = rng.integers(0, len(y), size=len(y))
             feats = np.arange(X.shape[1])
-            want = best_split(X, y, idx, feats, criterion, n_classes=k)
+            want = best_split(X, y, idx, feats, n_classes=k)
             keys = sort_keys(X)
             assert keys.dtype == np.uint16
-            got = best_split(X, y, idx, feats, criterion, n_classes=k, keys=keys)
+            got = best_split(X, y, idx, feats, n_classes=k, keys=keys)
             assert got == want
 
     def test_sort_keys_fall_back_to_values_on_nan(self):
@@ -131,9 +118,7 @@ class TestBestSplit:
 
 
 def _fit(X, y, task, seed=0, **kw):
-    defaults = dict(criterion="gini" if task == "classification" else "mse")
-    defaults.update(kw)
-    cfg = TreeConfig(**defaults)
+    cfg = TreeConfig(**kw)
     n_classes = int(np.max(y)) + 1 if task == "classification" else None
     return grow(X, y, np.arange(len(y)), cfg, task, n_classes, rng=seed)
 
@@ -165,7 +150,6 @@ class TestGrow:
         dict(min_samples_leaf=0),
         dict(max_features=0),
         dict(max_features=1.5),
-        dict(criterion="mse"),
     ])
     def test_bad_config_rejected(self, bad):
         with pytest.raises(ValueError):
@@ -286,7 +270,8 @@ class TestSerialization:
         y = rng.integers(0, 2, size=40)
         tree = _fit(X, y, "classification", max_depth=3)
         payload = json.loads(json.dumps(tree.to_dict()))
-        assert payload["version"] == "ufitree/3"
+        assert payload["version"] == "ufitree/4"
+        assert "criterion" not in payload
         clone = Tree.from_dict(payload)
         assert np.array_equal(clone.predict(X), tree.predict(X))
         assert clone.to_dict() == tree.to_dict()
@@ -294,3 +279,6 @@ class TestSerialization:
     def test_unknown_version_rejected(self):
         with pytest.raises(ValueError):
             Tree.from_dict({"version": "bogus/9"})
+        # a v3 tree may have been grown with entropy; it must not load as Gini
+        with pytest.raises(ValueError, match="ufitree/3"):
+            Tree.from_dict({"version": "ufitree/3", "criterion": "entropy"})
