@@ -161,14 +161,24 @@ def ufi_tree(tree: Tree, X_test, y_test):
     return ufi_tree_regression(tree, X_test, y_test)
 
 
-def _use_oob(forest: Forest, X_test, y_test) -> bool:
+def _use_oob(forest: Forest, X, y, X_test, y_test) -> bool:
     """True when no test set is given, so that each tree is scored on its
-    out-of-bag rows of the training data."""
+    out-of-bag rows of the training data (X, y). Raises ValueError when
+    (X, y) is not the forest's n_rows training rows, or when y_test does
+    not have one entry per row of X_test."""
     if (X_test is None) != (y_test is None):
         raise ValueError("pass both X_test and y_test, or neither")
-    if X_test is None and not forest.config.bootstrap:
+    if X_test is not None:
+        if len(y_test) != len(X_test):
+            raise ValueError(f"y_test has {len(y_test)} entries for "
+                             f"{len(X_test)} test rows")
+        return False
+    if not forest.config.bootstrap:
         raise ValueError("out-of-bag scoring requires a bootstrap-trained forest")
-    return X_test is None
+    if len(X) != forest.n_rows or len(y) != forest.n_rows:
+        raise ValueError(f"out-of-bag scoring needs the {forest.n_rows} training "
+                         f"rows; got {len(X)} rows and {len(y)} labels")
+    return True
 
 
 def ufi_forest(forest: Forest, X, y, X_test=None, y_test=None) -> ImportanceReport:
@@ -177,7 +187,7 @@ def ufi_forest(forest: Forest, X, y, X_test=None, y_test=None) -> ImportanceRepo
     Every tree is scored on (X_test, y_test) if given, else on its
     out-of-bag rows of the training data (X, y).
     """
-    oob = _use_oob(forest, X_test, y_test)
+    oob = _use_oob(forest, X, y, X_test, y_test)
     per_tree = np.zeros((forest.n_trees, forest.n_features))
     skipped = 0
     for b, tree in enumerate(forest.trees):
@@ -223,7 +233,7 @@ def permutation_importance(forest: Forest, X, y, rng=None,
     """
     rng = np.random.default_rng(rng)
     p = forest.n_features
-    if _use_oob(forest, X_test, y_test):
+    if _use_oob(forest, X, y, X_test, y_test):
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y)
         per_tree = np.zeros((forest.n_trees, p))

@@ -8,7 +8,6 @@ import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.stats import rankdata
 
 from . import forest as forest_mod
 from .data import (
@@ -70,10 +69,28 @@ class ExperimentResult:
 
 
 def average_rank(scores: np.ndarray) -> np.ndarray:
-    """Mean rank per feature over repetitions; rank 1 = largest score,
-    ties take the average of the tied ranks."""
-    scores = np.atleast_2d(np.asarray(scores, dtype=np.float64))
-    ranks = np.vstack([rankdata(-row, method="average") for row in scores])
+    """Mean rank per feature over repetitions; rank 1 = largest score.
+
+    In each repetition the tied scores at sorted positions start..end-1 all
+    get 0.5 * (start + end + 1), the mean of their ranks, and a repetition
+    holding NaN ranks as all NaN: the bits of
+    scipy.stats.rankdata(-row, method="average").
+    """
+    a = -np.atleast_2d(np.asarray(scores, dtype=np.float64))
+    reps, p = a.shape
+    order = np.argsort(a, axis=1, kind="stable")
+    s = np.take_along_axis(a, order, axis=1)
+    # each row's first sorted value starts a tie group; 0.0 ties -0.0
+    first = np.ones((reps, p), dtype=bool)
+    first[:, 1:] = s[:, 1:] != s[:, :-1]
+    start = np.flatnonzero(first)  # flat sorted position of each group
+    count = np.diff(start, append=first.size)
+    start %= p  # position within its row
+    end = start + count
+    ranks = np.empty((reps, p))
+    np.put_along_axis(ranks, order, np.repeat(
+        0.5 * (start + end + 1), count).reshape(reps, p), axis=1)
+    ranks[np.isnan(a).any(axis=1)] = np.nan
     return ranks.mean(axis=0)
 
 

@@ -176,6 +176,17 @@ class TestUfiForest:
         with pytest.raises(ValueError, match="neither"):
             permutation_importance(f, d.X, d.y, rng=0, **half)
 
+    @pytest.mark.parametrize("score", ["ufi", "permutation"])
+    def test_oob_rows_must_be_the_training_rows(self, score):
+        d = _dataset("classification")
+        f = fit(d, ForestConfig(n_trees=5, seed=3, tree=TreeConfig(max_depth=2)))
+        other = _dataset("classification", n=150, seed=1)
+        run = ufi_forest if score == "ufi" else permutation_importance
+        with pytest.raises(ValueError, match="needs the 100 training rows"):
+            run(f, other.X, other.y)
+        with pytest.raises(ValueError, match="got 100 rows and 99 labels"):
+            run(f, d.X, d.y[:99])
+
 
 class TestLemmaUnbiasedness:
     """Monte Carlo checks that single-split corrected decreases center on 0
@@ -265,6 +276,14 @@ class TestPermutationImportance:
         report = permutation_importance(f, d.X, d.y, rng=5,
                                         X_test=dt.X, y_test=dt.y)
         assert int(np.argmax(report.scores)) == 0
+
+    @pytest.mark.parametrize("task", ["classification", "regression"])
+    def test_y_test_length_mismatch_rejected(self, task):
+        d = _dataset(task)
+        f = fit(d, ForestConfig(n_trees=3, seed=4, tree=TreeConfig(max_depth=2)))
+        with pytest.raises(ValueError, match="y_test has 1 entries for 5"):
+            permutation_importance(f, d.X, d.y, rng=0,
+                                   X_test=d.X[:5], y_test=d.y[:1])
 
 
 class TestReportSerialization:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.stats import binom
+from scipy.stats import binom, rankdata
 
 from ufitree.forest import ForestConfig
 from ufitree.simgen import (
@@ -87,6 +87,33 @@ class TestAverageRank:
 
     def test_opposite_orders_average_out(self):
         assert average_rank([[2.0, 1.0], [1.0, 2.0]]).tolist() == [1.5, 1.5]
+
+    @staticmethod
+    def _assert_scipy_bits(scores):
+        rows = np.atleast_2d(np.asarray(scores, dtype=np.float64))
+        ref = np.vstack([rankdata(-row, method="average") for row in rows])
+        assert average_rank(scores).tobytes() == ref.mean(axis=0).tobytes()
+
+    def test_matches_scipy_on_heavy_ties(self):
+        rng = np.random.default_rng(10)
+        for _ in range(200):
+            reps, p = rng.integers(1, 8, size=2)
+            self._assert_scipy_bits(rng.integers(-2, 3, size=(reps, p)) / 2)
+
+    def test_matches_scipy_on_signed_zeros(self):
+        self._assert_scipy_bits([[0.0, -0.0, 1.0], [-0.0, 0.0, -0.0],
+                                 [-0.0, 2.0, 0.0]])
+
+    def test_matches_scipy_on_single_and_all_tied(self):
+        self._assert_scipy_bits([[3.5], [-1.0], [0.0]])
+        self._assert_scipy_bits([[7.0] * 5, [0.0] * 5])
+
+    def test_matches_scipy_on_nan(self):
+        # a row holding NaN ranks as all NaN, so each feature's mean is NaN
+        self._assert_scipy_bits([[1.0, np.nan, 0.0], [2.0, 1.0, 1.0]])
+
+    def test_matches_scipy_on_a_1d_row(self):
+        self._assert_scipy_bits([0.3, -1.0, 0.3, 2.0, 0.0, 0.3])
 
     def test_ranks_sum_to_triangular_number(self):
         rng = np.random.default_rng(9)
