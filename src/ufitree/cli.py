@@ -17,7 +17,7 @@ from .data import (
     DataError, Dataset, DummyGroupMap, dummy_encode, fold_importances,
     inject_random_feature, load_csv, parse_schema,
 )
-from .forest import Forest, ForestConfig, fit
+from .forest import Forest, ForestConfig, fit, worker_count
 from .importance import (
     ImportanceReport, permutation_importance, si_forest, ufi_forest,
 )
@@ -44,12 +44,15 @@ def _fingerprint(path: str, d: Dataset) -> dict:
 
 
 def _write_manifest(out_dir: Path, command: str, config: dict, seed: int,
-                    fingerprint: dict | None, started: float,
+                    threads: int, fingerprint: dict | None, started: float,
                     extra: dict | None = None):
+    # threads is the worker count that ran; it stays out of config because
+    # the outputs are the same for every count
     manifest = {
         "command": command,
         "config": config,
         "seed": seed,
+        "threads": threads,
         "version": __version__,
         "dataset": fingerprint,
         "duration_s": round(time.time() - started, 3),
@@ -149,9 +152,10 @@ forest_flags = [
     click.option("--min-samples-leaf", type=int, default=1, show_default=True),
     click.option("--bootstrap/--no-bootstrap", default=True, show_default=True),
     click.option("--seed", type=int, default=None),
-    # accepted for old command lines; fitting is serial
-    click.option("--threads", type=int, default=None, hidden=True,
-                 expose_value=False),
+    click.option("--threads", type=int, default=1, show_default=True,
+                 help="worker processes that grow the trees; at most one per "
+                      "CPU and per tree, and 1 where the platform cannot fork. "
+                      "Outputs are the same for every count"),
 ]
 
 
@@ -169,7 +173,7 @@ def with_forest_flags(f):
 @click.option("--out", type=click.Path(file_okay=False), default="ufitree_model")
 @with_forest_flags
 def cmd_train(data, schema, task, out, trees, max_depth, max_features,
-              min_samples_leaf, bootstrap, seed):
+              min_samples_leaf, bootstrap, seed, threads):
     """Fit a forest on a CSV and write the model plus a run manifest."""
     started = time.time()
     seed = _resolve_seed(seed)
@@ -177,12 +181,12 @@ def cmd_train(data, schema, task, out, trees, max_depth, max_features,
     enc, gmap = dummy_encode(d)
     config = _forest_config(trees, max_depth, max_features, min_samples_leaf,
                             bootstrap, seed, enc.task)
-    forest = _usage_errors(fit, enc, config)
+    forest = _usage_errors(fit, enc, config, threads)
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _save_model(out_dir / "model.json", _model_payload(forest, gmap, d))
     _write_manifest(out_dir, "train", forest.config.to_dict(), seed,
-                    _fingerprint(data, d), started,
+                    worker_count(threads, trees), _fingerprint(data, d), started,
                     extra={"class_labels": d.class_labels})
     click.echo(f"model written to {out_dir / 'model.json'}")
 
@@ -204,7 +208,7 @@ def cmd_train(data, schema, task, out, trees, max_depth, max_features,
 @with_forest_flags
 def cmd_importance(data, schema, task, method, test_source, fold_dummies,
                    inject_random, out, trees, max_depth, max_features,
-                   min_samples_leaf, bootstrap, seed):
+                   min_samples_leaf, bootstrap, seed, threads):
     """Train a forest and score features with one importance method."""
     started = time.time()
     seed = _resolve_seed(seed)
@@ -216,7 +220,7 @@ def cmd_importance(data, schema, task, method, test_source, fold_dummies,
         _die_usage(f"--method {method} --test oob requires --bootstrap")
     config = _forest_config(trees, max_depth, max_features, min_samples_leaf,
                             bootstrap, seed, enc.task)
-    forest = _usage_errors(fit, enc, config)
+    forest = _usage_errors(fit, enc, config, threads)
 
     if test_source != "oob":
         dt = _load_dataset(test_source, schema, enc.task)
@@ -258,7 +262,7 @@ def cmd_importance(data, schema, task, method, test_source, fold_dummies,
         "test": test_source,
         "fold_dummies": fold_dummies,
         "inject_random": inject_random,
-    }, seed, _fingerprint(data, d), started)
+    }, seed, worker_count(threads, trees), _fingerprint(data, d), started)
     click.echo(f"reports written to {out_dir}")
 
 
@@ -277,7 +281,8 @@ def cmd_importance(data, schema, task, method, test_source, fold_dummies,
 @click.option("--out", type=click.Path(file_okay=False), default="ufitree_sim")
 @with_forest_flags
 def cmd_simulate(scenario, task, rho, n, reps, encoding, methods, out, trees,
-                 max_depth, max_features, min_samples_leaf, bootstrap, seed):
+                 max_depth, max_features, min_samples_leaf, bootstrap, seed,
+                 threads):
     """Run a synthetic benchmark and emit tidy scores plus a summary."""
     started = time.time()
     seed = _resolve_seed(seed)
@@ -293,7 +298,8 @@ def cmd_simulate(scenario, task, rho, n, reps, encoding, methods, out, trees,
         _die_usage(str(e))
     config = _forest_config(trees, max_depth, max_features, min_samples_leaf,
                             bootstrap, seed, task)
-    results = _usage_errors(run_experiment, setting, config, method_list)
+    results = _usage_errors(run_experiment, setting, config, method_list,
+                            threads)
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "scores.csv").write_text(tidy_csv(results))
@@ -302,7 +308,7 @@ def cmd_simulate(scenario, task, rho, n, reps, encoding, methods, out, trees,
         **config.to_dict(),
         "scenario": setting.scenario, "task": task, "rho": rho, "n": n,
         "reps": reps, "encoding": encoding, "methods": method_list,
-    }, seed, None, started)
+    }, seed, worker_count(threads, trees), None, started)
     click.echo(f"results written to {out_dir}")
 
 

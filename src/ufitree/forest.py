@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -141,24 +142,68 @@ def draw_bag(n: int, rng: np.random.Generator,
     return np.arange(n), np.empty(0, dtype=np.intp)
 
 
-def fit(d: Dataset, config: ForestConfig) -> Forest:
+def worker_count(jobs: int, n_trees: int) -> int:
+    """How many processes fit grows n_trees trees in: jobs, at most one per
+    CPU and one per tree, and 1 where the platform cannot fork."""
+    if jobs < 1:
+        raise ValueError("jobs (--threads) must be >= 1")
+    count = min(jobs, os.cpu_count() or 1, n_trees)
+    if count > 1:
+        import multiprocessing  # imported here: start-up never needs it
+        if "fork" not in multiprocessing.get_all_start_methods():
+            return 1
+    return count
+
+
+def _grow_one(job, i: int):
+    """Tree i of a fit job: draw its bag, then grow it on the shared keys."""
+    d, tree_cfg, bootstrap, keys, rngs = job
+    rows, out = draw_bag(d.n, rngs[i], bootstrap)
+    tree = grow(d.X, d.y, rows, tree_cfg, d.task, d.n_classes,
+                rng=rngs[i], keys=keys)
+    return tree, rows, out
+
+
+_worker_job = None  # the fit job a forked worker inherited from its parent
+
+
+def _start_worker(job):
+    global _worker_job
+    _worker_job = job
+
+
+def _grow_in_worker(i: int):
+    return _grow_one(_worker_job, i)
+
+
+def fit(d: Dataset, config: ForestConfig, jobs: int = 1) -> Forest:
     """Fit B trees on bootstrap (or full) samples; deterministic per master seed.
 
-    Each tree's generator draws its bag and then its feature subsets. The
-    returned forest's config holds the resolved max_features.
+    Each tree's generator draws its bag and then its feature subsets, so a
+    tree depends only on its index: with jobs > 1 the trees grow in
+    worker_count(jobs, B) forked processes, and every count gives the same
+    forest. The returned forest's config holds the resolved max_features.
     """
     if config.n_trees < 1:
         raise ValueError("n_trees must be >= 1")
+    workers = worker_count(jobs, config.n_trees)
     tree_cfg = config.tree.resolved(d.task)
     tree_cfg.validate(d.p)
     config = replace(config, tree=tree_cfg)
-    keys = sort_keys(d.X)
-    trees, in_bag, oob = [], [], []
-    for rng in tree_rngs(config):
-        rows, out = draw_bag(d.n, rng, config.bootstrap)
-        trees.append(grow(d.X, d.y, rows, tree_cfg, d.task, d.n_classes,
-                          rng=rng, keys=keys))
-        in_bag.append(rows)
-        oob.append(out)
+    job = (d, tree_cfg, config.bootstrap, sort_keys(d.X), tree_rngs(config))
+    if workers == 1:
+        grown = [_grow_one(job, i) for i in range(config.n_trees)]
+    else:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        # fork: the workers inherit the job and the imported modules instead
+        # of importing and unpickling them. The executor, unlike
+        # multiprocessing.Pool, raises BrokenProcessPool if a worker dies
+        # instead of waiting for its trees forever.
+        ctx = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(workers, ctx, _start_worker, (job,)) as pool:
+            grown = list(pool.map(_grow_in_worker, range(config.n_trees)))
+    trees, in_bag, oob = (list(column) for column in zip(*grown))
     return Forest(trees, in_bag, oob, d.n, d.task, d.n_classes, d.p, config,
                   feature_names=list(d.feature_names))

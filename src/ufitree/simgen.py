@@ -188,8 +188,9 @@ def compute_method_scores(method: str, forest, enc: Dataset,
 
 
 def run_experiment(setting: SimSetting, config: ForestConfig,
-                   methods: list[str]) -> dict[str, ExperimentResult]:
-    """Repeat generate -> encode -> fit -> score and aggregate per method."""
+                   methods: list[str], jobs: int = 1) -> dict[str, ExperimentResult]:
+    """Repeat generate -> encode -> fit -> score and aggregate per method;
+    each fit grows its trees in ``jobs`` processes (see forest.fit)."""
     setting.validate()
     for m in methods:
         if m not in METHODS:
@@ -203,7 +204,7 @@ def run_experiment(setting: SimSetting, config: ForestConfig,
         raw = generate(setting, rng)
         enc, gmap = _encode(raw, setting.encoding)
         rep_config = replace(config, seed=int(rng.integers(0, 2**31 - 1)))
-        fitted = forest_mod.fit(enc, rep_config)
+        fitted = forest_mod.fit(enc, rep_config, jobs=jobs)
         for m in methods:
             names, scores = compute_method_scores(m, fitted, enc, gmap, raw, rng)
             per_method[m].append(scores)

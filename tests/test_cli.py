@@ -6,7 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from ufitree.cli import main
-from ufitree.forest import Forest
+from ufitree.forest import Forest, worker_count
 
 TOY_CSV = "x1,x2,label\n1.0,a,0\n2.0,b,0\n3.0,a,1\n4.0,b,1\n"
 TOY_SCHEMA = {
@@ -195,3 +195,55 @@ class TestSimulate:
         _run(base + ["--threads", "3", "--out", str(tmp_path / "b")])
         assert (tmp_path / "a" / "scores.csv").read_bytes() \
             == (tmp_path / "b" / "scores.csv").read_bytes()
+
+
+def _command(name, workspace):
+    data = ["--data", str(workspace / "data.csv"),
+            "--schema", str(workspace / "schema.json")]
+    return {
+        "train": ["train", *data],
+        "importance": ["importance", *data, "--method", "si"],
+        "simulate": ["simulate", "--scenario", "null-mixed",
+                     "--task", "classification", "--n", "40", "--reps", "1",
+                     "--max-depth", "2"],
+    }[name]
+
+
+COMMANDS = ["train", "importance", "simulate"]
+
+
+class TestThreads:
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_below_one_is_usage_error(self, workspace, command, threads):
+        out = workspace / "out"
+        res = CliRunner().invoke(main, [
+            *_command(command, workspace), "--trees", "2", "--seed", "0",
+            "--threads", threads, "--out", str(out)])
+        assert res.exit_code == 2, res.output
+        assert "--threads" in res.output
+        assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_manifest_records_the_count_that_ran(self, workspace, command):
+        out = workspace / "out"
+        res = _run([*_command(command, workspace), "--trees", "1", "--seed", "0",
+                    "--threads", "2", "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["threads"] == 1  # one tree needs one worker
+        assert "threads" not in manifest["config"]
+
+    def test_model_bytes_do_not_depend_on_threads(self, workspace):
+        args = ["train", "--data", str(workspace / "data.csv"),
+                "--schema", str(workspace / "schema.json"),
+                "--trees", "6", "--seed", "3"]
+        for threads in ("1", "2", "4"):
+            res = _run(args + ["--threads", threads,
+                               "--out", str(workspace / threads)])
+            assert res.exit_code == 0, res.output
+            manifest = json.loads((workspace / threads / "manifest.json").read_text())
+            assert manifest["threads"] == worker_count(int(threads), 6)
+        model = (workspace / "1" / "model.json").read_bytes()
+        assert (workspace / "2" / "model.json").read_bytes() == model
+        assert (workspace / "4" / "model.json").read_bytes() == model

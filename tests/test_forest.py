@@ -1,12 +1,21 @@
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from ufitree import forest as forest_mod
 from ufitree.data import CONTINUOUS, Dataset, FeatureKind
-from ufitree.forest import Forest, ForestConfig, bootstrap_indices, fit
+from ufitree.forest import (
+    Forest, ForestConfig, bootstrap_indices, fit, worker_count,
+)
 from ufitree.importance import si_forest
-from ufitree.tree import TreeConfig, grow
+from ufitree.tree import COLUMNS, TreeConfig, grow
+
+SRC = os.path.dirname(os.path.dirname(forest_mod.__file__))
 
 
 def _dataset(task="classification", n=120, p=4, seed=0):
@@ -92,6 +101,121 @@ class TestFit:
     def test_no_trees_rejected(self):
         with pytest.raises(ValueError, match="n_trees"):
             fit(_dataset(), ForestConfig(n_trees=0))
+
+
+class TestWorkerCount:
+    """The clamp is pure: none of these cases starts a process."""
+
+    @pytest.mark.parametrize("jobs,n_trees,cpus,want", [
+        (1, 100, 4, 1),
+        (3, 100, 4, 3),
+        (10**6, 100, 4, 4),
+        (4, 2, 4, 2),
+        (4, 1, 4, 1),
+        (8, 100, None, 1),  # os.cpu_count() can be unknown
+    ])
+    def test_clamped_to_cpus_and_trees(self, monkeypatch, jobs, n_trees,
+                                       cpus, want):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert worker_count(jobs, n_trees) == want
+
+    @pytest.mark.parametrize("jobs", [0, -1, -(10**6)])
+    def test_below_one_rejected(self, jobs):
+        with pytest.raises(ValueError, match="jobs"):
+            worker_count(jobs, 10)
+        with pytest.raises(ValueError, match="jobs"):
+            fit(_dataset(n=20), ForestConfig(n_trees=2), jobs=jobs)
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Two CPUs whatever the machine has, so jobs=2 takes the pool path."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+
+def test_fit_is_serial_when_platform_cannot_fork(two_cpus, monkeypatch):
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                        lambda: ["spawn"])
+    pids = []
+
+    def recording_grow(*args, **kwargs):
+        pids.append(os.getpid())  # a worker's append stays in the worker
+        return grow(*args, **kwargs)
+
+    monkeypatch.setattr(forest_mod, "grow", recording_grow)
+    d = _dataset(n=60)
+    cfg = ForestConfig(n_trees=5, seed=2, tree=TreeConfig(max_depth=3))
+    f = fit(d, cfg, jobs=2)
+    assert pids == [os.getpid()] * 5
+    assert f.to_dict() == fit(d, cfg).to_dict()
+
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="worker processes need the fork start method")
+
+
+@needs_fork
+class TestParallelFit:
+    @pytest.mark.parametrize("task,bootstrap,max_features", [
+        ("classification", True, "sqrt"),
+        ("regression", True, None),
+        ("classification", False, "sqrt"),
+        ("regression", False, 2),
+    ])
+    def test_two_workers_grow_the_serial_forest(self, two_cpus, task,
+                                                bootstrap, max_features):
+        d = _dataset(task, n=150)
+        cfg = ForestConfig(n_trees=9, seed=13, bootstrap=bootstrap,
+                           tree=TreeConfig(max_depth=6,
+                                           max_features=max_features))
+        assert worker_count(2, cfg.n_trees) == 2
+        serial, pooled = fit(d, cfg, jobs=1), fit(d, cfg, jobs=2)
+        assert json.dumps(pooled.to_dict()) == json.dumps(serial.to_dict())
+        for a, b in zip(serial.trees, pooled.trees):
+            for name in COLUMNS:
+                x, y = getattr(a, name), getattr(b, name)
+                assert (x is None and y is None) or (
+                    x.dtype == y.dtype and np.array_equal(x, y)), name
+        for got, want in zip(pooled.in_bag + pooled.oob,
+                             serial.in_bag + serial.oob):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_worker_value_error_reaches_caller(self, two_cpus, monkeypatch):
+        parent = os.getpid()
+
+        def grow_failing_in_workers(*args, **kwargs):
+            if os.getpid() != parent:
+                raise ValueError("raised in a worker")
+            return grow(*args, **kwargs)
+
+        monkeypatch.setattr(forest_mod, "grow", grow_failing_in_workers)
+        with pytest.raises(ValueError, match="raised in a worker"):
+            fit(_dataset(n=40), ForestConfig(n_trees=4, seed=1), jobs=2)
+
+    def test_dead_worker_raises_instead_of_hanging(self):
+        # in a child interpreter, so that a hang is a timeout, not a stuck suite
+        code = (
+            "import os\n"
+            "from ufitree import forest\n"
+            "from ufitree.simgen import gen_null_mixed\n"
+            "import numpy as np\n"
+            "os.cpu_count = lambda: 2\n"
+            "parent = os.getpid()\n"
+            "grow = forest.grow\n"
+            "def dying_grow(*args, **kwargs):\n"
+            "    if os.getpid() != parent:\n"
+            "        os._exit(1)\n"
+            "    return grow(*args, **kwargs)\n"
+            "forest.grow = dying_grow\n"
+            "d = gen_null_mixed(40, 'classification', np.random.default_rng(0))\n"
+            "forest.fit(d, forest.ForestConfig(n_trees=4), jobs=2)\n")
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, timeout=120,
+                             env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                                 filter(None, [SRC, os.environ.get("PYTHONPATH")]))})
+        assert res.returncode != 0
+        assert "BrokenProcessPool" in res.stderr, res.stderr
 
 
 class TestPredict:

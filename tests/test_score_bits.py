@@ -80,15 +80,18 @@ def test_scores_encoded_bits_are_pinned(tmp_path, task, method, test):
 
 # sha256 of summary.json from a small fixed-seed simulate run. Its depth-2
 # trees leave many features at a score of 0, so avg_rank holds tied ranks.
+# The digest holds for every --threads count.
 SUMMARY_DIGEST = "9947ac2086f091e4a2b1e547c6800df8dc9ab43aa480b2e0180e05c7b21db6d5"
 
 
-def test_simulate_summary_bits_are_pinned(tmp_path):
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_simulate_summary_bits_are_pinned(tmp_path, threads):
     out = tmp_path / "sim"
     res = CliRunner().invoke(main, [
         "simulate", "--scenario", "null-mixed", "--task", "classification",
         "--n", "60", "--reps", "5", "--trees", "4", "--max-depth", "2",
-        "--methods", "si,ufi", "--seed", "3", "--out", str(out)],
+        "--methods", "si,ufi", "--seed", "3", "--threads", threads,
+        "--out", str(out)],
         catch_exceptions=False)
     assert res.exit_code == 0, res.output
     digest = hashlib.sha256((out / "summary.json").read_bytes()).hexdigest()
