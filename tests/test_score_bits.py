@@ -96,3 +96,41 @@ def test_simulate_summary_bits_are_pinned(tmp_path, threads):
     assert res.exit_code == 0, res.output
     digest = hashlib.sha256((out / "summary.json").read_bytes()).hexdigest()
     assert digest == SUMMARY_DIGEST
+
+
+def _three_class_rows(n):
+    """A 3-class CSV from modular arithmetic, big enough that an unlimited
+    tree grows nodes of more and of fewer than 64 rows."""
+    lines = []
+    for i in range(n):
+        x1 = (i * 37 % 101) / 10
+        x2 = LEVELS[i * 7 % 3]
+        x3 = (i * 13 % 17) / 4
+        score = x1 + 3 * (x2 == "a") + x3 / 2 + (i * 5 % 11) / 4
+        target = "lo" if score < 6 else "mid" if score < 9 else "hi"
+        lines.append(f"{x1},{x2},{x3},{target}")
+    return "x1,x2,x3,y\n" + "\n".join(lines) + "\n"
+
+
+# sha256 of model.json from a fixed-seed train run with unlimited depth. The
+# digest holds for every --threads count.
+MODEL_DIGEST = "e932ddcc214bfd2316c2be088c3e4b3f220f3b97a056ed0b2e4e20ce7f291560"
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_train_model_bits_are_pinned(tmp_path, threads):
+    (tmp_path / "train.csv").write_text(_three_class_rows(300))
+    (tmp_path / "schema.json").write_text(json.dumps({
+        "target": "y", "task": "classification",
+        "kinds": {"x1": "continuous", "x2": "categorical", "x3": "ordinal"},
+    }))
+    out = tmp_path / "model"
+    res = CliRunner().invoke(main, [
+        "train", "--data", str(tmp_path / "train.csv"),
+        "--schema", str(tmp_path / "schema.json"), "--trees", "6",
+        "--min-samples-leaf", "3", "--seed", "11", "--threads", threads,
+        "--out", str(out)],
+        catch_exceptions=False)
+    assert res.exit_code == 0, res.output
+    digest = hashlib.sha256((out / "model.json").read_bytes()).hexdigest()
+    assert digest == MODEL_DIGEST
