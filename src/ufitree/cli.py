@@ -230,8 +230,9 @@ def cmd_importance(data, schema, task, method, test_source, fold_dummies,
         if enc_t.p != enc.p:
             _die_data("test file encodes to a different column count than training")
         xt, yt = enc_t.X, enc_t.y
+        test_print = _fingerprint(test_source, dt)
     else:
-        xt = yt = None
+        xt = yt = test_print = None
 
     if method == "si":
         report = si_forest(forest)
@@ -256,13 +257,16 @@ def cmd_importance(data, schema, task, method, test_source, fold_dummies,
     else:
         (out_dir / "scores.csv").write_text(report.to_csv())
         (out_dir / "scores.json").write_text(report.to_json() + "\n")
+    # the test file is named as the training file is, by its basename, so
+    # that the manifest does not depend on where the run happens
     _write_manifest(out_dir, "importance", {
         **forest.config.to_dict(),
         "method": method,
-        "test": test_source,
+        "test": "oob" if test_print is None else test_print["path"],
         "fold_dummies": fold_dummies,
         "inject_random": inject_random,
-    }, seed, worker_count(threads, trees), _fingerprint(data, d), started)
+    }, seed, worker_count(threads, trees), _fingerprint(data, d), started,
+        extra={"test_dataset": test_print})
     click.echo(f"reports written to {out_dir}")
 
 

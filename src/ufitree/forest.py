@@ -1,4 +1,9 @@
-"""Bagged tree ensembles with per-tree bootstrap and out-of-bag bookkeeping."""
+"""Bagged tree ensembles with per-tree bootstrap and out-of-bag bookkeeping.
+
+``fit`` grows the trees with ``tree.grow_trees``: all of them in one call,
+or, in forked workers, one call per contiguous chunk of at most
+``TREES_PER_TASK`` trees.
+"""
 
 from __future__ import annotations
 
@@ -9,7 +14,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import Dataset
-from .tree import Tree, TreeConfig, grow, sort_keys
+# grow stays importable from here: the traced benchmark run patches
+# ufitree.forest.grow by name
+from .tree import Tree, TreeConfig, grow, grow_trees, sort_keys  # noqa: F401
 
 FORMAT_VERSION = "ufiforest/4"
 
@@ -155,14 +162,12 @@ def worker_count(jobs: int, n_trees: int) -> int:
     return count
 
 
-def _grow_one(job, i: int):
-    """Tree i of a fit job: draw its bag, then grow it on the shared keys."""
-    d, tree_cfg, bootstrap, keys, rngs = job
-    rows, out = draw_bag(d.n, rngs[i], bootstrap)
-    tree = grow(d.X, d.y, rows, tree_cfg, d.task, d.n_classes,
-                rng=rngs[i], keys=keys)
-    return tree, rows, out
-
+# A worker task is a contiguous chunk of at most this many trees, grown
+# together. Its trees and bags come back to the parent as one pickled
+# message. On a 100-tree, depth-10 regression fit (n = 1000, 2 workers),
+# 50 trees a message raised the parent's peak RSS by 2.7 MB (6%) over one
+# tree a message, and 10 trees by 0.2 MB.
+TREES_PER_TASK = 10
 
 _worker_job = None  # the fit job a forked worker inherited from its parent
 
@@ -172,17 +177,27 @@ def _start_worker(job):
     _worker_job = job
 
 
-def _grow_in_worker(i: int):
-    return _grow_one(_worker_job, i)
+def _grow_chunk(trees: np.ndarray, job=None) -> tuple[list, list, list]:
+    """Trees ``trees`` of a fit job, by index: each one's bag, then the
+    trees grown together. A worker passes no job and uses the one it
+    inherited. Returns (trees, in-bag rows, out-of-bag rows)."""
+    d, tree_cfg, bootstrap, keys, rngs = job or _worker_job
+    rngs = [rngs[i] for i in trees]
+    in_bag, oob = zip(*(draw_bag(d.n, rng, bootstrap) for rng in rngs))
+    grown = grow_trees(d.X, d.y, in_bag, rngs, tree_cfg, d.task, d.n_classes,
+                       keys)
+    return grown, list(in_bag), list(oob)
 
 
 def fit(d: Dataset, config: ForestConfig, jobs: int = 1) -> Forest:
     """Fit B trees on bootstrap (or full) samples; deterministic per master seed.
 
     Each tree's generator draws its bag and then its feature subsets, so a
-    tree depends only on its index: with jobs > 1 the trees grow in
-    worker_count(jobs, B) forked processes, and every count gives the same
-    forest. The returned forest's config holds the resolved max_features.
+    tree depends only on its index. One process grows all B trees together
+    (grow_trees). With jobs > 1, worker_count(jobs, B) forked processes
+    share contiguous chunks of at most TREES_PER_TASK trees, each grown
+    together, and every count gives the same forest. The returned forest's
+    config holds the resolved max_features.
     """
     if config.n_trees < 1:
         raise ValueError("n_trees must be >= 1")
@@ -192,7 +207,7 @@ def fit(d: Dataset, config: ForestConfig, jobs: int = 1) -> Forest:
     config = replace(config, tree=tree_cfg)
     job = (d, tree_cfg, config.bootstrap, sort_keys(d.X), tree_rngs(config))
     if workers == 1:
-        grown = [_grow_one(job, i) for i in range(config.n_trees)]
+        parts = [_grow_chunk(np.arange(config.n_trees), job)]
     else:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
@@ -202,8 +217,10 @@ def fit(d: Dataset, config: ForestConfig, jobs: int = 1) -> Forest:
         # multiprocessing.Pool, raises BrokenProcessPool if a worker dies
         # instead of waiting for its trees forever.
         ctx = multiprocessing.get_context("fork")
+        tasks = max(workers, -(-config.n_trees // TREES_PER_TASK))
+        chunks = np.array_split(np.arange(config.n_trees), tasks)
         with ProcessPoolExecutor(workers, ctx, _start_worker, (job,)) as pool:
-            grown = list(pool.map(_grow_in_worker, range(config.n_trees)))
-    trees, in_bag, oob = (list(column) for column in zip(*grown))
+            parts = list(pool.map(_grow_chunk, chunks))
+    trees, in_bag, oob = ([x for part in parts for x in part[k]] for k in range(3))
     return Forest(trees, in_bag, oob, d.n, d.task, d.n_classes, d.p, config,
                   feature_names=list(d.feature_names))

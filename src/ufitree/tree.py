@@ -1,7 +1,14 @@
-"""Single CART-style tree: impurity, best-split search, growth, routing, prediction."""
+"""CART-style trees: impurity, best-split search, growth, routing, prediction.
+
+``grow_trees`` grows the trees of a forest together, in lockstep, so that
+the split scans of their small classification nodes run as one batch;
+``grow`` is that grower on one bag. A grown ``Tree`` is a set of flat
+preorder arrays.
+"""
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -299,7 +306,7 @@ def best_split(X, y, idx, feats, n_classes=None, min_samples_leaf=1,
     Returns (Split, loss) minimizing the weighted child impurity: Gini when
     ``n_classes`` is given, mean squared error when it is None. None when
     no admissible candidate improves on the parent (gain <= GAIN_EPS).
-    ``keys`` is sort_keys(X), computed once per tree by grow; X.T if None.
+    ``keys`` is sort_keys(X), which grow_trees computes once; X.T if None.
     """
     idx = np.asarray(idx, dtype=np.intp)
     feats = np.sort(np.asarray(feats, dtype=np.intp))
@@ -313,6 +320,120 @@ def best_split(X, y, idx, feats, n_classes=None, min_samples_leaf=1,
     if parent_impurity - loss <= GAIN_EPS:
         return None
     return Split(f, s), loss
+
+
+# Classification nodes of at most this many rows are scanned together by
+# _scan_segments. Below it a node's scan is mostly numpy call overhead,
+# which the batch shares; above it the per-node scan is as fast. A row's
+# position in its node must fit the 6 bits _scan_segments packs it into.
+SMALL_NODE = 64
+
+
+def _best_splits(X, y, keys, nodes, n_classes, min_samples_leaf) -> list:
+    """best_split's Split, or None, for each (rows, sorted feats, impurity)
+    node: small classification nodes in one _scan_segments pass when the
+    keys are uint16 ranks, every other node on its own."""
+    batched = n_classes is not None and keys.dtype == np.uint16
+    found = [None] * len(nodes)
+    small = []
+    for i, (rows, feats, imp) in enumerate(nodes):
+        if batched and len(rows) <= SMALL_NODE:
+            small.append(i)
+            continue
+        hit = best_split(X, y, rows, feats, n_classes, min_samples_leaf, imp,
+                         keys)
+        if hit is not None:
+            found[i] = hit[0]
+    if small:
+        hits = _scan_segments(X, keys, y, [nodes[i] for i in small], n_classes,
+                              min_samples_leaf)
+        for i, split in zip(small, hits):
+            found[i] = split
+    return found
+
+
+def _scan_segments(X, keys, y, nodes, n_classes, msl) -> list:
+    """best_split of several small classification nodes in one pass, or None
+    each, for (rows, sorted feats, impurity) nodes with uint16 keys.
+
+    Each (node, feature) pair is a segment of one flat array, ordered by
+    (segment, key, position in the node): within a segment that is the
+    order _scan_features' stable sort gives the feature. The three are
+    packed into one distinct int64 code, so an unstable value sort gives
+    that order. Left class counts are integer prefix sums less the
+    segment's base, so they are exact, and the loss, the per-node minimum,
+    the tie rule, the threshold and the gain check repeat _scan_features
+    and best_split operation by operation, in feature-major order. Every
+    split keeps its bits.
+    """
+    n_rows = np.array([len(rows) for rows, _, _ in nodes])
+    n_feats = np.array([len(feats) for _, feats, _ in nodes])
+    seg_node = np.repeat(np.arange(len(nodes)), n_feats)
+    seg_len = n_rows[seg_node]
+    seg_end = np.cumsum(seg_len)
+    seg_start = seg_end - seg_len
+    elem_seg = np.repeat(np.arange(len(seg_len)), seg_len)
+    pos = np.arange(seg_end[-1]) - seg_start[elem_seg]  # position in the node
+    # an element's row is node_rows[row_base + its position in the node]
+    row_base = np.repeat((np.cumsum(n_rows) - n_rows)[seg_node], seg_len)
+    node_rows = np.concatenate([rows for rows, _, _ in nodes])
+    seg_feat = np.concatenate([feats for _, feats, _ in nodes])
+    key = keys[np.repeat(seg_feat, seg_len), node_rows[row_base + pos]]
+    code = np.sort(elem_seg << 22 | key.astype(np.int64) << 6 | pos)
+    rows = node_rows[row_base + (code & 63)]  # in sorted order
+    code >>= 6  # (segment, key)
+
+    # candidate e splits its segment after sorted position e: between
+    # distinct keys, leaving msl rows on each side
+    valid = (code[1:] > code[:-1]) & (pos[1:] > 0)
+    if msl > 1:
+        nl = pos[:-1] + 1
+        valid &= (nl >= msl) & (seg_len[elem_seg[:-1]] - nl >= msl)
+    cand = np.flatnonzero(valid)
+    if len(cand) == 0:
+        return [None] * len(nodes)
+    seg = elem_seg[cand]
+    n = seg_len[seg]
+    nl = pos[cand] + 1
+    # per-class counts left of each candidate and in its node; the last
+    # class holds the rest
+    prefix = np.zeros((n_classes - 1, len(rows) + 1), dtype=np.int32)
+    np.cumsum(y[rows] == np.arange(n_classes - 1)[:, None], axis=1,
+              dtype=np.int32, out=prefix[:, 1:])
+    base = prefix[:, seg_start[seg]]
+    cums = prefix[:, cand + 1] - base
+    totals = prefix[:, seg_end[seg]] - base
+    cums = np.vstack([cums, nl - cums.sum(axis=0)]).astype(np.float64)
+    totals = np.vstack([totals, n - totals.sum(axis=0)]).astype(np.float64)
+    nl = nl.astype(np.float64)
+    nr = n - nl
+    sl = 0.0
+    sr = 0.0
+    for cum, tot in zip(cums, totals):
+        pl = cum / nl
+        pr = (tot - cum) / nr
+        sl = sl + pl * pl
+        sr = sr + pr * pr
+    loss = (nl * (1.0 - sl) + nr * (1.0 - sr)) / n
+
+    # per node: the first candidate within tie tolerance of the minimum
+    node = seg_node[seg]
+    first = np.flatnonzero(np.r_[True, node[1:] != node[:-1]])
+    m = np.minimum.reduceat(loss, first)
+    tol = m + LOSS_TIE_TOL * np.maximum(1.0, np.abs(m))
+    group = np.repeat(np.arange(len(first)), np.diff(np.r_[first, len(cand)]))
+    best = np.minimum.reduceat(
+        np.where(loss <= tol[group], np.arange(len(cand)), len(cand)), first)
+    e = cand[best]
+    j = seg_feat[seg[best]]
+    threshold = (X[rows[e], j] + X[rows[e + 1], j]) / 2.0
+    node = node[first]
+    gain = np.array([imp for _, _, imp in nodes])[node] - loss[best] > GAIN_EPS
+    found = [None] * len(nodes)
+    for i, f, s in zip(node[gain].tolist(), j[gain].tolist(),
+                       threshold[gain].tolist()):
+        found[i] = Split(f, s)
+    return found
 
 
 def _node_impurity(y_node, n_classes) -> float:
@@ -347,16 +468,96 @@ def evaluate_split(X, y, idx, split: Split, n_root, n_classes=None,
 
 def grow(X, y, indices, config: TreeConfig, task: str,
          n_classes: int | None = None, rng=0, keys=None) -> Tree:
-    """Grow a tree on the given row indices of (X, y).
+    """Grow a tree on the given row indices of (X, y): grow_trees on one bag.
 
     ``rng`` is a seed or a Generator; it draws the max_features subsets.
-    ``keys`` is sort_keys(X), which the trees of a forest share; computed
-    here if None.
+    ``keys`` is sort_keys(X); computed here if None.
+    """
+    return grow_trees(X, y, [indices], [np.random.default_rng(rng)], config,
+                      task, n_classes, keys)[0]
+
+
+class _Growing:
+    """A tree being grown: its preorder columns, and its stack of pending
+    nodes. A stack entry is (rows, depth, parent, stats, impurity), where
+    parent is the node whose right child it is, or -1 for a left child or
+    the root; a left child always takes the id after its parent's. The
+    columns are typed arrays, so that a node costs a few machine words
+    while the whole forest grows."""
+
+    def __init__(self, rows, rng, stats, imp, classify):
+        self.rng = rng
+        self.n_root = len(rows)
+        self.stack = [(rows, 0, -1, stats, imp)]
+        self.feature, self.left, self.right, self.n = (array("q") for _ in range(4))
+        self.threshold, self.impurity = array("d"), array("d")
+        # each node's class counts, flat, or its mean
+        self.stats = array("q" if classify else "d")
+
+    def tree(self, task, n_classes, p) -> Tree:
+        n = np.array(self.n, dtype=np.int64)
+        imp = np.array(self.impurity)
+        left = np.array(self.left, dtype=np.intp)
+        right = np.array(self.right, dtype=np.intp)
+        # the decrease is recomputed from node stats so downstream
+        # identities are exact
+        inner = np.flatnonzero(left != -1)
+        lo, hi = left[inner], right[inner]
+        decrease = np.zeros(len(n))
+        decrease[inner] = n[inner] / self.n_root * imp[inner] - (
+            n[lo] / self.n_root * imp[lo] + n[hi] / self.n_root * imp[hi])
+        stats = np.array(self.stats)
+        classify = task == "classification"
+        return Tree(np.array(self.feature, dtype=np.intp), np.array(self.threshold),
+                    left, right, n,
+                    stats.reshape(len(n), n_classes) if classify else None,
+                    None if classify else stats,
+                    imp, decrease, p, self.n_root, task, n_classes)
+
+
+def _node_stats(y, groups, n_classes) -> list:
+    """(stats, impurity) of each non-empty group of rows: the class counts
+    and their Gini when n_classes is given, else the mean and the MSE.
+
+    One bincount counts every group of at most SMALL_NODE rows, and a
+    larger group gets its own; each Gini is then impurity_from_counts'
+    division and dot product, so it keeps that function's bits.
+    """
+    if n_classes is None:
+        return [_mean_and_mse(y[rows]) for rows in groups]
+    sizes = np.array([len(rows) for rows in groups])
+    counts = np.empty((len(groups), n_classes), dtype=np.int64)
+    small = np.flatnonzero(sizes <= SMALL_NODE)
+    for i in np.flatnonzero(sizes > SMALL_NODE):
+        counts[i] = np.bincount(y[groups[i]], minlength=n_classes)
+    if len(small):
+        code = np.repeat(np.arange(len(small)) * n_classes, sizes[small]) \
+            + y[np.concatenate([groups[i] for i in small])]
+        counts[small] = np.bincount(code, minlength=len(small) * n_classes) \
+            .reshape(len(small), n_classes)
+    return [(c, predictive_gini(q, q))
+            for c, q in zip(counts, counts / sizes[:, None])]
+
+
+def grow_trees(X, y, bags, rngs, config: TreeConfig, task: str,
+               n_classes: int | None = None, keys=None) -> list[Tree]:
+    """Grow one tree per bag of row indices of (X, y), all in lockstep.
+
+    Each tree grows depth-first, numbering its nodes in preorder, and its
+    generator in ``rngs`` draws its max_features subsets in that order, so
+    a tree is the same whichever trees grow beside it. In each step every
+    unfinished tree makes nodes until it reaches one to scan (leaves and
+    stop rules cost no scan); then the waiting nodes, one per tree, are
+    scanned together by _best_splits, and the children of those that split
+    get their stats together. ``keys`` is sort_keys(X), which the trees
+    share; computed here if None.
     """
     X = np.asarray(X, dtype=np.float64)
-    indices = np.asarray(indices, dtype=np.intp)
-    if len(indices) == 0:
+    bags = [np.asarray(rows, dtype=np.intp) for rows in bags]
+    if any(len(rows) == 0 for rows in bags):
         raise ValueError("cannot grow a tree on an empty index set")
+    if len(rngs) != len(bags):
+        raise ValueError("grow_trees needs one generator per bag")
     config = config.resolved(task)
     config.validate(X.shape[1])
     classify = task == "classification"
@@ -365,60 +566,74 @@ def grow(X, y, indices, config: TreeConfig, task: str,
         y = np.asarray(y, dtype=np.float64)
     elif n_classes is None:
         n_classes = int(y.max()) + 1
-    rng = np.random.default_rng(rng)
+    elif y.min() < 0 or y.max() >= n_classes:
+        # a batched bincount would count such a label in another node
+        raise ValueError(f"class labels must lie in [0, {n_classes})")
     p = X.shape[1]
     k_feats = resolve_max_features(config.max_features, p)
+    every_feature = np.arange(p)
     if keys is None:
         keys = sort_keys(X)
-    n_root = len(indices)
-    # one list per column of COLUMNS, appended in preorder as nodes are made
-    (feature, threshold, left, right, n_rows, counts, means, impurity,
-     decrease) = ([] for _ in COLUMNS)
+    max_depth, min_split = config.max_depth, config.min_samples_split
 
-    def build(idx, depth):
-        node = len(n_rows)
-        n = len(idx)
-        if classify:
-            c = np.bincount(y[idx], minlength=n_classes)
-            imp = impurity_from_counts(c)
-            counts.append(c)
-        else:
-            mean, imp = _mean_and_mse(y[idx])
-            means.append(mean)
-        n_rows.append(n)
-        impurity.append(imp)
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        decrease.append(0.0)
-        if (config.max_depth is not None and depth >= config.max_depth) \
-                or n < config.min_samples_split or imp <= 0.0:
-            return node
-        feats = np.sort(rng.choice(p, size=k_feats, replace=False)) if k_feats < p \
-            else np.arange(p)
-        found = best_split(X, y, idx, feats, n_classes,
-                           config.min_samples_leaf, imp, keys)
-        if found is None and k_feats < p:
+    trees = [_Growing(rows, rng, *stats, classify) for rows, rng, stats
+             in zip(bags, rngs, _node_stats(y, bags, n_classes))]
+    growing = trees
+    while growing:
+        waiting = []  # (tree, node, rows, depth, feats, impurity)
+        for t in growing:
+            while t.stack:
+                rows, depth, parent, stats, imp = t.stack.pop()
+                node = len(t.n)
+                if parent >= 0:
+                    t.right[parent] = node
+                n = len(rows)
+                if classify:
+                    t.stats.frombytes(stats.tobytes())
+                else:
+                    t.stats.append(stats)
+                t.n.append(n)
+                t.impurity.append(imp)
+                t.feature.append(-1)
+                t.threshold.append(0.0)
+                t.left.append(-1)
+                t.right.append(-1)
+                if (max_depth is not None and depth >= max_depth) \
+                        or n < min_split or imp <= 0.0:
+                    continue
+                feats = np.sort(t.rng.choice(p, size=k_feats, replace=False)) \
+                    if k_feats < p else every_feature
+                waiting.append((t, node, rows, depth, feats, imp))
+                break
+        found = _best_splits(X, y, keys, [(w[2], w[4], w[5]) for w in waiting],
+                             n_classes, config.min_samples_leaf)
+        retry = [i for i, split in enumerate(found) if split is None]
+        if retry and k_feats < p:
             # drawn subset unsplittable: fall back to scanning all features
-            found = best_split(X, y, idx, np.arange(p), n_classes,
-                               config.min_samples_leaf, imp, keys)
-        if found is None:
-            return node
-        split, _ = found
-        mask = X[idx, split.feature] <= split.threshold
-        lo = build(idx[mask], depth + 1)
-        hi = build(idx[~mask], depth + 1)
-        feature[node], threshold[node] = split.feature, split.threshold
-        left[node], right[node] = lo, hi
-        # recompute the decrease from node stats so downstream identities are exact
-        decrease[node] = (
-            n / n_root * imp
-            - (n_rows[lo] / n_root * impurity[lo] + n_rows[hi] / n_root * impurity[hi])
-        )
-        return node
-
-    build(indices, 0)
-    return Tree(feature, threshold, left, right, n_rows,
-                counts if classify else None, None if classify else means,
-                impurity, decrease, p, n_root, task, n_classes)
+            again = _best_splits(
+                X, y, keys, [(waiting[i][2], every_feature, waiting[i][5])
+                             for i in retry], n_classes, config.min_samples_leaf)
+            for i, split in zip(retry, again):
+                found[i] = split
+        split_nodes, children = [], []
+        for (t, node, rows, depth, _, _), split in zip(waiting, found):
+            if split is None:
+                continue
+            mask = X[rows, split.feature] <= split.threshold
+            t.feature[node] = split.feature
+            t.threshold[node] = split.threshold
+            t.left[node] = node + 1
+            split_nodes.append((t, node, depth + 1))
+            children += [rows[mask], rows[~mask]]
+        if children:
+            stats = _node_stats(y, children, n_classes)
+            for i, (t, node, depth) in enumerate(split_nodes):
+                t.stack.append((children[2 * i + 1], depth, node,
+                                *stats[2 * i + 1]))
+                t.stack.append((children[2 * i], depth, -1, *stats[2 * i]))
+        growing = [t for t in growing if t.stack]
+    grown = []
+    for i, t in enumerate(trees):
+        grown.append(t.tree(task, n_classes, p))
+        trees[i] = None  # free the columns as soon as the tree holds them
+    return grown

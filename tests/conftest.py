@@ -1,8 +1,11 @@
-"""Shared brute-force oracles and data helpers for the test suite."""
+"""Shared oracles and data helpers for the test suite."""
 
 import numpy as np
 
-from ufitree.tree import GAIN_EPS, LOSS_TIE_TOL, Split
+from ufitree.tree import (
+    COLUMNS, GAIN_EPS, LOSS_TIE_TOL, Split, Tree, _mean_and_mse, best_split,
+    impurity_from_counts, resolve_max_features, sort_keys,
+)
 
 
 def oracle_impurity_cls(counts):
@@ -56,6 +59,93 @@ def brute_force_best_split(X, y, idx, feats, n_classes=None,
         return None
     best = next(c for c in cands if c[0] <= m + LOSS_TIE_TOL * max(1.0, abs(m)))
     return Split(best[1], best[2]), best[0]
+
+
+
+def reference_grow(X, y, indices, config, task, n_classes=None, rng=0,
+                   keys=None):
+    """One tree grown by plain recursion, a best_split call per node: the
+    oracle that the lockstep grower must match column for column.
+
+    The node numbering, the draws of the max_features subsets, the fallback
+    to all features and the float operations are those the grower claims.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    indices = np.asarray(indices, dtype=np.intp)
+    config = config.resolved(task)
+    classify = task == "classification"
+    if not classify:
+        n_classes = None
+        y = np.asarray(y, dtype=np.float64)
+    elif n_classes is None:
+        n_classes = int(y.max()) + 1
+    rng = np.random.default_rng(rng)
+    p = X.shape[1]
+    k_feats = resolve_max_features(config.max_features, p)
+    if keys is None:
+        keys = sort_keys(X)
+    n_root = len(indices)
+    (feature, threshold, left, right, n_rows, counts, means, impurity,
+     decrease) = ([] for _ in COLUMNS)
+
+    def build(idx, depth):
+        node = len(n_rows)
+        n = len(idx)
+        if classify:
+            c = np.bincount(y[idx], minlength=n_classes)
+            imp = impurity_from_counts(c)
+            counts.append(c)
+        else:
+            mean, imp = _mean_and_mse(y[idx])
+            means.append(mean)
+        n_rows.append(n)
+        impurity.append(imp)
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        decrease.append(0.0)
+        if (config.max_depth is not None and depth >= config.max_depth) \
+                or n < config.min_samples_split or imp <= 0.0:
+            return node
+        feats = np.sort(rng.choice(p, size=k_feats, replace=False)) \
+            if k_feats < p else np.arange(p)
+        found = best_split(X, y, idx, feats, n_classes,
+                           config.min_samples_leaf, imp, keys)
+        if found is None and k_feats < p:
+            found = best_split(X, y, idx, np.arange(p), n_classes,
+                               config.min_samples_leaf, imp, keys)
+        if found is None:
+            return node
+        split, _ = found
+        mask = X[idx, split.feature] <= split.threshold
+        lo = build(idx[mask], depth + 1)
+        hi = build(idx[~mask], depth + 1)
+        feature[node], threshold[node] = split.feature, split.threshold
+        left[node], right[node] = lo, hi
+        decrease[node] = (
+            n / n_root * imp
+            - (n_rows[lo] / n_root * impurity[lo]
+               + n_rows[hi] / n_root * impurity[hi])
+        )
+        return node
+
+    build(indices, 0)
+    return Tree(feature, threshold, left, right, n_rows,
+                counts if classify else None, None if classify else means,
+                impurity, decrease, p, n_root, task, n_classes)
+
+
+def assert_same_tree(got, want):
+    """Every column of two trees equal to the bit, dtypes included, and
+    their metadata."""
+    for name in COLUMNS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a is None and b is None) or (
+            a.dtype == b.dtype and a.shape == b.shape
+            and a.tobytes() == b.tobytes()), name
+    assert (got.n_features, got.n_root, got.task, got.n_classes) == \
+        (want.n_features, want.n_root, want.task, want.n_classes)
 
 
 def random_instance(rng, task, n_max=50, p_max=5, duplicates=False):

@@ -1,8 +1,9 @@
 """End-to-end acceptance checks, one test per criterion.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see per-criterion
-pass/fail lines.  The simulation-scale criteria are slow (several minutes
-total at desk scale).
+pass/fail lines.  The simulation-scale criteria 5-8 are slow (several
+minutes total at desk scale) and marked ``slow``: ``-m "not slow"`` leaves
+them out of a quick run.
 """
 
 import json
@@ -178,6 +179,7 @@ def test_criterion_4_lemma_level_unbiasedness():
             elapsed < 60.0)
 
 
+@pytest.mark.slow
 def test_criterion_5_bias_reproduction(null_cls, null_reg):
     started = time.time()
     si_c = null_cls["si"]
@@ -192,6 +194,7 @@ def test_criterion_5_bias_reproduction(null_cls, null_reg):
             all_positive and x5_over_x2 and x1_largest_reg)
 
 
+@pytest.mark.slow
 def test_criterion_6_unbiasedness_reproduction(null_cls, null_reg):
     ok = True
     for label, res in (("classification", null_cls["ufi"]),
@@ -206,6 +209,7 @@ def test_criterion_6_unbiasedness_reproduction(null_cls, null_reg):
                "both tasks", ok)
 
 
+@pytest.mark.slow
 def test_criterion_7_discrete_benchmark_ranks():
     started = time.time()
     checks = []
@@ -235,6 +239,7 @@ def test_criterion_7_discrete_benchmark_ranks():
             all(ok for _, ok in checks) and elapsed < 900.0)
 
 
+@pytest.mark.slow
 def test_criterion_8_signal_detection():
     res_01 = _sim("signal", "classification", depth=5, reps=100, seed=801,
                   methods=["si", "ufi"], rho=0.1)

@@ -150,6 +150,27 @@ class TestImportance:
         assert res.exit_code == 2, res.output
         assert not (out / "scores.json").exists()
 
+    def test_manifest_does_not_depend_on_the_run_directory(self, tmp_path):
+        manifests = []
+        for where in (tmp_path / "a", tmp_path / "b" / "c" / "deeper"):
+            where.mkdir(parents=True)
+            (where / "data.csv").write_text(TOY_CSV)
+            (where / "test.csv").write_text(TOY_CSV)
+            (where / "schema.json").write_text(json.dumps(TOY_SCHEMA))
+            res = _run(["importance", "--data", str(where / "data.csv"),
+                        "--schema", str(where / "schema.json"),
+                        "--method", "ufi", "--test", str(where / "test.csv"),
+                        "--trees", "2", "--seed", "0", "--out", str(where / "out")])
+            assert res.exit_code == 0, res.output
+            manifests.append(json.loads((where / "out" / "manifest.json").read_text()))
+        for m in manifests:
+            del m["duration_s"]
+        assert manifests[0] == manifests[1]
+        assert manifests[0]["config"]["test"] == "test.csv"
+        # the test file has the training file's bytes
+        assert manifests[0]["test_dataset"] == {**manifests[0]["dataset"],
+                                                "path": "test.csv"}
+
     def test_permutation_runs(self, workspace):
         out = workspace / "perm"
         res = _run(["importance", "--data", str(workspace / "data.csv"),

@@ -6,14 +6,17 @@ import sys
 
 import numpy as np
 import pytest
+from conftest import assert_same_tree, reference_grow
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ufitree import forest as forest_mod
 from ufitree.data import CONTINUOUS, Dataset, FeatureKind
 from ufitree.forest import (
-    Forest, ForestConfig, bootstrap_indices, fit, worker_count,
+    Forest, ForestConfig, bootstrap_indices, draw_bag, fit, tree_rngs,
+    worker_count,
 )
 from ufitree.importance import si_forest
-from ufitree.tree import COLUMNS, TreeConfig, grow
+from ufitree.tree import COLUMNS, TreeConfig, grow, grow_trees, sort_keys
 
 SRC = os.path.dirname(os.path.dirname(forest_mod.__file__))
 
@@ -136,17 +139,18 @@ def two_cpus(monkeypatch):
 def test_fit_is_serial_when_platform_cannot_fork(two_cpus, monkeypatch):
     monkeypatch.setattr(multiprocessing, "get_all_start_methods",
                         lambda: ["spawn"])
-    pids = []
+    calls = []
 
-    def recording_grow(*args, **kwargs):
-        pids.append(os.getpid())  # a worker's append stays in the worker
-        return grow(*args, **kwargs)
+    def recording_grow_trees(X, y, bags, *args, **kwargs):
+        # a worker's append stays in the worker
+        calls.append((os.getpid(), len(bags)))
+        return grow_trees(X, y, bags, *args, **kwargs)
 
-    monkeypatch.setattr(forest_mod, "grow", recording_grow)
+    monkeypatch.setattr(forest_mod, "grow_trees", recording_grow_trees)
     d = _dataset(n=60)
     cfg = ForestConfig(n_trees=5, seed=2, tree=TreeConfig(max_depth=3))
     f = fit(d, cfg, jobs=2)
-    assert pids == [os.getpid()] * 5
+    assert calls == [(os.getpid(), 5)]
     assert f.to_dict() == fit(d, cfg).to_dict()
 
 
@@ -187,9 +191,9 @@ class TestParallelFit:
         def grow_failing_in_workers(*args, **kwargs):
             if os.getpid() != parent:
                 raise ValueError("raised in a worker")
-            return grow(*args, **kwargs)
+            return grow_trees(*args, **kwargs)
 
-        monkeypatch.setattr(forest_mod, "grow", grow_failing_in_workers)
+        monkeypatch.setattr(forest_mod, "grow_trees", grow_failing_in_workers)
         with pytest.raises(ValueError, match="raised in a worker"):
             fit(_dataset(n=40), ForestConfig(n_trees=4, seed=1), jobs=2)
 
@@ -202,12 +206,12 @@ class TestParallelFit:
             "import numpy as np\n"
             "os.cpu_count = lambda: 2\n"
             "parent = os.getpid()\n"
-            "grow = forest.grow\n"
-            "def dying_grow(*args, **kwargs):\n"
+            "grow_trees = forest.grow_trees\n"
+            "def dying_grow_trees(*args, **kwargs):\n"
             "    if os.getpid() != parent:\n"
             "        os._exit(1)\n"
-            "    return grow(*args, **kwargs)\n"
-            "forest.grow = dying_grow\n"
+            "    return grow_trees(*args, **kwargs)\n"
+            "forest.grow_trees = dying_grow_trees\n"
             "d = gen_null_mixed(40, 'classification', np.random.default_rng(0))\n"
             "forest.fit(d, forest.ForestConfig(n_trees=4), jobs=2)\n")
         res = subprocess.run([sys.executable, "-c", code], capture_output=True,
@@ -216,6 +220,61 @@ class TestParallelFit:
                                  filter(None, [SRC, os.environ.get("PYTHONPATH")]))})
         assert res.returncode != 0
         assert "BrokenProcessPool" in res.stderr, res.stderr
+
+
+@st.composite
+def forest_cases(draw):
+    """A small dataset with tie-heavy columns, and a forest config."""
+    task = draw(st.sampled_from(["classification"] * 3 + ["regression"]))
+    n = draw(st.integers(3, 300))
+    p = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # each column takes 2 levels up to n distinct values, so ties abound
+    X = np.column_stack([
+        rng.integers(0, draw(st.integers(2, max(2, n))), n) / 4.0
+        for _ in range(p)])
+    if task == "classification":
+        k = draw(st.integers(2, 4))
+        d = Dataset(X, rng.integers(0, k, n), [f"x{j}" for j in range(p)],
+                    [FeatureKind(CONTINUOUS)] * p, task, k)
+    else:
+        d = Dataset(X, np.round(rng.standard_normal(n), 1),
+                    [f"x{j}" for j in range(p)],
+                    [FeatureKind(CONTINUOUS)] * p, task)
+    tree = TreeConfig(
+        max_depth=draw(st.one_of(st.none(), st.integers(0, 6))),
+        min_samples_leaf=draw(st.integers(1, 5)),
+        max_features=draw(st.one_of(st.sampled_from(["sqrt", "all"]),
+                                    st.integers(1, p))))
+    return d, ForestConfig(n_trees=draw(st.integers(1, 4)), tree=tree,
+                           bootstrap=draw(st.booleans()),
+                           seed=draw(st.integers(0, 2**16)))
+
+
+@needs_fork
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=forest_cases())
+def test_fit_grows_the_reference_trees(case):
+    d, cfg = case
+    rngs = tree_rngs(cfg)
+    bags = [draw_bag(d.n, rng, cfg.bootstrap)[0] for rng in rngs]
+    want = [reference_grow(d.X, d.y, rows, cfg.tree, d.task, d.n_classes,
+                           rng=rng, keys=sort_keys(d.X))
+            for rows, rng in zip(bags, rngs)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(os, "cpu_count", lambda: 2)
+        for jobs in (1, 2):
+            for got, expected in zip(fit(d, cfg, jobs=jobs).trees, want):
+                assert_same_tree(got, expected)
+    # keys=X.T, the fallback for data that uint16 ranks cannot hold, takes
+    # the per-node scan for every node, and grows the same trees
+    rngs = tree_rngs(cfg)
+    bags = [draw_bag(d.n, rng, cfg.bootstrap)[0] for rng in rngs]
+    for got, expected in zip(
+            grow_trees(d.X, d.y, bags, rngs, cfg.tree, d.task, d.n_classes,
+                       keys=d.X.T), want):
+        assert_same_tree(got, expected)
 
 
 class TestPredict:

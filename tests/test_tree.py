@@ -155,6 +155,11 @@ class TestGrow:
         with pytest.raises(ValueError):
             _fit(FOUR_X, FOUR_Y, "classification", **bad)
 
+    def test_label_outside_n_classes_rejected(self):
+        with pytest.raises(ValueError, match="class labels"):
+            grow(FOUR_X, np.array([0, 1, 2, 1]), ALL4, TreeConfig(),
+                 "classification", n_classes=2)
+
     def test_empty_index_set_rejected(self):
         with pytest.raises(ValueError):
             grow(FOUR_X, FOUR_Y, np.array([], dtype=int),
