@@ -134,3 +134,64 @@ def test_train_model_bits_are_pinned(tmp_path, threads):
     assert res.exit_code == 0, res.output
     digest = hashlib.sha256((out / "model.json").read_bytes()).hexdigest()
     assert digest == MODEL_DIGEST
+
+
+def _regression_rows(n):
+    """A regression CSV from modular arithmetic, with unrounded targets, big
+    enough that an unlimited tree grows nodes of more and of fewer than 64
+    rows."""
+    lines = []
+    for i in range(n):
+        x1 = (i * 37 % 101) / 10
+        x2 = LEVELS[i * 7 % 3]
+        x3 = (i * 13 % 17) / 4
+        target = 0.7 * x1 - 1.3 * (x2 == "b") + x3 / 3 + (i * 11 % 7) / 9
+        lines.append(f"{x1},{x2},{x3},{target!r}")
+    return "x1,x2,x3,y\n" + "\n".join(lines) + "\n"
+
+
+# sha256 of model.json from a fixed-seed regression train run with unlimited
+# depth. The digest holds for every --threads count.
+REGRESSION_MODEL_DIGEST = (
+    "5a98a3143b6677063a7e5ec0073475b18d9bfcc1a238e3d773c75010c33f8f74")
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_regression_train_model_bits_are_pinned(tmp_path, threads):
+    (tmp_path / "train.csv").write_text(_regression_rows(300))
+    (tmp_path / "schema.json").write_text(json.dumps({
+        "target": "y", "task": "regression",
+        "kinds": {"x1": "continuous", "x2": "categorical", "x3": "ordinal"},
+    }))
+    out = tmp_path / "model"
+    res = CliRunner().invoke(main, [
+        "train", "--data", str(tmp_path / "train.csv"),
+        "--schema", str(tmp_path / "schema.json"), "--trees", "6",
+        "--min-samples-leaf", "3", "--seed", "11", "--threads", threads,
+        "--out", str(out)],
+        catch_exceptions=False)
+    assert res.exit_code == 0, res.output
+    digest = hashlib.sha256((out / "model.json").read_bytes()).hexdigest()
+    assert digest == REGRESSION_MODEL_DIGEST
+
+
+# sha256 of summary.json from a small fixed-seed discrete10 regression
+# simulate run. At n=400 a tree's out-of-bag rows number about 147, so ufi
+# sums test segments of more and of fewer than 128 rows. The digest holds
+# for every --threads count.
+REGRESSION_SUMMARY_DIGEST = (
+    "8c09a719a5120b595cde388625cbd1a222db0a986f631a564d58385d42b5488b")
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_regression_simulate_summary_bits_are_pinned(tmp_path, threads):
+    out = tmp_path / "sim"
+    res = CliRunner().invoke(main, [
+        "simulate", "--scenario", "discrete10", "--task", "regression",
+        "--encoding", "ordinal", "--n", "400", "--reps", "3", "--trees", "5",
+        "--max-depth", "10", "--methods", "si,ufi", "--seed", "5",
+        "--threads", threads, "--out", str(out)],
+        catch_exceptions=False)
+    assert res.exit_code == 0, res.output
+    digest = hashlib.sha256((out / "summary.json").read_bytes()).hexdigest()
+    assert digest == REGRESSION_SUMMARY_DIGEST
