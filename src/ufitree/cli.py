@@ -127,16 +127,6 @@ def _save_model(path: Path, payload: dict):
     path.write_text(json.dumps(payload, sort_keys=True) + "\n")
 
 
-def _load_model(path: str):
-    try:
-        payload = json.loads(Path(path).read_text())
-        forest = Forest.from_dict(payload)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as e:
-        _die_data(f"cannot load model {path}: {e}")
-    gmap = payload.get("dummy_groups")
-    return forest, None if gmap is None else DummyGroupMap.from_dict(gmap)
-
-
 @click.group()
 @click.version_option(__version__)
 def main():

@@ -145,14 +145,61 @@ def ufi_tree_regression(tree: Tree, X_test, y_test):
         raise ValueError("regression tree required")
     y_test = np.asarray(y_test, dtype=np.float64)
     rows, offsets, routed = _route_test(tree, X_test, y_test)
-    h = np.zeros(tree.n_nodes())
-    for i in np.flatnonzero(routed):
-        yi = y_test[rows[offsets[i]:offsets[i + 1]]]
-        # np.add.reduce is np.sum without its dispatch overhead: same bits,
-        # given the rows in ascending order
-        h[i] = float(np.add.reduce((yi - tree.mean[i]) ** 2)) / routed[i]
+    sq = (y_test[rows] - np.repeat(tree.mean, routed)) ** 2
+    # a node no test row reaches sums to 0.0, and its h stays 0.0
+    h = segment_sums(sq, offsets) / np.maximum(routed, 1)
     node, ok, delta = _test_decrease(tree, h, routed)
     return _ufi_result(tree, node, ok, tree.train_decrease[node] + delta)
+
+
+# numpy's add.reduce sums a float64 run of at most this many values with 8
+# accumulators, and splits a longer run in two (pairwise summation)
+PAIRWISE_BLOCK = 128
+
+# the value add.reduce adds its pairwise sum to, as an empty sum shows
+_REDUCE_START = np.add.reduce(np.empty(0))
+
+
+def segment_sums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """np.add.reduce(values[offsets[i]:offsets[i + 1]]) for every i, bit for bit.
+
+    A segment of at most PAIRWISE_BLOCK values repeats numpy's pairwise
+    sum in vectorized steps: 8 accumulators start from the first 8 values
+    and take each further full block of 8, they combine as
+    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), and the remaining
+    values follow in order. Below 8 values the accumulators are -0.0 and
+    every value is a remaining one. Padding is -0.0, since x + -0.0 == x
+    exactly. A longer segment calls add.reduce itself.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    offsets = np.asarray(offsets, dtype=np.intp)
+    lens = np.diff(offsets)
+    sums = np.empty(len(lens))
+    for i in np.flatnonzero(lens > PAIRWISE_BLOCK):
+        sums[i] = np.add.reduce(values[offsets[i]:offsets[i + 1]])
+    seg = np.flatnonzero(lens <= PAIRWISE_BLOCK)
+    if not len(seg):
+        return sums
+    start, n = offsets[seg], lens[seg]
+    n_blocked = n - n % 8  # values taken by the accumulators
+    # (block, accumulator, segment): value k of a segment is in block k // 8
+    # at accumulator k % 8, and the accumulators add the blocks down axis 0
+    blocks = np.full((max(1, n_blocked.max() // 8), 8, len(seg)), -0.0)
+    s, k = _positions(n_blocked)
+    blocks.reshape(-1, len(seg))[k, s] = values[start[s] + k]
+    r = np.add.accumulate(blocks)[-1]
+    tail = np.full((8, len(seg)), -0.0)
+    tail[0] = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    s, k = _positions(n - n_blocked)
+    tail[k + 1, s] = values[(start + n_blocked)[s] + k]
+    sums[seg] = _REDUCE_START + np.add.accumulate(tail)[-1]
+    return sums
+
+
+def _positions(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(i, k) for every k < counts[i], i-major."""
+    i = np.repeat(np.arange(len(counts)), counts)
+    return i, np.arange(len(i)) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
 def ufi_tree(tree: Tree, X_test, y_test):

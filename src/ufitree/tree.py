@@ -1,7 +1,7 @@
 """CART-style trees: impurity, best-split search, growth, routing, prediction.
 
 ``grow_trees`` grows the trees of a forest together, in lockstep, so that
-the split scans of their small classification nodes run as one batch;
+the split scans of their small nodes run as one batch;
 ``grow`` is that grower on one bag. A grown ``Tree`` is a set of flat
 preorder arrays.
 """
@@ -322,22 +322,35 @@ def best_split(X, y, idx, feats, n_classes=None, min_samples_leaf=1,
     return Split(f, s), loss
 
 
-# Classification nodes of at most this many rows are scanned together by
-# _scan_segments. Below it a node's scan is mostly numpy call overhead,
-# which the batch shares; above it the per-node scan is as fast. A row's
-# position in its node must fit the 6 bits _scan_segments packs it into.
+# Nodes of at most this many rows are scanned together by _scan_segments.
+# Below it a node's scan is mostly numpy call overhead, which the batch
+# shares; above it the per-node scan is as fast. A row's position in its
+# node must fit the 6 bits _scan_segments packs it into.
 SMALL_NODE = 64
+
+# A small regression node joins the batch only if it also scans at most
+# this many (row, feature) values. Its padded cumsums cost more per value
+# than a classification node's integer prefix sums: in a 37-column
+# regression fit, nodes of 640 to 1280 values scanned slower in batches of
+# 10 than alone, and bounds from 480 to 640 gave the fastest scans.
+SMALL_SCAN = 640
+
+
+def _batchable(rows, feats, n_classes) -> bool:
+    """Whether _best_splits scans this node in the _scan_segments batch."""
+    return len(rows) <= SMALL_NODE and (
+        n_classes is not None or len(rows) * len(feats) <= SMALL_SCAN)
 
 
 def _best_splits(X, y, keys, nodes, n_classes, min_samples_leaf) -> list:
     """best_split's Split, or None, for each (rows, sorted feats, impurity)
-    node: small classification nodes in one _scan_segments pass when the
-    keys are uint16 ranks, every other node on its own."""
-    batched = n_classes is not None and keys.dtype == np.uint16
+    node: the small nodes in one _scan_segments pass when the keys are
+    uint16 ranks, every other node on its own."""
+    batched = keys.dtype == np.uint16
     found = [None] * len(nodes)
     small = []
     for i, (rows, feats, imp) in enumerate(nodes):
-        if batched and len(rows) <= SMALL_NODE:
+        if batched and _batchable(rows, feats, n_classes):
             small.append(i)
             continue
         hit = best_split(X, y, rows, feats, n_classes, min_samples_leaf, imp,
@@ -347,24 +360,28 @@ def _best_splits(X, y, keys, nodes, n_classes, min_samples_leaf) -> list:
     if small:
         hits = _scan_segments(X, keys, y, [nodes[i] for i in small], n_classes,
                               min_samples_leaf)
-        for i, split in zip(small, hits):
-            found[i] = split
+        for i, hit in zip(small, hits):
+            if hit is not None:
+                found[i] = hit[0]
     return found
 
 
 def _scan_segments(X, keys, y, nodes, n_classes, msl) -> list:
-    """best_split of several small classification nodes in one pass, or None
-    each, for (rows, sorted feats, impurity) nodes with uint16 keys.
+    """best_split's (Split, loss), or None, of each of several small
+    (rows, sorted feats, impurity) nodes in one pass, for uint16 keys:
+    Gini when n_classes is given, mean squared error when it is None.
 
     Each (node, feature) pair is a segment of one flat array, ordered by
     (segment, key, position in the node): within a segment that is the
     order _scan_features' stable sort gives the feature. The three are
     packed into one distinct int64 code, so an unstable value sort gives
     that order. Left class counts are integer prefix sums less the
-    segment's base, so they are exact, and the loss, the per-node minimum,
-    the tie rule, the threshold and the gain check repeat _scan_features
-    and best_split operation by operation, in feature-major order. Every
-    split keeps its bits.
+    segment's base, so they are exact. Left sums of targets are cumsums
+    down one zero-padded column per segment, so each is _scan_features'
+    sequential sum, and a node's target totals are its own add.reduce and
+    dot. The loss, the per-node minimum, the tie rule, the threshold and
+    the gain check repeat _scan_features and best_split operation by
+    operation, in feature-major order. Every split and loss keeps its bits.
     """
     n_rows = np.array([len(rows) for rows, _, _ in nodes])
     n_feats = np.array([len(feats) for _, feats, _ in nodes])
@@ -393,46 +410,62 @@ def _scan_segments(X, keys, y, nodes, n_classes, msl) -> list:
     if len(cand) == 0:
         return [None] * len(nodes)
     seg = elem_seg[cand]
+    node = seg_node[seg]
     n = seg_len[seg]
     nl = pos[cand] + 1
-    # per-class counts left of each candidate and in its node; the last
-    # class holds the rest
-    prefix = np.zeros((n_classes - 1, len(rows) + 1), dtype=np.int32)
-    np.cumsum(y[rows] == np.arange(n_classes - 1)[:, None], axis=1,
-              dtype=np.int32, out=prefix[:, 1:])
-    base = prefix[:, seg_start[seg]]
-    cums = prefix[:, cand + 1] - base
-    totals = prefix[:, seg_end[seg]] - base
-    cums = np.vstack([cums, nl - cums.sum(axis=0)]).astype(np.float64)
-    totals = np.vstack([totals, n - totals.sum(axis=0)]).astype(np.float64)
-    nl = nl.astype(np.float64)
-    nr = n - nl
-    sl = 0.0
-    sr = 0.0
-    for cum, tot in zip(cums, totals):
-        pl = cum / nl
-        pr = (tot - cum) / nr
-        sl = sl + pl * pl
-        sr = sr + pr * pr
-    loss = (nl * (1.0 - sl) + nr * (1.0 - sr)) / n
+    if n_classes is not None:
+        # per-class counts left of each candidate and in its node; the last
+        # class holds the rest
+        prefix = np.zeros((n_classes - 1, len(rows) + 1), dtype=np.int32)
+        np.cumsum(y[rows] == np.arange(n_classes - 1)[:, None], axis=1,
+                  dtype=np.int32, out=prefix[:, 1:])
+        base = prefix[:, seg_start[seg]]
+        cums = prefix[:, cand + 1] - base
+        totals = prefix[:, seg_end[seg]] - base
+        cums = np.vstack([cums, nl - cums.sum(axis=0)]).astype(np.float64)
+        totals = np.vstack([totals, n - totals.sum(axis=0)]).astype(np.float64)
+        nl = nl.astype(np.float64)
+        nr = n - nl
+        sl = 0.0
+        sr = 0.0
+        for cum, tot in zip(cums, totals):
+            pl = cum / nl
+            pr = (tot - cum) / nr
+            sl = sl + pl * pl
+            sr = sr + pr * pr
+        Hl = 1.0 - sl
+        Hr = 1.0 - sr
+    else:
+        # (sorted position, y or y**2, segment): a cumsum down axis 0 adds
+        # each segment's values in order, as _scan_features' rows do
+        pad = np.zeros((n_rows.max(), 2, len(seg_len)))
+        pad[pos, 0, elem_seg] = y[rows]
+        np.multiply(pad[:, 0], pad[:, 0], out=pad[:, 1])
+        cum, cum2 = pad.cumsum(axis=0)[pos[cand], :, seg].T
+        tot, tot2 = np.array([(np.add.reduce(v), np.dot(v, v)) for v in
+                              (y[rows] for rows, _, _ in nodes)])[node].T
+        nl = nl.astype(np.float64)
+        nr = n - nl
+        Hl = np.maximum(cum2 / nl - (cum / nl) ** 2, 0.0)
+        Hr = np.maximum((tot2 - cum2) / nr - ((tot - cum) / nr) ** 2, 0.0)
+    loss = (nl * Hl + nr * Hr) / n
 
     # per node: the first candidate within tie tolerance of the minimum
-    node = seg_node[seg]
-    first = np.flatnonzero(np.r_[True, node[1:] != node[:-1]])
+    counts = np.bincount(node, minlength=len(nodes))
+    node = np.flatnonzero(counts)  # the nodes with candidates
+    first = (np.cumsum(counts) - counts)[node]
     m = np.minimum.reduceat(loss, first)
-    tol = m + LOSS_TIE_TOL * np.maximum(1.0, np.abs(m))
-    group = np.repeat(np.arange(len(first)), np.diff(np.r_[first, len(cand)]))
+    tol = np.repeat(m + LOSS_TIE_TOL * np.maximum(1.0, np.abs(m)), counts[node])
     best = np.minimum.reduceat(
-        np.where(loss <= tol[group], np.arange(len(cand)), len(cand)), first)
+        np.where(loss <= tol, np.arange(len(cand)), len(cand)), first)
     e = cand[best]
     j = seg_feat[seg[best]]
     threshold = (X[rows[e], j] + X[rows[e + 1], j]) / 2.0
-    node = node[first]
     gain = np.array([imp for _, _, imp in nodes])[node] - loss[best] > GAIN_EPS
     found = [None] * len(nodes)
-    for i, f, s in zip(node[gain].tolist(), j[gain].tolist(),
-                       threshold[gain].tolist()):
-        found[i] = Split(f, s)
+    for i, f, s, x in zip(node[gain].tolist(), j[gain].tolist(),
+                          threshold[gain].tolist(), loss[best][gain].tolist()):
+        found[i] = Split(f, s), x
     return found
 
 

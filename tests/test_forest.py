@@ -9,7 +9,7 @@ import pytest
 from conftest import assert_same_tree, reference_grow
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from ufitree import forest as forest_mod
+from ufitree import forest as forest_mod, tree as tree_mod
 from ufitree.data import CONTINUOUS, Dataset, FeatureKind
 from ufitree.forest import (
     Forest, ForestConfig, bootstrap_indices, draw_bag, fit, tree_rngs,
@@ -275,6 +275,80 @@ def test_fit_grows_the_reference_trees(case):
             grow_trees(d.X, d.y, bags, rngs, cfg.tree, d.task, d.n_classes,
                        keys=d.X.T), want):
         assert_same_tree(got, expected)
+
+
+@st.composite
+def regression_cases(draw):
+    """A tie-heavy regression dataset with unrounded targets, a forest
+    config scanning all features or sqrt of them, and a SMALL_SCAN gate
+    that puts no small node, some or all of them in the batch."""
+    n = draw(st.integers(3, 300))
+    p = draw(st.integers(1, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = np.column_stack([
+        rng.integers(0, draw(st.integers(2, max(2, n))), n) / 4.0
+        for _ in range(p)])
+    y = rng.standard_normal(n) * 10.0 ** draw(st.integers(-3, 3))
+    d = Dataset(X, y, [f"x{j}" for j in range(p)],
+                [FeatureKind(CONTINUOUS)] * p, "regression")
+    tree = TreeConfig(
+        max_depth=draw(st.one_of(st.none(), st.integers(0, 8))),
+        min_samples_leaf=draw(st.integers(1, 5)),
+        max_features=draw(st.sampled_from(["all", "sqrt"])))
+    cfg = ForestConfig(n_trees=draw(st.integers(1, 4)), tree=tree,
+                       bootstrap=draw(st.booleans()),
+                       seed=draw(st.integers(0, 2**16)))
+    return d, cfg, draw(st.sampled_from([0, 60, tree_mod.SMALL_SCAN, 10**6]))
+
+
+@needs_fork
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=regression_cases())
+def test_fit_grows_the_reference_regression_trees(case):
+    d, cfg, gate = case
+    rngs = tree_rngs(cfg)
+    bags = [draw_bag(d.n, rng, cfg.bootstrap)[0] for rng in rngs]
+    want = [reference_grow(d.X, d.y, rows, cfg.tree, d.task, rng=rng,
+                           keys=sort_keys(d.X))
+            for rows, rng in zip(bags, rngs)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(os, "cpu_count", lambda: 2)
+        mp.setattr(tree_mod, "SMALL_SCAN", gate)  # forked workers inherit it
+        for jobs in (1, 2):
+            for got, expected in zip(fit(d, cfg, jobs=jobs).trees, want):
+                assert_same_tree(got, expected)
+
+
+def test_small_regression_nodes_scan_on_both_sides_of_the_gate(monkeypatch):
+    """With 20 features, nodes of at most 32 rows scan in the batch, and
+    nodes of 33 to 64 rows, like larger ones, scan one at a time; both
+    grow the reference trees."""
+    d = _dataset("regression", n=300, p=20, seed=4)
+    cfg = ForestConfig(n_trees=3, seed=9)
+    batched, alone = [], []
+    scan_segments, best_split = tree_mod._scan_segments, tree_mod.best_split
+
+    def recording_scan_segments(X, keys, y, nodes, *args):
+        batched.extend(len(rows) for rows, _, _ in nodes)
+        return scan_segments(X, keys, y, nodes, *args)
+
+    def recording_best_split(X, y, idx, *args):
+        alone.append(len(idx))
+        return best_split(X, y, idx, *args)
+
+    monkeypatch.setattr(tree_mod, "_scan_segments", recording_scan_segments)
+    monkeypatch.setattr(tree_mod, "best_split", recording_best_split)
+    got = fit(d, cfg).trees
+    monkeypatch.undo()
+    assert batched and max(batched) == tree_mod.SMALL_SCAN // 20
+    assert any(33 <= n <= tree_mod.SMALL_NODE for n in alone)
+    assert any(n > tree_mod.SMALL_NODE for n in alone)
+    rngs = tree_rngs(cfg)
+    for tree, rng in zip(got, rngs):
+        rows = draw_bag(d.n, rng, cfg.bootstrap)[0]
+        assert_same_tree(tree, reference_grow(d.X, d.y, rows, cfg.tree,
+                                              d.task, rng=rng))
 
 
 class TestPredict:

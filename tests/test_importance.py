@@ -3,12 +3,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from conftest import random_instance
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ufitree.data import CONTINUOUS, Dataset, FeatureKind
 from ufitree.forest import ForestConfig, fit
 from ufitree.importance import (
-    _permuted_loss, permutation_importance, si_forest, si_tree,
-    ufi_forest, ufi_tree_classification, ufi_tree_regression,
+    PAIRWISE_BLOCK, _permuted_loss, _route_test, _test_decrease, _ufi_result,
+    permutation_importance, segment_sums, si_forest, si_tree, ufi_forest,
+    ufi_tree_classification, ufi_tree_regression,
 )
 from ufitree.tree import TreeConfig, grow, predictive_gini
 
@@ -237,6 +239,100 @@ class TestWeightIdentity:
                 rhs = (Fraction(n[lo], n_root) * Fraction(counts[lo][k], n[lo])
                        + Fraction(n[hi], n_root) * Fraction(counts[hi][k], n[hi]))
                 assert lhs == rhs
+
+
+# lengths at which add.reduce changes how it sums: below 8 values, 8
+# accumulators, and a pairwise split above PAIRWISE_BLOCK
+EDGE_LENGTHS = [0, 1, 7, 8, 9, 15, 16, 17, 127, 128, 129, 255, 256, 257]
+
+
+@st.composite
+def segmented_values(draw):
+    """Segments of 0 to 300 float64 values and their offsets. Magnitudes
+    span 1e-300 to 1e300, in a narrow or a wide band, and signed zeros and
+    infinities are sprinkled in, or fill the values."""
+    lens = draw(st.lists(st.one_of(st.sampled_from(EDGE_LENGTHS),
+                                   st.integers(0, 300)), min_size=1, max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = sum(lens)
+    center = draw(st.integers(-300, 300))
+    spread = draw(st.sampled_from([0, 2, 20, 600]))
+    exponents = np.clip(center + rng.uniform(-spread / 2, spread / 2, n), -300, 300)
+    values = rng.choice([-1.0, 1.0], n) * rng.uniform(1, 10, n) * 10.0 ** exponents
+    special = np.array(draw(st.sampled_from(
+        [[], [0.0, -0.0], [-0.0], [np.inf], [np.inf, -np.inf, -0.0]])))
+    if len(special):
+        share = draw(st.sampled_from([0.05, 0.5, 1.0]))
+        hit = rng.random(n) < share
+        values[hit] = rng.choice(special, int(hit.sum()))
+    return values, np.r_[0, np.cumsum(lens)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=segmented_values())
+def test_segment_sums_are_add_reduce_bit_for_bit(case):
+    values, offsets = case
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is nan
+        want = np.array([np.add.reduce(values[a:b])
+                         for a, b in zip(offsets[:-1], offsets[1:])])
+        got = segment_sums(values, offsets)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_segment_sums_cover_every_summation_path():
+    assert PAIRWISE_BLOCK == 128
+    values = np.arange(1.0, 1.0 + sum(EDGE_LENGTHS)) / 7
+    offsets = np.r_[0, np.cumsum(EDGE_LENGTHS)]
+    want = [np.add.reduce(values[a:b]) for a, b in zip(offsets[:-1], offsets[1:])]
+    assert segment_sums(values, offsets).tobytes() == np.array(want).tobytes()
+
+
+def _ufi_regression_per_node(tree, X_test, y_test):
+    """ufi_tree_regression with one add.reduce per node reached: the
+    reference the vectorized sums must match."""
+    y_test = np.asarray(y_test, dtype=np.float64)
+    rows, offsets, routed = _route_test(tree, X_test, y_test)
+    h = np.zeros(tree.n_nodes())
+    for i in np.flatnonzero(routed):
+        yi = y_test[rows[offsets[i]:offsets[i + 1]]]
+        h[i] = float(np.add.reduce((yi - tree.mean[i]) ** 2)) / routed[i]
+    node, ok, delta = _test_decrease(tree, h, routed)
+    return _ufi_result(tree, node, ok, tree.train_decrease[node] + delta)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 400),
+       n_test=st.integers(0, 400), max_depth=st.sampled_from([None, 2, 6]))
+def test_ufi_regression_matches_per_node_reference(seed, n, n_test, max_depth):
+    rng = np.random.default_rng(seed)
+    p = int(rng.integers(1, 5))
+    X = np.round(rng.standard_normal((n, p)), int(rng.integers(0, 3)))
+    d = Dataset(X, X[:, 0] + rng.standard_normal(n),
+                [f"x{j}" for j in range(p)], [FeatureKind(CONTINUOUS)] * p,
+                "regression")
+    forest = fit(d, ForestConfig(n_trees=3, seed=seed % 1000,
+                                 tree=TreeConfig(max_depth=max_depth)))
+    X_test = np.round(rng.standard_normal((n_test, p)), 1)
+    y_test = X_test[:, 0] + rng.standard_normal(n_test)
+    for tree in forest.trees:
+        for xt, yt in ((X_test, y_test), (X, d.y)):
+            scores, skipped, terms = ufi_tree_regression(tree, xt, yt)
+            s0, k0, t0 = _ufi_regression_per_node(tree, xt, yt)
+            assert scores.tobytes() == s0.tobytes()
+            assert skipped == k0
+            assert terms.tobytes() == t0.tobytes()
+
+
+def test_ufi_regression_reference_includes_unreached_nodes():
+    d = _dataset("regression", n=300)
+    tree = fit(d, ForestConfig(n_trees=1, seed=3)).trees[0]
+    X_test, y_test = d.X[:5], d.y[:5]
+    assert (_route_test(tree, X_test, y_test)[2] == 0).any()
+    scores, skipped, terms = ufi_tree_regression(tree, X_test, y_test)
+    s0, k0, t0 = _ufi_regression_per_node(tree, X_test, y_test)
+    assert scores.tobytes() == s0.tobytes() and terms.tobytes() == t0.tobytes()
+    assert skipped == k0 > 0
 
 
 class TestPermutationImportance:

@@ -3,10 +3,12 @@ import json
 import numpy as np
 import pytest
 from conftest import brute_force_best_split, random_instance
+from hypothesis import given, settings, strategies as st
 
 from ufitree.tree import (
-    Split, Tree, TreeConfig, best_split, evaluate_split, grow,
-    impurity_from_counts, impurity_from_values, sort_keys,
+    SMALL_NODE, Split, Tree, TreeConfig, _node_impurity, _scan_segments,
+    best_split, evaluate_split, grow, impurity_from_counts,
+    impurity_from_values, sort_keys,
 )
 
 FOUR_X = np.array([[1.0], [2.0], [3.0], [4.0]])
@@ -115,6 +117,48 @@ class TestBestSplit:
         keys = sort_keys(X)
         assert keys.dtype == np.float64
         assert np.array_equal(keys, X.T, equal_nan=True)
+
+
+@st.composite
+def small_node_batches(draw):
+    """Up to 12 nodes of at most SMALL_NODE rows, drawn with repeats from
+    one tie-heavy dataset, each with its own sorted feature subset. The
+    targets are class labels or unrounded floats."""
+    task = draw(st.sampled_from(["classification", "regression"]))
+    n = draw(st.integers(2, 200))
+    p = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = np.column_stack([
+        rng.integers(0, draw(st.integers(2, max(2, n))), n) / 4.0
+        for _ in range(p)])
+    if task == "classification":
+        k = draw(st.integers(2, 4))
+        y = rng.integers(0, k, n)
+    else:
+        k = None
+        y = rng.standard_normal(n) * 10.0 ** draw(st.integers(-3, 3))
+    nodes = []
+    for _ in range(draw(st.integers(1, 12))):
+        rows = rng.integers(0, n, int(rng.integers(1, SMALL_NODE + 1)))
+        feats = np.sort(rng.choice(p, int(rng.integers(1, p + 1)),
+                                   replace=False))
+        nodes.append((rows, feats, _node_impurity(y[rows], k)))
+    return X, y, k, nodes, draw(st.integers(1, 5))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=small_node_batches())
+def test_batched_scan_is_best_split_bit_for_bit(case):
+    X, y, k, nodes, msl = case
+    keys = sort_keys(X)
+    found = _scan_segments(X, keys, y, nodes, k, msl)
+    for (rows, feats, imp), got in zip(nodes, found):
+        want = best_split(X, y, rows, feats, k, msl, imp, keys)
+        if want is None:
+            assert got is None
+        else:
+            assert got[0] == want[0]
+            assert np.float64(got[1]).tobytes() == np.float64(want[1]).tobytes()
 
 
 def _fit(X, y, task, seed=0, **kw):
