@@ -182,17 +182,25 @@ def segment_sums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
         return sums
     start, n = offsets[seg], lens[seg]
     n_blocked = n - n % 8  # values taken by the accumulators
-    # (block, accumulator, segment): value k of a segment is in block k // 8
-    # at accumulator k % 8, and the accumulators add the blocks down axis 0
-    blocks = np.full((max(1, n_blocked.max() // 8), 8, len(seg)), -0.0)
-    s, k = _positions(n_blocked)
-    blocks.reshape(-1, len(seg))[k, s] = values[start[s] + k]
-    r = np.add.accumulate(blocks)[-1]
     tail = np.full((8, len(seg)), -0.0)
-    tail[0] = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    wide = np.flatnonzero(n_blocked)
+    if len(wide):
+        # (block, accumulator, segment): value k of a segment is in block
+        # k // 8 at accumulator k % 8
+        blocks = np.full((n_blocked.max() // 8, 8, len(wide)), -0.0)
+        s, k = _positions(n_blocked[wide])
+        blocks.reshape(-1, len(wide))[k, s] = values[start[wide][s] + k]
+        r = blocks[0]
+        for block in blocks[1:]:
+            r += block
+        tail[0, wide] = (((r[0] + r[1]) + (r[2] + r[3]))
+                         + ((r[4] + r[5]) + (r[6] + r[7])))
     s, k = _positions(n - n_blocked)
     tail[k + 1, s] = values[(start + n_blocked)[s] + k]
-    sums[seg] = _REDUCE_START + np.add.accumulate(tail)[-1]
+    r = tail[0]
+    for value in tail[1:]:
+        r += value
+    sums[seg] = _REDUCE_START + r
     return sums
 
 

@@ -336,12 +336,6 @@ SMALL_NODE = 64
 SMALL_SCAN = 640
 
 
-def _batchable(rows, feats, n_classes) -> bool:
-    """Whether _best_splits scans this node in the _scan_segments batch."""
-    return len(rows) <= SMALL_NODE and (
-        n_classes is not None or len(rows) * len(feats) <= SMALL_SCAN)
-
-
 def _best_splits(X, y, keys, nodes, n_classes, min_samples_leaf) -> list:
     """best_split's Split, or None, for each (rows, sorted feats, impurity)
     node: the small nodes in one _scan_segments pass when the keys are
@@ -350,7 +344,8 @@ def _best_splits(X, y, keys, nodes, n_classes, min_samples_leaf) -> list:
     found = [None] * len(nodes)
     small = []
     for i, (rows, feats, imp) in enumerate(nodes):
-        if batched and _batchable(rows, feats, n_classes):
+        if batched and len(rows) <= SMALL_NODE and (
+                n_classes is not None or len(rows) * len(feats) <= SMALL_SCAN):
             small.append(i)
             continue
         hit = best_split(X, y, rows, feats, n_classes, min_samples_leaf, imp,
@@ -441,7 +436,8 @@ def _scan_segments(X, keys, y, nodes, n_classes, msl) -> list:
         pad = np.zeros((n_rows.max(), 2, len(seg_len)))
         pad[pos, 0, elem_seg] = y[rows]
         np.multiply(pad[:, 0], pad[:, 0], out=pad[:, 1])
-        cum, cum2 = pad.cumsum(axis=0)[pos[cand], :, seg].T
+        np.cumsum(pad, axis=0, out=pad)
+        cum, cum2 = pad[pos[cand], :, seg].T
         tot, tot2 = np.array([(np.add.reduce(v), np.dot(v, v)) for v in
                               (y[rows] for rows, _, _ in nodes)])[node].T
         nl = nl.astype(np.float64)

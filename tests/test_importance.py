@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from ufitree.data import CONTINUOUS, Dataset, FeatureKind
 from ufitree.forest import ForestConfig, fit
 from ufitree.importance import (
-    PAIRWISE_BLOCK, _permuted_loss, _route_test, _test_decrease, _ufi_result,
+    _permuted_loss, _route_test, _test_decrease, _ufi_result,
     permutation_importance, segment_sums, si_forest, si_tree, ufi_forest,
     ufi_tree_classification, ufi_tree_regression,
 )
@@ -242,7 +242,7 @@ class TestWeightIdentity:
 
 
 # lengths at which add.reduce changes how it sums: below 8 values, 8
-# accumulators, and a pairwise split above PAIRWISE_BLOCK
+# accumulators, and a pairwise split above 128 values (PAIRWISE_BLOCK)
 EDGE_LENGTHS = [0, 1, 7, 8, 9, 15, 16, 17, 127, 128, 129, 255, 256, 257]
 
 
@@ -280,7 +280,6 @@ def test_segment_sums_are_add_reduce_bit_for_bit(case):
 
 
 def test_segment_sums_cover_every_summation_path():
-    assert PAIRWISE_BLOCK == 128
     values = np.arange(1.0, 1.0 + sum(EDGE_LENGTHS)) / 7
     offsets = np.r_[0, np.cumsum(EDGE_LENGTHS)]
     want = [np.add.reduce(values[a:b]) for a, b in zip(offsets[:-1], offsets[1:])]
