@@ -407,7 +407,8 @@ def _scan_segments(X, keys, y, nodes, n_classes, msl) -> list:
     seg = elem_seg[cand]
     node = seg_node[seg]
     n = seg_len[seg]
-    nl = pos[cand] + 1
+    nl = (pos[cand] + 1).astype(np.float64)
+    nr = n - nl
     if n_classes is not None:
         # per-class counts left of each candidate and in its node; the last
         # class holds the rest
@@ -419,8 +420,6 @@ def _scan_segments(X, keys, y, nodes, n_classes, msl) -> list:
         totals = prefix[:, seg_end[seg]] - base
         cums = np.vstack([cums, nl - cums.sum(axis=0)]).astype(np.float64)
         totals = np.vstack([totals, n - totals.sum(axis=0)]).astype(np.float64)
-        nl = nl.astype(np.float64)
-        nr = n - nl
         sl = 0.0
         sr = 0.0
         for cum, tot in zip(cums, totals):
@@ -440,8 +439,6 @@ def _scan_segments(X, keys, y, nodes, n_classes, msl) -> list:
         cum, cum2 = pad[pos[cand], :, seg].T
         tot, tot2 = np.array([(np.add.reduce(v), np.dot(v, v)) for v in
                               (y[rows] for rows, _, _ in nodes)])[node].T
-        nl = nl.astype(np.float64)
-        nr = n - nl
         Hl = np.maximum(cum2 / nl - (cum / nl) ** 2, 0.0)
         Hr = np.maximum((tot2 - cum2) / nr - ((tot - cum) / nr) ** 2, 0.0)
     loss = (nl * Hl + nr * Hr) / n
