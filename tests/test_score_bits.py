@@ -195,3 +195,59 @@ def test_regression_simulate_summary_bits_are_pinned(tmp_path, threads):
     assert res.exit_code == 0, res.output
     digest = hashlib.sha256((out / "summary.json").read_bytes()).hexdigest()
     assert digest == REGRESSION_SUMMARY_DIGEST
+
+
+TEN_LEVELS = "abcdefghij"
+
+
+def _ten_level_rows(n, offset, task):
+    """Rows with a 10-level categorical, big enough that unlimited-depth
+    trees split on the same encoded column more than once along a path."""
+    lines = []
+    for i in range(offset, offset + n):
+        x1 = (i * 37 % 101) / 10
+        c = TEN_LEVELS[i * 7 % 10]
+        x3 = (i * 13 % 17) / 4
+        if task == "classification":
+            score = x1 + 2 * (c in "aeh") + x3 / 3 + (i * 5 % 11) / 4
+            target = "yes" if score > 8 else "no"
+        else:
+            target = repr(0.5 * x1 - 1.2 * (c in "bdf") + x3 / 5 + (i * 11 % 7) / 3)
+        lines.append(f"{x1},{c},{x3},{target}")
+    return "x1,c,x3,y\n" + "\n".join(lines) + "\n"
+
+
+# (task, test source) -> sha256 of scores_encoded.csv from a fixed-seed
+# permutation run with unlimited depth on 300 training rows. The test rows
+# start at 320, where the first label and level are the training file's, so
+# that both files encode alike.
+DEEP_PERMUTATION_DIGESTS = {
+    ("classification", "oob"):
+        "26e004540c886f77ca5bd728bba0721ac15bbb52141fcf0623e9d15550fe6488",
+    ("classification", "test.csv"):
+        "a6f6ace72bcddeceb0a5efa4aeb9be652453663055238098e653042c80b02f06",
+    ("regression", "oob"):
+        "da4e3b7123651a8ef28eaea3d0349f101f036915cc76c483dc77d137aa357d33",
+    ("regression", "test.csv"):
+        "f42c2bde3c80df8dc6887ae9ca3300aec74690f52ccf606d21513d0d70e7daa1",
+}
+
+
+@pytest.mark.parametrize("task,test", list(DEEP_PERMUTATION_DIGESTS))
+def test_deep_permutation_bits_are_pinned(tmp_path, task, test):
+    (tmp_path / "train.csv").write_text(_ten_level_rows(300, 0, task))
+    (tmp_path / "test.csv").write_text(_ten_level_rows(120, 320, task))
+    (tmp_path / "schema.json").write_text(json.dumps({
+        "target": "y", "task": task,
+        "kinds": {"x1": "continuous", "c": "categorical", "x3": "ordinal"},
+    }))
+    out = tmp_path / "out"
+    res = CliRunner().invoke(main, [
+        "importance", "--data", str(tmp_path / "train.csv"),
+        "--schema", str(tmp_path / "schema.json"), "--method", "permutation",
+        "--test", test if test == "oob" else str(tmp_path / test),
+        "--trees", "10", "--seed", "13", "--out", str(out)],
+        catch_exceptions=False)
+    assert res.exit_code == 0, res.output
+    digest = hashlib.sha256((out / "scores_encoded.csv").read_bytes()).hexdigest()
+    assert digest == DEEP_PERMUTATION_DIGESTS[(task, test)]
