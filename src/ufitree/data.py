@@ -116,14 +116,6 @@ class DummyGroupMap:
             "original_names": self.original_names,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "DummyGroupMap":
-        return cls(
-            groups={k: list(v) for k, v in d["groups"].items()},
-            passthrough={k: int(v) for k, v in d["passthrough"].items()},
-            original_names=list(d["original_names"]),
-        )
-
 
 def parse_schema(schema: dict) -> tuple[str, str | None, dict[str, FeatureKind]]:
     """Parse a sidecar-schema dict into (target column, task, per-column kinds).

@@ -271,11 +271,18 @@ def _mean_loss(pred, y, task: str) -> float:
     return float(np.mean((pred - y) ** 2))
 
 
-def _permuted_loss(model, X, y, j: int, perm: np.ndarray) -> float:
-    """Mean loss of a tree or forest on X with column j permuted by perm."""
-    Xp = np.array(X, copy=True)
-    Xp[:, j] = Xp[perm, j]
-    return _mean_loss(model.predict(Xp), y, model.task)
+def _loss_increases(pred, permuted, y, task: str) -> np.ndarray:
+    """Each permuted prediction's mean loss less that of the unpermuted one."""
+    baseline = _mean_loss(pred, y, task)
+    return np.array([_mean_loss(row, y, task) - baseline for row in permuted])
+
+
+def _permutations(rng: np.random.Generator, p: int, m: int) -> np.ndarray:
+    """One permutation of range(m) per column, drawn in column order."""
+    perms = np.empty((p, m), dtype=np.int32)
+    for j in range(p):
+        perms[j] = rng.permutation(m)
+    return perms
 
 
 def permutation_importance(forest: Forest, X, y, rng=None,
@@ -283,38 +290,54 @@ def permutation_importance(forest: Forest, X, y, rng=None,
     """Mean per-sample loss increase when one feature's values are shuffled.
 
     With no test set, each tree permutes within its out-of-bag rows of
-    (X, y) and the per-tree increases are averaged; with (X_test, y_test),
-    the whole forest is evaluated on the test set.
+    (X, y) and the increases are averaged over the trees that have such
+    rows; with (X_test, y_test), the whole forest is evaluated on the test
+    set. Every tree descends once per scored block, for all features at
+    once (Tree.apply_permuted).
     """
     rng = np.random.default_rng(rng)
     p = forest.n_features
+    task = forest.task
     if _use_oob(forest, X, y, X_test, y_test):
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y)
         per_tree = np.zeros((forest.n_trees, p))
-        used = 0
+        used = np.zeros(forest.n_trees, dtype=bool)
         for b, tree in enumerate(forest.trees):
             rows = forest.oob[b]
             if len(rows) == 0:
                 continue
-            used += 1
-            xo, yo = X[rows], y[rows]
-            baseline = _mean_loss(tree.predict(xo), yo, forest.task)
-            for j in range(p):
-                perm = rng.permutation(len(rows))
-                per_tree[b, j] = _permuted_loss(tree, xo, yo, j, perm) - baseline
-        if used == 0:
+            used[b] = True
+            leaves, permuted = tree.apply_permuted(
+                X[rows], _permutations(rng, p, len(rows)))
+            value = np.argmax(tree.class_counts, axis=1) \
+                if task == "classification" else tree.mean
+            per_tree[b] = _loss_increases(
+                value[leaves], (value[row] for row in permuted), y[rows], task)
+        if not used.any():
             raise ValueError("no tree has out-of-bag samples")
-        scores = per_tree.sum(axis=0) / used
+        scores = per_tree.sum(axis=0) / int(used.sum())
+        # a tree with no out-of-bag rows adds a row of zeros to the sum
+        # above and no row to the SD across trees
+        per_tree = per_tree[used]
     else:
         X_test = np.asarray(X_test, dtype=np.float64)
         y_test = np.asarray(y_test)
-        baseline = _mean_loss(forest.predict(X_test), y_test, forest.task)
+        perms = _permutations(rng, p, len(y_test))
+        # row 0 is Forest.predict's sum, row 1 + j that with column j
+        # permuted; the trees add in order, as in Forest.predict
+        classify = task == "classification"
+        acc = np.zeros((p + 1, len(y_test))
+                       + ((forest.n_classes,) if classify else ()))
+        for tree in forest.trees:
+            leaves, permuted = tree.apply_permuted(X_test, perms)
+            value = tree.class_counts / tree.n[:, None] if classify else tree.mean
+            acc[0] += value[leaves]
+            acc[1:] += value[permuted]
+        acc /= forest.n_trees
+        pred = np.argmax(acc, axis=2) if classify else acc
+        scores = _loss_increases(pred[0], pred[1:], y_test, task)
         per_tree = None
-        scores = np.array([
-            _permuted_loss(forest, X_test, y_test, j, rng.permutation(len(y_test)))
-            - baseline
-            for j in range(p)])
 
     return ImportanceReport(
         method="permutation",

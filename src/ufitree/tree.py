@@ -188,6 +188,55 @@ class Tree:
             leaves[rows] = nodes
         return leaves
 
+    def apply_permuted(self, X: np.ndarray, perms: np.ndarray
+                       ) -> tuple[np.ndarray, np.ndarray]:
+        """Leaf ids of X, and of X with one column permuted at a time.
+
+        Returns (leaves, permuted): ``leaves`` is ``apply(X)``, and
+        ``permuted[j]`` is ``apply`` of the copy of X whose column j is
+        permuted by ``perms[j]``, that is, whose row r holds
+        ``X[perms[j, r], j]`` in column j.
+
+        Such a row differs from row r only in column j, so it follows r's
+        path down to the first node on it that splits on j. One descent of
+        X finds those nodes, and only the (j, r) pairs that reach one go on
+        from there, one vectorized step per depth.
+        """
+        steps = self._descend(X)
+        X = np.asarray(X, dtype=np.float64)
+        m, p = X.shape
+        if np.shape(perms) != (p, m):
+            raise ValueError(f"expected {p} permutations of {m} rows, "
+                             f"got {np.shape(perms)}")
+        leaves = np.empty(m, dtype=np.intp)
+        # start[j, r]: the first node on row r's path that splits on j, or -1;
+        # going up the path, a shallower node overwrites a deeper one (node
+        # ids fit int32, which halves the array)
+        start = np.full((p, m), -1, dtype=np.int32)
+        while steps:
+            rows, nodes = steps.pop()
+            inner = self.left[nodes] != -1
+            leaves[rows[~inner]] = nodes[~inner]
+            start[self.feature[nodes[inner]], rows[inner]] = nodes[inner]
+        permuted = np.tile(leaves, (p, 1))
+        j, r = np.nonzero(start >= 0)
+        node = start[j, r]
+        del start
+        # every pair starts at a node that splits on its own column j
+        x = X[perms[j, r], j]
+        while len(node):
+            node = np.where(x <= self.threshold[node],
+                            self.left[node], self.right[node])
+            go = self.left[node] != -1
+            done = ~go
+            permuted[j[done], r[done]] = node[done]
+            j, r, node = j[go], r[go], node[go]
+            f = self.feature[node]
+            x = X[r, f]
+            own = np.flatnonzero(f == j)
+            x[own] = X[perms[j[own], r[own]], j[own]]
+        return leaves, permuted
+
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         if self.task != "classification":
             raise ValueError("predict_proba requires a classification tree")

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from ufitree.importance import _mean_loss
 from ufitree.tree import (
     COLUMNS, GAIN_EPS, LOSS_TIE_TOL, Split, Tree, _mean_and_mse, best_split,
     impurity_from_counts, resolve_max_features, sort_keys,
@@ -160,3 +161,45 @@ def random_instance(rng, task, n_max=50, p_max=5, duplicates=False):
         y = rng.integers(0, k, size=n)
         return X, y, k
     return X, rng.standard_normal(n), None
+
+
+def reference_permuted_loss(model, X, y, j, perm):
+    """Mean loss of a tree or forest on a copy of X with column j permuted
+    by perm."""
+    Xp = np.array(X, copy=True)
+    Xp[:, j] = Xp[perm, j]
+    return _mean_loss(model.predict(Xp), y, model.task)
+
+
+def reference_permutation_importance(forest, X, y, rng=None, X_test=None,
+                                     y_test=None):
+    """Permutation importance from one permuted copy of the data per feature,
+    each through a full predict: the oracle that permutation_importance
+    must match bit for bit. Returns (scores, per_tree); per_tree holds a row
+    for each tree with out-of-bag rows, and is None with a test set.
+    """
+    rng = np.random.default_rng(rng)
+    p = forest.n_features
+    if X_test is None:
+        X = np.asarray(X, dtype=np.float64)
+        y = np.asarray(y)
+        per_tree = []
+        for b, tree in enumerate(forest.trees):
+            rows = forest.oob[b]
+            if len(rows) == 0:
+                continue
+            xo, yo = X[rows], y[rows]
+            baseline = _mean_loss(tree.predict(xo), yo, forest.task)
+            per_tree.append([
+                reference_permuted_loss(tree, xo, yo, j, rng.permutation(len(rows)))
+                - baseline
+                for j in range(p)])
+        per_tree = np.array(per_tree)
+        return per_tree.sum(axis=0) / len(per_tree), per_tree
+    X_test = np.asarray(X_test, dtype=np.float64)
+    y_test = np.asarray(y_test)
+    baseline = _mean_loss(forest.predict(X_test), y_test, forest.task)
+    return np.array([
+        reference_permuted_loss(forest, X_test, y_test, j,
+                                rng.permutation(len(y_test))) - baseline
+        for j in range(p)]), None

@@ -2,13 +2,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import random_instance
+from conftest import (
+    random_instance, reference_permutation_importance, reference_permuted_loss,
+)
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ufitree.data import CONTINUOUS, Dataset, FeatureKind
 from ufitree.forest import ForestConfig, fit
 from ufitree.importance import (
-    _permuted_loss, _route_test, _test_decrease, _ufi_result,
+    _route_test, _test_decrease, _ufi_result,
     permutation_importance, segment_sums, si_forest, si_tree, ufi_forest,
     ufi_tree_classification, ufi_tree_regression,
 )
@@ -351,11 +353,11 @@ class TestPermutationImportance:
         # the tree fits the four points exactly, so the unpermuted loss is 0
         # and the permuted zero-one loss is the increase
         tree = _grow(FOUR_X, FOUR_Y, "classification")
-        assert _permuted_loss(tree, FOUR_X, FOUR_Y, 0, np.arange(4)) == 0.0
+        assert reference_permuted_loss(tree, FOUR_X, FOUR_Y, 0, np.arange(4)) == 0.0
 
     def test_reversing_permutation_on_pure_split(self):
         tree = _grow(FOUR_X, FOUR_Y, "classification")
-        assert _permuted_loss(tree, FOUR_X, FOUR_Y, 0, np.array([3, 2, 1, 0])) == 1.0
+        assert reference_permuted_loss(tree, FOUR_X, FOUR_Y, 0, np.array([3, 2, 1, 0])) == 1.0
 
     def test_oob_mode_smoke_and_signal_feature_wins(self):
         d = _dataset("classification", n=300)
@@ -379,6 +381,64 @@ class TestPermutationImportance:
         with pytest.raises(ValueError, match="y_test has 1 entries for 5"):
             permutation_importance(f, d.X, d.y, rng=0,
                                    X_test=d.X[:5], y_test=d.y[:1])
+
+
+    def test_sd_across_trees_skips_trees_without_oob_rows(self):
+        d = Dataset(FOUR_X, FOUR_Y, ["x"], [FeatureKind(CONTINUOUS)],
+                    "classification", 2)
+        f = fit(d, ForestConfig(n_trees=60, seed=3,
+                                tree=TreeConfig(max_features="all")))
+        used = [len(rows) > 0 for rows in f.oob]
+        assert sum(used) == 54
+        report = permutation_importance(f, d.X, d.y, rng=0)
+        _, per_tree = reference_permutation_importance(f, d.X, d.y, rng=0)
+        assert report.per_tree.shape == (54, 1)
+        assert report.per_tree.tobytes() == per_tree.tobytes()
+        assert report.sd_across_trees().tolist() == \
+            per_tree.std(axis=0, ddof=1).tolist()
+        assert report.scores.tolist() == (per_tree.sum(axis=0) / 54).tolist()
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2**32 - 1),
+       task=st.sampled_from(["classification", "regression"]),
+       n=st.integers(2, 120), p=st.integers(1, 4), n_test=st.integers(1, 40),
+       n_trees=st.integers(1, 5), max_depth=st.sampled_from([0, 1, 3, None]),
+       constant=st.booleans())
+def test_permutation_importance_matches_reference(seed, task, n, p, n_test,
+                                                  n_trees, max_depth, constant):
+    """Bit for bit against one permuted copy per feature through predict,
+    on the out-of-bag and the test-set path. max_depth=0 gives single-leaf
+    trees, and a constant last column is one no node splits on."""
+    rng = np.random.default_rng(seed)
+    X = np.round(rng.standard_normal((n, p)), int(rng.integers(0, 3)))
+    X_test = np.round(rng.standard_normal((n_test, p)), 1)
+    if constant:
+        X[:, -1] = X_test[:, -1] = 0.0
+    names, kinds = [f"x{j}" for j in range(p)], [FeatureKind(CONTINUOUS)] * p
+    if task == "classification":
+        k = int(rng.integers(2, 4))
+        d = Dataset(X, rng.integers(0, k, size=n), names, kinds, task, k)
+        y_test = rng.integers(0, k, size=n_test)
+    else:
+        d = Dataset(X, X[:, 0] + rng.standard_normal(n), names, kinds, task)
+        y_test = X_test[:, 0] + rng.standard_normal(n_test)
+    forest = fit(d, ForestConfig(n_trees=n_trees, seed=seed % 1000,
+                                 tree=TreeConfig(max_depth=max_depth)))
+    cases = [{"X_test": X_test, "y_test": y_test}]
+    if any(len(rows) for rows in forest.oob):
+        cases.append({})
+    for test in cases:
+        got = permutation_importance(forest, d.X, d.y, seed, **test)
+        scores, per_tree = reference_permutation_importance(
+            forest, d.X, d.y, seed, **test)
+        assert got.scores.tobytes() == scores.tobytes()
+        if per_tree is None:
+            assert got.per_tree is None
+        else:
+            assert got.per_tree.shape == per_tree.shape
+            assert got.per_tree.tobytes() == per_tree.tobytes()
 
 
 class TestReportSerialization:

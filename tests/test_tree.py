@@ -294,6 +294,36 @@ class TestRouteAndPredict:
             assert np.array_equal(rows[offsets[leaf]:offsets[leaf + 1]],
                                   np.flatnonzero(leaves == leaf))
 
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 80),
+           m=st.integers(0, 30), max_depth=st.sampled_from([0, 2, None]))
+    def test_apply_permuted_is_apply_of_permuted_copies(self, seed, n, m,
+                                                         max_depth):
+        rng = np.random.default_rng(seed)
+        p = int(rng.integers(1, 5))
+        # tied training values make repeated splits on one column likely,
+        # and two-decimal test values can land on a midpoint threshold
+        X = np.round(rng.standard_normal((n, p)), 1)
+        tree = _fit(X, rng.integers(0, 3, size=n), "classification",
+                    max_depth=max_depth)
+        X_eval = np.round(rng.standard_normal((m, p)), 2)
+        perms = np.array([rng.permutation(m) for _ in range(p)]).reshape(p, m)
+        leaves, permuted = tree.apply_permuted(X_eval, perms)
+        assert leaves.dtype == permuted.dtype == np.intp
+        assert np.array_equal(leaves, tree.apply(X_eval))
+        assert permuted.shape == (p, m)
+        for j in range(p):
+            Xp = X_eval.copy()
+            Xp[:, j] = X_eval[perms[j], j]
+            assert np.array_equal(permuted[j], tree.apply(Xp))
+
+    def test_apply_permuted_rejects_a_wrong_perms_shape(self):
+        tree = _fit(FOUR_X, FOUR_Y, "classification")
+        with pytest.raises(ValueError, match="expected 1 permutations of 4"):
+            tree.apply_permuted(FOUR_X, np.arange(3)[None])
+        with pytest.raises(ValueError, match="expected 1 columns"):
+            tree.apply_permuted(np.zeros((2, 2)), np.zeros((2, 2), dtype=int))
+
     def test_single_leaf_probabilities(self):
         X = np.zeros((3, 1))
         y = np.array([0, 0, 1])
