@@ -183,19 +183,21 @@ def reference_permutation_importance(forest, X, y, rng=None, X_test=None,
     if X_test is None:
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y)
-        per_tree = []
+        per_tree = np.zeros((forest.n_trees, p))
+        used = np.zeros(forest.n_trees, dtype=bool)
         for b, tree in enumerate(forest.trees):
             rows = forest.oob[b]
             if len(rows) == 0:
                 continue
+            used[b] = True
             xo, yo = X[rows], y[rows]
             baseline = _mean_loss(tree.predict(xo), yo, forest.task)
-            per_tree.append([
-                reference_permuted_loss(tree, xo, yo, j, rng.permutation(len(rows)))
-                - baseline
-                for j in range(p)])
-        per_tree = np.array(per_tree)
-        return per_tree.sum(axis=0) / len(per_tree), per_tree
+            for j in range(p):
+                perm = rng.permutation(len(rows))
+                per_tree[b, j] = reference_permuted_loss(tree, xo, yo, j, perm) \
+                    - baseline
+        # the score sums every tree's row, zeros included
+        return per_tree.sum(axis=0) / int(used.sum()), per_tree[used]
     X_test = np.asarray(X_test, dtype=np.float64)
     y_test = np.asarray(y_test)
     baseline = _mean_loss(forest.predict(X_test), y_test, forest.task)

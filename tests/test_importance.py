@@ -5,7 +5,7 @@ import pytest
 from conftest import (
     random_instance, reference_permutation_importance, reference_permuted_loss,
 )
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from ufitree.data import CONTINUOUS, Dataset, FeatureKind
 from ufitree.forest import ForestConfig, fit
@@ -391,12 +391,12 @@ class TestPermutationImportance:
         used = [len(rows) > 0 for rows in f.oob]
         assert sum(used) == 54
         report = permutation_importance(f, d.X, d.y, rng=0)
-        _, per_tree = reference_permutation_importance(f, d.X, d.y, rng=0)
+        scores, per_tree = reference_permutation_importance(f, d.X, d.y, rng=0)
         assert report.per_tree.shape == (54, 1)
         assert report.per_tree.tobytes() == per_tree.tobytes()
         assert report.sd_across_trees().tolist() == \
             per_tree.std(axis=0, ddof=1).tolist()
-        assert report.scores.tolist() == (per_tree.sum(axis=0) / 54).tolist()
+        assert report.scores.tobytes() == scores.tobytes()
 
 
 @settings(max_examples=60, deadline=None,
@@ -406,6 +406,10 @@ class TestPermutationImportance:
        n=st.integers(2, 120), p=st.integers(1, 4), n_test=st.integers(1, 40),
        n_trees=st.integers(1, 5), max_depth=st.sampled_from([0, 1, 3, None]),
        constant=st.booleans())
+@example(seed=1, task="classification", n=6, p=1, n_test=1, n_trees=3,
+         max_depth=0, constant=False)
+@example(seed=2, task="regression", n=40, p=2, n_test=1, n_trees=4,
+         max_depth=None, constant=True)
 def test_permutation_importance_matches_reference(seed, task, n, p, n_test,
                                                   n_trees, max_depth, constant):
     """Bit for bit against one permuted copy per feature through predict,
