@@ -4,7 +4,7 @@ feature importance, plus simulation harnesses and a CLI."""
 __version__ = "0.1.0"
 
 from .data import (
-    Dataset, DummyGroupMap, FeatureKind,
+    Dataset, Encoder, FeatureKind,
     dummy_encode, fold_importances, inject_random_feature, load_csv,
 )
 from .forest import Forest, ForestConfig, bootstrap_indices, fit

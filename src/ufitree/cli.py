@@ -14,7 +14,7 @@ import numpy as np
 
 from . import __version__
 from .data import (
-    DataError, Dataset, DummyGroupMap, dummy_encode, fold_importances,
+    DataError, Dataset, Encoder, dummy_encode, fold_importances,
     inject_random_feature, load_csv, parse_schema,
 )
 from .forest import Forest, ForestConfig, fit, worker_count
@@ -75,7 +75,11 @@ def _parse_max_features(value: str | None):
         _die_usage(f"bad --max-features value {value!r}")
 
 
-def _load_dataset(data_path, schema_path, task):
+def _load_encoded(data_path, schema_path, task, probe_seed: int | None = None,
+                  encoder: Encoder | None = None):
+    """(dataset, encoded dataset, encoder) of a CSV, coded by ``encoder`` or
+    by one fitted on it, with a random probe column appended first when
+    ``probe_seed`` is given."""
     try:
         schema = json.loads(Path(schema_path).read_text())
         target, schema_task, kinds = parse_schema(schema)
@@ -85,12 +89,12 @@ def _load_dataset(data_path, schema_path, task):
     if task not in ("classification", "regression"):
         _die_usage("--task (or schema 'task') must be classification or regression")
     try:
-        d = load_csv(data_path, target, task, kinds)
-    except DataError as e:
+        d = load_csv(data_path, target, task, kinds, encoder)
+        if probe_seed is not None:
+            d = inject_random_feature(d, seed=probe_seed)
+        return (d, *dummy_encode(d, encoder))
+    except (DataError, OSError) as e:
         _die_data(str(e))
-    except OSError as e:
-        _die_data(str(e))
-    return d
 
 
 def _forest_config(trees, max_depth, max_features, min_samples_leaf,
@@ -115,15 +119,8 @@ def _resolve_seed(seed: int | None) -> int:
     return int.from_bytes(os.urandom(4), "big") if seed is None else seed
 
 
-def _model_payload(forest: Forest, gmap: DummyGroupMap | None,
-                   dataset: Dataset) -> dict:
-    payload = forest.to_dict()
-    payload["dummy_groups"] = None if gmap is None else gmap.to_dict()
-    payload["class_labels"] = dataset.class_labels
-    return payload
-
-
-def _save_model(path: Path, payload: dict):
+def _save_model(path: Path, forest: Forest, encoder: Encoder):
+    payload = {**forest.to_dict(), **encoder.to_dict()}
     path.write_text(json.dumps(payload, sort_keys=True) + "\n")
 
 
@@ -167,14 +164,13 @@ def cmd_train(data, schema, task, out, trees, max_depth, max_features,
     """Fit a forest on a CSV and write the model plus a run manifest."""
     started = time.time()
     seed = _resolve_seed(seed)
-    d = _load_dataset(data, schema, task)
-    enc, gmap = dummy_encode(d)
+    d, enc, encoder = _load_encoded(data, schema, task)
     config = _forest_config(trees, max_depth, max_features, min_samples_leaf,
                             bootstrap, seed, enc.task)
     forest = _usage_errors(fit, enc, config, threads)
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _save_model(out_dir / "model.json", _model_payload(forest, gmap, d))
+    _save_model(out_dir / "model.json", forest, encoder)
     _write_manifest(out_dir, "train", forest.config.to_dict(), seed,
                     worker_count(threads, trees), _fingerprint(data, d), started,
                     extra={"class_labels": d.class_labels})
@@ -202,10 +198,8 @@ def cmd_importance(data, schema, task, method, test_source, fold_dummies,
     """Train a forest and score features with one importance method."""
     started = time.time()
     seed = _resolve_seed(seed)
-    d = _load_dataset(data, schema, task)
-    if inject_random:
-        d = inject_random_feature(d, seed=seed + 1)
-    enc, gmap = dummy_encode(d)
+    d, enc, encoder = _load_encoded(data, schema, task,
+                                    seed + 1 if inject_random else None)
     if method in ("ufi", "permutation") and test_source == "oob" and not bootstrap:
         _die_usage(f"--method {method} --test oob requires --bootstrap")
     config = _forest_config(trees, max_depth, max_features, min_samples_leaf,
@@ -213,12 +207,8 @@ def cmd_importance(data, schema, task, method, test_source, fold_dummies,
     forest = _usage_errors(fit, enc, config, threads)
 
     if test_source != "oob":
-        dt = _load_dataset(test_source, schema, enc.task)
-        if inject_random:
-            dt = inject_random_feature(dt, seed=seed + 2)
-        enc_t, _ = dummy_encode(dt)
-        if enc_t.p != enc.p:
-            _die_data("test file encodes to a different column count than training")
+        dt, enc_t, _ = _load_encoded(test_source, schema, enc.task,
+                                     seed + 2 if inject_random else None, encoder)
         xt, yt = enc_t.X, enc_t.y
         test_print = _fingerprint(test_source, dt)
     else:
@@ -236,8 +226,8 @@ def cmd_importance(data, schema, task, method, test_source, fold_dummies,
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "scores_encoded.csv").write_text(report.to_csv())
     (out_dir / "scores_encoded.json").write_text(report.to_json() + "\n")
-    if fold_dummies and gmap is not None:
-        names, folded = fold_importances(report.scores, gmap)
+    if fold_dummies and encoder.groups:
+        names, folded = fold_importances(report.scores, encoder)
         lines = ["feature,score"]
         lines += [f"{n},{float(s)!r}" for n, s in zip(names, folded)]
         (out_dir / "scores.csv").write_text("\n".join(lines) + "\n")

@@ -1,4 +1,5 @@
-"""Dataset representation, CSV loading, dummy encoding and related bookkeeping."""
+"""Dataset representation, CSV loading, and the encoder that codes a
+training set and every set scored with its model."""
 
 from __future__ import annotations
 
@@ -26,18 +27,22 @@ class FeatureKind:
 
     ``binary`` is shorthand for a two-level categorical that is stored as 0/1
     and never dummy-encoded.  ``ordinal`` is stored as plain numeric codes and
-    split on directly.
+    split on directly.  A categorical column read from a file carries its
+    observed ``levels``, one per code.
     """
 
     kind: str
     cardinality: int | None = None
+    levels: tuple[str, ...] | None = None
 
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise DataError(f"unknown feature kind {self.kind!r}")
         if self.kind == CATEGORICAL:
-            if self.cardinality is None or self.cardinality < 2:
-                raise DataError("categorical cardinality must be >= 2")
+            # a file's column may show one level; a declared one allows two
+            least = 1 if self.levels else 2
+            if self.cardinality is None or self.cardinality < least:
+                raise DataError(f"categorical cardinality must be >= {least}")
 
     @property
     def is_categorical(self) -> bool:
@@ -48,8 +53,9 @@ class FeatureKind:
 class Dataset:
     """Immutable numeric feature matrix plus target and per-column metadata.
 
-    Classification targets are dense integer labels in ``[0, n_classes)``;
-    categorical feature columns hold level codes (first-appearance order).
+    Classification targets are dense integer labels in ``[0, n_classes)``,
+    named by ``class_labels``; categorical feature columns hold level codes,
+    named by their kind's ``levels``.
     """
 
     X: np.ndarray
@@ -59,7 +65,6 @@ class Dataset:
     task: str  # "classification" | "regression"
     n_classes: int | None = None
     class_labels: list[str] | None = None  # original label per dense code
-    level_maps: dict[str, list[str]] = field(default_factory=dict)
 
     def __post_init__(self):
         self.X = np.ascontiguousarray(self.X, dtype=np.float64)
@@ -96,25 +101,43 @@ class Dataset:
 
 
 @dataclass
-class DummyGroupMap:
-    """Provenance of dummy-encoded columns.
-
-    ``groups`` maps each original categorical feature name to the encoded
-    column indices of its indicator block.  Non-categorical columns pass
-    through and are keyed by their own (unchanged) name in ``passthrough``.
-    ``original_names`` preserves the pre-encoding feature order.
+class Encoder:
+    """The coding of a training set, which every set scored with its model
+    shares: column names, kinds (whose ``levels`` order each categorical
+    column's codes) and class labels.  A categorical column expands into one
+    indicator column per level; ``groups`` maps it to those encoded columns
+    and ``passthrough`` maps every other column to its one encoded column.
     """
 
-    groups: dict[str, list[int]] = field(default_factory=dict)
-    passthrough: dict[str, int] = field(default_factory=dict)
-    original_names: list[str] = field(default_factory=list)
+    feature_names: list[str]
+    kinds: list[FeatureKind]
+    class_labels: list[str] | None
+    groups: dict[str, list[int]] = field(init=False, repr=False, compare=False)
+    passthrough: dict[str, int] = field(init=False, repr=False, compare=False)
+    encoded_names: list[str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.groups, self.passthrough, self.encoded_names = {}, {}, []
+        for name, kind in zip(self.feature_names, self.kinds):
+            if name in self.groups or name in self.passthrough:
+                raise DataError(f"column {name!r} is named twice")
+            if kind.is_categorical:
+                start = len(self.encoded_names)
+                self.groups[name] = list(range(start, start + kind.cardinality))
+                self.encoded_names += [
+                    f"{name}={lv}" for lv in kind.levels or range(kind.cardinality)]
+            else:
+                self.passthrough[name] = len(self.encoded_names)
+                self.encoded_names.append(name)
 
     def to_dict(self) -> dict:
-        return {
-            "groups": self.groups,
-            "passthrough": self.passthrough,
-            "original_names": self.original_names,
-        }
+        """The model file's record of the coding: ``dummy_groups`` (None when
+        no column is categorical) and ``class_labels``."""
+        groups = None
+        if self.groups:
+            groups = {"groups": self.groups, "passthrough": self.passthrough,
+                      "original_names": self.feature_names}
+        return {"dummy_groups": groups, "class_labels": self.class_labels}
 
 
 def parse_schema(schema: dict) -> tuple[str, str | None, dict[str, FeatureKind]]:
@@ -140,14 +163,18 @@ def parse_schema(schema: dict) -> tuple[str, str | None, dict[str, FeatureKind]]
     return target, task, kinds
 
 
-def load_csv(path, target: str, task: str, kinds: dict[str, FeatureKind] | None = None) -> Dataset:
+def load_csv(path, target: str, task: str, kinds: dict[str, FeatureKind] | None = None,
+             encoder: Encoder | None = None) -> Dataset:
     """Load a header-bearing CSV into a Dataset.
 
-    Columns keep file order (target excluded).  Unlisted columns default to
-    continuous.  Missing/unparseable cells are rejected with their position;
-    categorical levels and class labels are coded in first-appearance order.
+    Columns keep file order (target excluded), and a header that names a
+    column twice is rejected.  Unlisted columns default to continuous.
+    Missing/unparseable cells are rejected with their position.  Categorical
+    levels and class labels are coded in first-appearance order or, given
+    the training set's ``encoder``, in its order; a level or label that the
+    encoder does not hold is then rejected with its position.
     """
-    kinds = kinds or {}
+    kinds = dict(kinds or {})
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
@@ -155,6 +182,9 @@ def load_csv(path, target: str, task: str, kinds: dict[str, FeatureKind] | None 
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
         rows = list(reader)
+    for c, name in enumerate(header):
+        if name in header[:c]:
+            raise DataError(f"{path}: column {name!r} is named twice in the header")
     if target not in header:
         raise DataError(f"target column {target!r} not in header")
     if not rows:
@@ -164,78 +194,34 @@ def load_csv(path, target: str, task: str, kinds: dict[str, FeatureKind] | None 
     for name in kinds:
         if name not in feat_cols:
             raise DataError(f"schema column {name!r} not in file")
+    fixed = encoder is not None
+    if fixed:
+        kinds.update(zip(encoder.feature_names, encoder.kinds))
     tgt_idx = header.index(target)
+    cols = [(c, name, kinds.get(name, FeatureKind(CONTINUOUS)))
+            for c, name in enumerate(header) if c != tgt_idx]
+    level_codes = {name: _codes(kind.levels) for _, name, kind in cols
+                   if kind.is_categorical}
+    label_codes = None
+    if task == "classification":
+        label_codes = _codes(encoder.class_labels if fixed else None)
 
-    n, p = len(rows), len(feat_cols)
-    X = np.empty((n, p), dtype=np.float64)
-    level_maps: dict[str, list[str]] = {}
-    level_codes: dict[str, dict[str, int]] = {}
-
+    X = np.empty((len(rows), len(cols)), dtype=np.float64)
+    y = np.empty(len(rows), dtype=np.float64 if label_codes is None else np.int64)
     for r, row in enumerate(rows):
         if len(row) != len(header):
             raise DataError(f"row {r + 1}: expected {len(header)} cells, got {len(row)}")
-        j = 0
-        for c, name in enumerate(header):
-            if c == tgt_idx:
-                continue
-            cell = row[c].strip()
-            if cell == "":
-                raise DataError(f"missing value at row {r + 1}, column {name!r}")
-            kind = kinds.get(name, FeatureKind(CONTINUOUS))
-            if kind.is_categorical:
-                codes = level_codes.setdefault(name, {})
-                if cell not in codes:
-                    codes[cell] = len(codes)
-                    level_maps.setdefault(name, []).append(cell)
-                X[r, j] = codes[cell]
-            else:
-                try:
-                    val = float(cell)
-                except ValueError:
-                    raise DataError(
-                        f"cannot parse {cell!r} at row {r + 1}, column {name!r}"
-                    ) from None
-                if not math.isfinite(val):
-                    raise DataError(f"non-finite value at row {r + 1}, column {name!r}")
-                if kind.kind == BINARY and val not in (0.0, 1.0):
-                    raise DataError(
-                        f"binary value {cell!r} is not 0 or 1 at row {r + 1}, column {name!r}"
-                    )
-                X[r, j] = val
-            j += 1
+        for j, (c, name, kind) in enumerate(cols):
+            X[r, j] = _value(row[c], r, name, level_codes.get(name), fixed,
+                             kind.kind == BINARY)
+        y[r] = _value(row[tgt_idx], r, target, label_codes, fixed)
 
-    # fix categorical cardinalities to the observed level counts
-    final_kinds = []
-    for name in feat_cols:
-        kind = kinds.get(name, FeatureKind(CONTINUOUS))
-        if kind.is_categorical:
-            kind = FeatureKind(CATEGORICAL, max(2, len(level_maps[name])))
-        final_kinds.append(kind)
-
-    raw_target = [row[tgt_idx].strip() for row in rows]
-    for r, cell in enumerate(raw_target):
-        if cell == "":
-            raise DataError(f"missing value at row {r + 1}, column {target!r}")
-
-    class_labels = None
-    if task == "classification":
-        label_codes: dict[str, int] = {}
-        class_labels = []
-        y = np.empty(n, dtype=np.int64)
-        for r, cell in enumerate(raw_target):
-            if cell not in label_codes:
-                label_codes[cell] = len(label_codes)
-                class_labels.append(cell)
-            y[r] = label_codes[cell]
-    else:
-        try:
-            y = np.array([float(c) for c in raw_target], dtype=np.float64)
-        except ValueError:
-            bad = next(r for r, c in enumerate(raw_target) if not _is_float(c))
-            raise DataError(
-                f"cannot parse {raw_target[bad]!r} at row {bad + 1}, column {target!r}"
-            ) from None
-
+    final_kinds = [
+        FeatureKind(CATEGORICAL, len(level_codes[name]), tuple(level_codes[name]))
+        if kind.is_categorical else kind
+        for _, name, kind in cols
+    ]
+    class_labels = None if label_codes is None else list(label_codes)
     return Dataset(
         X=X,
         y=y,
@@ -244,78 +230,100 @@ def load_csv(path, target: str, task: str, kinds: dict[str, FeatureKind] | None 
         task=task,
         n_classes=len(class_labels) if class_labels is not None else None,
         class_labels=class_labels,
-        level_maps=level_maps,
     )
 
 
-def _is_float(s: str) -> bool:
+def _codes(values) -> dict[str, int]:
+    return {v: code for code, v in enumerate(values or ())}
+
+
+def _value(text: str, r: int, name: str, codes: dict[str, int] | None,
+           fixed: bool, binary: bool = False) -> float:
+    """The number that codes one cell: a level's or label's code when
+    ``codes`` is given, else the parsed number.  A new level or label gets
+    the next code, or is rejected when the codes are ``fixed`` by the
+    training set."""
+    cell = text.strip()
+    if cell == "":
+        raise DataError(f"missing value at row {r + 1}, column {name!r}")
+    if codes is not None:
+        code = codes.get(cell)
+        if code is None:
+            if fixed:
+                raise DataError(f"value {cell!r} at row {r + 1}, column {name!r} "
+                                "does not occur in the training data")
+            code = codes[cell] = len(codes)
+        return code
     try:
-        float(s)
-        return True
+        val = float(cell)
     except ValueError:
-        return False
+        raise DataError(f"cannot parse {cell!r} at row {r + 1}, column {name!r}") from None
+    if not math.isfinite(val):
+        raise DataError(f"non-finite value at row {r + 1}, column {name!r}")
+    if binary and val not in (0.0, 1.0):
+        raise DataError(
+            f"binary value {cell!r} is not 0 or 1 at row {r + 1}, column {name!r}")
+    return val
 
 
-def dummy_encode(d: Dataset) -> tuple[Dataset, DummyGroupMap | None]:
-    """Expand each categorical(k) column into k indicator columns.
+def dummy_encode(d: Dataset, encoder: Encoder | None = None) -> tuple[Dataset, Encoder]:
+    """Expand each categorical column into one indicator column per level,
+    in level order; other columns pass through unchanged.
 
-    Continuous/ordinal/binary columns pass through unchanged.  Indicator
-    column order follows level-code order (first appearance in the source).
-    A dataset with no categorical column is returned as is, with no map.
+    With no encoder, one is fitted on ``d``: that is how a training set is
+    coded.  Given the training set's encoder, ``d`` must have its columns,
+    coded under its levels and labels as ``load_csv`` codes a file given the
+    encoder.  A dataset with no categorical column is returned as is.
     """
-    if not any(k.is_categorical for k in d.kinds):
-        return d, None
+    fitted = Encoder(list(d.feature_names), list(d.kinds),
+                     None if d.class_labels is None else list(d.class_labels))
+    if encoder is None:
+        encoder = fitted
+    elif fitted != encoder:
+        raise DataError(f"columns {fitted.feature_names} are not the training columns "
+                        f"{encoder.feature_names} under their levels and labels")
+    if not encoder.groups:
+        return d, encoder
     cols = []
-    names = []
     enc_kinds = []
-    gmap = DummyGroupMap(original_names=list(d.feature_names))
-    for j, (name, kind) in enumerate(zip(d.feature_names, d.kinds)):
+    for j, kind in enumerate(d.kinds):
         if kind.is_categorical:
-            k = kind.cardinality
-            levels = d.level_maps.get(name) or [str(v) for v in range(k)]
-            idxs = []
             codes = d.X[:, j]
-            for lv in range(k):
-                idxs.append(len(cols))
-                cols.append((codes == lv).astype(np.float64))
-                names.append(f"{name}={levels[lv] if lv < len(levels) else lv}")
-                enc_kinds.append(FeatureKind(BINARY))
-            gmap.groups[name] = idxs
+            cols += [(codes == lv).astype(np.float64) for lv in range(kind.cardinality)]
+            enc_kinds += [FeatureKind(BINARY)] * kind.cardinality
         else:
-            gmap.passthrough[name] = len(cols)
             cols.append(d.X[:, j])
-            names.append(name)
             enc_kinds.append(kind)
     enc = Dataset(
         X=np.column_stack(cols),
         y=d.y,
-        feature_names=names,
+        feature_names=list(encoder.encoded_names),
         kinds=enc_kinds,
         task=d.task,
         n_classes=d.n_classes,
         class_labels=d.class_labels,
     )
-    return enc, gmap
+    return enc, encoder
 
 
-def fold_importances(scores: np.ndarray, gmap: DummyGroupMap) -> tuple[list[str], np.ndarray]:
+def fold_importances(scores: np.ndarray, encoder: Encoder) -> tuple[list[str], np.ndarray]:
     """Sum encoded-column scores back onto original features.
 
-    Each categorical group's score is the sum over its indicator columns;
-    passthrough columns keep their score.  Output follows the original
-    feature order.
+    Each categorical column's score is the sum over its indicator columns;
+    other columns keep their score, so with no categorical column folding
+    is the identity.  Output follows the original feature order.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    n_cols = len(gmap.passthrough) + sum(len(v) for v in gmap.groups.values())
+    n_cols = len(encoder.encoded_names)
     if len(scores) != n_cols:
         raise DataError(f"expected {n_cols} scores, got {len(scores)}")
-    out = np.empty(len(gmap.original_names))
-    for i, name in enumerate(gmap.original_names):
-        if name in gmap.groups:
-            out[i] = scores[gmap.groups[name]].sum()
+    out = np.empty(len(encoder.feature_names))
+    for i, name in enumerate(encoder.feature_names):
+        if name in encoder.groups:
+            out[i] = scores[encoder.groups[name]].sum()
         else:
-            out[i] = scores[gmap.passthrough[name]]
-    return list(gmap.original_names), out
+            out[i] = scores[encoder.passthrough[name]]
+    return list(encoder.feature_names), out
 
 
 def inject_random_feature(d: Dataset, seed: int, name: str = "random") -> Dataset:
@@ -330,5 +338,4 @@ def inject_random_feature(d: Dataset, seed: int, name: str = "random") -> Datase
         task=d.task,
         n_classes=d.n_classes,
         class_labels=d.class_labels,
-        level_maps=dict(d.level_maps),
     )

@@ -11,8 +11,8 @@ import numpy as np
 
 from . import forest as forest_mod
 from .data import (
-    BINARY, CATEGORICAL, CONTINUOUS, ORDINAL,
-    Dataset, DummyGroupMap, FeatureKind, dummy_encode, fold_importances,
+    CATEGORICAL, CONTINUOUS, ORDINAL,
+    Dataset, Encoder, FeatureKind, dummy_encode, fold_importances,
 )
 from .forest import ForestConfig
 from .importance import permutation_importance, si_forest, ufi_forest
@@ -160,20 +160,7 @@ def generate(setting: SimSetting, rng: np.random.Generator) -> Dataset:
     return gen_discrete10(setting.n, setting.task, rng)
 
 
-def _encode(d: Dataset, encoding: str):
-    if encoding == "dummy":
-        return dummy_encode(d)
-    return d, None
-
-
-def _folded(scores: np.ndarray, gmap: DummyGroupMap | None, d: Dataset):
-    if gmap is None:
-        return list(d.feature_names), np.asarray(scores, dtype=np.float64)
-    return fold_importances(scores, gmap)
-
-
-def compute_method_scores(method: str, forest, enc: Dataset,
-                          gmap: DummyGroupMap | None, raw: Dataset,
+def compute_method_scores(method: str, forest, enc: Dataset, encoder: Encoder,
                           rng: np.random.Generator):
     """Folded per-original-feature scores for one method on a fitted forest."""
     if method == "si":
@@ -184,7 +171,7 @@ def compute_method_scores(method: str, forest, enc: Dataset,
         report = permutation_importance(forest, enc.X, enc.y, rng)
     else:
         raise ValueError(f"unknown method {method!r}")
-    return _folded(report.scores, gmap, raw)
+    return fold_importances(report.scores, encoder)
 
 
 def run_experiment(setting: SimSetting, config: ForestConfig,
@@ -202,11 +189,14 @@ def run_experiment(setting: SimSetting, config: ForestConfig,
     for r in range(setting.reps):
         rng = np.random.default_rng(rep_seeds[r])
         raw = generate(setting, rng)
-        enc, gmap = _encode(raw, setting.encoding)
+        if setting.encoding == "ordinal":  # split on the level codes
+            raw = replace(raw, kinds=[FeatureKind(ORDINAL) if k.is_categorical else k
+                                      for k in raw.kinds])
+        enc, encoder = dummy_encode(raw)
         rep_config = replace(config, seed=int(rng.integers(0, 2**31 - 1)))
         fitted = forest_mod.fit(enc, rep_config, jobs=jobs)
         for m in methods:
-            names, scores = compute_method_scores(m, fitted, enc, gmap, raw, rng)
+            names, scores = compute_method_scores(m, fitted, enc, encoder, rng)
             per_method[m].append(scores)
             feature_names = names
     return {

@@ -279,13 +279,13 @@ def test_criterion_9_random_probe_workflow():
         rng = np.random.default_rng(seed)
         raw = gen_signal(1000, 0.5, "classification", rng)
         raw = inject_random_feature(raw, seed=int(rng.integers(0, 2**31)))
-        enc, gmap = dummy_encode(raw)
+        enc, encoder = dummy_encode(raw)
         config = ForestConfig(n_trees=20, seed=int(rng.integers(0, 2**31)),
                               tree=TreeConfig(max_depth=5))
         forest = fit(enc, config)
-        names, si_f = fold_importances(si_forest(forest).scores, gmap)
+        names, si_f = fold_importances(si_forest(forest).scores, encoder)
         _, ufi_f = fold_importances(
-            ufi_forest(forest, enc.X, enc.y).scores, gmap)
+            ufi_forest(forest, enc.X, enc.y).scores, encoder)
         si_scores.append(si_f)
         ufi_scores.append(ufi_f)
     si_scores = np.vstack(si_scores)

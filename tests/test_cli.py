@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 from pathlib import Path
 
@@ -5,8 +7,10 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from ufitree import cli
 from ufitree.cli import main
 from ufitree.forest import Forest, worker_count
+from ufitree.importance import permutation_importance, ufi_forest
 
 TOY_CSV = "x1,x2,label\n1.0,a,0\n2.0,b,0\n3.0,a,1\n4.0,b,1\n"
 TOY_SCHEMA = {
@@ -179,6 +183,127 @@ class TestImportance:
                     "--out", str(out)])
         assert res.exit_code == 0, res.output
         assert (out / "scores.csv").exists()
+
+
+def _pair_rows(n, offset):
+    lines = []
+    for i in range(offset, offset + n):
+        x = (i * 37 % 23) / 4
+        c = "abc"[i * 7 % 3]
+        label = "yes" if x + 2 * (c == "b") + (i % 5) / 2 > 5 else "no"
+        lines.append(f"{x},{c},{label}")
+    return "x,c,label\n" + "\n".join(lines) + "\n"
+
+
+PAIR_SCHEMA = {"target": "label", "task": "classification",
+               "kinds": {"x": "continuous", "c": "categorical"}}
+
+
+@pytest.fixture
+def pair(tmp_path):
+    """A training file that meets levels a, b, c and labels no, yes in that
+    order, and a test file that meets them as c, a, b and yes, no."""
+    (tmp_path / "train.csv").write_text(_pair_rows(60, 0))
+    (tmp_path / "test.csv").write_text(_pair_rows(30, 62))
+    (tmp_path / "schema.json").write_text(json.dumps(PAIR_SCHEMA))
+    return tmp_path
+
+
+def _importance(where, test, *flags):
+    return CliRunner().invoke(main, [
+        "importance", "--data", str(where / "train.csv"),
+        "--schema", str(where / "schema.json"), "--test", str(test),
+        "--trees", "5", "--seed", "3", *flags, "--out", str(where / "imp")])
+
+
+def _encode_by_name(text, feature_names, class_labels):
+    """The design matrix of a CSV's raw cells, read off the model's
+    column=level names and class labels rather than the loader."""
+    rows = list(csv.DictReader(io.StringIO(text)))
+    X = np.array([[float(r[col] == level) if sep else float(r[col])
+                   for col, sep, level in (n.partition("=") for n in feature_names)]
+                  for r in rows])
+    y = np.array([class_labels.index(r["label"]) for r in rows])
+    return X, y
+
+
+class TestTestFile:
+    @pytest.mark.parametrize("method", ["ufi", "permutation"])
+    def test_scored_under_the_training_coding(self, pair, method):
+        res = _run(["train", "--data", str(pair / "train.csv"),
+                    "--schema", str(pair / "schema.json"), "--trees", "5",
+                    "--seed", "3", "--out", str(pair / "model")])
+        assert res.exit_code == 0, res.output
+        res = _importance(pair, pair / "test.csv", "--method", method)
+        assert res.exit_code == 0, res.output
+        payload = json.loads((pair / "model" / "model.json").read_text())
+        forest = Forest.from_dict(payload)
+        names, labels = payload["feature_names"], payload["class_labels"]
+        assert names == ["x", "c=a", "c=b", "c=c"] and labels == ["no", "yes"]
+        X, y = _encode_by_name((pair / "train.csv").read_text(), names, labels)
+        Xt, yt = _encode_by_name((pair / "test.csv").read_text(), names, labels)
+        if method == "ufi":
+            report = ufi_forest(forest, X, y, Xt, yt)
+        else:
+            rng = np.random.default_rng(np.random.SeedSequence((3, 1)))
+            report = permutation_importance(forest, X, y, rng, Xt, yt)
+        assert (pair / "imp" / "scores_encoded.csv").read_text() == report.to_csv()
+
+    @pytest.mark.parametrize("row,where", [
+        ("9.0,d,no", "row 3, column 'c'"),
+        ("9.0,a,maybe", "row 3, column 'label'"),
+    ])
+    def test_unseen_level_or_label_is_data_error(self, pair, row, where):
+        (pair / "bad.csv").write_text("x,c,label\n1.0,a,no\n2.0,b,yes\n" + row + "\n")
+        res = _importance(pair, pair / "bad.csv", "--method", "ufi")
+        assert res.exit_code == 1, res.output
+        assert where in res.output and "training data" in res.output
+
+    def test_test_file_lacking_a_level_scores(self, pair):
+        (pair / "ab.csv").write_text("x,c,label\n1.0,a,no\n5.0,b,yes\n")
+        res = _importance(pair, pair / "ab.csv", "--method", "ufi")
+        assert res.exit_code == 0, res.output
+        payload = json.loads((pair / "imp" / "scores_encoded.json").read_text())
+        assert payload["feature_names"] == ["x", "c=a", "c=b", "c=c"]
+
+    def test_header_naming_a_column_twice_is_data_error(self, pair):
+        (pair / "twice.csv").write_text("x,c,c,label\n1.0,a,b,no\n2.0,b,a,yes\n")
+        res = _run(["train", "--data", str(pair / "twice.csv"),
+                    "--schema", str(pair / "schema.json"), "--seed", "0",
+                    "--out", str(pair / "model")])
+        assert res.exit_code == 1
+        assert "column 'c' is named twice" in res.output
+
+    def test_probe_named_like_a_column_is_data_error(self, pair):
+        (pair / "probe.csv").write_text(
+            "x,c,random,label\n1.0,a,0.5,no\n2.0,b,0.1,yes\n")
+        res = CliRunner().invoke(main, [
+            "importance", "--data", str(pair / "probe.csv"),
+            "--schema", str(pair / "schema.json"), "--method", "si",
+            "--inject-random", "--trees", "2", "--seed", "0",
+            "--out", str(pair / "imp")])
+        assert res.exit_code == 1
+        assert "column 'random' is named twice" in res.output
+
+    def test_traced_calls_see_both_files(self, pair, monkeypatch):
+        # the traced benchmark times data.dummy_encode and
+        # data.fold_importances by wrapping these module globals of the CLI
+        calls = {"dummy_encode": [], "fold_importances": 0}
+        encode, fold = cli.dummy_encode, cli.fold_importances
+
+        def counted_encode(d, *args):
+            calls["dummy_encode"].append(d.n)
+            return encode(d, *args)
+
+        def counted_fold(*args):
+            calls["fold_importances"] += 1
+            return fold(*args)
+
+        monkeypatch.setattr(cli, "dummy_encode", counted_encode)
+        monkeypatch.setattr(cli, "fold_importances", counted_fold)
+        res = _importance(pair, pair / "test.csv", "--method", "ufi")
+        assert res.exit_code == 0, res.output
+        assert calls == {"dummy_encode": [60, 30], "fold_importances": 1}
 
 
 class TestSimulate:

@@ -1,3 +1,6 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -60,7 +63,7 @@ class TestLoadCsv:
         path = _write(tmp_path, "c,y\nred,0\nblue,1\nred,0\ngreen,1\n")
         d = load_csv(path, target="y", task="classification",
                      kinds={"c": FeatureKind(CATEGORICAL, 2)})
-        assert d.level_maps["c"] == ["red", "blue", "green"]
+        assert d.kinds[0].levels == ("red", "blue", "green")
         assert d.kinds[0].cardinality == 3
         assert d.X[:, 0].tolist() == [0.0, 1.0, 0.0, 2.0]
 
@@ -85,6 +88,12 @@ class TestLoadCsv:
                      target="y", task="classification",
                      kinds={"b": FeatureKind(BINARY)})
         assert d.X[:, 0].tolist() == [0.0, 1.0]
+
+    def test_column_named_twice_rejected(self, tmp_path):
+        path = _write(tmp_path, "a,a,label\nred,blue,0\nblue,red,1\n")
+        with pytest.raises(DataError, match="column 'a' is named twice"):
+            load_csv(path, target="label", task="classification",
+                     kinds={"a": FeatureKind(CATEGORICAL, 2)})
 
 
 class TestParseSchema:
@@ -120,9 +129,9 @@ def _mixed_dataset(n=8, seed=0):
 class TestDummyEncode:
     def test_one_hot_partition(self):
         d = _mixed_dataset()
-        enc, gmap = dummy_encode(d)
+        enc, encoder = dummy_encode(d)
         assert enc.p == 5
-        block = enc.X[:, gmap.groups["cat"]]
+        block = enc.X[:, encoder.groups["cat"]]
         assert np.array_equal(block.sum(axis=1), np.ones(d.n))
         assert set(block.ravel()) <= {0.0, 1.0}
 
@@ -130,9 +139,10 @@ class TestDummyEncode:
         rng = np.random.default_rng(1)
         d = Dataset(rng.standard_normal((5, 2)), rng.standard_normal(5),
                     ["a", "b"], [FeatureKind(CONTINUOUS)] * 2, "regression")
-        enc, gmap = dummy_encode(d)
+        enc, encoder = dummy_encode(d)
         assert np.array_equal(enc.X, d.X)
-        assert gmap is None
+        names, folded = fold_importances(np.array([0.25, -1.5]), encoder)
+        assert names == ["a", "b"] and folded.tolist() == [0.25, -1.5]
 
     def test_no_categorical_column_passes_through(self):
         rng = np.random.default_rng(3)
@@ -141,8 +151,8 @@ class TestDummyEncode:
         d = Dataset(X, rng.integers(0, 2, 6), ["c", "o", "b"],
                     [FeatureKind(CONTINUOUS), FeatureKind(ORDINAL),
                      FeatureKind(BINARY)], "classification", 2)
-        enc, gmap = dummy_encode(d)
-        assert enc is d and gmap is None
+        enc, encoder = dummy_encode(d)
+        assert enc is d and not encoder.groups
 
     def test_paper_mixed_design_column_count(self):
         rng = np.random.default_rng(2)
@@ -160,6 +170,21 @@ class TestDummyEncode:
         enc, _ = dummy_encode(d)
         assert enc.p == 1 + 2 + 4 + 10 + 20
 
+    def test_one_level_categorical_gives_one_column(self, tmp_path):
+        path = _write(tmp_path, "c,x,y\nred,1.0,0\nred,2.0,1\nred,3.0,0\n")
+        d = load_csv(path, target="y", task="classification",
+                     kinds={"c": FeatureKind(CATEGORICAL, 2)})
+        enc, _ = dummy_encode(d)
+        assert enc.feature_names == ["c=red", "x"]
+        assert enc.X[:, 0].tolist() == [1.0, 1.0, 1.0]
+
+    def test_declared_cardinality_keeps_its_columns(self):
+        # a simulated categorical(4) column whose draws miss levels 2 and 3
+        d = Dataset(np.array([[0.0], [1.0], [0.0]]), [0, 1, 0], ["c"],
+                    [FeatureKind(CATEGORICAL, 4)], "classification", 2)
+        enc, _ = dummy_encode(d)
+        assert enc.feature_names == ["c=0", "c=1", "c=2", "c=3"]
+
     def test_encoded_matrix_is_finite(self):
         enc, _ = dummy_encode(_mixed_dataset())
         assert np.all(np.isfinite(enc.X))
@@ -168,29 +193,88 @@ class TestDummyEncode:
 class TestFoldImportances:
     def test_hand_sum(self):
         d = _mixed_dataset()
-        _, gmap = dummy_encode(d)
+        _, encoder = dummy_encode(d)
         scores = np.array([0.1, 0.2, 0.3, 0.1, 0.05])
-        names, folded = fold_importances(scores, gmap)
+        names, folded = fold_importances(scores, encoder)
         assert names == ["cont", "cat"]
         assert folded[0] == pytest.approx(0.1)
         assert folded[1] == pytest.approx(0.65)
 
     def test_zero_scores_fold_to_zero(self):
-        _, gmap = dummy_encode(_mixed_dataset())
-        _, folded = fold_importances(np.zeros(5), gmap)
+        _, encoder = dummy_encode(_mixed_dataset())
+        _, folded = fold_importances(np.zeros(5), encoder)
         assert np.array_equal(folded, np.zeros(2))
 
     def test_wrong_length_rejected(self):
-        _, gmap = dummy_encode(_mixed_dataset())
+        _, encoder = dummy_encode(_mixed_dataset())
         with pytest.raises(DataError):
-            fold_importances(np.zeros(3), gmap)
+            fold_importances(np.zeros(3), encoder)
 
     @given(st.lists(st.floats(-1e6, 1e6), min_size=5, max_size=5))
     def test_fold_preserves_total_sum(self, raw):
-        _, gmap = dummy_encode(_mixed_dataset())
+        _, encoder = dummy_encode(_mixed_dataset())
         scores = np.array(raw)
-        _, folded = fold_importances(scores, gmap)
+        _, folded = fold_importances(scores, encoder)
         assert folded.sum() == pytest.approx(scores.sum(), rel=1e-9, abs=1e-9)
+
+
+TRAIN_CSV = "c,x,label\nc,1.0,no\nb,2.0,yes\na,3.0,no\nc,4.0,yes\n"
+CAT = {"c": FeatureKind(CATEGORICAL, 2)}
+
+
+class TestEncoder:
+    def _fitted(self, tmp_path):
+        d = load_csv(_write(tmp_path, TRAIN_CSV, "train.csv"), "label",
+                     "classification", CAT)
+        return dummy_encode(d)
+
+    def test_test_set_coded_in_training_order(self, tmp_path):
+        enc, encoder = self._fitted(tmp_path)
+        path = _write(tmp_path, "c,x,label\na,5.0,yes\nb,6.0,no\n", "test.csv")
+        enc_t, _ = dummy_encode(
+            load_csv(path, "label", "classification", CAT, encoder), encoder)
+        assert enc_t.feature_names == enc.feature_names == ["c=c", "c=b", "c=a", "x"]
+        assert enc_t.X.tolist() == [[0.0, 0.0, 1.0, 5.0], [0.0, 1.0, 0.0, 6.0]]
+        assert enc_t.y.tolist() == [1, 0]
+        assert encoder.to_dict()["class_labels"] == ["no", "yes"]
+
+    @pytest.mark.parametrize("text,where", [
+        ("c,x,label\na,5.0,yes\nd,6.0,no\n", "row 2, column 'c'"),
+        ("c,x,label\na,5.0,maybe\n", "row 1, column 'label'"),
+    ])
+    def test_unseen_level_or_label_rejected(self, tmp_path, text, where):
+        _, encoder = self._fitted(tmp_path)
+        with pytest.raises(DataError, match=where):
+            load_csv(_write(tmp_path, text, "test.csv"), "label",
+                     "classification", CAT, encoder)
+
+    def test_set_not_coded_by_the_encoder_rejected(self, tmp_path):
+        _, encoder = self._fitted(tmp_path)
+        own = _write(tmp_path, "c,x,label\na,5.0,yes\n", "own.csv")
+        with pytest.raises(DataError, match="under their levels and labels"):
+            dummy_encode(load_csv(own, "label", "classification", CAT), encoder)
+        moved = _write(tmp_path, "x,c,label\n5.0,a,yes\n", "moved.csv")
+        with pytest.raises(DataError, match="training columns"):
+            dummy_encode(load_csv(moved, "label", "classification", CAT, encoder),
+                         encoder)
+
+    @given(st.lists(st.tuples(st.sampled_from("pqr"), st.sampled_from("uvw"),
+                              st.integers(-3, 3)), min_size=1, max_size=12),
+           st.data())
+    def test_shuffled_training_file_keeps_its_rows(self, rows, data):
+        perm = data.draw(st.permutations(range(len(rows))))
+        kinds = {"c": FeatureKind(CATEGORICAL, 2)}
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = []
+            for name, order in (("train.csv", range(len(rows))), ("shuffled.csv", perm)):
+                lines = [f"{rows[i][0]},{rows[i][2]},{rows[i][1]}" for i in order]
+                paths.append(_write(Path(tmp), "c,x,label\n" + "\n".join(lines) + "\n", name))
+            enc, encoder = dummy_encode(
+                load_csv(paths[0], "label", "classification", kinds))
+            enc_s, _ = dummy_encode(
+                load_csv(paths[1], "label", "classification", kinds, encoder), encoder)
+        assert np.array_equal(enc_s.X, enc.X[perm])
+        assert np.array_equal(enc_s.y, enc.y[perm])
 
 
 class TestInjectRandomFeature:

@@ -33,28 +33,33 @@ def _rows(n, offset, task):
     return "x1,x2,x3,y\n" + "\n".join(lines) + "\n"
 
 
-# (task, method, test source) -> sha256 of scores_encoded.csv
+# (task, method, test source) -> sha256 of scores_encoded.csv. The test rows
+# 80-119 meet x2's levels in the order c, a, b, while training meets them as
+# a, b, c. The test.csv digests were first recorded when each file coded its
+# own levels in first-appearance order, so test column x2=a held x2=c's
+# indicator. They were re-derived by scoring a test matrix encoded by
+# column=level name under the training labels, apart from the loader.
 DIGESTS = {
     ("classification", "si", "oob"):
         "9e76a5a40fd8397f6aa403c87f62412a7c0c730f987cdd46608853e219dd4bd7",
     ("classification", "ufi", "oob"):
         "52dfc01abcff560519e40220f04eab4ea17f61aba4141345c4f40aec2c5941ab",
     ("classification", "ufi", "test.csv"):
-        "e1c843d317140dfedbfa08ba828bb0321d5e9b6d92a898afb77f57d7f2cff50a",
+        "39f04134131d61176bbbf818f6871ffc183bf9efc51398cacf9cc19caa4f1dd7",
     ("classification", "permutation", "oob"):
         "934f3e33c69a80fa273c8ab30c5ff655818ab183993a4faef6e5a2a399202bb1",
     ("classification", "permutation", "test.csv"):
-        "67b07d0e8fba8d54a0108fe14a70a693cc28e18fda05cb74d49582625eee823a",
+        "d1f5992bf1bff4aa97c2082cd60a37e3b430240518455a2f5b49124a3f73db35",
     ("regression", "si", "oob"):
         "45f39165fb3770971fdbbf0fb863da39aeca86d7dc8f6a812683e26638d85192",
     ("regression", "ufi", "oob"):
         "9c4662459b44e72ab787b68f5d65a8a6cec671c39f9868a4bfb4d6c0888f2530",
     ("regression", "ufi", "test.csv"):
-        "c40233450a8b186905e09f0d264fef718a640aa6dd93ee4443db394fb82728a8",
+        "d0b8c3034aa543f00fa5ece3c9ae7255913bf2f3c5c85ea17083cb0bff3704a4",
     ("regression", "permutation", "oob"):
         "e84827d9aee357ea4415312c9cdcc3886e04b19073241f22af382f4a97cbbc21",
     ("regression", "permutation", "test.csv"):
-        "08d9e0bcbbe882c0e2e36f2db1dbd6572b0a00d78d071f635b55173113a3be13",
+        "6937ee6c955d8c7d6dfef522f975f043852ccf9e2ccbf30bef8100947c127e39",
 }
 
 
