@@ -256,3 +256,50 @@ def test_deep_permutation_bits_are_pinned(tmp_path, task, test):
     assert res.exit_code == 0, res.output
     digest = hashlib.sha256((out / "scores_encoded.csv").read_bytes()).hexdigest()
     assert digest == DEEP_PERMUTATION_DIGESTS[(task, test)]
+
+
+MIXED_CARDS = {"c2": 2, "c4": 4, "c10": 10, "c20": 20}
+
+
+def _mixed_rows(n):
+    """A yes/no CSV shaped like the benchmark's: one continuous column and
+    categoricals of 2, 4, 10 and 20 levels (37 encoded columns), from
+    modular arithmetic, with a label noisy enough that unlimited-depth
+    trees grow hundreds of nodes."""
+    lines = []
+    for i in range(n):
+        x = (i * 7919 % 1009) / 100 - 5
+        levels = {name: i * mult % mod % k for (name, k), (mult, mod)
+                  in zip(MIXED_CARDS.items(), [(5, 7), (7, 13), (11, 23),
+                                               (17, 41)])}
+        score = x / 2 + (levels["c4"] - 1.5) / 2 + (i * 31 % 17) / 3 - 2.7
+        label = "yes" if score > 0 else "no"
+        cells = [f"{name}_L{v}" for name, v in levels.items()]
+        lines.append(",".join([f"{x:.2f}", *cells, label]))
+    return ",".join(["x", *MIXED_CARDS, "label"]) + "\n" + "\n".join(lines) + "\n"
+
+
+# sha256 of model.json from a fixed-seed train run of 10 unlimited-depth
+# trees on 2000 rows. Its trees scan nodes of more than 64 rows, draw more
+# than 256 feature subsets each, and rescan unsplittable drawn subsets over
+# all 37 columns. The digest holds for every --threads count.
+MIXED_MODEL_DIGEST = (
+    "a4ccbe0171aecfcf2b15719bab5f77e91cb9e54ff8716692174e06ae508748c8")
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_mixed_train_model_bits_are_pinned(tmp_path, threads):
+    (tmp_path / "train.csv").write_text(_mixed_rows(2000))
+    (tmp_path / "schema.json").write_text(json.dumps({
+        "target": "label", "task": "classification",
+        "kinds": {"x": "continuous", **dict.fromkeys(MIXED_CARDS, "categorical")},
+    }))
+    out = tmp_path / "model"
+    res = CliRunner().invoke(main, [
+        "train", "--data", str(tmp_path / "train.csv"),
+        "--schema", str(tmp_path / "schema.json"), "--trees", "10",
+        "--seed", "17", "--threads", threads, "--out", str(out)],
+        catch_exceptions=False)
+    assert res.exit_code == 0, res.output
+    digest = hashlib.sha256((out / "model.json").read_bytes()).hexdigest()
+    assert digest == MIXED_MODEL_DIGEST
