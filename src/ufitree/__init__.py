@@ -9,7 +9,7 @@ from .data import (
 )
 from .forest import Forest, ForestConfig, bootstrap_indices, fit
 from .importance import (
-    ImportanceReport, permutation_importance, predictive_gini,
+    ImportanceReport, permutation_importance,
     si_forest, si_tree, ufi_forest, ufi_tree,
     ufi_tree_classification, ufi_tree_regression,
 )
@@ -19,7 +19,7 @@ from .simgen import (
 )
 from .tree import (
     Split, Tree, TreeConfig, best_split, evaluate_split, grow,
-    impurity_from_counts, impurity_from_values,
+    impurity_from_counts, impurity_from_values, predictive_gini,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -88,8 +88,16 @@ def _load_encoded(data_path, schema_path, task, probe_seed: int | None = None,
     task = task or schema_task
     if task not in ("classification", "regression"):
         _die_usage("--task (or schema 'task') must be classification or regression")
+    declared = {name: kinds[name].cardinality
+                for name, spec in schema.get("kinds", {}).items()
+                if isinstance(spec, dict)}
     try:
         d = load_csv(data_path, target, task, kinds, encoder)
+        for name, kind in zip(d.feature_names, d.kinds):
+            if name in declared and len(kind.levels) > declared[name]:
+                raise DataError(
+                    f"{data_path}: column {name!r} shows {len(kind.levels)} "
+                    f"levels, more than the {declared[name]} its schema declares")
         if probe_seed is not None:
             d = inject_random_feature(d, seed=probe_seed)
         return (d, *dummy_encode(d, encoder))

@@ -143,8 +143,9 @@ class Encoder:
 def parse_schema(schema: dict) -> tuple[str, str | None, dict[str, FeatureKind]]:
     """Parse a sidecar-schema dict into (target column, task, per-column kinds).
 
-    Kinds may be plain strings or ``{"categorical": cardinality}`` objects;
-    categorical cardinality is otherwise inferred from the data.
+    Kinds may be plain strings or ``{"categorical": k}`` objects. Either way
+    a categorical column's levels are those the file shows; a declared k is
+    the most it may show, which the CLI checks after loading.
     """
     if "target" not in schema:
         raise DataError("schema must name a 'target' column")

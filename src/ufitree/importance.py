@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .forest import Forest
-from .tree import Tree, predictive_gini
+from .tree import Tree, predictive_gini_rows
 
 
 @dataclass
@@ -126,10 +126,11 @@ def ufi_tree_classification(tree: Tree, X_test, y_test):
     rows, _, routed = _route_test(tree, X_test, y_test)
     visits = np.repeat(np.arange(tree.n_nodes()) * k, routed) + y_test[rows]
     tcounts = np.bincount(visits, minlength=tree.n_nodes() * k).reshape(-1, k)
-    p_train = tree.class_counts / tree.n[:, None]
+    reached = np.flatnonzero(routed)
     h = np.zeros(tree.n_nodes())
-    for i in np.flatnonzero(routed):
-        h[i] = predictive_gini(p_train[i], tcounts[i] / routed[i])
+    h[reached] = predictive_gini_rows(
+        tree.class_counts[reached] / tree.n[reached, None],
+        tcounts[reached] / routed[reached, None])
     return _ufi_result(tree, *_test_decrease(tree, h, routed))
 
 

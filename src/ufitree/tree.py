@@ -1,7 +1,7 @@
 """CART-style trees: impurity, best-split search, growth, routing, prediction.
 
 ``grow_trees`` grows the trees of a forest together, in lockstep, so that
-the split scans of their small nodes run as one batch;
+the nodes they wait to split are scanned, split and counted in batches;
 ``grow`` is that grower on one bag. A grown ``Tree`` is a set of flat
 preorder arrays.
 """
@@ -84,6 +84,16 @@ def resolve_max_features(max_features, p: int) -> int:
 def predictive_gini(p_train: np.ndarray, p_test: np.ndarray) -> float:
     """Gini evaluated with train/test proportions mixed: 1 - sum_k p_k p'_k."""
     return 1.0 - float(np.dot(p_train, p_test))
+
+
+def predictive_gini_rows(p_train: np.ndarray, p_test: np.ndarray) -> np.ndarray:
+    """predictive_gini of each pair of rows of two (nodes x classes) arrays.
+
+    A stacked matmul computes each row's product with the BLAS dot that
+    np.dot calls on two vectors, so every value keeps predictive_gini's
+    bits; tests check this on the installed numpy.
+    """
+    return 1.0 - (p_train[:, None, :] @ p_test[:, :, None])[:, 0, 0]
 
 
 def impurity_from_counts(counts: np.ndarray) -> float:
@@ -371,10 +381,10 @@ def best_split(X, y, idx, feats, n_classes=None, min_samples_leaf=1,
     return Split(f, s), loss
 
 
-# Nodes of at most this many rows are scanned together by _scan_segments.
-# Below it a node's scan is mostly numpy call overhead, which the batch
-# shares; above it the per-node scan is as fast. A row's position in its
-# node must fit the 6 bits _scan_segments packs it into.
+# Regression nodes of at most this many rows are scanned together by
+# _scan_segments. Below it a node's scan is mostly numpy call overhead,
+# which the batch shares; above it the per-node scan is as fast. A row's
+# position in its node must fit the 6 bits _scan_segments packs it into.
 SMALL_NODE = 64
 
 # A small regression node joins the batch only if it also scans at most
@@ -384,89 +394,150 @@ SMALL_NODE = 64
 # 10 than alone, and bounds from 480 to 640 gave the fastest scans.
 SMALL_SCAN = 640
 
+# A _scan_segments call on classification nodes takes nodes in order until
+# they hold this many (row, feature) values, or one node if it alone holds
+# more. The first steps of a 20-tree fit on 2,000 rows hold up to 240,000
+# values (6 features) or 1.5 million (37 in the rescans); scanned at once,
+# they raised the process's peak RSS from 45.3 to 47.9 MB, and in calls of
+# this size to 45.8 MB.
+SCAN_VALUES = 1 << 16
 
-def _best_splits(X, y, keys, nodes, n_classes, min_samples_leaf) -> list:
+
+def _scan_table(X, keys, y, n_classes) -> tuple:
+    """What _scan_segments reads of a fit's data, for uint16 keys =
+    sort_keys(X): (coded, low, values, offsets).
+
+    ``coded[j * n + r]`` is row r's key in column j shifted left by ``low``
+    bits, which hold the row's class for classification and are 0 (room
+    for a row's position in its node) for regression. The value of rank k
+    in column j is ``values[offsets[j] + k]``.
+    """
+    low = int(n_classes - 1).bit_length() if n_classes is not None else 6
+    coded = keys.astype(np.uint32) << low
+    if n_classes is not None:
+        coded |= np.asarray(y, dtype=np.uint32)
+    sizes = keys.max(axis=1).astype(np.intp) + 1
+    offsets = np.cumsum(sizes) - sizes
+    values = np.empty(offsets[-1] + sizes[-1])
+    values[offsets[:, None] + keys] = X.T
+    return coded.ravel(), low, values, offsets
+
+
+def _best_splits(X, y, keys, table, nodes, n_classes, min_samples_leaf) -> list:
     """best_split's Split, or None, for each (rows, sorted feats, impurity)
-    node: the small nodes in one _scan_segments pass when the keys are
-    uint16 ranks, every other node on its own."""
-    batched = keys.dtype == np.uint16
+    node. With uint16 keys, _scan_segments takes every classification node,
+    in calls of about SCAN_VALUES values, and the small regression nodes in
+    one call; every other node is scanned on its own. ``table`` is
+    _scan_table's, or None for other keys."""
     found = [None] * len(nodes)
-    small = []
-    for i, (rows, feats, imp) in enumerate(nodes):
-        if batched and len(rows) <= SMALL_NODE and (
-                n_classes is not None or len(rows) * len(feats) <= SMALL_SCAN):
-            small.append(i)
-            continue
+    if table is None:
+        alone, batches = range(len(nodes)), []
+    elif n_classes is not None:
+        alone, batches, size = [], [], 0
+        for i, (rows, feats, _) in enumerate(nodes):
+            if not batches or size + len(rows) * len(feats) > SCAN_VALUES:
+                batches.append([])
+                size = 0
+            batches[-1].append(i)
+            size += len(rows) * len(feats)
+    else:
+        small = [len(rows) <= SMALL_NODE and len(rows) * len(feats) <= SMALL_SCAN
+                 for rows, feats, _ in nodes]
+        alone = [i for i, yes in enumerate(small) if not yes]
+        batches = [[i for i, yes in enumerate(small) if yes]] if any(small) else []
+    for i in alone:
+        rows, feats, imp = nodes[i]
         hit = best_split(X, y, rows, feats, n_classes, min_samples_leaf, imp,
                          keys)
         if hit is not None:
             found[i] = hit[0]
-    if small:
-        hits = _scan_segments(X, keys, y, [nodes[i] for i in small], n_classes,
-                              min_samples_leaf)
-        for i, hit in zip(small, hits):
+    for batch in batches:
+        hits = _scan_segments(X, keys, y, [nodes[i] for i in batch], n_classes,
+                              min_samples_leaf, table)
+        for i, hit in zip(batch, hits):
             if hit is not None:
                 found[i] = hit[0]
     return found
 
 
-def _scan_segments(X, keys, y, nodes, n_classes, msl) -> list:
-    """best_split's (Split, loss), or None, of each of several small
+def _scan_segments(X, keys, y, nodes, n_classes, msl, table=None) -> list:
+    """best_split's (Split, loss), or None, of each of several
     (rows, sorted feats, impurity) nodes in one pass, for uint16 keys:
-    Gini when n_classes is given, mean squared error when it is None.
+    Gini when n_classes is given, mean squared error when it is None, and
+    then every node has at most SMALL_NODE rows. ``table`` is
+    _scan_table(X, keys, y, n_classes), computed here if None.
 
-    Each (node, feature) pair is a segment of one flat array, ordered by
-    (segment, key, position in the node): within a segment that is the
-    order _scan_features' stable sort gives the feature. The three are
-    packed into one distinct int64 code, so an unstable value sort gives
-    that order. Left class counts are integer prefix sums less the
-    segment's base, so they are exact. Left sums of targets are cumsums
-    down one zero-padded column per segment, so each is _scan_features'
-    sequential sum, and a node's target totals are its own add.reduce and
-    dot. The loss, the per-node minimum, the tie rule, the threshold and
+    Each (node, feature) pair is a segment of one flat array of int64
+    codes, each of which packs (segment, key, low bits); a plain sort puts
+    the codes in (segment, key) order, and a candidate threshold lies
+    wherever the key changes inside a segment. For classification the low
+    bits are the row's class: class counts do not depend on the order of
+    the rows within a key, so left class counts are integer prefix sums
+    less the segment's base, exact like _scan_features' cumsums. For
+    regression they are the row's position in its node, so that the sort
+    gives the order of _scan_features' stable sort, and left sums of
+    targets are cumsums down one zero-padded column per segment: each is
+    _scan_features' sequential sum, and a node's target totals are its own
+    add.reduce and dot. The loss, the per-node minimum, the tie rule and
     the gain check repeat _scan_features and best_split operation by
-    operation, in feature-major order. Every split and loss keeps its bits.
+    operation, in feature-major order. A threshold is the mean of the
+    values of the two keys around it, which are the values
+    _scan_features reads from X. Every split and loss keeps its bits.
     """
+    if table is None:
+        table = _scan_table(X, keys, y, n_classes)
+    coded, low, values, offsets = table
+    classify = n_classes is not None
     n_rows = np.array([len(rows) for rows, _, _ in nodes])
     n_feats = np.array([len(feats) for _, feats, _ in nodes])
     seg_node = np.repeat(np.arange(len(nodes)), n_feats)
     seg_len = n_rows[seg_node]
     seg_end = np.cumsum(seg_len)
     seg_start = seg_end - seg_len
-    elem_seg = np.repeat(np.arange(len(seg_len)), seg_len)
-    pos = np.arange(seg_end[-1]) - seg_start[elem_seg]  # position in the node
-    # an element's row is node_rows[row_base + its position in the node]
-    row_base = np.repeat((np.cumsum(n_rows) - n_rows)[seg_node], seg_len)
     node_rows = np.concatenate([rows for rows, _, _ in nodes])
     seg_feat = np.concatenate([feats for _, feats, _ in nodes])
-    key = keys[np.repeat(seg_feat, seg_len), node_rows[row_base + pos]]
-    code = np.sort(elem_seg << 22 | key.astype(np.int64) << 6 | pos)
-    rows = node_rows[row_base + (code & 63)]  # in sorted order
-    code >>= 6  # (segment, key)
+    # element e of segment s stands for its node's row at position
+    # e - seg_start[s], which is node_rows[e + row_base[s] - seg_start[s]]
+    row_base = (np.cumsum(n_rows) - n_rows)[seg_node]
+    at = np.arange(seg_end[-1]) + np.repeat(row_base - seg_start, seg_len)
+    flat = node_rows[at]
+    flat += np.repeat(seg_feat * keys.shape[1], seg_len)
+    shift = 16 + low
+    code = np.repeat(np.arange(len(seg_len), dtype=np.int64) << shift, seg_len)
+    code |= coded[flat]
+    del flat
+    if not classify:
+        code |= at - np.repeat(row_base, seg_len)
+    del at
+    code.sort()
+    sk = code >> low  # (segment, key)
 
     # candidate e splits its segment after sorted position e: between
     # distinct keys, leaving msl rows on each side
-    valid = (code[1:] > code[:-1]) & (pos[1:] > 0)
-    if msl > 1:
-        nl = pos[:-1] + 1
-        valid &= (nl >= msl) & (seg_len[elem_seg[:-1]] - nl >= msl)
+    valid = sk[1:] != sk[:-1]
+    valid[seg_end[:-1] - 1] = False  # the last element of a segment
     cand = np.flatnonzero(valid)
+    seg = code[cand] >> shift
+    nl = cand + 1 - seg_start[seg]
+    n = seg_len[seg]
+    if msl > 1:
+        keep = (nl >= msl) & (n - nl >= msl)
+        cand, seg, nl, n = cand[keep], seg[keep], nl[keep], n[keep]
     if len(cand) == 0:
         return [None] * len(nodes)
-    seg = elem_seg[cand]
     node = seg_node[seg]
-    n = seg_len[seg]
-    nl = (pos[cand] + 1).astype(np.float64)
+    nl = nl.astype(np.float64)
     nr = n - nl
-    if n_classes is not None:
-        # per-class counts left of each candidate and in its node; the last
-        # class holds the rest
-        prefix = np.zeros((n_classes - 1, len(rows) + 1), dtype=np.int32)
-        np.cumsum(y[rows] == np.arange(n_classes - 1)[:, None], axis=1,
-                  dtype=np.int32, out=prefix[:, 1:])
+    if classify:
+        # per-class counts left of each candidate and in its segment; the
+        # last class holds the rest
+        prefix = np.zeros((n_classes - 1, len(code) + 1), dtype=np.int32)
+        np.cumsum((code & ((1 << low) - 1)) == np.arange(n_classes - 1)[:, None],
+                  axis=1, dtype=np.int32, out=prefix[:, 1:])
         base = prefix[:, seg_start[seg]]
         cums = prefix[:, cand + 1] - base
         totals = prefix[:, seg_end[seg]] - base
+        del prefix
         cums = np.vstack([cums, nl - cums.sum(axis=0)]).astype(np.float64)
         totals = np.vstack([totals, n - totals.sum(axis=0)]).astype(np.float64)
         sl = 0.0
@@ -481,13 +552,16 @@ def _scan_segments(X, keys, y, nodes, n_classes, msl) -> list:
     else:
         # (sorted position, y or y**2, segment): a cumsum down axis 0 adds
         # each segment's values in order, as _scan_features' rows do
+        elem_seg = code >> shift
+        pos = np.arange(len(code)) - seg_start[elem_seg]
+        rows = node_rows[row_base[elem_seg] + (code & 63)]
         pad = np.zeros((n_rows.max(), 2, len(seg_len)))
         pad[pos, 0, elem_seg] = y[rows]
         np.multiply(pad[:, 0], pad[:, 0], out=pad[:, 1])
         np.cumsum(pad, axis=0, out=pad)
         cum, cum2 = pad[pos[cand], :, seg].T
         tot, tot2 = np.array([(np.add.reduce(v), np.dot(v, v)) for v in
-                              (y[rows] for rows, _, _ in nodes)])[node].T
+                              (y[r] for r, _, _ in nodes)])[node].T
         Hl = np.maximum(cum2 / nl - (cum / nl) ** 2, 0.0)
         Hr = np.maximum((tot2 - cum2) / nr - ((tot - cum) / nr) ** 2, 0.0)
     loss = (nl * Hl + nr * Hr) / n
@@ -500,13 +574,15 @@ def _scan_segments(X, keys, y, nodes, n_classes, msl) -> list:
     tol = np.repeat(m + LOSS_TIE_TOL * np.maximum(1.0, np.abs(m)), counts[node])
     best = np.minimum.reduceat(
         np.where(loss <= tol, np.arange(len(cand)), len(cand)), first)
+    gain = np.array([imp for _, _, imp in nodes])[node] - loss[best] > GAIN_EPS
+    node, best = node[gain], best[gain]
     e = cand[best]
     j = seg_feat[seg[best]]
-    threshold = (X[rows[e], j] + X[rows[e + 1], j]) / 2.0
-    gain = np.array([imp for _, _, imp in nodes])[node] - loss[best] > GAIN_EPS
+    threshold = (values[offsets[j] + (sk[e] & 0xFFFF)]
+                 + values[offsets[j] + (sk[e + 1] & 0xFFFF)]) / 2.0
     found = [None] * len(nodes)
-    for i, f, s, x in zip(node[gain].tolist(), j[gain].tolist(),
-                          threshold[gain].tolist(), loss[best][gain].tolist()):
+    for i, f, s, x in zip(node.tolist(), j.tolist(), threshold.tolist(),
+                          loss[best].tolist()):
         found[i] = Split(f, s), x
     return found
 
@@ -541,6 +617,83 @@ def evaluate_split(X, y, idx, split: Split, n_root, n_classes=None,
     return loss, delta
 
 
+# A growing tree draws its max_features subsets in blocks of _draw_subsets
+# rows: the first holds FIRST_BLOCK rows, and each next one twice as many,
+# up to MAX_BLOCK.
+FIRST_BLOCK = 8
+MAX_BLOCK = 256
+
+# A _draw_subsets pass marks taken values in a table of rows x p bools, and
+# takes as many rows as fit in this many bytes, or one.
+MARK_BYTES = 1 << 21
+
+
+def _draw_subsets(rng, p: int, k: int, count: int) -> np.ndarray:
+    """``count`` rows equal to ``count`` successive
+    ``np.sort(rng.choice(p, k, replace=False))`` calls, 0 < k < p, leaving
+    rng in the state those calls leave it in.
+
+    Unless p > 10000 and k > p // 50, choice runs Floyd's algorithm: for j
+    in p-k .. p-1 it draws v in [0, j] and takes v, or j if v is taken;
+    then it shuffles the k values, drawing in [0, i] for i = k-1 .. 1, and
+    the sort undoes the shuffle. Each draw is Lemire's: a 32-bit output w
+    and r = j+1 (or i+1) give w*r >> 32, unless the low half of w*r is
+    below (2**32 - r) % r, and then it draws again. A PCG64 generator's
+    32-bit outputs are the low, then the high halves of its raw 64-bit
+    words, after the half its state holds over, if any. So a row with no
+    draw made again takes 2k - 1 outputs, and the rows before the first
+    that has one are computed at once from the raw words; choice draws that
+    row itself. Other streams, and choice's other algorithm, are drawn row
+    by row.
+    """
+    bg = rng.bit_generator
+    if not isinstance(bg, np.random.PCG64) or (p > 10000 and k > p // 50):
+        return np.array([np.sort(rng.choice(p, k, replace=False))
+                         for _ in range(count)])
+    width = 2 * k - 1
+    r = np.concatenate([np.arange(p - k + 1, p + 1),
+                        np.arange(k, 1, -1)]).astype(np.uint64)
+    least = (2**32 - r) % r  # the smallest low half a draw keeps
+    floor = np.arange(p - k, p)  # Floyd's j per step
+    out = []
+    while count:
+        n = min(count, max(1, MARK_BYTES // p))
+        state = bg.state
+        carry = state["has_uint32"]
+        words = bg.random_raw((n * width - carry + 1) // 2)
+        halves = np.empty(2 * len(words) + carry, dtype=np.uint64)
+        halves[:carry] = state["uinteger"]
+        halves[carry::2] = words & 0xFFFFFFFF
+        halves[carry + 1::2] = words >> 32
+        m = halves[:n * width].reshape(n, width) * r
+        kept = ((m & 0xFFFFFFFF) >= least).all(axis=1)
+        n_ok = n if kept.all() else int(kept.argmin())
+        v = (m[:n_ok, :k] >> 32).astype(np.int64)
+        rows = np.empty((n_ok, k), dtype=np.int64)
+        base = np.arange(n_ok) * p
+        taken = np.zeros(n_ok * p, dtype=bool)
+        for t in range(k):
+            s = np.where(taken[base + v[:, t]], floor[t], v[:, t])
+            taken[base + s] = True
+            rows[:, t] = s
+        rows.sort(axis=1)
+        out.append(rows)
+        # the stream just after those rows: `used` outputs of the raw words
+        used = n_ok * width - carry
+        bg.state = state
+        bg.advance((used + 1) // 2)
+        after = bg.state
+        after["has_uint32"] = used % 2
+        after["uinteger"] = int(words[(used - 1) // 2] >> 32) if used > 0 \
+            else state["uinteger"]
+        bg.state = after
+        count -= n_ok
+        if n_ok < n:
+            out.append(np.sort(rng.choice(p, k, replace=False))[None])
+            count -= 1
+    return np.concatenate(out)
+
+
 def grow(X, y, indices, config: TreeConfig, task: str,
          n_classes: int | None = None, rng=0, keys=None) -> Tree:
     """Grow a tree on the given row indices of (X, y): grow_trees on one bag.
@@ -562,12 +715,34 @@ class _Growing:
 
     def __init__(self, rows, rng, stats, imp, classify):
         self.rng = rng
+        # the block of drawn subsets, the generator's state before it, the
+        # rows used and the size of the next block
+        self.block, self.block_state, self.used = (), None, 0
+        self.block_rows = FIRST_BLOCK
         self.n_root = len(rows)
         self.stack = [(rows, 0, -1, stats, imp)]
         self.feature, self.left, self.right, self.n = (array("q") for _ in range(4))
         self.threshold, self.impurity = array("d"), array("d")
         # each node's class counts, flat, or its mean
         self.stats = array("q" if classify else "d")
+
+    def draw(self, p, k) -> np.ndarray:
+        """The tree's next max_features subset: the next row of its block,
+        after drawing a new block if this one is used up."""
+        if self.used == len(self.block):
+            self.block_state = self.rng.bit_generator.state
+            self.block = _draw_subsets(self.rng, p, k, self.block_rows)
+            self.block_rows = min(2 * self.block_rows, MAX_BLOCK)
+            self.used = 0
+        self.used += 1
+        return self.block[self.used - 1]
+
+    def rewind(self, p, k):
+        """Leave the generator just after the last subset used, where a
+        draw per node would leave it."""
+        if self.used < len(self.block):
+            self.rng.bit_generator.state = self.block_state
+            _draw_subsets(self.rng, p, k, self.used)
 
     def tree(self, task, n_classes, p) -> Tree:
         n = np.array(self.n, dtype=np.int64)
@@ -590,28 +765,26 @@ class _Growing:
                     imp, decrease, p, self.n_root, task, n_classes)
 
 
-def _node_stats(y, groups, n_classes) -> list:
-    """(stats, impurity) of each non-empty group of rows: the class counts
-    and their Gini when n_classes is given, else the mean and the MSE.
+def _node_stats(y, rows, sizes, n_classes) -> tuple[list, list]:
+    """(stats, impurities) of consecutive groups of rows, ``rows`` holding
+    them one after another and ``sizes`` their lengths, none of them 0: the
+    class counts and their Gini when n_classes is given, else the mean and
+    the MSE, as lists.
 
-    One bincount counts every group of at most SMALL_NODE rows, and a
-    larger group gets its own; each Gini is then impurity_from_counts'
-    division and dot product, so it keeps that function's bits.
+    One bincount counts every group, and predictive_gini_rows keeps
+    impurity_from_counts' bits. Each group's mean and MSE is its own
+    _mean_and_mse call: segment_sums gives the same bits, but its fixed
+    cost made fits of 10 regression trees slower.
     """
     if n_classes is None:
-        return [_mean_and_mse(y[rows]) for rows in groups]
-    sizes = np.array([len(rows) for rows in groups])
-    counts = np.empty((len(groups), n_classes), dtype=np.int64)
-    small = np.flatnonzero(sizes <= SMALL_NODE)
-    for i in np.flatnonzero(sizes > SMALL_NODE):
-        counts[i] = np.bincount(y[groups[i]], minlength=n_classes)
-    if len(small):
-        code = np.repeat(np.arange(len(small)) * n_classes, sizes[small]) \
-            + y[np.concatenate([groups[i] for i in small])]
-        counts[small] = np.bincount(code, minlength=len(small) * n_classes) \
-            .reshape(len(small), n_classes)
-    return [(c, predictive_gini(q, q))
-            for c, q in zip(counts, counts / sizes[:, None])]
+        ends = np.cumsum(sizes).tolist()
+        stats = [_mean_and_mse(y[rows[a:b]]) for a, b in zip([0] + ends, ends)]
+        return [mean for mean, _ in stats], [mse for _, mse in stats]
+    code = np.repeat(np.arange(len(sizes)) * n_classes, sizes) + y[rows]
+    counts = np.bincount(code, minlength=len(sizes) * n_classes) \
+        .reshape(len(sizes), n_classes)
+    q = counts / sizes[:, None]
+    return counts.tolist(), predictive_gini_rows(q, q).tolist()
 
 
 def grow_trees(X, y, bags, rngs, config: TreeConfig, task: str,
@@ -620,12 +793,14 @@ def grow_trees(X, y, bags, rngs, config: TreeConfig, task: str,
 
     Each tree grows depth-first, numbering its nodes in preorder, and its
     generator in ``rngs`` draws its max_features subsets in that order, so
-    a tree is the same whichever trees grow beside it. In each step every
-    unfinished tree makes nodes until it reaches one to scan (leaves and
-    stop rules cost no scan); then the waiting nodes, one per tree, are
-    scanned together by _best_splits, and the children of those that split
-    get their stats together. ``keys`` is sort_keys(X), which the trees
-    share; computed here if None.
+    a tree is the same whichever trees grow beside it. The subsets are
+    those of successive sorted ``choice`` calls, read in blocks
+    (_draw_subsets), and each generator ends just after the last one used.
+    In each step every unfinished tree makes nodes until it reaches one to
+    scan (leaves and stop rules cost no scan); then the waiting nodes, one
+    per tree, are scanned together by _best_splits, and the nodes that
+    split are partitioned, and their children get their stats, together.
+    ``keys`` is sort_keys(X), which the trees share; computed here if None.
     """
     X = np.asarray(X, dtype=np.float64)
     bags = [np.asarray(rows, dtype=np.intp) for rows in bags]
@@ -649,10 +824,13 @@ def grow_trees(X, y, bags, rngs, config: TreeConfig, task: str,
     every_feature = np.arange(p)
     if keys is None:
         keys = sort_keys(X)
+    table = _scan_table(X, keys, y, n_classes) if keys.dtype == np.uint16 \
+        else None
     max_depth, min_split = config.max_depth, config.min_samples_split
 
-    trees = [_Growing(rows, rng, *stats, classify) for rows, rng, stats
-             in zip(bags, rngs, _node_stats(y, bags, n_classes))]
+    stats, imp = _node_stats(y, np.concatenate(bags),
+                             np.array([len(rows) for rows in bags]), n_classes)
+    trees = [_Growing(*root, classify) for root in zip(bags, rngs, stats, imp)]
     growing = trees
     while growing:
         waiting = []  # (tree, node, rows, depth, feats, impurity)
@@ -664,7 +842,7 @@ def grow_trees(X, y, bags, rngs, config: TreeConfig, task: str,
                     t.right[parent] = node
                 n = len(rows)
                 if classify:
-                    t.stats.frombytes(stats.tobytes())
+                    t.stats.extend(stats)
                 else:
                     t.stats.append(stats)
                 t.n.append(n)
@@ -676,39 +854,56 @@ def grow_trees(X, y, bags, rngs, config: TreeConfig, task: str,
                 if (max_depth is not None and depth >= max_depth) \
                         or n < min_split or imp <= 0.0:
                     continue
-                feats = np.sort(t.rng.choice(p, size=k_feats, replace=False)) \
-                    if k_feats < p else every_feature
+                feats = t.draw(p, k_feats) if k_feats < p else every_feature
                 waiting.append((t, node, rows, depth, feats, imp))
                 break
-        found = _best_splits(X, y, keys, [(w[2], w[4], w[5]) for w in waiting],
+        found = _best_splits(X, y, keys, table,
+                             [(w[2], w[4], w[5]) for w in waiting],
                              n_classes, config.min_samples_leaf)
         retry = [i for i, split in enumerate(found) if split is None]
         if retry and k_feats < p:
             # drawn subset unsplittable: fall back to scanning all features
             again = _best_splits(
-                X, y, keys, [(waiting[i][2], every_feature, waiting[i][5])
-                             for i in retry], n_classes, config.min_samples_leaf)
+                X, y, keys, table,
+                [(waiting[i][2], every_feature, waiting[i][5]) for i in retry],
+                n_classes, config.min_samples_leaf)
             for i, split in zip(retry, again):
                 found[i] = split
-        split_nodes, children = [], []
-        for (t, node, rows, depth, _, _), split in zip(waiting, found):
-            if split is None:
-                continue
-            mask = X[rows, split.feature] <= split.threshold
-            t.feature[node] = split.feature
-            t.threshold[node] = split.threshold
-            t.left[node] = node + 1
-            split_nodes.append((t, node, depth + 1))
-            children += [rows[mask], rows[~mask]]
-        if children:
-            stats = _node_stats(y, children, n_classes)
-            for i, (t, node, depth) in enumerate(split_nodes):
-                t.stack.append((children[2 * i + 1], depth, node,
-                                *stats[2 * i + 1]))
-                t.stack.append((children[2 * i], depth, -1, *stats[2 * i]))
+        split = [(w, s) for w, s in zip(waiting, found) if s is not None]
+        if split:
+            _split_nodes(X, y, split, n_classes)
         growing = [t for t in growing if t.stack]
     grown = []
     for i, t in enumerate(trees):
+        t.rewind(p, k_feats)
         grown.append(t.tree(task, n_classes, p))
         trees[i] = None  # free the columns as soon as the tree holds them
     return grown
+
+
+def _split_nodes(X, y, split, n_classes):
+    """Record each (waiting node, Split) pair's split in its tree, and push
+    its children onto the tree's stack, right then left: every node's rows
+    are partitioned by one gather and one compare, and all the children get
+    their stats from one _node_stats call. Each child's rows are copied out,
+    so that no array spanning the step outlives it."""
+    rows = np.concatenate([w[2] for w, _ in split])
+    sizes = np.array([len(w[2]) for w, _ in split])
+    feature = np.array([s.feature for _, s in split])
+    threshold = np.array([s.threshold for _, s in split])
+    go_left = X[rows, np.repeat(feature, sizes)] <= np.repeat(threshold, sizes)
+    n_left = np.bincount(np.repeat(np.arange(len(split)), sizes)[go_left],
+                         minlength=len(split))
+    # the left children's rows, then the right children's
+    child_sizes = np.concatenate([n_left, sizes - n_left])
+    children = np.concatenate([rows[go_left], rows[~go_left]])
+    stats, imp = _node_stats(y, children, child_sizes, n_classes)
+    ends = np.cumsum(child_sizes).tolist()
+    parts = [children[a:b].copy() for a, b in zip([0] + ends, ends)]
+    m = len(split)
+    for i, ((t, node, _, depth, _, _), s) in enumerate(split):
+        t.feature[node] = s.feature
+        t.threshold[node] = s.threshold
+        t.left[node] = node + 1
+        t.stack.append((parts[m + i], depth + 1, node, stats[m + i], imp[m + i]))
+        t.stack.append((parts[i], depth + 1, -1, stats[i], imp[i]))

@@ -65,6 +65,29 @@ class TestTrain:
         assert res.exit_code == 1
         assert "missing value" in res.output
 
+    @pytest.mark.parametrize("command", [["train"],
+                                         ["importance", "--method", "si"]])
+    def test_more_levels_than_declared_is_data_error(self, workspace, command):
+        # the schema declares {"categorical": 2} for x2, which shows a, b, c
+        (workspace / "three.csv").write_text(TOY_CSV + "5.0,c,1\n")
+        res = CliRunner().invoke(main, [
+            *command, "--data", str(workspace / "three.csv"),
+            "--schema", str(workspace / "schema.json"), "--seed", "0",
+            "--out", str(workspace / "out")])
+        assert res.exit_code == 1
+        assert "column 'x2' shows 3 levels, more than the 2" in res.output
+        assert not (workspace / "out").exists()
+
+    def test_fewer_levels_than_declared_are_coded_as_found(self, workspace):
+        schema = {**TOY_SCHEMA, "kinds": {"x2": {"categorical": 5}}}
+        (workspace / "five.json").write_text(json.dumps(schema))
+        res = _run(["train", "--data", str(workspace / "data.csv"),
+                    "--schema", str(workspace / "five.json"), "--trees", "1",
+                    "--seed", "0", "--out", str(workspace / "out")])
+        assert res.exit_code == 0, res.output
+        payload = json.loads((workspace / "out" / "model.json").read_text())
+        assert payload["feature_names"] == ["x1", "x2=a", "x2=b"]
+
     def test_bad_binary_value_is_data_error(self, workspace):
         (workspace / "bin.csv").write_text("b,label\n0,0\n1,1\n3,0\n")
         (workspace / "bin.json").write_text(json.dumps({

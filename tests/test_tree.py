@@ -2,13 +2,19 @@ import json
 
 import numpy as np
 import pytest
-from conftest import brute_force_best_split, random_instance
+from conftest import (
+    assert_same_tree, brute_force_best_split, random_instance, reference_grow,
+)
 from hypothesis import given, settings, strategies as st
 
+from ufitree import tree as tree_mod
+from ufitree.data import CONTINUOUS, Dataset, FeatureKind
+from ufitree.forest import ForestConfig, fit
 from ufitree.tree import (
-    SMALL_NODE, Split, Tree, TreeConfig, _node_impurity, _scan_segments,
+    FIRST_BLOCK, MAX_BLOCK, SMALL_NODE, Split, Tree, TreeConfig,
+    _best_splits, _draw_subsets, _node_impurity, _scan_segments, _scan_table,
     best_split, evaluate_split, grow, impurity_from_counts,
-    impurity_from_values, sort_keys,
+    impurity_from_values, predictive_gini, predictive_gini_rows, sort_keys,
 )
 
 FOUR_X = np.array([[1.0], [2.0], [3.0], [4.0]])
@@ -160,6 +166,236 @@ def test_batched_scan_is_best_split_bit_for_bit(case):
             assert got[0] == want[0]
             assert np.float64(got[1]).tobytes() == np.float64(want[1]).tobytes()
 
+
+@st.composite
+def classification_nodes(draw):
+    """Up to 8 classification nodes of 2 to 3000 rows, drawn with repeats
+    from one dataset whose columns are tie-heavy, two-valued, or hold both
+    signed zeros; each node has its own sorted feature subset. Labels take
+    2 to 5 classes, and the batch cap on scanned values is tiny, moderate or
+    the default."""
+    n = draw(st.integers(2, 3000))
+    p = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(["ties", "two", "zeros"]),
+                              min_size=p, max_size=p)):
+        if kind == "two":
+            columns.append(rng.integers(0, 2, n).astype(np.float64))
+        elif kind == "zeros":
+            v = rng.integers(-2, 3, n) / 2.0
+            columns.append(np.where(rng.random(n) < 0.5, v, -v))
+        else:
+            columns.append(rng.integers(0, draw(st.integers(2, n + 1)), n) / 4.0)
+    X = np.column_stack(columns)
+    k = draw(st.integers(2, 5))
+    y = rng.integers(0, k, n)
+    nodes = []
+    for _ in range(draw(st.integers(1, 8))):
+        size = draw(st.sampled_from([2, 3, 64, 65, 3000])
+                    | st.integers(2, 3000))
+        rows = rng.integers(0, n, size)
+        feats = np.sort(rng.choice(p, int(rng.integers(1, p + 1)),
+                                   replace=False))
+        nodes.append((rows, feats, _node_impurity(y[rows], k)))
+    cap = draw(st.sampled_from([1, 100, 5000, tree_mod.SCAN_VALUES]))
+    return X, y, k, nodes, draw(st.integers(1, 5)), cap
+
+
+def _same_float(a, b):
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=classification_nodes())
+def test_classification_scan_is_best_split_bit_for_bit(case):
+    X, y, k, nodes, msl, cap = case
+    keys = sort_keys(X)
+    table = _scan_table(X, keys, y, k)
+    want = [best_split(X, y, rows, feats, k, msl, imp, keys)
+            for rows, feats, imp in nodes]
+    for got, expected in zip(_scan_segments(X, keys, y, nodes, k, msl, table),
+                             want):
+        assert (got is None) == (expected is None)
+        if got is not None:
+            assert got[0].feature == expected[0].feature
+            assert _same_float(got[0].threshold, expected[0].threshold)
+            assert _same_float(got[1], expected[1])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tree_mod, "SCAN_VALUES", cap)
+        found = _best_splits(X, y, keys, table, nodes, k, msl)
+    for got, expected in zip(found, want):
+        assert (got is None) == (expected is None)
+        if got is not None:
+            assert got.feature == expected[0].feature
+            assert _same_float(got.threshold, expected[0].threshold)
+
+
+def test_scan_table_codes_keys_and_classes():
+    X = np.array([[0.5, -0.0], [-1.0, 3.0], [0.5, 0.0], [2.0, 3.0]])
+    y = np.array([2, 0, 1, 2])
+    keys = sort_keys(X)
+    coded, low, values, offsets = _scan_table(X, keys, y, 3)
+    assert low == 2
+    assert coded.reshape(2, 4).tolist() == [
+        [k << 2 | c for k, c in zip(row, y)] for row in keys.tolist()]
+    assert np.array_equal(values[offsets[:, None] + keys], X.T)
+    assert values.tolist() == [-1.0, 0.5, 2.0, 0.0, 3.0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), classes=st.integers(2, 33),
+       rows=st.integers(1, 300), counts=st.booleans())
+def test_gini_rows_are_predictive_gini_bit_for_bit(seed, classes, rows, counts):
+    rng = np.random.default_rng(seed)
+    if counts:  # proportions of counts, as the grower and ufi make them
+        c = rng.integers(0, 40, (2, rows, classes))
+        c[:, :, 0] += 1
+        P, Q = c / c.sum(axis=2, keepdims=True)
+    else:
+        P, Q = rng.random((2, rows, classes))
+    got = predictive_gini_rows(P, Q)
+    want = np.array([predictive_gini(a, b) for a, b in zip(P, Q)])
+    assert got.tobytes() == want.tobytes()
+
+
+def test_gini_rows_match_on_every_node_of_a_forest():
+    """Every node impurity of a fitted 5-class forest is impurity_from_counts
+    of its class counts, and every node's predictive Gini against routed
+    test rows is predictive_gini's, to the bit."""
+    rng = np.random.default_rng(12)
+    X = np.round(rng.standard_normal((600, 5)), 1)
+    y = (np.floor(X[:, 0] * 2 + rng.standard_normal(600)) % 5).astype(int)
+    d = Dataset(X, y, [f"x{j}" for j in range(5)],
+                [FeatureKind(CONTINUOUS)] * 5, "classification", 5)
+    X_test = np.round(rng.standard_normal((300, 5)), 1)
+    y_test = rng.integers(0, 5, 300)
+    nodes = 0
+    for tree in fit(d, ForestConfig(n_trees=4, seed=3)).trees:
+        q = tree.class_counts / tree.n[:, None]
+        want = np.array([impurity_from_counts(c) for c in tree.class_counts])
+        assert tree.impurity.tobytes() == want.tobytes()
+        rows, offsets = tree.route(X_test)
+        routed = np.diff(offsets)
+        reached = np.flatnonzero(routed)
+        tq = np.array([np.bincount(y_test[rows[offsets[i]:offsets[i + 1]]],
+                                   minlength=5) / routed[i] for i in reached])
+        want = np.array([predictive_gini(a, b) for a, b in zip(q[reached], tq)])
+        assert predictive_gini_rows(q[reached], tq).tobytes() == want.tobytes()
+        nodes += tree.n_nodes()
+    assert nodes > 500
+
+
+def _choice_rows(rng, p, k, count):
+    """count successive sorted rng.choice draws: what _draw_subsets claims."""
+    return np.array([np.sort(rng.choice(p, k, replace=False))
+                     for _ in range(count)])
+
+
+def _assert_same_stream(got, want):
+    """Two generators in one state: their next 32-bit outputs, which take a
+    held-over half word first, and their next raw words agree."""
+    assert repr(got.bit_generator.state) == repr(want.bit_generator.state)
+    for draw in (lambda g: g.integers(0, 2**32, size=3, dtype=np.uint32),
+                 lambda g: g.bit_generator.random_raw(3)):
+        assert np.array_equal(draw(got), draw(want))
+
+
+def _skip_outputs(rng, outputs):
+    """rng after `outputs` 32-bit outputs, so that an odd count leaves half
+    a raw word held over."""
+    rng.integers(0, 2**32, size=outputs, dtype=np.uint32)
+    assert rng.bit_generator.state["has_uint32"] == outputs % 2
+    return rng
+
+
+class TestDrawSubsets:
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), data=st.data(),
+           outputs=st.integers(0, 5),
+           count=st.integers(1, MAX_BLOCK) | st.sampled_from(
+               [FIRST_BLOCK << i for i in range(6)]))
+    def test_rows_and_stream_are_those_of_choice(self, seed, data, outputs,
+                                                  count):
+        # every count up to MAX_BLOCK: the grower's blocks, and the redraw
+        # of a block's used rows when a tree ends
+        p = data.draw(st.integers(2, 300), label="p")
+        k = data.draw(st.integers(1, p - 1), label="k")
+        got_rng = _skip_outputs(np.random.default_rng(seed), outputs)
+        want_rng = _skip_outputs(np.random.default_rng(seed), outputs)
+        got = _draw_subsets(got_rng, p, k, count)
+        want = _choice_rows(want_rng, p, k, count)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        _assert_same_stream(got_rng, want_rng)
+
+    def test_a_redrawn_value_is_left_to_choice(self):
+        # seed 47's first 256 rows hold a draw that Lemire's method rejects
+        # and makes again (row 60); rows after it are shifted by one output
+        p, k, count, seed = 10000, 100, 256, 47
+        words = np.random.default_rng(seed).bit_generator.random_raw(
+            count * (2 * k - 1))
+        halves = np.column_stack([words & 0xFFFFFFFF, words >> 32]).ravel()
+        r = np.concatenate([np.arange(p - k + 1, p + 1),
+                            np.arange(k, 1, -1)]).astype(np.uint64)
+        m = halves[:count * (2 * k - 1)].reshape(count, -1) * r
+        assert ((m & 0xFFFFFFFF) < (2**32 - r) % r).any()
+        got_rng, want_rng = (np.random.default_rng(seed) for _ in range(2))
+        assert np.array_equal(_draw_subsets(got_rng, p, k, count),
+                              _choice_rows(want_rng, p, k, count))
+        _assert_same_stream(got_rng, want_rng)
+
+    @pytest.mark.parametrize("p, k", [(10001, 201), (12000, 300)])
+    def test_choice_tail_shuffle_is_drawn_by_choice(self, p, k):
+        # p > 10000 and k > p // 50: choice shuffles the tail of arange(p)
+        got_rng, want_rng = (np.random.default_rng(3) for _ in range(2))
+        assert np.array_equal(_draw_subsets(got_rng, p, k, 3),
+                              _choice_rows(want_rng, p, k, 3))
+        _assert_same_stream(got_rng, want_rng)
+
+    def test_other_bit_generators_are_drawn_by_choice(self):
+        got_rng, want_rng = (np.random.Generator(np.random.Philox(4))
+                             for _ in range(2))
+        assert np.array_equal(_draw_subsets(got_rng, 37, 6, 20),
+                              _choice_rows(want_rng, 37, 6, 20))
+        _assert_same_stream(got_rng, want_rng)
+
+
+def _block_ends():
+    """The draw counts after which every block a tree drew is used up."""
+    ends, rows, total = set(), FIRST_BLOCK, 0
+    while total < 10**5:
+        total += rows
+        ends.add(total)
+        rows = min(2 * rows, MAX_BLOCK)
+    return ends
+
+
+@pytest.mark.parametrize("kw", [
+    dict(max_features=2),
+    dict(max_features=2, max_depth=1),
+    dict(max_features="all"),
+], ids=["deep", "depth-1", "all-features"])
+def test_grow_leaves_a_callers_generator_where_per_node_draws_do(kw):
+    rng = np.random.default_rng(17)
+    X = np.round(rng.standard_normal((300, 6)), 1)
+    y = rng.integers(0, 3, 300)
+    rows = rng.integers(0, 300, 300)
+    cfg = TreeConfig(**kw)
+    # start half a raw word in, as after an odd number of 32-bit outputs
+    gen = _skip_outputs(np.random.default_rng(99), 1)
+    ref = _skip_outputs(np.random.default_rng(99), 1)
+    tree = grow(X, y, rows, cfg, "classification", 3, rng=gen)
+    assert_same_tree(tree, reference_grow(X, y, rows, cfg, "classification",
+                                          3, rng=ref))
+    # a node draws unless a stop rule holds: depth, size or purity
+    depth = np.zeros(tree.n_nodes(), dtype=int)
+    for node in np.flatnonzero(~tree.is_leaf):
+        depth[[tree.left[node], tree.right[node]]] = depth[node] + 1
+    below = depth < (cfg.max_depth if cfg.max_depth is not None else 10**9)
+    draws = int((below & (tree.n >= 2) & (tree.impurity > 0)).sum())
+    if kw["max_features"] != "all":
+        assert draws > 0 and draws not in _block_ends()  # last block partly used
+    _assert_same_stream(gen, ref)
 
 def _fit(X, y, task, seed=0, **kw):
     cfg = TreeConfig(**kw)
