@@ -1,8 +1,10 @@
 """Bagged tree ensembles with per-tree bootstrap and out-of-bag bookkeeping.
 
-``fit`` grows the trees with ``tree.grow_trees``: all of them in one call,
-or, in forked workers, one call per contiguous chunk of at most
-``TREES_PER_TASK`` trees.
+``fit`` draws every tree's bag, then grows the trees with
+``tree.grow_trees``: all of them in one call, or, in forked workers, one
+call per worker on a contiguous share of the trees. A worker sends its
+trees back one message a tree, so the parent's memory holds one message at
+a time.
 """
 
 from __future__ import annotations
@@ -108,13 +110,11 @@ class Forest:
             seed=c["seed"],
         )
         trees = [Tree.from_dict(td) for td in d["trees"]]
-        bags = [draw_bag(d["n_rows"], rng, config.bootstrap)
-                for rng in tree_rngs(config)]
-        in_bag = [b[0] for b in bags]
+        _, in_bag, oob = draw_bags(d["n_rows"], config)
         if bag_digest(in_bag) != d["bag_sha256"]:
             raise ValueError("rebuilt bootstrap samples do not match the "
                              "model's bag digest")
-        return cls(trees, in_bag, [b[1] for b in bags], d["n_rows"], d["task"],
+        return cls(trees, in_bag, oob, d["n_rows"], d["task"],
                    d["n_classes"], d["n_features"], config, d.get("feature_names"))
 
 
@@ -137,7 +137,9 @@ def bootstrap_indices(n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.
     if n < 1:
         raise ValueError("n must be >= 1")
     in_bag = rng.integers(0, n, size=n)
-    oob = np.setdiff1d(np.arange(n), in_bag)
+    # the rows never drawn, ascending: np.setdiff1d(np.arange(n), in_bag),
+    # without its sort, which took most of a draw's time
+    oob = np.flatnonzero(np.bincount(in_bag, minlength=n) == 0)
     return in_bag, oob
 
 
@@ -151,10 +153,16 @@ def draw_bag(n: int, rng: np.random.Generator,
 
 def worker_count(jobs: int, n_trees: int) -> int:
     """How many processes fit grows n_trees trees in: jobs, at most one per
-    CPU and one per tree, and 1 where the platform cannot fork."""
+    tree and one per CPU this process may run on (its affinity mask where
+    the platform has one, else the host's count), and 1 where the platform
+    cannot fork."""
     if jobs < 1:
         raise ValueError("jobs (--threads) must be >= 1")
-    count = min(jobs, os.cpu_count() or 1, n_trees)
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    count = min(jobs, cpus, n_trees)
     if count > 1:
         import multiprocessing  # imported here: start-up never needs it
         if "fork" not in multiprocessing.get_all_start_methods():
@@ -162,42 +170,94 @@ def worker_count(jobs: int, n_trees: int) -> int:
     return count
 
 
-# A worker task is a contiguous chunk of at most this many trees, grown
-# together. Its trees and bags come back to the parent as one pickled
-# message. On a 100-tree, depth-10 regression fit (n = 1000, 2 workers),
-# 50 trees a message raised the parent's peak RSS by 2.7 MB (6%) over one
-# tree a message, and 10 trees by 0.2 MB.
-TREES_PER_TASK = 10
-
-_worker_job = None  # the fit job a forked worker inherited from its parent
+def draw_bags(n: int, config: ForestConfig) -> tuple[list, list, list]:
+    """Every tree's generator, each left just after drawing its tree's bag,
+    with the trees' in-bag and out-of-bag rows."""
+    rngs = tree_rngs(config)
+    bags = [draw_bag(n, rng, config.bootstrap) for rng in rngs]
+    return rngs, [b[0] for b in bags], [b[1] for b in bags]
 
 
-def _start_worker(job):
-    global _worker_job
-    _worker_job = job
+def _grow_share(job, share, conn) -> None:
+    """In a forked worker: grow the trees ``share`` (indices into the job's
+    bags) in one grow_trees call, then send each as (index, tree), one
+    message a tree, so that the parent never holds more than one tree's
+    message. An exception, with its traceback as text, is sent in place of
+    the trees not yet sent."""
+    d, tree_cfg, keys, rngs, in_bag = job
+    try:
+        grown = grow_trees(d.X, d.y, [in_bag[i] for i in share],
+                           [rngs[i] for i in share], tree_cfg, d.task,
+                           d.n_classes, keys)
+        for i, tree in zip(share, grown):
+            conn.send((int(i), tree))
+    except Exception as exc:
+        import traceback
+        conn.send((None, (exc, traceback.format_exc())))
+    finally:
+        conn.close()
 
 
-def _grow_chunk(trees: np.ndarray, job=None) -> tuple[list, list, list]:
-    """Trees ``trees`` of a fit job, by index: each one's bag, then the
-    trees grown together. A worker passes no job and uses the one it
-    inherited. Returns (trees, in-bag rows, out-of-bag rows)."""
-    d, tree_cfg, bootstrap, keys, rngs = job or _worker_job
-    rngs = [rngs[i] for i in trees]
-    in_bag, oob = zip(*(draw_bag(d.n, rng, bootstrap) for rng in rngs))
-    grown = grow_trees(d.X, d.y, in_bag, rngs, tree_cfg, d.task, d.n_classes,
-                       keys)
-    return grown, list(in_bag), list(oob)
+def _grow_in_workers(job, n_trees: int, workers: int) -> list[Tree]:
+    """Grow n_trees trees in ``workers`` forked processes, each one a
+    contiguous share; the trees come back in index order. A worker's
+    exception is raised here; a worker that exits before sending its whole
+    share raises BrokenProcessPool. No worker outlives this call."""
+    import multiprocessing
+    from multiprocessing.connection import wait
+
+    # fork: the workers inherit the job and the imported modules instead of
+    # importing and unpickling them
+    ctx = multiprocessing.get_context("fork")
+    trees: list = [None] * n_trees
+    procs, pending = [], {}  # pending: a worker's pipe -> trees still due
+    try:
+        for share in np.array_split(np.arange(n_trees), workers):
+            recv, send = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_grow_share, args=(job, share, send))
+            procs.append(proc)
+            pending[recv] = len(share)
+            proc.start()
+            # closed here, so the pipe reads EOF once the worker is gone
+            send.close()
+        while pending:
+            for conn in wait(list(pending)):
+                try:
+                    i, tree = conn.recv()
+                except EOFError:
+                    from concurrent.futures.process import BrokenProcessPool
+                    raise BrokenProcessPool(
+                        "a fit worker exited before sending all its trees"
+                    ) from None
+                if i is None:
+                    exc, text = tree
+                    raise exc from RuntimeError(f"in a fit worker:\n{text}")
+                trees[i] = tree
+                pending[conn] -= 1
+                if not pending[conn]:
+                    del pending[conn]
+                    conn.close()
+    finally:
+        # workers first: a worker still writing to a closed pipe would
+        # print a BrokenPipeError
+        for proc in procs:
+            proc.terminate()
+            proc.join()
+        for conn in pending:
+            conn.close()
+    return trees
 
 
 def fit(d: Dataset, config: ForestConfig, jobs: int = 1) -> Forest:
     """Fit B trees on bootstrap (or full) samples; deterministic per master seed.
 
     Each tree's generator draws its bag and then its feature subsets, so a
-    tree depends only on its index. One process grows all B trees together
-    (grow_trees). With jobs > 1, worker_count(jobs, B) forked processes
-    share contiguous chunks of at most TREES_PER_TASK trees, each grown
-    together, and every count gives the same forest. The returned forest's
-    config holds the resolved max_features.
+    tree depends only on its index. The bags are all drawn here. One
+    process grows all B trees together (grow_trees). With jobs > 1,
+    worker_count(jobs, B) forked processes each grow one contiguous share
+    of the trees together and send them back a tree at a time; every count
+    gives the same forest. The returned forest's config holds the resolved
+    max_features.
     """
     if config.n_trees < 1:
         raise ValueError("n_trees must be >= 1")
@@ -205,22 +265,13 @@ def fit(d: Dataset, config: ForestConfig, jobs: int = 1) -> Forest:
     tree_cfg = config.tree.resolved(d.task)
     tree_cfg.validate(d.p)
     config = replace(config, tree=tree_cfg)
-    job = (d, tree_cfg, config.bootstrap, sort_keys(d.X), tree_rngs(config))
+    rngs, in_bag, oob = draw_bags(d.n, config)
+    keys = sort_keys(d.X)
     if workers == 1:
-        parts = [_grow_chunk(np.arange(config.n_trees), job)]
+        trees = grow_trees(d.X, d.y, in_bag, rngs, tree_cfg, d.task,
+                           d.n_classes, keys)
     else:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        # fork: the workers inherit the job and the imported modules instead
-        # of importing and unpickling them. The executor, unlike
-        # multiprocessing.Pool, raises BrokenProcessPool if a worker dies
-        # instead of waiting for its trees forever.
-        ctx = multiprocessing.get_context("fork")
-        tasks = max(workers, -(-config.n_trees // TREES_PER_TASK))
-        chunks = np.array_split(np.arange(config.n_trees), tasks)
-        with ProcessPoolExecutor(workers, ctx, _start_worker, (job,)) as pool:
-            parts = list(pool.map(_grow_chunk, chunks))
-    trees, in_bag, oob = ([x for part in parts for x in part[k]] for k in range(3))
+        trees = _grow_in_workers((d, tree_cfg, keys, rngs, in_bag),
+                                 config.n_trees, workers)
     return Forest(trees, in_bag, oob, d.n, d.task, d.n_classes, d.p, config,
                   feature_names=list(d.feature_names))

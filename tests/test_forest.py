@@ -21,6 +21,18 @@ from ufitree.tree import COLUMNS, TreeConfig, grow, grow_trees, sort_keys
 SRC = os.path.dirname(os.path.dirname(forest_mod.__file__))
 
 
+def _patch_cpus(mp, count):
+    """Make ``count`` CPUs usable, whatever the machine has: fit reads the
+    affinity mask, or the host's count where the platform has no mask.
+    None is a platform with no mask whose host count is unknown."""
+    mp.setattr(os, "cpu_count", lambda: count)
+    if count is None:
+        mp.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        mp.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
+                   raising=False)
+
+
 def _dataset(task="classification", n=120, p=4, seed=0):
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n, p))
@@ -50,6 +62,14 @@ class TestBootstrapIndices:
         n = 1000
         fracs = [len(bootstrap_indices(n, rng)[1]) / n for _ in range(200)]
         assert abs(np.mean(fracs) - (1 - 1 / n) ** n) < 0.01
+
+    def test_oob_is_the_sorted_complement(self):
+        # the reference: np.setdiff1d, which bootstrap_indices once called
+        rng = np.random.default_rng(3)
+        for n in (1, 2, 7, 1000):
+            in_bag, oob = bootstrap_indices(n, rng)
+            want = np.setdiff1d(np.arange(n), in_bag)
+            assert oob.dtype == want.dtype and np.array_equal(oob, want)
 
     def test_partition_of_rows(self):
         rng = np.random.default_rng(2)
@@ -119,8 +139,20 @@ class TestWorkerCount:
     ])
     def test_clamped_to_cpus_and_trees(self, monkeypatch, jobs, n_trees,
                                        cpus, want):
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        _patch_cpus(monkeypatch, cpus)
         assert worker_count(jobs, n_trees) == want
+
+    def test_clamped_to_the_affinity_mask(self, monkeypatch):
+        # a process pinned to one of 8 CPUs (taskset -c 0) forks no worker
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        assert worker_count(8, 100) == 1
+
+    def test_host_count_where_there_is_no_mask(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert worker_count(8, 100) == 4
 
     @pytest.mark.parametrize("jobs", [0, -1, -(10**6)])
     def test_below_one_rejected(self, jobs):
@@ -132,8 +164,8 @@ class TestWorkerCount:
 
 @pytest.fixture
 def two_cpus(monkeypatch):
-    """Two CPUs whatever the machine has, so jobs=2 takes the pool path."""
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    """Two CPUs whatever the machine has, so jobs=2 takes the worker path."""
+    _patch_cpus(monkeypatch, 2)
 
 
 def test_fit_is_serial_when_platform_cannot_fork(two_cpus, monkeypatch):
@@ -167,23 +199,31 @@ class TestParallelFit:
         ("classification", False, "sqrt"),
         ("regression", False, 2),
     ])
-    def test_two_workers_grow_the_serial_forest(self, two_cpus, task,
+    def test_two_workers_grow_the_serial_forest(self, monkeypatch, task,
                                                 bootstrap, max_features):
+        # 2 to 4 workers on 2, 3 or 9 trees: uneven shares and one-tree shares
         d = _dataset(task, n=150)
-        cfg = ForestConfig(n_trees=9, seed=13, bootstrap=bootstrap,
-                           tree=TreeConfig(max_depth=6,
-                                           max_features=max_features))
-        assert worker_count(2, cfg.n_trees) == 2
-        serial, pooled = fit(d, cfg, jobs=1), fit(d, cfg, jobs=2)
-        assert json.dumps(pooled.to_dict()) == json.dumps(serial.to_dict())
-        for a, b in zip(serial.trees, pooled.trees):
-            for name in COLUMNS:
-                x, y = getattr(a, name), getattr(b, name)
-                assert (x is None and y is None) or (
-                    x.dtype == y.dtype and np.array_equal(x, y)), name
-        for got, want in zip(pooled.in_bag + pooled.oob,
-                             serial.in_bag + serial.oob):
-            assert got.dtype == want.dtype and np.array_equal(got, want)
+        for n_trees in (2, 3, 9):
+            cfg = ForestConfig(n_trees=n_trees, seed=13, bootstrap=bootstrap,
+                               tree=TreeConfig(max_depth=6,
+                                               max_features=max_features))
+            serial = fit(d, cfg, jobs=1)
+            for cpus in (2, 3, 4):
+                _patch_cpus(monkeypatch, cpus)
+                assert worker_count(cpus, n_trees) == min(cpus, n_trees)
+                pooled = fit(d, cfg, jobs=cpus)
+                assert not multiprocessing.active_children()
+                assert (json.dumps(pooled.to_dict())
+                        == json.dumps(serial.to_dict()))
+                for a, b in zip(serial.trees, pooled.trees):
+                    for name in COLUMNS:
+                        x, y = getattr(a, name), getattr(b, name)
+                        assert (x is None and y is None) or (
+                            x.dtype == y.dtype and np.array_equal(x, y)), name
+                for got, want in zip(pooled.in_bag + pooled.oob,
+                                     serial.in_bag + serial.oob):
+                    assert got.dtype == want.dtype
+                    assert np.array_equal(got, want)
 
     def test_worker_value_error_reaches_caller(self, two_cpus, monkeypatch):
         parent = os.getpid()
@@ -196,6 +236,39 @@ class TestParallelFit:
         monkeypatch.setattr(forest_mod, "grow_trees", grow_failing_in_workers)
         with pytest.raises(ValueError, match="raised in a worker"):
             fit(_dataset(n=40), ForestConfig(n_trees=4, seed=1), jobs=2)
+        assert not multiprocessing.active_children()
+
+    def test_error_after_part_of_a_share_reaches_caller(self, two_cpus,
+                                                        monkeypatch):
+        parent = os.getpid()
+
+        def grow_failing_after_one_tree(*args, **kwargs):
+            trees = grow_trees(*args, **kwargs)
+            if os.getpid() != parent:
+                yield trees[0]  # sent to the parent before the raise
+                raise ValueError("raised after one tree")
+            yield from trees
+
+        monkeypatch.setattr(forest_mod, "grow_trees",
+                            grow_failing_after_one_tree)
+        with pytest.raises(ValueError, match="raised after one tree") as info:
+            fit(_dataset(n=40), ForestConfig(n_trees=6, seed=1), jobs=2)
+        # the worker's traceback comes along as the cause
+        assert "grow_failing_after_one_tree" in str(info.value.__cause__)
+        assert not multiprocessing.active_children()
+
+    def test_bags_are_drawn_in_the_parent(self, two_cpus, monkeypatch):
+        # so that the traced benchmark sees every bootstrap draw
+        drawn = []
+
+        def recording_bootstrap(n, rng):
+            drawn.append(os.getpid())
+            return bootstrap_indices(n, rng)
+
+        monkeypatch.setattr(forest_mod, "bootstrap_indices",
+                            recording_bootstrap)
+        fit(_dataset(n=40), ForestConfig(n_trees=5, seed=1), jobs=2)
+        assert drawn == [os.getpid()] * 5
 
     def test_dead_worker_raises_instead_of_hanging(self):
         # in a child interpreter, so that a hang is a timeout, not a stuck suite
@@ -205,6 +278,7 @@ class TestParallelFit:
             "from ufitree.simgen import gen_null_mixed\n"
             "import numpy as np\n"
             "os.cpu_count = lambda: 2\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
             "parent = os.getpid()\n"
             "grow_trees = forest.grow_trees\n"
             "def dying_grow_trees(*args, **kwargs):\n"
@@ -263,7 +337,7 @@ def test_fit_grows_the_reference_trees(case):
                            rng=rng, keys=sort_keys(d.X))
             for rows, rng in zip(bags, rngs)]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(os, "cpu_count", lambda: 2)
+        _patch_cpus(mp, 2)
         for jobs in (1, 2):
             for got, expected in zip(fit(d, cfg, jobs=jobs).trees, want):
                 assert_same_tree(got, expected)
@@ -313,7 +387,7 @@ def test_fit_grows_the_reference_regression_trees(case):
                            keys=sort_keys(d.X))
             for rows, rng in zip(bags, rngs)]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(os, "cpu_count", lambda: 2)
+        _patch_cpus(mp, 2)
         mp.setattr(tree_mod, "SMALL_SCAN", gate)  # forked workers inherit it
         for jobs in (1, 2):
             for got, expected in zip(fit(d, cfg, jobs=jobs).trees, want):
