@@ -279,26 +279,25 @@ class Tree:
 
 
 def sort_keys(X: np.ndarray) -> np.ndarray:
-    """Per-feature sort keys, one row per column of X.
-
-    Dense ranks as uint16 order and tie exactly like the values, and numpy
-    sorts them with a radix sort, several times faster than floats. X.T
-    itself is returned when X has non-finite values (NaN orders unlike its
-    rank) or more rows than uint16 ranks can hold.
-    """
-    if X.shape[0] > 2**16 or not np.isfinite(X).all():
-        return X.T
-    keys = np.empty((X.shape[1], X.shape[0]), dtype=np.uint16)
+    """Per-feature sort keys, one row per column of X: dense ranks, which
+    order and tie exactly like the values, as uint16 up to 65,536 rows and
+    uint32 above. numpy sorts them several times faster than floats.
+    Raises ValueError if X has a non-finite value, which orders unlike its
+    rank."""
+    if not np.isfinite(X).all():
+        raise ValueError("sort keys need finite feature values")
+    keys = np.empty((X.shape[1], X.shape[0]),
+                    dtype=np.uint16 if X.shape[0] <= 2**16 else np.uint32)
     for j in range(X.shape[1]):
         keys[j] = np.unique(X[:, j], return_inverse=True)[1]
     return keys
 
 
-def _scan_features(X, keys, y, idx, feats, n_classes, msl):
-    """Vectorized scan over candidate features; returns (feature, threshold, loss) or None.
+def _scan_features(X, keys, y, idx, feats, msl):
+    """Vectorized mean squared error scan of one regression node over its
+    candidate features; returns (feature, threshold, loss) or None.
 
-    Loss is the weighted child impurity L(Q, theta) relative to the node:
-    Gini when n_classes is given, mean squared error when it is None.
+    Loss is the weighted child impurity L(Q, theta) relative to the node.
     Only admissible thresholds (between distinct values, leaving msl rows on
     each side) are scored. Ties resolve to the smallest feature index, then
     smallest threshold, because candidates are scanned feature-major in
@@ -320,33 +319,14 @@ def _scan_features(X, keys, y, idx, feats, n_classes, msl):
 
     nl = t_pos + 1.0
     nr = n - nl
-    if n_classes is not None:
-        yk = y[idx]
-        yo = yk[order]
-        # per-class left counts at every candidate; the last class holds the
-        # rest, exactly, since the counts are integers
-        cums = [(yo == k).cumsum(axis=1, dtype=np.float64)[f_pos, t_pos]
-                for k in range(n_classes - 1)]
-        cums.append(nl - sum(cums))
-        totals = np.bincount(yk, minlength=n_classes).astype(np.float64)
-        sl = 0.0
-        sr = 0.0
-        for cum, tot in zip(cums, totals):
-            pl = cum / nl
-            pr = (tot - cum) / nr
-            sl = sl + pl * pl
-            sr = sr + pr * pr
-        Hl = 1.0 - sl
-        Hr = 1.0 - sr
-    else:
-        yv = np.asarray(y[idx], dtype=np.float64)
-        ys = yv[order]
-        cum = ys.cumsum(axis=1)[f_pos, t_pos]
-        cum2 = (ys * ys).cumsum(axis=1)[f_pos, t_pos]
-        tot = np.add.reduce(yv)
-        tot2 = float(np.dot(yv, yv))
-        Hl = np.maximum(cum2 / nl - (cum / nl) ** 2, 0.0)
-        Hr = np.maximum((tot2 - cum2) / nr - ((tot - cum) / nr) ** 2, 0.0)
+    yv = np.asarray(y[idx], dtype=np.float64)
+    ys = yv[order]
+    cum = ys.cumsum(axis=1)[f_pos, t_pos]
+    cum2 = (ys * ys).cumsum(axis=1)[f_pos, t_pos]
+    tot = np.add.reduce(yv)
+    tot2 = float(np.dot(yv, yv))
+    Hl = np.maximum(cum2 / nl - (cum / nl) ** 2, 0.0)
+    Hr = np.maximum((tot2 - cum2) / nr - ((tot - cum) / nr) ** 2, 0.0)
 
     loss = (nl * Hl + nr * Hr) / n
     m = float(loss.min())
@@ -365,14 +345,19 @@ def best_split(X, y, idx, feats, n_classes=None, min_samples_leaf=1,
     Returns (Split, loss) minimizing the weighted child impurity: Gini when
     ``n_classes`` is given, mean squared error when it is None. None when
     no admissible candidate improves on the parent (gain <= GAIN_EPS).
-    ``keys`` is sort_keys(X), which grow_trees computes once; X.T if None.
+    ``keys`` is sort_keys(X), which grow_trees computes once; computed here
+    if None. A classification node is a one-node _scan_segments call.
     """
     idx = np.asarray(idx, dtype=np.intp)
     feats = np.sort(np.asarray(feats, dtype=np.intp))
+    if keys is None:
+        keys = sort_keys(X)
     if parent_impurity is None:
         parent_impurity = _node_impurity(y[idx], n_classes)
-    found = _scan_features(X, X.T if keys is None else keys, y, idx, feats,
-                           n_classes, min_samples_leaf)
+    if n_classes is not None:
+        return _scan_segments(X, keys, y, [(idx, feats, parent_impurity)],
+                              n_classes, min_samples_leaf)[0]
+    found = _scan_features(X, keys, y, idx, feats, min_samples_leaf)
     if found is None:
         return None
     f, s, loss = found
@@ -383,8 +368,7 @@ def best_split(X, y, idx, feats, n_classes=None, min_samples_leaf=1,
 
 # Regression nodes of at most this many rows are scanned together by
 # _scan_segments. Below it a node's scan is mostly numpy call overhead,
-# which the batch shares; above it the per-node scan is as fast. A row's
-# position in its node must fit the 6 bits _scan_segments packs it into.
+# which the batch shares; above it the per-node scan is as fast.
 SMALL_NODE = 64
 
 # A small regression node joins the batch only if it also scans at most
@@ -394,9 +378,9 @@ SMALL_NODE = 64
 # 10 than alone, and bounds from 480 to 640 gave the fastest scans.
 SMALL_SCAN = 640
 
-# A _scan_segments call on classification nodes takes nodes in order until
-# they hold this many (row, feature) values, or one node if it alone holds
-# more. The first steps of a 20-tree fit on 2,000 rows hold up to 240,000
+# A _scan_segments call takes nodes in order until they hold this many
+# (row, feature) values, or one node if it alone holds more. The first
+# steps of a 20-tree classification fit on 2,000 rows hold up to 240,000
 # values (6 features) or 1.5 million (37 in the rescans); scanned at once,
 # they raised the process's peak RSS from 45.3 to 47.9 MB, and in calls of
 # this size to 45.8 MB.
@@ -404,53 +388,47 @@ SCAN_VALUES = 1 << 16
 
 
 def _scan_table(X, keys, y, n_classes) -> tuple:
-    """What _scan_segments reads of a fit's data, for uint16 keys =
-    sort_keys(X): (coded, low, values, offsets).
+    """What _scan_segments reads of a fit's data, for integer keys =
+    sort_keys(X): (coded, key_bits, low, values, offsets).
 
-    ``coded[j * n + r]`` is row r's key in column j shifted left by ``low``
-    bits, which hold the row's class for classification and are 0 (room
-    for a row's position in its node) for regression. The value of rank k
-    in column j is ``values[offsets[j] + k]``.
+    ``coded[j * n + r]`` is row r's key in column j, of at most
+    ``key_bits`` bits, shifted left by ``low`` bits, which hold the row's
+    class for classification (and low is 0 for regression). It is uint32
+    if key and class fit in 32 bits, else int64. The value of rank k in
+    column j is ``values[offsets[j] + k]``.
     """
-    low = int(n_classes - 1).bit_length() if n_classes is not None else 6
-    coded = keys.astype(np.uint32) << low
+    key_bits = int(keys.max()).bit_length()
+    low = int(n_classes - 1).bit_length() if n_classes is not None else 0
+    coded = keys.astype(np.uint32 if key_bits + low <= 32 else np.int64) << low
     if n_classes is not None:
-        coded |= np.asarray(y, dtype=np.uint32)
+        coded |= np.asarray(y, dtype=coded.dtype)
     sizes = keys.max(axis=1).astype(np.intp) + 1
     offsets = np.cumsum(sizes) - sizes
     values = np.empty(offsets[-1] + sizes[-1])
     values[offsets[:, None] + keys] = X.T
-    return coded.ravel(), low, values, offsets
+    return coded.ravel(), key_bits, low, values, offsets
 
 
 def _best_splits(X, y, keys, table, nodes, n_classes, min_samples_leaf) -> list:
     """best_split's Split, or None, for each (rows, sorted feats, impurity)
-    node. With uint16 keys, _scan_segments takes every classification node,
-    in calls of about SCAN_VALUES values, and the small regression nodes in
-    one call; every other node is scanned on its own. ``table`` is
-    _scan_table's, or None for other keys."""
+    node. _scan_segments takes every classification node and every small
+    regression node (SMALL_NODE, SMALL_SCAN), in calls of about SCAN_VALUES
+    values; each other regression node is a best_split call of its own.
+    ``table`` is _scan_table's."""
     found = [None] * len(nodes)
-    if table is None:
-        alone, batches = range(len(nodes)), []
-    elif n_classes is not None:
-        alone, batches, size = [], [], 0
-        for i, (rows, feats, _) in enumerate(nodes):
-            if not batches or size + len(rows) * len(feats) > SCAN_VALUES:
-                batches.append([])
-                size = 0
-            batches[-1].append(i)
-            size += len(rows) * len(feats)
-    else:
-        small = [len(rows) <= SMALL_NODE and len(rows) * len(feats) <= SMALL_SCAN
-                 for rows, feats, _ in nodes]
-        alone = [i for i, yes in enumerate(small) if not yes]
-        batches = [[i for i, yes in enumerate(small) if yes]] if any(small) else []
-    for i in alone:
-        rows, feats, imp = nodes[i]
-        hit = best_split(X, y, rows, feats, n_classes, min_samples_leaf, imp,
-                         keys)
-        if hit is not None:
-            found[i] = hit[0]
+    batches, size = [], 0
+    for i, (rows, feats, imp) in enumerate(nodes):
+        values = len(rows) * len(feats)
+        if n_classes is None and (len(rows) > SMALL_NODE or values > SMALL_SCAN):
+            hit = best_split(X, y, rows, feats, None, min_samples_leaf, imp, keys)
+            if hit is not None:
+                found[i] = hit[0]
+            continue
+        if not batches or size + values > SCAN_VALUES:
+            batches.append([])
+            size = 0
+        batches[-1].append(i)
+        size += values
     for batch in batches:
         hits = _scan_segments(X, keys, y, [nodes[i] for i in batch], n_classes,
                               min_samples_leaf, table)
@@ -462,9 +440,8 @@ def _best_splits(X, y, keys, table, nodes, n_classes, min_samples_leaf) -> list:
 
 def _scan_segments(X, keys, y, nodes, n_classes, msl, table=None) -> list:
     """best_split's (Split, loss), or None, of each of several
-    (rows, sorted feats, impurity) nodes in one pass, for uint16 keys:
-    Gini when n_classes is given, mean squared error when it is None, and
-    then every node has at most SMALL_NODE rows. ``table`` is
+    (rows, sorted feats, impurity) nodes in one pass: Gini when n_classes
+    is given, mean squared error when it is None. ``table`` is
     _scan_table(X, keys, y, n_classes), computed here if None.
 
     Each (node, feature) pair is a segment of one flat array of int64
@@ -473,23 +450,25 @@ def _scan_segments(X, keys, y, nodes, n_classes, msl, table=None) -> list:
     wherever the key changes inside a segment. For classification the low
     bits are the row's class: class counts do not depend on the order of
     the rows within a key, so left class counts are integer prefix sums
-    less the segment's base, exact like _scan_features' cumsums. For
-    regression they are the row's position in its node, so that the sort
-    gives the order of _scan_features' stable sort, and left sums of
-    targets are cumsums down one zero-padded column per segment: each is
-    _scan_features' sequential sum, and a node's target totals are its own
-    add.reduce and dot. The loss, the per-node minimum, the tie rule and
-    the gain check repeat _scan_features and best_split operation by
-    operation, in feature-major order. A threshold is the mean of the
-    values of the two keys around it, which are the values
-    _scan_features reads from X. Every split and loss keeps its bits.
+    less the segment's base, exact like a per-feature cumsum. For
+    regression they are the row's position in its node, as wide as the
+    largest node of the call needs, so that the sort gives the order of
+    _scan_features' stable sort, and left sums of targets are cumsums down
+    one zero-padded column per segment: each is _scan_features' sequential
+    sum, and a node's target totals are its own add.reduce and dot. The
+    loss, the per-node minimum, the tie rule and the gain check repeat
+    _scan_features and best_split operation by operation, in feature-major
+    order. A threshold is the mean of the values of the two keys around
+    it, which are the values a per-node scan reads from X.
     """
     if table is None:
         table = _scan_table(X, keys, y, n_classes)
-    coded, low, values, offsets = table
+    coded, key_bits, low, values, offsets = table
     classify = n_classes is not None
     n_rows = np.array([len(rows) for rows, _, _ in nodes])
     n_feats = np.array([len(feats) for _, feats, _ in nodes])
+    if not classify:
+        low = int(n_rows.max() - 1).bit_length()  # a row's position
     seg_node = np.repeat(np.arange(len(nodes)), n_feats)
     seg_len = n_rows[seg_node]
     seg_end = np.cumsum(seg_len)
@@ -502,15 +481,17 @@ def _scan_segments(X, keys, y, nodes, n_classes, msl, table=None) -> list:
     at = np.arange(seg_end[-1]) + np.repeat(row_base - seg_start, seg_len)
     flat = node_rows[at]
     flat += np.repeat(seg_feat * keys.shape[1], seg_len)
-    shift = 16 + low
+    shift = key_bits + low
     code = np.repeat(np.arange(len(seg_len), dtype=np.int64) << shift, seg_len)
-    code |= coded[flat]
-    del flat
-    if not classify:
+    if classify:
+        code |= coded[flat]
+    else:
+        code |= coded[flat].astype(np.int64) << low
         code |= at - np.repeat(row_base, seg_len)
-    del at
+    del flat, at
     code.sort()
     sk = code >> low  # (segment, key)
+    low_mask = (1 << low) - 1
 
     # candidate e splits its segment after sorted position e: between
     # distinct keys, leaving msl rows on each side
@@ -532,7 +513,7 @@ def _scan_segments(X, keys, y, nodes, n_classes, msl, table=None) -> list:
         # per-class counts left of each candidate and in its segment; the
         # last class holds the rest
         prefix = np.zeros((n_classes - 1, len(code) + 1), dtype=np.int32)
-        np.cumsum((code & ((1 << low) - 1)) == np.arange(n_classes - 1)[:, None],
+        np.cumsum((code & low_mask) == np.arange(n_classes - 1)[:, None],
                   axis=1, dtype=np.int32, out=prefix[:, 1:])
         base = prefix[:, seg_start[seg]]
         cums = prefix[:, cand + 1] - base
@@ -554,7 +535,7 @@ def _scan_segments(X, keys, y, nodes, n_classes, msl, table=None) -> list:
         # each segment's values in order, as _scan_features' rows do
         elem_seg = code >> shift
         pos = np.arange(len(code)) - seg_start[elem_seg]
-        rows = node_rows[row_base[elem_seg] + (code & 63)]
+        rows = node_rows[row_base[elem_seg] + (code & low_mask)]
         pad = np.zeros((n_rows.max(), 2, len(seg_len)))
         pad[pos, 0, elem_seg] = y[rows]
         np.multiply(pad[:, 0], pad[:, 0], out=pad[:, 1])
@@ -578,8 +559,9 @@ def _scan_segments(X, keys, y, nodes, n_classes, msl, table=None) -> list:
     node, best = node[gain], best[gain]
     e = cand[best]
     j = seg_feat[seg[best]]
-    threshold = (values[offsets[j] + (sk[e] & 0xFFFF)]
-                 + values[offsets[j] + (sk[e + 1] & 0xFFFF)]) / 2.0
+    key_mask = (1 << key_bits) - 1
+    threshold = (values[offsets[j] + (sk[e] & key_mask)]
+                 + values[offsets[j] + (sk[e + 1] & key_mask)]) / 2.0
     found = [None] * len(nodes)
     for i, f, s, x in zip(node.tolist(), j.tolist(), threshold.tolist(),
                           loss[best].tolist()):
@@ -824,8 +806,7 @@ def grow_trees(X, y, bags, rngs, config: TreeConfig, task: str,
     every_feature = np.arange(p)
     if keys is None:
         keys = sort_keys(X)
-    table = _scan_table(X, keys, y, n_classes) if keys.dtype == np.uint16 \
-        else None
+    table = _scan_table(X, keys, y, n_classes)
     max_depth, min_split = config.max_depth, config.min_samples_split
 
     stats, imp = _node_stats(y, np.concatenate(bags),

@@ -62,11 +62,75 @@ def brute_force_best_split(X, y, idx, feats, n_classes=None,
     return Split(best[1], best[2]), best[0]
 
 
+def reference_scan_classification(X, y, idx, feats, n_classes, msl):
+    """The per-node Gini scan that the batched scan must match bit for bit:
+    (feature, threshold, loss) or None, over the float values of X.
+
+    Only admissible thresholds (between distinct values, leaving msl rows on
+    each side) are scored; per-class left counts are cumsums along each
+    feature's stable sort; the first loss within the tie tolerance of the
+    minimum wins, in feature-major order.
+    """
+    n = len(idx)
+    sub = X[:, feats].T.take(idx, axis=1)
+    order = sub.argsort(axis=1, kind="stable")
+    sk = np.sort(sub, axis=1)
+    valid = sk[:, 1:] > sk[:, :-1]
+    if msl > 1:
+        pos = np.arange(1, n)
+        valid = valid & (pos >= msl) & (n - pos >= msl)
+    f_pos, t_pos = np.nonzero(valid)
+    if len(f_pos) == 0:
+        return None
+    nl = t_pos + 1.0
+    nr = n - nl
+    yk = y[idx]
+    yo = yk[order]
+    # the last class holds the rest, exactly, since the counts are integers
+    cums = [(yo == k).cumsum(axis=1, dtype=np.float64)[f_pos, t_pos]
+            for k in range(n_classes - 1)]
+    cums.append(nl - sum(cums))
+    totals = np.bincount(yk, minlength=n_classes).astype(np.float64)
+    sl = 0.0
+    sr = 0.0
+    for cum, tot in zip(cums, totals):
+        pl = cum / nl
+        pr = (tot - cum) / nr
+        sl = sl + pl * pl
+        sr = sr + pr * pr
+    loss = (nl * (1.0 - sl) + nr * (1.0 - sr)) / n
+    m = float(loss.min())
+    best = int((loss <= m + LOSS_TIE_TOL * max(1.0, abs(m))).argmax())
+    f, t = f_pos[best], t_pos[best]
+    rows, j = order[f], feats[f]
+    threshold = (X[idx[rows[t]], j] + X[idx[rows[t + 1]], j]) / 2.0
+    return int(j), float(threshold), float(loss[best])
+
+
+def reference_best_split(X, y, idx, feats, n_classes, min_samples_leaf,
+                         parent_impurity, keys=None):
+    """best_split as the grower claims it: reference_scan_classification
+    for a classification node, the library's per-node MSE scan for a
+    regression node."""
+    if n_classes is None:
+        return best_split(X, y, idx, feats, None, min_samples_leaf,
+                          parent_impurity, keys)
+    idx = np.asarray(idx, dtype=np.intp)
+    feats = np.sort(np.asarray(feats, dtype=np.intp))
+    found = reference_scan_classification(X, y, idx, feats, n_classes,
+                                          min_samples_leaf)
+    if found is None:
+        return None
+    f, s, loss = found
+    if parent_impurity - loss <= GAIN_EPS:
+        return None
+    return Split(f, s), loss
+
 
 def reference_grow(X, y, indices, config, task, n_classes=None, rng=0,
                    keys=None):
-    """One tree grown by plain recursion, a best_split call per node: the
-    oracle that the lockstep grower must match column for column.
+    """One tree grown by plain recursion, a reference_best_split call per
+    node: the oracle that the lockstep grower must match column for column.
 
     The node numbering, the draws of the max_features subsets, the fallback
     to all features and the float operations are those the grower claims.
@@ -111,11 +175,11 @@ def reference_grow(X, y, indices, config, task, n_classes=None, rng=0,
             return node
         feats = np.sort(rng.choice(p, size=k_feats, replace=False)) \
             if k_feats < p else np.arange(p)
-        found = best_split(X, y, idx, feats, n_classes,
-                           config.min_samples_leaf, imp, keys)
+        found = reference_best_split(X, y, idx, feats, n_classes,
+                                     config.min_samples_leaf, imp, keys)
         if found is None and k_feats < p:
-            found = best_split(X, y, idx, np.arange(p), n_classes,
-                               config.min_samples_leaf, imp, keys)
+            found = reference_best_split(X, y, idx, np.arange(p), n_classes,
+                                         config.min_samples_leaf, imp, keys)
         if found is None:
             return node
         split, _ = found

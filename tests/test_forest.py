@@ -12,8 +12,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from ufitree import forest as forest_mod, tree as tree_mod
 from ufitree.data import CONTINUOUS, Dataset, FeatureKind
 from ufitree.forest import (
-    Forest, ForestConfig, bootstrap_indices, draw_bag, fit, tree_rngs,
-    worker_count,
+    Forest, ForestConfig, bootstrap_indices, draw_bag, draw_bags, fit,
+    tree_rngs, worker_count,
 )
 from ufitree.importance import si_forest
 from ufitree.tree import COLUMNS, TreeConfig, grow, grow_trees, sort_keys
@@ -341,14 +341,29 @@ def test_fit_grows_the_reference_trees(case):
         for jobs in (1, 2):
             for got, expected in zip(fit(d, cfg, jobs=jobs).trees, want):
                 assert_same_tree(got, expected)
-    # keys=X.T, the fallback for data that uint16 ranks cannot hold, takes
-    # the per-node scan for every node, and grows the same trees
-    rngs = tree_rngs(cfg)
-    bags = [draw_bag(d.n, rng, cfg.bootstrap)[0] for rng in rngs]
-    for got, expected in zip(
-            grow_trees(d.X, d.y, bags, rngs, cfg.tree, d.task, d.n_classes,
-                       keys=d.X.T), want):
-        assert_same_tree(got, expected)
+
+
+@pytest.mark.parametrize("task", ["classification", "regression"])
+def test_fits_on_more_rows_than_uint16_ranks_grow_the_reference_trees(task):
+    """70,000 rows take uint32 sort keys, in the batched scans as in the
+    per-node ones; trees 12 deep reach regression nodes small enough for
+    the batch."""
+    n = 70_000
+    rng = np.random.default_rng(21)
+    X = np.column_stack([rng.permutation(n) / 8.0 - 4000.0,
+                         rng.integers(0, 40, n) / 2.0])
+    names, kinds = ["x0", "x1"], [FeatureKind(CONTINUOUS)] * 2
+    if task == "classification":
+        d = Dataset(X, rng.integers(0, 3, n), names, kinds, task, 3)
+    else:
+        d = Dataset(X, rng.standard_normal(n), names, kinds, task)
+    cfg = ForestConfig(n_trees=2, seed=8, tree=TreeConfig(max_depth=12))
+    assert sort_keys(d.X).dtype == np.uint32
+    got = fit(d, cfg).trees
+    for tree, (rng, rows) in zip(got, zip(*draw_bags(d.n, cfg)[:2])):
+        assert_same_tree(tree, reference_grow(d.X, d.y, rows, cfg.tree,
+                                              d.task, d.n_classes, rng=rng))
+        assert (tree.n[~tree.is_leaf] <= tree_mod.SMALL_NODE).any()
 
 
 @st.composite

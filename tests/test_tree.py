@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 from conftest import (
-    assert_same_tree, brute_force_best_split, random_instance, reference_grow,
+    assert_same_tree, brute_force_best_split, random_instance,
+    reference_best_split, reference_grow,
 )
 from hypothesis import given, settings, strategies as st
 
@@ -118,11 +119,24 @@ class TestBestSplit:
             got = best_split(X, y, idx, feats, n_classes=k, keys=keys)
             assert got == want
 
-    def test_sort_keys_fall_back_to_values_on_nan(self):
-        X = np.array([[1.0, np.nan], [2.0, 0.0]])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_sort_keys_reject_non_finite_values(self, bad):
+        X = np.array([[1.0, bad], [2.0, 0.0]])
+        with pytest.raises(ValueError, match="finite"):
+            sort_keys(X)
+        with pytest.raises(ValueError, match="finite"):
+            grow(X, np.array([0, 1]), [0, 1], TreeConfig(), "classification")
+
+    @pytest.mark.parametrize("n,dtype", [(2**16, np.uint16), (2**16 + 1, np.uint32)])
+    def test_sort_keys_are_dense_ranks_as_wide_as_the_rows_need(self, n, dtype):
+        rng = np.random.default_rng(5)
+        X = np.column_stack([rng.permutation(n) / 3.0 - 7.0,
+                             rng.integers(-2, 3, n) * 0.0])
         keys = sort_keys(X)
-        assert keys.dtype == np.float64
-        assert np.array_equal(keys, X.T, equal_nan=True)
+        assert keys.dtype == dtype
+        assert np.array_equal(keys[0], np.argsort(np.argsort(X[:, 0])))
+        assert keys[0].max() == n - 1
+        assert not keys[1].any()  # -0.0 and 0.0 tie
 
 
 @st.composite
@@ -159,7 +173,7 @@ def test_batched_scan_is_best_split_bit_for_bit(case):
     keys = sort_keys(X)
     found = _scan_segments(X, keys, y, nodes, k, msl)
     for (rows, feats, imp), got in zip(nodes, found):
-        want = best_split(X, y, rows, feats, k, msl, imp, keys)
+        want = reference_best_split(X, y, rows, feats, k, msl, imp, keys)
         if want is None:
             assert got is None
         else:
@@ -212,15 +226,17 @@ def test_classification_scan_is_best_split_bit_for_bit(case):
     X, y, k, nodes, msl, cap = case
     keys = sort_keys(X)
     table = _scan_table(X, keys, y, k)
-    want = [best_split(X, y, rows, feats, k, msl, imp, keys)
+    want = [reference_best_split(X, y, rows, feats, k, msl, imp)
             for rows, feats, imp in nodes]
-    for got, expected in zip(_scan_segments(X, keys, y, nodes, k, msl, table),
-                             want):
+    for (rows, feats, imp), got, expected in zip(
+            nodes, _scan_segments(X, keys, y, nodes, k, msl, table), want):
         assert (got is None) == (expected is None)
         if got is not None:
             assert got[0].feature == expected[0].feature
             assert _same_float(got[0].threshold, expected[0].threshold)
             assert _same_float(got[1], expected[1])
+        # best_split on a classification node is a one-node scan
+        assert best_split(X, y, rows, feats, k, msl, imp, keys) == got
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tree_mod, "SCAN_VALUES", cap)
         found = _best_splits(X, y, keys, table, nodes, k, msl)
@@ -235,8 +251,9 @@ def test_scan_table_codes_keys_and_classes():
     X = np.array([[0.5, -0.0], [-1.0, 3.0], [0.5, 0.0], [2.0, 3.0]])
     y = np.array([2, 0, 1, 2])
     keys = sort_keys(X)
-    coded, low, values, offsets = _scan_table(X, keys, y, 3)
-    assert low == 2
+    coded, key_bits, low, values, offsets = _scan_table(X, keys, y, 3)
+    assert (key_bits, low) == (2, 2)
+    assert coded.dtype == np.uint32
     assert coded.reshape(2, 4).tolist() == [
         [k << 2 | c for k, c in zip(row, y)] for row in keys.tolist()]
     assert np.array_equal(values[offsets[:, None] + keys], X.T)
