@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .forest import Forest
-from .tree import Tree, predictive_gini_rows
+from .tree import Tree, predictive_gini
 
 
 @dataclass
@@ -128,7 +128,7 @@ def ufi_tree_classification(tree: Tree, X_test, y_test):
     tcounts = np.bincount(visits, minlength=tree.n_nodes() * k).reshape(-1, k)
     reached = np.flatnonzero(routed)
     h = np.zeros(tree.n_nodes())
-    h[reached] = predictive_gini_rows(
+    h[reached] = predictive_gini(
         tree.class_counts[reached] / tree.n[reached, None],
         tcounts[reached] / routed[reached, None])
     return _ufi_result(tree, *_test_decrease(tree, h, routed))

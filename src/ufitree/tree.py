@@ -81,19 +81,17 @@ def resolve_max_features(max_features, p: int) -> int:
     return int(max_features)
 
 
-def predictive_gini(p_train: np.ndarray, p_test: np.ndarray) -> float:
-    """Gini evaluated with train/test proportions mixed: 1 - sum_k p_k p'_k."""
-    return 1.0 - float(np.dot(p_train, p_test))
-
-
-def predictive_gini_rows(p_train: np.ndarray, p_test: np.ndarray) -> np.ndarray:
-    """predictive_gini of each pair of rows of two (nodes x classes) arrays.
-
-    A stacked matmul computes each row's product with the BLAS dot that
-    np.dot calls on two vectors, so every value keeps predictive_gini's
-    bits; tests check this on the installed numpy.
-    """
-    return 1.0 - (p_train[:, None, :] @ p_test[:, :, None])[:, 0, 0]
+def predictive_gini(p_train: np.ndarray, p_test: np.ndarray):
+    """Gini evaluated with train/test proportions mixed, 1 - sum_k p_k p'_k,
+    over the last axis: a float for two vectors, an array for two arrays of
+    rows. The sum adds one class at a time, in class order, with
+    elementwise operations, as the split scan does, so its bits do not
+    depend on the BLAS kernel."""
+    p_train, p_test = np.asarray(p_train), np.asarray(p_test)
+    s = 0.0
+    for k in range(p_train.shape[-1]):
+        s = s + p_train[..., k] * p_test[..., k]
+    return 1.0 - s
 
 
 def impurity_from_counts(counts: np.ndarray) -> float:
@@ -103,7 +101,7 @@ def impurity_from_counts(counts: np.ndarray) -> float:
     if n <= 0:
         raise ValueError("empty node has no impurity")
     p = counts / n
-    return predictive_gini(p, p)
+    return float(predictive_gini(p, p))
 
 
 def impurity_from_values(y: np.ndarray) -> float:
@@ -324,7 +322,7 @@ def _scan_features(X, keys, y, idx, feats, msl):
     cum = ys.cumsum(axis=1)[f_pos, t_pos]
     cum2 = (ys * ys).cumsum(axis=1)[f_pos, t_pos]
     tot = np.add.reduce(yv)
-    tot2 = float(np.dot(yv, yv))
+    tot2 = np.add.reduce(yv * yv)
     Hl = np.maximum(cum2 / nl - (cum / nl) ** 2, 0.0)
     Hr = np.maximum((tot2 - cum2) / nr - ((tot - cum) / nr) ** 2, 0.0)
 
@@ -455,7 +453,7 @@ def _scan_segments(X, keys, y, nodes, n_classes, msl, table=None) -> list:
     largest node of the call needs, so that the sort gives the order of
     _scan_features' stable sort, and left sums of targets are cumsums down
     one zero-padded column per segment: each is _scan_features' sequential
-    sum, and a node's target totals are its own add.reduce and dot. The
+    sum, and a node's target totals are its own add.reduce calls. The
     loss, the per-node minimum, the tie rule and the gain check repeat
     _scan_features and best_split operation by operation, in feature-major
     order. A threshold is the mean of the values of the two keys around
@@ -541,8 +539,8 @@ def _scan_segments(X, keys, y, nodes, n_classes, msl, table=None) -> list:
         np.multiply(pad[:, 0], pad[:, 0], out=pad[:, 1])
         np.cumsum(pad, axis=0, out=pad)
         cum, cum2 = pad[pos[cand], :, seg].T
-        tot, tot2 = np.array([(np.add.reduce(v), np.dot(v, v)) for v in
-                              (y[r] for r, _, _ in nodes)])[node].T
+        tot, tot2 = np.array([(np.add.reduce(v), np.add.reduce(v * v)) for v
+                              in (y[r] for r, _, _ in nodes)])[node].T
         Hl = np.maximum(cum2 / nl - (cum / nl) ** 2, 0.0)
         Hr = np.maximum((tot2 - cum2) / nr - ((tot - cum) / nr) ** 2, 0.0)
     loss = (nl * Hl + nr * Hr) / n
@@ -753,7 +751,7 @@ def _node_stats(y, rows, sizes, n_classes) -> tuple[list, list]:
     class counts and their Gini when n_classes is given, else the mean and
     the MSE, as lists.
 
-    One bincount counts every group, and predictive_gini_rows keeps
+    One bincount counts every group, and one predictive_gini call gives
     impurity_from_counts' bits. Each group's mean and MSE is its own
     _mean_and_mse call: segment_sums gives the same bits, but its fixed
     cost made fits of 10 regression trees slower.
@@ -766,7 +764,7 @@ def _node_stats(y, rows, sizes, n_classes) -> tuple[list, list]:
     counts = np.bincount(code, minlength=len(sizes) * n_classes) \
         .reshape(len(sizes), n_classes)
     q = counts / sizes[:, None]
-    return counts.tolist(), predictive_gini_rows(q, q).tolist()
+    return counts.tolist(), predictive_gini(q, q).tolist()
 
 
 def grow_trees(X, y, bags, rngs, config: TreeConfig, task: str,

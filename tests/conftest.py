@@ -9,10 +9,19 @@ from ufitree.tree import (
 )
 
 
+def scalar_gini(p, q):
+    """1 - sum_k p_k q_k of two sequences of proportions, in plain Python
+    floats, one class at a time in class order."""
+    s = 0.0
+    for a, b in zip(p, q):
+        s = s + float(a) * float(b)
+    return 1.0 - s
+
+
 def oracle_impurity_cls(counts):
     counts = np.asarray(counts, dtype=np.float64)
     p = counts / counts.sum()
-    return 1.0 - float(np.dot(p, p))
+    return scalar_gini(p, p)
 
 
 def oracle_impurity_reg(y):

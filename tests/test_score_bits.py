@@ -5,14 +5,23 @@ input and compares the sha256 of ``scores_encoded.csv`` with a recorded
 digest. The CSV prints every score and its SD across trees with ``repr``,
 so a change in the last bit of any score changes the digest. A change
 that moves score bits on purpose must update the digests and say why.
+
+The pins that hold a Gini value were recorded when the Gini sum was a BLAS
+dot, whose summation order depended on the CPU's kernel. They now hold
+the elementwise sum in class order, which is the same on every CPU, and
+``test_gini_pins_rederive_with_a_scalar_python_gini`` re-derives each of
+them with a plain-Python Gini.
 """
 
 import hashlib
 import json
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
+from conftest import scalar_gini
 
+from ufitree import importance as importance_mod, tree as tree_mod
 from ufitree.cli import main
 
 LEVELS = "abc"
@@ -41,11 +50,11 @@ def _rows(n, offset, task):
 # column=level name under the training labels, apart from the loader.
 DIGESTS = {
     ("classification", "si", "oob"):
-        "9e76a5a40fd8397f6aa403c87f62412a7c0c730f987cdd46608853e219dd4bd7",
+        "ca630c214bcaddc80158b9cda517911f68c7c029c4cc9aa988621c016752bdef",
     ("classification", "ufi", "oob"):
-        "52dfc01abcff560519e40220f04eab4ea17f61aba4141345c4f40aec2c5941ab",
+        "cb1e62820538b621f6407e6bc1d62cb81f644fee0e62bca0cb5871de2aa3ee64",
     ("classification", "ufi", "test.csv"):
-        "39f04134131d61176bbbf818f6871ffc183bf9efc51398cacf9cc19caa4f1dd7",
+        "716d8992196a78cde18f43d490917f20366efa1c57e11dee8f7dd367e9f95f31",
     ("classification", "permutation", "oob"):
         "934f3e33c69a80fa273c8ab30c5ff655818ab183993a4faef6e5a2a399202bb1",
     ("classification", "permutation", "test.csv"):
@@ -63,8 +72,7 @@ DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("task,method,test", list(DIGESTS))
-def test_scores_encoded_bits_are_pinned(tmp_path, task, method, test):
+def _importance_digest(tmp_path, task, method, test):
     (tmp_path / "train.csv").write_text(_rows(80, 0, task))
     (tmp_path / "test.csv").write_text(_rows(40, 80, task))
     (tmp_path / "schema.json").write_text(json.dumps({
@@ -79,18 +87,22 @@ def test_scores_encoded_bits_are_pinned(tmp_path, task, method, test):
         "--trees", "8", "--seed", "7", "--out", str(out)],
         catch_exceptions=False)
     assert res.exit_code == 0, res.output
-    digest = hashlib.sha256((out / "scores_encoded.csv").read_bytes()).hexdigest()
-    assert digest == DIGESTS[(task, method, test)]
+    return hashlib.sha256((out / "scores_encoded.csv").read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("task,method,test", list(DIGESTS))
+def test_scores_encoded_bits_are_pinned(tmp_path, task, method, test):
+    assert _importance_digest(tmp_path, task, method, test) \
+        == DIGESTS[(task, method, test)]
 
 
 # sha256 of summary.json from a small fixed-seed simulate run. Its depth-2
 # trees leave many features at a score of 0, so avg_rank holds tied ranks.
 # The digest holds for every --threads count.
-SUMMARY_DIGEST = "9947ac2086f091e4a2b1e547c6800df8dc9ab43aa480b2e0180e05c7b21db6d5"
+SUMMARY_DIGEST = "64c5edf56ff604471cc75437c1b6eb009489f3514ea05eb5d86f1cb8970a6ac8"
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_simulate_summary_bits_are_pinned(tmp_path, threads):
+def _simulate_digest(tmp_path, threads):
     out = tmp_path / "sim"
     res = CliRunner().invoke(main, [
         "simulate", "--scenario", "null-mixed", "--task", "classification",
@@ -99,8 +111,12 @@ def test_simulate_summary_bits_are_pinned(tmp_path, threads):
         "--out", str(out)],
         catch_exceptions=False)
     assert res.exit_code == 0, res.output
-    digest = hashlib.sha256((out / "summary.json").read_bytes()).hexdigest()
-    assert digest == SUMMARY_DIGEST
+    return hashlib.sha256((out / "summary.json").read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_simulate_summary_bits_are_pinned(tmp_path, threads):
+    assert _simulate_digest(tmp_path, threads) == SUMMARY_DIGEST
 
 
 def _three_class_rows(n):
@@ -119,11 +135,10 @@ def _three_class_rows(n):
 
 # sha256 of model.json from a fixed-seed train run with unlimited depth. The
 # digest holds for every --threads count.
-MODEL_DIGEST = "e932ddcc214bfd2316c2be088c3e4b3f220f3b97a056ed0b2e4e20ce7f291560"
+MODEL_DIGEST = "7efecfe67412f6267391c7fc2e843c01616f6337c053425a9eb16b4b160a8b23"
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_train_model_bits_are_pinned(tmp_path, threads):
+def _train_digest(tmp_path, threads):
     (tmp_path / "train.csv").write_text(_three_class_rows(300))
     (tmp_path / "schema.json").write_text(json.dumps({
         "target": "y", "task": "classification",
@@ -137,8 +152,12 @@ def test_train_model_bits_are_pinned(tmp_path, threads):
         "--out", str(out)],
         catch_exceptions=False)
     assert res.exit_code == 0, res.output
-    digest = hashlib.sha256((out / "model.json").read_bytes()).hexdigest()
-    assert digest == MODEL_DIGEST
+    return hashlib.sha256((out / "model.json").read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_train_model_bits_are_pinned(tmp_path, threads):
+    assert _train_digest(tmp_path, threads) == MODEL_DIGEST
 
 
 def _regression_rows(n):
@@ -284,11 +303,10 @@ def _mixed_rows(n):
 # than 256 feature subsets each, and rescan unsplittable drawn subsets over
 # all 37 columns. The digest holds for every --threads count.
 MIXED_MODEL_DIGEST = (
-    "a4ccbe0171aecfcf2b15719bab5f77e91cb9e54ff8716692174e06ae508748c8")
+    "209ed02514217f751e6599a7cb57c6885633eb98ed5601aaa0518aa1525cc4b0")
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_mixed_train_model_bits_are_pinned(tmp_path, threads):
+def _mixed_train_digest(tmp_path, threads):
     (tmp_path / "train.csv").write_text(_mixed_rows(2000))
     (tmp_path / "schema.json").write_text(json.dumps({
         "target": "label", "task": "classification",
@@ -301,5 +319,52 @@ def test_mixed_train_model_bits_are_pinned(tmp_path, threads):
         "--seed", "17", "--threads", threads, "--out", str(out)],
         catch_exceptions=False)
     assert res.exit_code == 0, res.output
-    digest = hashlib.sha256((out / "model.json").read_bytes()).hexdigest()
-    assert digest == MIXED_MODEL_DIGEST
+    return hashlib.sha256((out / "model.json").read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_mixed_train_model_bits_are_pinned(tmp_path, threads):
+    assert _mixed_train_digest(tmp_path, threads) == MIXED_MODEL_DIGEST
+
+
+def _scalar_predictive_gini(p, q):
+    """predictive_gini in plain Python floats, a row at a time."""
+    p, q = np.asarray(p), np.asarray(q)
+    if p.ndim == 1:
+        return scalar_gini(p, q)
+    return np.array([scalar_gini(a, b) for a, b in zip(p, q)])
+
+
+# Every pin that holds a Gini value: how to run it (with a --threads
+# count where the pin has one) and the digest it must give
+GINI_PINS = {
+    **{f"classification-{m}-{t}": (
+        lambda tmp, m=m, t=t: _importance_digest(tmp, "classification", m, t),
+        DIGESTS[("classification", m, t)])
+       for m, t in [("si", "oob"), ("ufi", "oob"), ("ufi", "test.csv")]},
+    **{f"{name}-{threads}": (
+        lambda tmp, run=run, threads=threads: run(tmp, threads), digest)
+       for name, run, digest in [("simulate", _simulate_digest, SUMMARY_DIGEST),
+                                 ("train", _train_digest, MODEL_DIGEST),
+                                 ("mixed-train", _mixed_train_digest,
+                                  MIXED_MODEL_DIGEST)]
+       for threads in ["1", "2"]},
+}
+
+
+@pytest.mark.parametrize("pin", list(GINI_PINS))
+def test_gini_pins_rederive_with_a_scalar_python_gini(tmp_path, monkeypatch, pin):
+    """Each Gini-holding pin, re-derived with the library's predictive_gini
+    replaced by plain-Python sums in class order. Forked fit workers
+    inherit the replacement; the parent's own calls are counted."""
+    calls = []
+
+    def gini(p, q):
+        calls.append(1)
+        return _scalar_predictive_gini(p, q)
+
+    monkeypatch.setattr(tree_mod, "predictive_gini", gini)
+    monkeypatch.setattr(importance_mod, "predictive_gini", gini)
+    run, digest = GINI_PINS[pin]
+    assert run(tmp_path) == digest
+    assert calls or pin.endswith("train-2")  # there only workers grow trees

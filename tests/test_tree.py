@@ -4,18 +4,19 @@ import numpy as np
 import pytest
 from conftest import (
     assert_same_tree, brute_force_best_split, random_instance,
-    reference_best_split, reference_grow,
+    reference_best_split, reference_grow, scalar_gini,
 )
 from hypothesis import given, settings, strategies as st
 
 from ufitree import tree as tree_mod
 from ufitree.data import CONTINUOUS, Dataset, FeatureKind
 from ufitree.forest import ForestConfig, fit
+from ufitree.importance import ufi_tree_classification
 from ufitree.tree import (
     FIRST_BLOCK, MAX_BLOCK, SMALL_NODE, Split, Tree, TreeConfig,
     _best_splits, _draw_subsets, _node_impurity, _scan_segments, _scan_table,
     best_split, evaluate_split, grow, impurity_from_counts,
-    impurity_from_values, predictive_gini, predictive_gini_rows, sort_keys,
+    impurity_from_values, predictive_gini, sort_keys,
 )
 
 FOUR_X = np.array([[1.0], [2.0], [3.0], [4.0]])
@@ -263,7 +264,8 @@ def test_scan_table_codes_keys_and_classes():
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), classes=st.integers(2, 33),
        rows=st.integers(1, 300), counts=st.booleans())
-def test_gini_rows_are_predictive_gini_bit_for_bit(seed, classes, rows, counts):
+def test_predictive_gini_is_the_scalar_class_order_gini(seed, classes, rows,
+                                                        counts):
     rng = np.random.default_rng(seed)
     if counts:  # proportions of counts, as the grower and ufi make them
         c = rng.integers(0, 40, (2, rows, classes))
@@ -271,15 +273,17 @@ def test_gini_rows_are_predictive_gini_bit_for_bit(seed, classes, rows, counts):
         P, Q = c / c.sum(axis=2, keepdims=True)
     else:
         P, Q = rng.random((2, rows, classes))
-    got = predictive_gini_rows(P, Q)
-    want = np.array([predictive_gini(a, b) for a, b in zip(P, Q)])
-    assert got.tobytes() == want.tobytes()
+    want = np.array([scalar_gini(a, b) for a, b in zip(P, Q)])
+    assert predictive_gini(P, Q).tobytes() == want.tobytes()
+    assert [predictive_gini(a, b) for a, b in zip(P, Q)] == want.tolist()
+    assert [impurity_from_counts(c) for c in P] == \
+        [scalar_gini(a, a) for a in P / P.sum(axis=1, keepdims=True)]
 
 
 def test_gini_rows_match_on_every_node_of_a_forest():
-    """Every node impurity of a fitted 5-class forest is impurity_from_counts
-    of its class counts, and every node's predictive Gini against routed
-    test rows is predictive_gini's, to the bit."""
+    """Every node impurity of a fitted 5-class forest is the scalar Gini of
+    its class proportions, and every node's ufi term is its decrease in
+    the scalar predictive Gini against routed test rows, to the bit."""
     rng = np.random.default_rng(12)
     X = np.round(rng.standard_normal((600, 5)), 1)
     y = (np.floor(X[:, 0] * 2 + rng.standard_normal(600)) % 5).astype(int)
@@ -290,15 +294,24 @@ def test_gini_rows_match_on_every_node_of_a_forest():
     nodes = 0
     for tree in fit(d, ForestConfig(n_trees=4, seed=3)).trees:
         q = tree.class_counts / tree.n[:, None]
-        want = np.array([impurity_from_counts(c) for c in tree.class_counts])
+        want = np.array([scalar_gini(a, a) for a in q])
         assert tree.impurity.tobytes() == want.tobytes()
         rows, offsets = tree.route(X_test)
         routed = np.diff(offsets)
-        reached = np.flatnonzero(routed)
-        tq = np.array([np.bincount(y_test[rows[offsets[i]:offsets[i + 1]]],
-                                   minlength=5) / routed[i] for i in reached])
-        want = np.array([predictive_gini(a, b) for a, b in zip(q[reached], tq)])
-        assert predictive_gini_rows(q[reached], tq).tobytes() == want.tobytes()
+        h = np.zeros(tree.n_nodes())
+        for i in np.flatnonzero(routed):
+            tq = np.bincount(y_test[rows[offsets[i]:offsets[i + 1]]],
+                             minlength=5) / routed[i]
+            h[i] = scalar_gini(q[i], tq)
+        w = tree.n / tree.n_root
+        inner = np.flatnonzero(~tree.is_leaf)
+        lo, hi = tree.left[inner], tree.right[inner]
+        ok = (routed[lo] > 0) & (routed[hi] > 0)
+        want = np.zeros(tree.n_nodes())
+        want[inner[ok]] = (w[inner] * h[inner]
+                           - (w[lo] * h[lo] + w[hi] * h[hi]))[ok]
+        terms = ufi_tree_classification(tree, X_test, y_test)[2]
+        assert terms.tobytes() == want.tobytes()
         nodes += tree.n_nodes()
     assert nodes > 500
 
