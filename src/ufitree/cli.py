@@ -195,14 +195,13 @@ def cmd_train(data, schema, task, out, trees, max_depth, max_features,
               required=True)
 @click.option("--test", "test_source", type=str, default="oob", show_default=True,
               help="'oob' or a path to a test CSV with the same schema")
-@click.option("--fold-dummies/--no-fold-dummies", default=True, show_default=True)
 @click.option("--inject-random", is_flag=True, default=False,
               help="append an independent standard-normal probe column")
 @click.option("--out", type=click.Path(file_okay=False), default="ufitree_importance")
 @with_forest_flags
-def cmd_importance(data, schema, task, method, test_source, fold_dummies,
-                   inject_random, out, trees, max_depth, max_features,
-                   min_samples_leaf, bootstrap, seed, threads):
+def cmd_importance(data, schema, task, method, test_source, inject_random,
+                   out, trees, max_depth, max_features, min_samples_leaf,
+                   bootstrap, seed, threads):
     """Train a forest and score features with one importance method."""
     started = time.time()
     seed = _resolve_seed(seed)
@@ -234,24 +233,21 @@ def cmd_importance(data, schema, task, method, test_source, fold_dummies,
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "scores_encoded.csv").write_text(report.to_csv())
     (out_dir / "scores_encoded.json").write_text(report.to_json() + "\n")
-    if fold_dummies and encoder.groups:
-        names, folded = fold_importances(report.scores, encoder)
-        lines = ["feature,score"]
-        lines += [f"{n},{float(s)!r}" for n, s in zip(names, folded)]
-        (out_dir / "scores.csv").write_text("\n".join(lines) + "\n")
-        folded_report = ImportanceReport(report.method, names, folded,
-                                         report.skipped_nodes, report.n_trees)
-        (out_dir / "scores.json").write_text(folded_report.to_json() + "\n")
-    else:
-        (out_dir / "scores.csv").write_text(report.to_csv())
-        (out_dir / "scores.json").write_text(report.to_json() + "\n")
+    # folded onto the original columns: the identity where none is
+    # categorical
+    names, folded = fold_importances(report.scores, encoder)
+    lines = ["feature,score"]
+    lines += [f"{n},{float(s)!r}" for n, s in zip(names, folded)]
+    (out_dir / "scores.csv").write_text("\n".join(lines) + "\n")
+    folded_report = ImportanceReport(report.method, names, folded,
+                                     report.skipped_nodes, report.n_trees)
+    (out_dir / "scores.json").write_text(folded_report.to_json() + "\n")
     # the test file is named as the training file is, by its basename, so
     # that the manifest does not depend on where the run happens
     _write_manifest(out_dir, "importance", {
         **forest.config.to_dict(),
         "method": method,
         "test": "oob" if test_print is None else test_print["path"],
-        "fold_dummies": fold_dummies,
         "inject_random": inject_random,
     }, seed, worker_count(threads, trees), _fingerprint(data, d), started,
         extra={"test_dataset": test_print})

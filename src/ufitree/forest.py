@@ -110,6 +110,14 @@ class Forest:
             seed=c["seed"],
         )
         trees = [Tree.from_dict(td) for td in d["trees"]]
+        # tree b is scored on the out-of-bag rows of bag b
+        if len(trees) != config.n_trees:
+            raise ValueError(f"model holds {len(trees)} trees; its config "
+                             f"grew {config.n_trees}")
+        meta = (d["n_features"], d["task"], d["n_classes"])
+        if any((t.n_features, t.task, t.n_classes) != meta for t in trees):
+            raise ValueError("a tree's (n_features, task, n_classes) differ "
+                             f"from the forest's {meta}")
         _, in_bag, oob = draw_bags(d["n_rows"], config)
         if bag_digest(in_bag) != d["bag_sha256"]:
             raise ValueError("rebuilt bootstrap samples do not match the "

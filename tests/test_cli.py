@@ -198,6 +198,37 @@ class TestImportance:
         assert manifests[0]["test_dataset"] == {**manifests[0]["dataset"],
                                                 "path": "test.csv"}
 
+    @pytest.mark.parametrize("flag", ["--fold-dummies", "--no-fold-dummies"])
+    def test_fold_dummies_option_is_gone(self, workspace, flag):
+        out = workspace / "imp"
+        res = CliRunner().invoke(main, [
+            "importance", "--data", str(workspace / "data.csv"),
+            "--schema", str(workspace / "schema.json"), "--method", "si",
+            flag, "--trees", "2", "--seed", "0", "--out", str(out)])
+        assert res.exit_code == 2, res.output
+        assert not out.exists()
+
+    def test_scores_fold_to_the_encoded_scores_without_categoricals(
+            self, workspace):
+        schema = {**TOY_SCHEMA, "kinds": {"x1": "continuous", "x2": "ordinal"}}
+        (workspace / "ordinal.json").write_text(json.dumps(schema))
+        (workspace / "data.csv").write_text(TOY_CSV.replace(",a,", ",1,")
+                                            .replace(",b,", ",2,"))
+        out = workspace / "imp"
+        res = _run(["importance", "--data", str(workspace / "data.csv"),
+                    "--schema", str(workspace / "ordinal.json"),
+                    "--method", "si", "--trees", "3", "--seed", "4",
+                    "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        folded = json.loads((out / "scores.json").read_text())
+        encoded = json.loads((out / "scores_encoded.json").read_text())
+        assert folded == encoded
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert "fold_dummies" not in manifest["config"]
+        rows = list(csv.DictReader(io.StringIO((out / "scores.csv").read_text())))
+        assert [(r["feature"], float(r["score"])) for r in rows] == \
+            list(zip(encoded["feature_names"], encoded["scores"]))
+
     def test_permutation_runs(self, workspace):
         out = workspace / "perm"
         res = _run(["importance", "--data", str(workspace / "data.csv"),

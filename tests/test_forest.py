@@ -495,6 +495,23 @@ class TestSerialization:
         with pytest.raises(ValueError):
             Forest.from_dict(payload)
 
+    @pytest.mark.parametrize("edit", [
+        lambda trees: trees.pop(1),
+        lambda trees: trees.append(dict(trees[0])),
+        lambda trees: trees[2].update(n_features=5),
+        lambda trees: trees[0].update(task="regression"),
+        lambda trees: trees[3].update(n_classes=3),
+    ], ids=["tree-deleted", "tree-added", "n_features", "task", "n_classes"])
+    def test_trees_that_do_not_match_the_forest_rejected(self, edit):
+        """A deleted tree would have each later tree scored on the out-of-bag
+        rows of the tree before it, which are partly in its bag."""
+        d = _dataset(n=60)
+        payload = fit(d, ForestConfig(n_trees=5, seed=8,
+                                      tree=TreeConfig(max_depth=2))).to_dict()
+        edit(payload["trees"])
+        with pytest.raises(ValueError, match="tree"):
+            Forest.from_dict(payload)
+
     def test_unknown_version_rejected(self):
         with pytest.raises(ValueError):
             Forest.from_dict({"version": "nope/0"})
