@@ -465,8 +465,6 @@ def _scan_segments(X, keys, y, nodes, n_classes, msl, table=None) -> list:
     classify = n_classes is not None
     n_rows = np.array([len(rows) for rows, _, _ in nodes])
     n_feats = np.array([len(feats) for _, feats, _ in nodes])
-    if not classify:
-        low = int(n_rows.max() - 1).bit_length()  # a row's position
     seg_node = np.repeat(np.arange(len(nodes)), n_feats)
     seg_len = n_rows[seg_node]
     seg_end = np.cumsum(seg_len)
@@ -479,14 +477,16 @@ def _scan_segments(X, keys, y, nodes, n_classes, msl, table=None) -> list:
     at = np.arange(seg_end[-1]) + np.repeat(row_base - seg_start, seg_len)
     flat = node_rows[at]
     flat += np.repeat(seg_feat * keys.shape[1], seg_len)
-    shift = key_bits + low
-    code = np.repeat(np.arange(len(seg_len), dtype=np.int64) << shift, seg_len)
-    if classify:
-        code |= coded[flat]
-    else:
-        code |= coded[flat].astype(np.int64) << low
+    code = np.repeat(np.arange(len(seg_len), dtype=np.int64) << (key_bits + low),
+                     seg_len)
+    code |= coded[flat]
+    if not classify:
+        # the table's low bits are empty: make room for a row's position
+        low = int(n_rows.max() - 1).bit_length()
+        code <<= low
         code |= at - np.repeat(row_base, seg_len)
     del flat, at
+    shift = key_bits + low
     code.sort()
     sk = code >> low  # (segment, key)
     low_mask = (1 << low) - 1

@@ -14,9 +14,9 @@ from ufitree.forest import ForestConfig, fit
 from ufitree.importance import ufi_tree_classification
 from ufitree.tree import (
     FIRST_BLOCK, MAX_BLOCK, SMALL_NODE, Split, Tree, TreeConfig,
-    _best_splits, _draw_subsets, _node_impurity, _scan_segments, _scan_table,
-    best_split, evaluate_split, grow, impurity_from_counts,
-    impurity_from_values, predictive_gini, sort_keys,
+    _best_splits, _draw_subsets, _node_impurity, _scan_features,
+    _scan_segments, _scan_table, best_split, evaluate_split, grow,
+    impurity_from_counts, impurity_from_values, predictive_gini, sort_keys,
 )
 
 FOUR_X = np.array([[1.0], [2.0], [3.0], [4.0]])
@@ -109,15 +109,22 @@ class TestBestSplit:
     @pytest.mark.parametrize("task", ["classification", "regression"],
                              ids=["classification-gini", "regression-mse"])
     def test_sort_keys_give_the_same_split(self, task):
+        """A scan over the integer ranks finds what a scan over the float
+        values finds."""
         rng = np.random.default_rng(7)
         for trial in range(60):
             X, y, k = random_instance(rng, task, duplicates=trial % 2 == 0)
             idx = rng.integers(0, len(y), size=len(y))
             feats = np.arange(X.shape[1])
-            want = best_split(X, y, idx, feats, n_classes=k)
             keys = sort_keys(X)
             assert keys.dtype == np.uint16
-            got = best_split(X, y, idx, feats, n_classes=k, keys=keys)
+            if k is None:
+                want = _scan_features(X, X.T, y, idx, feats, 1)
+                got = _scan_features(X, keys, y, idx, feats, 1)
+            else:
+                imp = _node_impurity(y[idx], k)
+                want = reference_best_split(X, y, idx, feats, k, 1, imp)
+                got = best_split(X, y, idx, feats, k, 1, imp, keys)
             assert got == want
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
