@@ -454,10 +454,12 @@ def _scan_segments(X, keys, y, nodes, n_classes, msl, table=None) -> list:
     _scan_features' stable sort, and left sums of targets are cumsums down
     one zero-padded column per segment: each is _scan_features' sequential
     sum, and a node's target totals are its own add.reduce calls. The
-    loss, the per-node minimum, the tie rule and the gain check repeat
-    _scan_features and best_split operation by operation, in feature-major
-    order. A threshold is the mean of the values of the two keys around
-    it, which are the values a per-node scan reads from X.
+    loss, the per-node minimum, the tie rule and the gain check repeat a
+    per-node scan operation by operation, in feature-major order:
+    _scan_features for regression, and for classification the scan that
+    tests/conftest.py keeps as the reference. A threshold is the mean of
+    the values of the two keys around it, which are the values a per-node
+    scan reads from X.
     """
     if table is None:
         table = _scan_table(X, keys, y, n_classes)
