@@ -233,15 +233,19 @@ def cmd_importance(data, schema, task, method, test_source, inject_random,
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "scores_encoded.csv").write_text(report.to_csv())
     (out_dir / "scores_encoded.json").write_text(report.to_json() + "\n")
-    # folded onto the original columns: the identity where none is
-    # categorical
-    names, folded = fold_importances(report.scores, encoder)
-    lines = ["feature,score"]
-    lines += [f"{n},{float(s)!r}" for n, s in zip(names, folded)]
-    (out_dir / "scores.csv").write_text("\n".join(lines) + "\n")
-    folded_report = ImportanceReport(report.method, names, folded,
-                                     report.skipped_nodes, report.n_trees)
-    (out_dir / "scores.json").write_text(folded_report.to_json() + "\n")
+    if encoder.groups:
+        # folded onto the original columns
+        names, folded = fold_importances(report.scores, encoder)
+        lines = ["feature,score"]
+        lines += [f"{n},{float(s)!r}" for n, s in zip(names, folded)]
+        (out_dir / "scores.csv").write_text("\n".join(lines) + "\n")
+        folded_report = ImportanceReport(report.method, names, folded,
+                                         report.skipped_nodes, report.n_trees)
+        (out_dir / "scores.json").write_text(folded_report.to_json() + "\n")
+    else:
+        # no column to fold: the encoded report, with its spread across trees
+        (out_dir / "scores.csv").write_text(report.to_csv())
+        (out_dir / "scores.json").write_text(report.to_json() + "\n")
     # the test file is named as the training file is, by its basename, so
     # that the manifest does not depend on where the run happens
     _write_manifest(out_dir, "importance", {

@@ -220,14 +220,13 @@ class TestImportance:
                     "--method", "si", "--trees", "3", "--seed", "4",
                     "--out", str(out)])
         assert res.exit_code == 0, res.output
-        folded = json.loads((out / "scores.json").read_text())
-        encoded = json.loads((out / "scores_encoded.json").read_text())
-        assert folded == encoded
+        for ext in ("csv", "json"):
+            assert (out / f"scores.{ext}").read_bytes() == \
+                (out / f"scores_encoded.{ext}").read_bytes()
+        header = (out / "scores.csv").read_text().splitlines()[0]
+        assert header == "feature,score,sd_across_trees"
         manifest = json.loads((out / "manifest.json").read_text())
         assert "fold_dummies" not in manifest["config"]
-        rows = list(csv.DictReader(io.StringIO((out / "scores.csv").read_text())))
-        assert [(r["feature"], float(r["score"])) for r in rows] == \
-            list(zip(encoded["feature_names"], encoded["scores"]))
 
     def test_permutation_runs(self, workspace):
         out = workspace / "perm"
