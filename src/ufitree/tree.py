@@ -343,15 +343,21 @@ def best_split(X, y, idx, feats, n_classes=None, min_samples_leaf=1,
     Returns (Split, loss) minimizing the weighted child impurity: Gini when
     ``n_classes`` is given, mean squared error when it is None. None when
     no admissible candidate improves on the parent (gain <= GAIN_EPS).
-    ``keys`` is sort_keys(X), which grow_trees computes once; computed here
-    if None. A classification node is a one-node _scan_segments call.
+    ``keys`` is sort_keys(X), which grow_trees computes once. A regression
+    node given ``keys`` is a _scan_features call on them. Any other node is
+    scanned on its own rows, with their columns of ``keys`` or, if None,
+    their own ranks, which order and tie as sort_keys(X)'s do: the same
+    bits, at the node's cost rather than X's. A classification node is a
+    one-node _scan_segments call.
     """
     idx = np.asarray(idx, dtype=np.intp)
     feats = np.sort(np.asarray(feats, dtype=np.intp))
-    if keys is None:
-        keys = sort_keys(X)
     if parent_impurity is None:
         parent_impurity = _node_impurity(y[idx], n_classes)
+    if n_classes is not None or keys is None:
+        X, y = X[idx], y[idx]
+        keys = sort_keys(X) if keys is None else keys[:, idx]
+        idx = np.arange(len(idx))
     if n_classes is not None:
         return _scan_segments(X, keys, y, [(idx, feats, parent_impurity)],
                               n_classes, min_samples_leaf)[0]

@@ -187,6 +187,8 @@ def test_batched_scan_is_best_split_bit_for_bit(case):
         else:
             assert got[0] == want[0]
             assert np.float64(got[1]).tobytes() == np.float64(want[1]).tobytes()
+        # without keys, best_split scans the node's own rows and features
+        assert best_split(X, y, rows, feats, k, msl, imp) == want
 
 
 @st.composite
@@ -243,7 +245,7 @@ def test_classification_scan_is_best_split_bit_for_bit(case):
             assert got[0].feature == expected[0].feature
             assert _same_float(got[0].threshold, expected[0].threshold)
             assert _same_float(got[1], expected[1])
-        # best_split on a classification node is a one-node scan
+        # best_split scans a classification node on its own rows
         assert best_split(X, y, rows, feats, k, msl, imp, keys) == got
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tree_mod, "SCAN_VALUES", cap)
