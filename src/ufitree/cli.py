@@ -67,12 +67,14 @@ def _parse_max_features(value: str | None):
         return None
     if value in ("all", "sqrt"):
         return value
-    try:
-        if "." in value:
-            return float(value)
-        return int(value)
-    except ValueError:
-        _die_usage(f"bad --max-features value {value!r}")
+    # an integer literal is a count; any other number, such as 0.5 or
+    # 1e-1, is a fraction
+    for kind in (int, float):
+        try:
+            return kind(value)
+        except ValueError:
+            pass
+    _die_usage(f"bad --max-features value {value!r}")
 
 
 def _load_encoded(data_path, schema_path, task, probe_seed: int | None = None,
@@ -142,8 +144,9 @@ forest_flags = [
     click.option("--trees", type=int, default=100, show_default=True),
     click.option("--max-depth", type=int, default=None),
     click.option("--max-features", type=str, default=None,
-                 help="all | sqrt | count | fraction (default: sqrt for "
-                      "classification, all for regression)"),
+                 help="all | sqrt | count | fraction: an integer is a count, "
+                      "any other number (0.5, 1e-1) a fraction (default: sqrt "
+                      "for classification, all for regression)"),
     click.option("--min-samples-leaf", type=int, default=1, show_default=True),
     click.option("--bootstrap/--no-bootstrap", default=True, show_default=True),
     click.option("--seed", type=int, default=None),

@@ -9,6 +9,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .tree import target_limit
+
 CONTINUOUS = "continuous"
 BINARY = "binary"
 CATEGORICAL = "categorical"
@@ -84,6 +86,10 @@ class Dataset:
             self.y = np.asarray(self.y, dtype=np.float64)
             if not np.all(np.isfinite(self.y)):
                 raise DataError("regression target contains non-finite values")
+            row = _oversized_target(self.y)
+            if row is not None:
+                raise DataError(f"regression target {float(self.y[row])!r} at row "
+                                f"{row + 1} {_beyond(self.y)}")
         if len(self.y) != self.X.shape[0]:
             raise DataError("target length does not match row count")
         if len(self.feature_names) != self.X.shape[1] or len(self.kinds) != self.X.shape[1]:
@@ -217,6 +223,11 @@ def load_csv(path, target: str, task: str, kinds: dict[str, FeatureKind] | None 
                              kind.kind == BINARY)
         y[r] = _value(row[tgt_idx], r, target, label_codes, fixed)
 
+    if label_codes is None:
+        row = _oversized_target(y)
+        if row is not None:
+            raise DataError(f"target {rows[row][tgt_idx].strip()!r} at row {row + 1}, "
+                            f"column {target!r} {_beyond(y)}")
     final_kinds = [
         FeatureKind(CATEGORICAL, len(level_codes[name]), tuple(level_codes[name]))
         if kind.is_categorical else kind
@@ -232,6 +243,18 @@ def load_csv(path, target: str, task: str, kinds: dict[str, FeatureKind] | None 
         n_classes=len(class_labels) if class_labels is not None else None,
         class_labels=class_labels,
     )
+
+
+def _oversized_target(y: np.ndarray) -> int | None:
+    """The first row whose regression target is too large for a sum of
+    squares over len(y) rows to stay finite (tree.target_limit), or None."""
+    big = np.flatnonzero(~(np.abs(y) <= target_limit(len(y))))
+    return int(big[0]) if len(big) else None
+
+
+def _beyond(y: np.ndarray) -> str:
+    return (f"lies beyond ±{target_limit(len(y)):.6g}, where a sum of squares "
+            f"over {len(y)} rows can overflow")
 
 
 def _codes(values) -> dict[str, int]:

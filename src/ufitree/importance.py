@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .forest import Forest
-from .tree import Tree, predictive_gini
+from .tree import Tree, predictive_gini, segment_sums
 
 
 @dataclass
@@ -151,64 +151,6 @@ def ufi_tree_regression(tree: Tree, X_test, y_test):
     h = segment_sums(sq, offsets) / np.maximum(routed, 1)
     node, ok, delta = _test_decrease(tree, h, routed)
     return _ufi_result(tree, node, ok, tree.train_decrease[node] + delta)
-
-
-# numpy's add.reduce sums a float64 run of at most this many values with 8
-# accumulators, and splits a longer run in two (pairwise summation)
-PAIRWISE_BLOCK = 128
-
-# the value add.reduce adds its pairwise sum to, as an empty sum shows
-_REDUCE_START = np.add.reduce(np.empty(0))
-
-
-def segment_sums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """np.add.reduce(values[offsets[i]:offsets[i + 1]]) for every i, bit for bit.
-
-    A segment of at most PAIRWISE_BLOCK values repeats numpy's pairwise
-    sum in vectorized steps: 8 accumulators start from the first 8 values
-    and take each further full block of 8, they combine as
-    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), and the remaining
-    values follow in order. Below 8 values the accumulators are -0.0 and
-    every value is a remaining one. Padding is -0.0, since x + -0.0 == x
-    exactly. A longer segment calls add.reduce itself.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    offsets = np.asarray(offsets, dtype=np.intp)
-    lens = np.diff(offsets)
-    sums = np.empty(len(lens))
-    for i in np.flatnonzero(lens > PAIRWISE_BLOCK):
-        sums[i] = np.add.reduce(values[offsets[i]:offsets[i + 1]])
-    seg = np.flatnonzero(lens <= PAIRWISE_BLOCK)
-    if not len(seg):
-        return sums
-    start, n = offsets[seg], lens[seg]
-    n_blocked = n - n % 8  # values taken by the accumulators
-    tail = np.full((8, len(seg)), -0.0)
-    wide = np.flatnonzero(n_blocked)
-    if len(wide):
-        # (block, accumulator, segment): value k of a segment is in block
-        # k // 8 at accumulator k % 8
-        blocks = np.full((n_blocked.max() // 8, 8, len(wide)), -0.0)
-        s, k = _positions(n_blocked[wide])
-        blocks.reshape(-1, len(wide))[k, s] = values[start[wide][s] + k]
-        r = blocks[0]
-        for block in blocks[1:]:
-            r += block
-        tail[0, wide] = (((r[0] + r[1]) + (r[2] + r[3]))
-                         + ((r[4] + r[5]) + (r[6] + r[7])))
-    s, k = _positions(n - n_blocked)
-    tail[k + 1, s] = values[(start + n_blocked)[s] + k]
-    r = tail[0]
-    for value in tail[1:]:
-        r += value
-    sums[seg] = _REDUCE_START + r
-    return sums
-
-
-def _positions(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(i, k) for every k < counts[i], i-major."""
-    i = np.repeat(np.arange(len(counts)), counts)
-    return i, np.arange(len(i)) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
 def ufi_tree(tree: Tree, X_test, y_test):

@@ -1,9 +1,11 @@
 """CART-style trees: impurity, best-split search, growth, routing, prediction.
 
 ``grow_trees`` grows the trees of a forest together, in lockstep, so that
-the nodes they wait to split are scanned, split and counted in batches;
-``grow`` is that grower on one bag. A grown ``Tree`` is a set of flat
-preorder arrays.
+the nodes they wait to split are scanned, split and counted in batches: a
+tree that draws feature subsets one node at a time in preorder, a tree that
+draws none a level at a time. Regression nodes carry their rows presorted
+by every feature. ``grow`` is that grower on one bag. A grown ``Tree`` is a
+set of flat preorder arrays.
 """
 
 from __future__ import annotations
@@ -276,6 +278,11 @@ class Tree:
                    d["task"], d["n_classes"])
 
 
+def _row_dtype(n_rows: int):
+    """The unsigned type of row ids and sort keys over n_rows rows."""
+    return np.uint16 if n_rows <= 2**16 else np.uint32
+
+
 def sort_keys(X: np.ndarray) -> np.ndarray:
     """Per-feature sort keys, one row per column of X: dense ranks, which
     order and tie exactly like the values, as uint16 up to 65,536 rows and
@@ -284,56 +291,237 @@ def sort_keys(X: np.ndarray) -> np.ndarray:
     rank."""
     if not np.isfinite(X).all():
         raise ValueError("sort keys need finite feature values")
-    keys = np.empty((X.shape[1], X.shape[0]),
-                    dtype=np.uint16 if X.shape[0] <= 2**16 else np.uint32)
+    keys = np.empty((X.shape[1], X.shape[0]), dtype=_row_dtype(X.shape[0]))
     for j in range(X.shape[1]):
         keys[j] = np.unique(X[:, j], return_inverse=True)[1]
     return keys
 
 
-def _scan_features(X, keys, y, idx, feats, msl):
-    """Vectorized mean squared error scan of one regression node over its
-    candidate features; returns (feature, threshold, loss) or None.
+# numpy's add.reduce sums a float64 run of at most this many values with 8
+# accumulators, and splits a longer run in two (pairwise summation)
+PAIRWISE_BLOCK = 128
 
-    Loss is the weighted child impurity L(Q, theta) relative to the node.
-    Only admissible thresholds (between distinct values, leaving msl rows on
-    each side) are scored. Ties resolve to the smallest feature index, then
-    smallest threshold, because candidates are scanned feature-major in
-    ascending order. Arrays are (feature, sorted position), so sorts and
-    prefix sums run along contiguous rows.
+# the value add.reduce adds its pairwise sum to, as an empty sum shows
+_REDUCE_START = np.add.reduce(np.empty(0))
+
+
+def segment_sums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """np.add.reduce(values[offsets[i]:offsets[i + 1]]) for every i, bit for bit.
+
+    A segment of at most PAIRWISE_BLOCK values repeats numpy's pairwise
+    sum in vectorized steps: 8 accumulators start from the first 8 values
+    and take each further full block of 8, they combine as
+    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), and the remaining
+    values follow in order. Below 8 values the accumulators are -0.0 and
+    every value is a remaining one. Padding is -0.0, since x + -0.0 == x
+    exactly. A longer segment calls add.reduce itself.
     """
-    n = len(idx)
-    sub = keys[feats].take(idx, axis=1)
-    order = sub.argsort(axis=1, kind="stable")
-    sk = np.sort(sub, axis=1)  # sub in that order, and cheaper than gathering
-    valid = sk[:, 1:] > sk[:, :-1]
+    values = np.asarray(values, dtype=np.float64)
+    offsets = np.asarray(offsets, dtype=np.intp)
+    lens = np.diff(offsets)
+    sums = np.empty(len(lens))
+    for i in np.flatnonzero(lens > PAIRWISE_BLOCK).tolist():
+        sums[i] = np.add.reduce(values[offsets[i]:offsets[i + 1]])
+    seg = np.flatnonzero(lens <= PAIRWISE_BLOCK)
+    if not len(seg):
+        return sums
+    start, n = offsets[seg], lens[seg]
+    n_blocked = n - n % 8  # values taken by the accumulators
+    tail = np.full((8, len(seg)), -0.0)
+    wide = np.flatnonzero(n_blocked)
+    if len(wide):
+        # (block, accumulator, segment): value k of a segment is in block
+        # k // 8 at accumulator k % 8
+        blocks = np.full((n_blocked.max() // 8, 8, len(wide)), -0.0)
+        s, k = _positions(n_blocked[wide])
+        blocks.reshape(-1, len(wide))[k, s] = values[start[wide][s] + k]
+        r = blocks[0]
+        for block in blocks[1:]:
+            r += block
+        tail[0, wide] = (((r[0] + r[1]) + (r[2] + r[3]))
+                         + ((r[4] + r[5]) + (r[6] + r[7])))
+    s, k = _positions(n - n_blocked)
+    tail[k + 1, s] = values[(start + n_blocked)[s] + k]
+    r = tail[0]
+    for value in tail[1:]:
+        r += value
+    sums[seg] = _REDUCE_START + r
+    return sums
+
+
+def _positions(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(i, k) for every k < counts[i], i-major."""
+    i = np.repeat(np.arange(len(counts)), counts)
+    return i, np.arange(len(i)) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
+# A scan call takes nodes until they hold this many (row, feature) values,
+# or one node if it alone holds more; the split and the node stats work in
+# pieces of about this size too. The first steps of a 20-tree
+# classification fit on 2,000 rows hold up to 240,000 values (6 features)
+# or 1.5 million (37 in the rescans); scanned at once, they raised the
+# process's peak RSS from 45.3 to 47.9 MB, and in calls of this size to
+# 45.8 MB.
+SCAN_VALUES = 1 << 16
+
+# A regression forest grows in groups of trees whose bags hold at most
+# this many (row, feature) values, or one tree if its bag alone holds more:
+# a group carries every pending node's rows presorted by every feature, as
+# 4-byte (id, key) pairs, twice while a step partitions them. Fitting
+# perm-oob's 1,000-row, 37-column regression file, 2**18 values took 0.40 s
+# CPU and 43.7 MB peak RSS, 2**19 0.36 s and 44.5 MB, and 2**20 (one group
+# of 20 trees) 0.34 s and 48.1 MB, above the 47.9 MB of its classification
+# call.
+PRESORT_VALUES = 1 << 19
+
+# A regression scan block of at most this many (row, feature) values may
+# hold nodes of any size: the block's fixed cost is about that of
+# scanning this many padded values.
+SMALL_BLOCK = 1 << 14
+
+
+def _chunks(cost: np.ndarray, cap: int) -> list[tuple[int, int]]:
+    """Consecutive ranges [a, b) of items whose costs add up to at most
+    cap, or of one item that costs more."""
+    ends = np.cumsum(cost)
+    out, a = [], 0
+    while a < len(ends):
+        base = ends[a - 1] if a else 0
+        b = max(a + 1, int(np.searchsorted(ends, base + cap, side="right")))
+        out.append((a, b))
+        a = b
+    return out
+
+
+def _presort(keys: np.ndarray, rows: np.ndarray, first: int, dtype) -> np.ndarray:
+    """A node's block of p x n (id, key) pairs: for each feature, its rows
+    in the stable order of their keys, as ids ``first + row``, with those
+    keys, all of the given type."""
+    pairs = np.empty((keys.shape[0], len(rows), 2), dtype=dtype)
+    sub = keys.take(rows, axis=1)
+    pairs[:, :, 0] = (rows + first)[sub.argsort(axis=1, kind="stable")]
+    sub.sort(axis=1)  # the keys in that order, cheaper than gathering
+    pairs[:, :, 1] = sub
+    return pairs.reshape(-1, 2)
+
+
+def _padded(blocks: list, pad: int) -> np.ndarray:
+    """The blocks of pairs one after another, then ``pad`` zero pairs: a
+    scan reads each block through windows as wide as its node's rows."""
+    return np.concatenate(blocks + [np.zeros((pad, 2), dtype=blocks[0].dtype)])
+
+
+def _windows(pairs: np.ndarray, width: int) -> np.ndarray:
+    """The (start, position, id or key) view of every ``width`` consecutive
+    pairs of a contiguous array of pairs: sliding_window_view's, at less
+    cost."""
+    size = pairs.itemsize
+    return np.ndarray((len(pairs) - width + 1, width, 2), pairs.dtype, pairs,
+                      0, (2 * size, 2 * size, size))
+
+
+def _scan_regression(X, y, pairs, n, base, tot, tot2, imp, feats, msl):
+    """best_split's (feature, threshold, loss) of each of m regression
+    nodes, as arrays; the feature is -1 where no candidate improves on the
+    node by more than GAIN_EPS.
+
+    Node i has n[i] rows. Its rows in the stable order of feature j's keys
+    are the (id, key) pairs ``pairs[base[i] + j * n[i]:][:n[i]]``: an id
+    indexes the targets y, and id r is row r modulo len(X) of X. The pairs
+    run on for at least max(n) pairs past the last block. tot[i] and
+    tot2[i] are add.reduce of the node's targets and of their squares, in
+    node order, imp[i] its MSE and feats[i] the sorted features it scans
+    (an m x k array).
+
+    Nodes are scanned in blocks, largest first. A block holds at most
+    SCAN_VALUES (row, feature) values, or one node, and its nodes are over
+    half as large as its first, unless it holds at most SMALL_BLOCK
+    values, which cost less than another block would. A block is a
+    (segment x position) array of targets, a segment being a (node,
+    feature) pair read through a window as wide as the block's largest
+    node, and the left sums are np.cumsum along each segment: the bits of
+    a per-node cumsum along the node's stable sort, whatever follows a
+    segment in its window. A candidate threshold
+    lies wherever the key changes, leaving msl rows on each side. The loss
+    is the weighted child MSE relative to the node; the first candidate
+    within LOSS_TIE_TOL of the node's minimum wins, in (feature, threshold)
+    order. A threshold is the mean of the two values around it.
+    """
+    m, k = feats.shape
+    out = (np.full(m, -1, dtype=np.intp), np.zeros(m), np.zeros(m))
+    by_size = np.argsort(-n, kind="stable")
+    fall = -n[by_size]  # ascending
+    a = 0
+    while a < m:
+        width = -int(fall[a])
+        b = min(a + max(1, SCAN_VALUES // (k * width)),
+                max(a + 1, a + SMALL_BLOCK // (k * width),
+                    int(np.searchsorted(fall, -(width // 2)))))
+        _scan_block(X, y, pairs, n, base, tot, tot2, imp, feats, msl,
+                    by_size[a:b], out)
+        a = b
+    return out
+
+
+def _scan_block(X, y, pairs, n, base, tot, tot2, imp, feats, msl, nodes, out):
+    """_scan_regression on the given nodes, written into ``out``."""
+    k = feats.shape[1]
+    size = n[nodes]
+    width = int(size.max())
+    seg_n = np.repeat(size, k)
+    seg_feat = feats[nodes].ravel()
+    start = np.repeat(base[nodes], k) + seg_feat * seg_n
+    block = _windows(pairs, width)[start]
+    rows, keys = block[:, :, 0], block[:, :, 1]
+    # candidate (segment, position) pairs, segment-major: between distinct
+    # keys, leaving msl rows on each side (a window runs on past a shorter
+    # segment)
+    seg, t = np.divmod(np.flatnonzero(keys[:, 1:] != keys[:, :-1]), width - 1)
+    keep = t <= seg_n[seg] - 1 - msl
     if msl > 1:
-        pos = np.arange(1, n)
-        valid = valid & (pos >= msl) & (n - pos >= msl)
-    # candidate (feature, threshold position) pairs, feature-major
-    f_pos, t_pos = np.nonzero(valid)
-    if len(f_pos) == 0:
-        return None
-
-    nl = t_pos + 1.0
-    nr = n - nl
-    yv = np.asarray(y[idx], dtype=np.float64)
-    ys = yv[order]
-    cum = ys.cumsum(axis=1)[f_pos, t_pos]
-    cum2 = (ys * ys).cumsum(axis=1)[f_pos, t_pos]
-    tot = np.add.reduce(yv)
-    tot2 = np.add.reduce(yv * yv)
+        keep &= t >= msl - 1
+    seg, t = seg[keep], t[keep]
+    if not len(seg):
+        return
+    # (y or y**2, segment, position), up to the last position a candidate
+    # reads: a cumsum along each segment
+    upto = int(t.max()) + 1
+    sums = np.empty((2, len(start), upto))
+    y.take(rows[:, :upto], out=sums[0], mode="clip")  # unbuffered
+    np.multiply(sums[0], sums[0], out=sums[1])
+    np.cumsum(sums, axis=2, out=sums)
+    cum, cum2 = sums[0, seg, t], sums[1, seg, t]
+    node = seg // k
+    nl = t + 1.0
+    total = seg_n[seg]
+    nr = total - nl
+    s, s2 = tot[nodes][node], tot2[nodes][node]
     Hl = np.maximum(cum2 / nl - (cum / nl) ** 2, 0.0)
-    Hr = np.maximum((tot2 - cum2) / nr - ((tot - cum) / nr) ** 2, 0.0)
+    Hr = np.maximum((s2 - cum2) / nr - ((s - cum) / nr) ** 2, 0.0)
+    loss = (nl * Hl + nr * Hr) / total
+    best, found = _first_best(loss, node, len(nodes))
+    ok = imp[nodes[found]] - loss[best] > GAIN_EPS
+    best, found = best[ok], nodes[found[ok]]
+    seg, t = seg[best], t[best]
+    j = seg_feat[seg]
+    lo, hi = rows[seg, t] % len(X), rows[seg, t + 1] % len(X)
+    out[0][found] = j
+    out[1][found] = (X[lo, j] + X[hi, j]) / 2.0
+    out[2][found] = loss[best]
 
-    loss = (nl * Hl + nr * Hr) / n
-    m = float(loss.min())
-    # first candidate within tie tolerance of the minimum
-    best = int((loss <= m + LOSS_TIE_TOL * max(1.0, abs(m))).argmax())
-    f, t = f_pos[best], t_pos[best]
-    rows, j = order[f], feats[f]
-    threshold = (X[idx[rows[t]], j] + X[idx[rows[t + 1]], j]) / 2.0
-    return int(j), float(threshold), float(loss[best])
+
+def _first_best(loss, node, m) -> tuple[np.ndarray, np.ndarray]:
+    """(best, nodes): for each of the m nodes that has candidates, the
+    index of its first candidate within LOSS_TIE_TOL of its minimum loss.
+    ``node`` holds each candidate's node, in ascending order."""
+    counts = np.bincount(node, minlength=m)
+    nodes = np.flatnonzero(counts)
+    first = (np.cumsum(counts) - counts)[nodes]
+    low = np.minimum.reduceat(loss, first)
+    tol = np.repeat(low + LOSS_TIE_TOL * np.maximum(1.0, np.abs(low)), counts[nodes])
+    best = np.minimum.reduceat(
+        np.where(loss <= tol, np.arange(len(loss)), len(loss)), first)
+    return best, nodes
 
 
 def best_split(X, y, idx, feats, n_classes=None, min_samples_leaf=1,
@@ -343,69 +531,51 @@ def best_split(X, y, idx, feats, n_classes=None, min_samples_leaf=1,
     Returns (Split, loss) minimizing the weighted child impurity: Gini when
     ``n_classes`` is given, mean squared error when it is None. None when
     no admissible candidate improves on the parent (gain <= GAIN_EPS).
-    ``keys`` is sort_keys(X), which grow_trees computes once. A regression
-    node given ``keys`` is a _scan_features call on them. Any other node is
-    scanned on its own rows, with their columns of ``keys`` or, if None,
-    their own ranks, which order and tie as sort_keys(X)'s do: the same
-    bits, at the node's cost rather than X's. A classification node is a
-    one-node _scan_segments call.
+    ``keys`` is sort_keys(X), which grow_trees computes once; without it
+    the node is scanned on its own rows' ranks, which order and tie as
+    sort_keys(X)'s do: the same bits, at the node's cost rather than X's.
+    The node is a one-node call of the kernel that fits use:
+    _scan_regression on its presorted rows, or _scan_segments.
     """
     idx = np.asarray(idx, dtype=np.intp)
-    feats = np.sort(np.asarray(feats, dtype=np.intp))
+    feats = np.sort(np.asarray(feats, dtype=np.intp))[None]
     if parent_impurity is None:
         parent_impurity = _node_impurity(y[idx], n_classes)
-    if n_classes is not None or keys is None:
+    if keys is None or n_classes is not None:
         X, y = X[idx], y[idx]
         keys = sort_keys(X) if keys is None else keys[:, idx]
         idx = np.arange(len(idx))
-    if n_classes is not None:
-        return _scan_segments(X, keys, y, [(idx, feats, parent_impurity)],
-                              n_classes, min_samples_leaf)[0]
-    found = _scan_features(X, keys, y, idx, feats, min_samples_leaf)
-    if found is None:
+    n, start = np.array([len(idx)]), np.zeros(1, dtype=np.intp)
+    imp = np.array([parent_impurity], dtype=np.float64)
+    if n_classes is None:
+        v = np.asarray(y[idx], dtype=np.float64)
+        pairs = _padded([_presort(keys, idx, 0, _row_dtype(len(X)))], len(idx))
+        found = _scan_regression(X, np.asarray(y, dtype=np.float64), pairs, n,
+                                 start, np.array([np.add.reduce(v)]),
+                                 np.array([np.add.reduce(v * v)]), imp, feats,
+                                 min_samples_leaf)
+    else:
+        found = _scan_segments(_scan_table(X, keys, y, n_classes), len(X), idx,
+                               start, n, feats, imp, n_classes, min_samples_leaf)
+    f, s, loss = (a[0] for a in found)
+    if f < 0:
         return None
-    f, s, loss = found
-    if parent_impurity - loss <= GAIN_EPS:
-        return None
-    return Split(f, s), loss
-
-
-# Regression nodes of at most this many rows are scanned together by
-# _scan_segments. Below it a node's scan is mostly numpy call overhead,
-# which the batch shares; above it the per-node scan is as fast.
-SMALL_NODE = 64
-
-# A small regression node joins the batch only if it also scans at most
-# this many (row, feature) values. Its padded cumsums cost more per value
-# than a classification node's integer prefix sums: in a 37-column
-# regression fit, nodes of 640 to 1280 values scanned slower in batches of
-# 10 than alone, and bounds from 480 to 640 gave the fastest scans.
-SMALL_SCAN = 640
-
-# A _scan_segments call takes nodes in order until they hold this many
-# (row, feature) values, or one node if it alone holds more. The first
-# steps of a 20-tree classification fit on 2,000 rows hold up to 240,000
-# values (6 features) or 1.5 million (37 in the rescans); scanned at once,
-# they raised the process's peak RSS from 45.3 to 47.9 MB, and in calls of
-# this size to 45.8 MB.
-SCAN_VALUES = 1 << 16
+    return Split(int(f), float(s)), float(loss)
 
 
 def _scan_table(X, keys, y, n_classes) -> tuple:
-    """What _scan_segments reads of a fit's data, for integer keys =
-    sort_keys(X): (coded, key_bits, low, values, offsets).
+    """What _scan_segments reads of a classification fit's data, for
+    integer keys = sort_keys(X): (coded, key_bits, low, values, offsets).
 
     ``coded[j * n + r]`` is row r's key in column j, of at most
     ``key_bits`` bits, shifted left by ``low`` bits, which hold the row's
-    class for classification (and low is 0 for regression). It is uint32
-    if key and class fit in 32 bits, else int64. The value of rank k in
-    column j is ``values[offsets[j] + k]``.
+    class. It is uint32 if key and class fit in 32 bits, else int64. The
+    value of rank k in column j is ``values[offsets[j] + k]``.
     """
     key_bits = int(keys.max()).bit_length()
-    low = int(n_classes - 1).bit_length() if n_classes is not None else 0
+    low = int(n_classes - 1).bit_length()
     coded = keys.astype(np.uint32 if key_bits + low <= 32 else np.int64) << low
-    if n_classes is not None:
-        coded |= np.asarray(y, dtype=coded.dtype)
+    coded |= np.asarray(y, dtype=coded.dtype)
     sizes = keys.max(axis=1).astype(np.intp) + 1
     offsets = np.cumsum(sizes) - sizes
     values = np.empty(offsets[-1] + sizes[-1])
@@ -413,87 +583,42 @@ def _scan_table(X, keys, y, n_classes) -> tuple:
     return coded.ravel(), key_bits, low, values, offsets
 
 
-def _best_splits(X, y, keys, table, nodes, n_classes, min_samples_leaf) -> list:
-    """best_split's Split, or None, for each (rows, sorted feats, impurity)
-    node. _scan_segments takes every classification node and every small
-    regression node (SMALL_NODE, SMALL_SCAN), in calls of about SCAN_VALUES
-    values; each other regression node is a best_split call of its own.
-    ``table`` is _scan_table's."""
-    found = [None] * len(nodes)
-    batches, size = [], 0
-    for i, (rows, feats, imp) in enumerate(nodes):
-        values = len(rows) * len(feats)
-        if n_classes is None and (len(rows) > SMALL_NODE or values > SMALL_SCAN):
-            hit = best_split(X, y, rows, feats, None, min_samples_leaf, imp, keys)
-            if hit is not None:
-                found[i] = hit[0]
-            continue
-        if not batches or size + values > SCAN_VALUES:
-            batches.append([])
-            size = 0
-        batches[-1].append(i)
-        size += values
-    for batch in batches:
-        hits = _scan_segments(X, keys, y, [nodes[i] for i in batch], n_classes,
-                              min_samples_leaf, table)
-        for i, hit in zip(batch, hits):
-            if hit is not None:
-                found[i] = hit[0]
-    return found
-
-
-def _scan_segments(X, keys, y, nodes, n_classes, msl, table=None) -> list:
-    """best_split's (Split, loss), or None, of each of several
-    (rows, sorted feats, impurity) nodes in one pass: Gini when n_classes
-    is given, mean squared error when it is None. ``table`` is
-    _scan_table(X, keys, y, n_classes), computed here if None.
+def _scan_segments(table, n_data, rows, start, n, feats, imp, n_classes, msl):
+    """best_split's (feature, threshold, loss) of each of m classification
+    nodes in one pass, as arrays; the feature is -1 where no candidate
+    improves on the node by more than GAIN_EPS. Node i's rows are
+    ``rows[start[i]:start[i] + n[i]]`` of the n_data rows that ``table``
+    (_scan_table's) codes, imp[i] its Gini and feats[i] the sorted
+    features it scans (an m x k array).
 
     Each (node, feature) pair is a segment of one flat array of int64
-    codes, each of which packs (segment, key, low bits); a plain sort puts
+    codes, each of which packs (segment, key, class); a plain sort puts
     the codes in (segment, key) order, and a candidate threshold lies
-    wherever the key changes inside a segment. For classification the low
-    bits are the row's class: class counts do not depend on the order of
-    the rows within a key, so left class counts are integer prefix sums
-    less the segment's base, exact like a per-feature cumsum. For
-    regression they are the row's position in its node, as wide as the
-    largest node of the call needs, so that the sort gives the order of
-    _scan_features' stable sort, and left sums of targets are cumsums down
-    one zero-padded column per segment: each is _scan_features' sequential
-    sum, and a node's target totals are its own add.reduce calls. The
-    loss, the per-node minimum, the tie rule and the gain check repeat a
-    per-node scan operation by operation, in feature-major order:
-    _scan_features for regression, and for classification the scan that
-    tests/conftest.py keeps as the reference. A threshold is the mean of
-    the values of the two keys around it, which are the values a per-node
-    scan reads from X.
+    wherever the key changes inside a segment. Class counts do not depend
+    on the order of the rows within a key, so left class counts are
+    integer prefix sums less the segment's base, exact like a per-feature
+    cumsum. The loss, the per-node minimum, the tie rule and the gain check
+    repeat, operation by operation and in feature-major order, the
+    per-node scan that tests/conftest.py keeps as the reference. A
+    threshold is the mean of the values of the two keys around it, which
+    are the values a per-node scan reads from X.
     """
-    if table is None:
-        table = _scan_table(X, keys, y, n_classes)
     coded, key_bits, low, values, offsets = table
-    classify = n_classes is not None
-    n_rows = np.array([len(rows) for rows, _, _ in nodes])
-    n_feats = np.array([len(feats) for _, feats, _ in nodes])
-    seg_node = np.repeat(np.arange(len(nodes)), n_feats)
-    seg_len = n_rows[seg_node]
+    m, k = feats.shape
+    seg_node = np.repeat(np.arange(m), k)
+    seg_len = n[seg_node]
     seg_end = np.cumsum(seg_len)
     seg_start = seg_end - seg_len
-    node_rows = np.concatenate([rows for rows, _, _ in nodes])
-    seg_feat = np.concatenate([feats for _, feats, _ in nodes])
+    seg_feat = feats.ravel()
     # element e of segment s stands for its node's row at position
-    # e - seg_start[s], which is node_rows[e + row_base[s] - seg_start[s]]
-    row_base = (np.cumsum(n_rows) - n_rows)[seg_node]
-    at = np.arange(seg_end[-1]) + np.repeat(row_base - seg_start, seg_len)
-    flat = node_rows[at]
-    flat += np.repeat(seg_feat * keys.shape[1], seg_len)
+    # e - seg_start[s], which is rows[e + start[node] - seg_start[s]]
+    flat = rows[np.arange(seg_end[-1])
+                + np.repeat(start[seg_node] - seg_start, seg_len)]
+    flat += np.repeat(seg_feat * n_data, seg_len)
     code = np.repeat(np.arange(len(seg_len), dtype=np.int64) << (key_bits + low),
                      seg_len)
     code |= coded[flat]
-    if not classify:
-        # the table's low bits are empty: make room for a row's position
-        low = int(n_rows.max() - 1).bit_length()
-        code <<= low
-        code |= at - np.repeat(row_base, seg_len)
-    del flat, at
+    del flat
     shift = key_bits + low
     code.sort()
     sk = code >> low  # (segment, key)
@@ -506,73 +631,65 @@ def _scan_segments(X, keys, y, nodes, n_classes, msl, table=None) -> list:
     cand = np.flatnonzero(valid)
     seg = code[cand] >> shift
     nl = cand + 1 - seg_start[seg]
-    n = seg_len[seg]
+    total = seg_len[seg]
     if msl > 1:
-        keep = (nl >= msl) & (n - nl >= msl)
-        cand, seg, nl, n = cand[keep], seg[keep], nl[keep], n[keep]
+        keep = (nl >= msl) & (total - nl >= msl)
+        cand, seg, nl, total = cand[keep], seg[keep], nl[keep], total[keep]
+    out = (np.full(m, -1, dtype=np.intp), np.zeros(m), np.zeros(m))
     if len(cand) == 0:
-        return [None] * len(nodes)
-    node = seg_node[seg]
+        return out
     nl = nl.astype(np.float64)
-    nr = n - nl
-    if classify:
-        # per-class counts left of each candidate and in its segment; the
-        # last class holds the rest
-        prefix = np.zeros((n_classes - 1, len(code) + 1), dtype=np.int32)
-        np.cumsum((code & low_mask) == np.arange(n_classes - 1)[:, None],
-                  axis=1, dtype=np.int32, out=prefix[:, 1:])
-        base = prefix[:, seg_start[seg]]
-        cums = prefix[:, cand + 1] - base
-        totals = prefix[:, seg_end[seg]] - base
-        del prefix
-        cums = np.vstack([cums, nl - cums.sum(axis=0)]).astype(np.float64)
-        totals = np.vstack([totals, n - totals.sum(axis=0)]).astype(np.float64)
-        sl = 0.0
-        sr = 0.0
-        for cum, tot in zip(cums, totals):
-            pl = cum / nl
-            pr = (tot - cum) / nr
-            sl = sl + pl * pl
-            sr = sr + pr * pr
-        Hl = 1.0 - sl
-        Hr = 1.0 - sr
-    else:
-        # (sorted position, y or y**2, segment): a cumsum down axis 0 adds
-        # each segment's values in order, as _scan_features' rows do
-        elem_seg = code >> shift
-        pos = np.arange(len(code)) - seg_start[elem_seg]
-        rows = node_rows[row_base[elem_seg] + (code & low_mask)]
-        pad = np.zeros((n_rows.max(), 2, len(seg_len)))
-        pad[pos, 0, elem_seg] = y[rows]
-        np.multiply(pad[:, 0], pad[:, 0], out=pad[:, 1])
-        np.cumsum(pad, axis=0, out=pad)
-        cum, cum2 = pad[pos[cand], :, seg].T
-        tot, tot2 = np.array([(np.add.reduce(v), np.add.reduce(v * v)) for v
-                              in (y[r] for r, _, _ in nodes)])[node].T
-        Hl = np.maximum(cum2 / nl - (cum / nl) ** 2, 0.0)
-        Hr = np.maximum((tot2 - cum2) / nr - ((tot - cum) / nr) ** 2, 0.0)
-    loss = (nl * Hl + nr * Hr) / n
+    nr = total - nl
+    # per-class counts left of each candidate and in its segment; the last
+    # class holds the rest
+    prefix = np.zeros((n_classes - 1, len(code) + 1), dtype=np.int32)
+    np.cumsum((code & low_mask) == np.arange(n_classes - 1)[:, None],
+              axis=1, dtype=np.int32, out=prefix[:, 1:])
+    base = prefix[:, seg_start[seg]]
+    cums = prefix[:, cand + 1] - base
+    totals = prefix[:, seg_end[seg]] - base
+    del prefix
+    cums = np.vstack([cums, nl - cums.sum(axis=0)]).astype(np.float64)
+    totals = np.vstack([totals, total - totals.sum(axis=0)]).astype(np.float64)
+    sl = 0.0
+    sr = 0.0
+    for cum, tot in zip(cums, totals):
+        pl = cum / nl
+        pr = (tot - cum) / nr
+        sl = sl + pl * pl
+        sr = sr + pr * pr
+    loss = (nl * (1.0 - sl) + nr * (1.0 - sr)) / total
 
-    # per node: the first candidate within tie tolerance of the minimum
-    counts = np.bincount(node, minlength=len(nodes))
-    node = np.flatnonzero(counts)  # the nodes with candidates
-    first = (np.cumsum(counts) - counts)[node]
-    m = np.minimum.reduceat(loss, first)
-    tol = np.repeat(m + LOSS_TIE_TOL * np.maximum(1.0, np.abs(m)), counts[node])
-    best = np.minimum.reduceat(
-        np.where(loss <= tol, np.arange(len(cand)), len(cand)), first)
-    gain = np.array([imp for _, _, imp in nodes])[node] - loss[best] > GAIN_EPS
-    node, best = node[gain], best[gain]
+    best, found = _first_best(loss, seg_node[seg], m)
+    ok = imp[found] - loss[best] > GAIN_EPS
+    best, found = best[ok], found[ok]
     e = cand[best]
     j = seg_feat[seg[best]]
     key_mask = (1 << key_bits) - 1
-    threshold = (values[offsets[j] + (sk[e] & key_mask)]
-                 + values[offsets[j] + (sk[e + 1] & key_mask)]) / 2.0
-    found = [None] * len(nodes)
-    for i, f, s, x in zip(node.tolist(), j.tolist(), threshold.tolist(),
-                          loss[best].tolist()):
-        found[i] = Split(f, s), x
-    return found
+    out[0][found] = j
+    out[1][found] = (values[offsets[j] + (sk[e] & key_mask)]
+                     + values[offsets[j] + (sk[e + 1] & key_mask)]) / 2.0
+    out[2][found] = loss[best]
+    return out
+
+
+def _best_splits(X, y, table, nodes, sel, feats, n_classes, msl):
+    """(feature, threshold) arrays of the nodes ``sel`` of a _Nodes set,
+    scanning feats (one sorted row per node), with feature -1 where a node
+    does not split: one _scan_regression call, or _scan_segments calls of
+    about SCAN_VALUES values."""
+    n = nodes.n[sel]
+    if n_classes is None:
+        return _scan_regression(X, y, nodes.pairs, n,
+                                X.shape[1] * nodes.start[sel], nodes.tot[sel],
+                                nodes.tot2[sel], nodes.imp[sel], feats, msl)[:2]
+    feature, threshold = np.empty(len(sel), dtype=np.intp), np.empty(len(sel))
+    for a, b in _chunks(n * feats.shape[1], SCAN_VALUES):
+        part = sel[a:b]
+        feature[a:b], threshold[a:b], _ = _scan_segments(
+            table, len(X), nodes.rows, nodes.start[part], n[a:b],
+            feats[a:b], nodes.imp[part], n_classes, msl)
+    return feature, threshold
 
 
 def _node_impurity(y_node, n_classes) -> float:
@@ -580,8 +697,6 @@ def _node_impurity(y_node, n_classes) -> float:
     if n_classes is None:
         return impurity_from_values(y_node)
     return impurity_from_counts(np.bincount(y_node, minlength=n_classes))
-
-
 def evaluate_split(X, y, idx, split: Split, n_root, n_classes=None,
                    min_samples_leaf=1):
     """Loss L(Q, theta) and root-weighted decrease for one concrete split,
@@ -682,6 +797,7 @@ def _draw_subsets(rng, p: int, k: int, count: int) -> np.ndarray:
     return np.concatenate(out)
 
 
+
 def grow(X, y, indices, config: TreeConfig, task: str,
          n_classes: int | None = None, rng=0, keys=None) -> Tree:
     """Grow a tree on the given row indices of (X, y): grow_trees on one bag.
@@ -693,30 +809,19 @@ def grow(X, y, indices, config: TreeConfig, task: str,
                       task, n_classes, keys)[0]
 
 
-class _Growing:
-    """A tree being grown: its preorder columns, and its stack of pending
-    nodes. A stack entry is (rows, depth, parent, stats, impurity), where
-    parent is the node whose right child it is, or -1 for a left child or
-    the root; a left child always takes the id after its parent's. The
-    columns are typed arrays, so that a node costs a few machine words
-    while the whole forest grows."""
+class _Draws:
+    """A growing tree's max_features subsets: its generator, the block of
+    subsets drawn from it, the generator's state before that block, the
+    rows used and the size of the next block."""
 
-    def __init__(self, rows, rng, stats, imp, classify):
+    def __init__(self, rng):
         self.rng = rng
-        # the block of drawn subsets, the generator's state before it, the
-        # rows used and the size of the next block
         self.block, self.block_state, self.used = (), None, 0
         self.block_rows = FIRST_BLOCK
-        self.n_root = len(rows)
-        self.stack = [(rows, 0, -1, stats, imp)]
-        self.feature, self.left, self.right, self.n = (array("q") for _ in range(4))
-        self.threshold, self.impurity = array("d"), array("d")
-        # each node's class counts, flat, or its mean
-        self.stats = array("q" if classify else "d")
 
     def draw(self, p, k) -> np.ndarray:
-        """The tree's next max_features subset: the next row of its block,
-        after drawing a new block if this one is used up."""
+        """The tree's next subset: the next row of its block, after drawing
+        a new block if this one is used up."""
         if self.used == len(self.block):
             self.block_state = self.rng.bit_generator.state
             self.block = _draw_subsets(self.rng, p, k, self.block_rows)
@@ -732,63 +837,233 @@ class _Growing:
             self.rng.bit_generator.state = self.block_state
             _draw_subsets(self.rng, p, k, self.used)
 
-    def tree(self, task, n_classes, p) -> Tree:
-        n = np.array(self.n, dtype=np.int64)
-        imp = np.array(self.impurity)
-        left = np.array(self.left, dtype=np.intp)
-        right = np.array(self.right, dtype=np.intp)
+
+class _Nodes:
+    """Nodes waiting for a scan, in flat arrays. Per node: its tree (an
+    index into the group), its id (the group's creation order), depth, row
+    count and impurity, and for regression the add.reduce sums of its
+    targets and of their squares. ``rows`` holds each node's rows in node
+    order, one node after another from ``start``; for regression,
+    ``pairs`` holds each node's block of p x n (id, key) pairs
+    (_presort's), one node after another, then padding (_padded)."""
+
+    FIELDS = ("tree", "gid", "depth", "n", "imp", "tot", "tot2")
+
+    def __init__(self, tree, gid, depth, n, imp, tot, tot2, rows,
+                 pairs=None):
+        self.tree, self.gid, self.depth, self.n = tree, gid, depth, n
+        self.imp, self.tot, self.tot2 = imp, tot, tot2
+        self.rows, self.pairs = rows, pairs
+        self.start = np.cumsum(n) - n
+
+    def __len__(self) -> int:
+        return len(self.n)
+
+    def _fields(self):
+        return [getattr(self, name) for name in self.FIELDS]
+
+    def entries(self, p: int) -> list[tuple]:
+        """Each node alone, as a tuple that _Nodes.stack takes: its fields
+        as Python numbers, then its arrays, copied, so that no array
+        spanning the set outlives it."""
+        fields = list(zip(*(f.tolist() if f is not None else [None] * len(self)
+                            for f in self._fields())))
+        out = []
+        for i, (a, n) in enumerate(zip(self.start.tolist(), self.n.tolist())):
+            out.append((fields[i], self.rows[a:a + n].copy(), None
+                        if self.pairs is None else self.pairs[p * a:p * (a + n)].copy()))
+        return out
+
+    @classmethod
+    def stack(cls, entries: list) -> "_Nodes":
+        """The nodes of several entries() tuples, as one set."""
+        fields = [None if c[0] is None else np.array(c)
+                  for c in zip(*(e[0] for e in entries))]
+        rows = [e[1] for e in entries]
+        pairs = None if entries[0][2] is None else \
+            _padded([e[2] for e in entries], max(len(r) for r in rows))
+        return cls(*fields, np.concatenate(rows), pairs)
+
+
+class _Record:
+    """What a group of growing trees has made, in typed arrays: each node,
+    in creation order (its tree, depth, row count, stats and impurity), and
+    each split (the node, its feature and threshold, and its children).
+    The stats are a node's class counts, flat, or its mean."""
+
+    def __init__(self, classify: bool):
+        self.nodes = {name: array("q") for name in ("tree", "depth", "n")}
+        self.nodes["impurity"] = array("d")
+        self.nodes["stats"] = array("q" if classify else "d")
+        self.splits = {name: array("q") for name in ("node", "feature", "left", "right")}
+        self.splits["threshold"] = array("d")
+
+    @staticmethod
+    def _extend(columns, values):
+        for name, v in values.items():
+            col = columns[name]
+            col.frombytes(np.asarray(v, dtype=np.dtype(col.typecode)).tobytes())
+
+    def add(self, **values) -> np.ndarray:
+        """Record new nodes; returns their ids."""
+        first = len(self.nodes["tree"])
+        self._extend(self.nodes, values)
+        return np.arange(first, len(self.nodes["tree"]))
+
+    def split(self, **values):
+        self._extend(self.splits, values)
+
+    def trees(self, task, n_classes, p, n_roots) -> list[Tree]:
+        """The group's trees, each numbered in preorder: node 0 is the root
+        and a node's left subtree follows it directly. A node's preorder
+        number comes from its subtree sizes, one depth at a time. The
+        roots are the first nodes made, one per tree, and n_roots holds
+        their row counts. Each column moves from its typed array to the
+        trees' numpy array one at a time, so that the record's memory is
+        held about once, not twice."""
+
+        def take(columns, name):
+            col = columns.pop(name)
+            return np.frombuffer(col, dtype=np.dtype(col.typecode)).copy()
+
+        tree, depth = take(self.nodes, "tree"), take(self.nodes, "depth")
+        inner, lo, hi = (take(self.splits, name) for name in ("node", "left", "right"))
+        m = len(tree)
+        by_depth = np.argsort(depth[inner], kind="stable")
+        levels = np.split(by_depth, np.cumsum(np.bincount(depth[inner]))[:-1])
+        del depth, by_depth
+        size = np.ones(m, dtype=np.int64)
+        for at in reversed(levels):
+            size[inner[at]] += size[lo[at]] + size[hi[at]]
+        pre = np.zeros(m, dtype=np.int64)
+        for at in levels:
+            pre[lo[at]] = pre[inner[at]] + 1
+            pre[hi[at]] = pre[inner[at]] + 1 + size[lo[at]]
+        ends = np.cumsum(size[:len(n_roots)])
+        firsts = ends - size[:len(n_roots)]
+        # perm[i]: the node at place i of the trees, one after another
+        perm = np.empty(m, dtype=np.intp)
+        perm[firsts[tree] + pre] = np.arange(m)
+        del size
+        out = {}
         # the decrease is recomputed from node stats so downstream
         # identities are exact
-        inner = np.flatnonzero(left != -1)
-        lo, hi = left[inner], right[inner]
-        decrease = np.zeros(len(n))
-        decrease[inner] = n[inner] / self.n_root * imp[inner] - (
-            n[lo] / self.n_root * imp[lo] + n[hi] / self.n_root * imp[hi])
-        stats = np.array(self.stats)
+        n, imp = take(self.nodes, "n"), take(self.nodes, "impurity")
+        root = np.asarray(n_roots)[tree[inner]]
+        col = np.zeros(m)
+        col[inner] = n[inner] / root * imp[inner] - (
+            n[lo] / root * imp[lo] + n[hi] / root * imp[hi])
+        out["decrease"], out["n"], out["impurity"] = col[perm], n[perm], imp[perm]
+        del n, imp, root, tree
+        for name, values, fill in (("feature", take(self.splits, "feature"), -1),
+                                   ("threshold", take(self.splits, "threshold"), 0),
+                                   ("left", pre[lo], -1), ("right", pre[hi], -1)):
+            col = np.full(m, fill, dtype=values.dtype)
+            col[inner] = values
+            out[name] = col[perm]
+        del col, pre
+        stats = take(self.nodes, "stats")
+        if task == "classification":
+            stats = stats.reshape(m, n_classes)
+        out["stats"] = stats[perm]
+        del stats
         classify = task == "classification"
-        return Tree(np.array(self.feature, dtype=np.intp), np.array(self.threshold),
-                    left, right, n,
-                    stats.reshape(len(n), n_classes) if classify else None,
-                    None if classify else stats,
-                    imp, decrease, p, self.n_root, task, n_classes)
+        grown = []
+        for t, (a, b) in enumerate(zip(firsts.tolist(), ends.tolist())):
+            c = {name: col[a:b] for name, col in out.items()}
+            grown.append(Tree(c["feature"], c["threshold"], c["left"], c["right"],
+                              c["n"], c["stats"] if classify else None,
+                              None if classify else c["stats"], c["impurity"],
+                              c["decrease"], p, int(n_roots[t]), task, n_classes))
+        return grown
 
 
-def _node_stats(y, rows, sizes, n_classes) -> tuple[list, list]:
-    """(stats, impurities) of consecutive groups of rows, ``rows`` holding
-    them one after another and ``sizes`` their lengths, none of them 0: the
-    class counts and their Gini when n_classes is given, else the mean and
-    the MSE, as lists.
+# _node_stats sums up to this many groups with add.reduce calls of their
+# own: three segment_sums calls cost about as much as 16 groups' own calls.
+FEW_GROUPS = 16
 
-    One bincount counts every group, and one predictive_gini call gives
-    impurity_from_counts' bits. Each group's mean and MSE is its own
-    _mean_and_mse call: segment_sums gives the same bits, but its fixed
-    cost made fits of 10 regression trees slower.
-    """
-    if n_classes is None:
-        ends = np.cumsum(sizes).tolist()
-        stats = [_mean_and_mse(y[rows[a:b]]) for a, b in zip([0] + ends, ends)]
-        return [mean for mean, _ in stats], [mse for _, mse in stats]
-    code = np.repeat(np.arange(len(sizes)) * n_classes, sizes) + y[rows]
-    counts = np.bincount(code, minlength=len(sizes) * n_classes) \
-        .reshape(len(sizes), n_classes)
-    q = counts / sizes[:, None]
-    return counts.tolist(), predictive_gini(q, q).tolist()
+
+def _node_stats(y, rows, sizes, n_classes) -> tuple:
+    """(stats, impurities, sums, sums of squares) of consecutive groups of
+    rows, ``rows`` holding them one after another and ``sizes`` their
+    lengths, none of them 0. For classification: the class counts (groups
+    x classes) and their Gini, from one bincount and one predictive_gini
+    call (impurity_from_counts' bits), and no sums. For regression: the
+    mean and the MSE (_mean_and_mse's bits) and the sums of the targets
+    and of their squares (add.reduce's): for a few groups, add.reduce
+    calls of their own, which then cost less, else segment_sums calls on
+    pieces of about SCAN_VALUES rows."""
+    if n_classes is not None:
+        code = np.repeat(np.arange(len(sizes)) * n_classes, sizes) + y[rows]
+        counts = np.bincount(code, minlength=len(sizes) * n_classes) \
+            .reshape(len(sizes), n_classes)
+        q = counts / sizes[:, None]
+        return counts, predictive_gini(q, q), None, None
+    out = np.empty((4, len(sizes)))
+    ends = np.cumsum(sizes)
+    if len(sizes) <= FEW_GROUPS:
+        for i, (a, b) in enumerate(zip((ends - sizes).tolist(), ends.tolist())):
+            v = y[rows[a:b]]
+            out[2, i] = total = np.add.reduce(v)
+            out[0, i] = mean = total / len(v)
+            out[1, i] = np.add.reduce((v - mean) ** 2) / len(v)
+            out[3, i] = np.add.reduce(v * v)
+        return tuple(out)
+    for a, b in _chunks(sizes, SCAN_VALUES):
+        first = ends[a] - sizes[a]
+        v = y.take(rows[first:ends[b - 1]])
+        offsets = np.concatenate([[0], ends[a:b] - first])
+        n = sizes[a:b]
+        out[2, a:b] = segment_sums(v, offsets)
+        out[0, a:b] = mean = out[2, a:b] / n
+        dev = v - np.repeat(mean, n)
+        out[1, a:b] = segment_sums(dev * dev, offsets) / n
+        out[3, a:b] = segment_sums(v * v, offsets)
+    return tuple(out)
+
+
+def _new_nodes(y, rec, tree, depth, rows, sizes, n_classes, config):
+    """Record the nodes with these trees, depths and consecutive groups of
+    rows, and return them as _Nodes, with the mask of those to scan: the
+    others are leaves by the stop rules (max_depth, min_samples_split, zero
+    impurity)."""
+    stats, imp, tot, tot2 = _node_stats(y, rows, sizes, n_classes)
+    gid = rec.add(tree=tree, depth=depth, n=sizes, stats=stats, impurity=imp)
+    scan = (sizes >= config.min_samples_split) & (imp > 0.0)
+    if config.max_depth is not None:
+        scan &= depth < config.max_depth
+    return _Nodes(tree, gid, depth, sizes, imp, tot, tot2, rows), scan
+
+
+def _take(nodes: _Nodes, keep: np.ndarray) -> _Nodes:
+    """The nodes where ``keep`` holds, with their rows and no blocks."""
+    return _Nodes(*(None if f is None else f[keep] for f in nodes._fields()),
+                  np.compress(np.repeat(keep, nodes.n), nodes.rows))
 
 
 def grow_trees(X, y, bags, rngs, config: TreeConfig, task: str,
                n_classes: int | None = None, keys=None) -> list[Tree]:
     """Grow one tree per bag of row indices of (X, y), all in lockstep.
 
-    Each tree grows depth-first, numbering its nodes in preorder, and its
-    generator in ``rngs`` draws its max_features subsets in that order, so
-    a tree is the same whichever trees grow beside it. The subsets are
-    those of successive sorted ``choice`` calls, read in blocks
-    (_draw_subsets), and each generator ends just after the last one used.
-    In each step every unfinished tree makes nodes until it reaches one to
-    scan (leaves and stop rules cost no scan); then the waiting nodes, one
-    per tree, are scanned together by _best_splits, and the nodes that
-    split are partitioned, and their children get their stats, together.
-    ``keys`` is sort_keys(X), which the trees share; computed here if None.
+    Trees grow in groups (one for classification; for regression, trees
+    whose bags hold about PRESORT_VALUES (row, feature) values). A
+    regression node carries its rows presorted by every feature: a root
+    sorts its bag once, stably by sort_keys, and a child keeps its parent's
+    order, filtered by the split, which is the stable order of its own
+    rows. In each step the nodes that wait for a scan are scanned together
+    (_best_splits), and the nodes that split are partitioned, and their
+    children get their stats, together (_split).
+
+    A tree that draws feature subsets (max_features below p) has its
+    generator in ``rngs`` draw them one node at a time in preorder, so a
+    step takes its next node in preorder; the subsets are those of
+    successive sorted ``choice`` calls, read in blocks (_draw_subsets), and
+    each generator ends just after the last one used. A tree that draws
+    nothing does not depend on the order its nodes grow in, so a step
+    takes all its waiting nodes: it grows a level at a time. Either way a
+    tree is the same whichever trees grow beside it, and its nodes are
+    numbered in preorder. ``keys`` is sort_keys(X), which the trees share;
+    computed here if None.
     """
     X = np.asarray(X, dtype=np.float64)
     bags = [np.asarray(rows, dtype=np.intp) for rows in bags]
@@ -802,95 +1077,159 @@ def grow_trees(X, y, bags, rngs, config: TreeConfig, task: str,
     if not classify:
         n_classes = None  # None selects MSE in the split scan
         y = np.asarray(y, dtype=np.float64)
+        top = max(len(rows) for rows in bags)
+        if not np.abs(y[np.concatenate(bags)]).max() <= target_limit(top):
+            raise ValueError(
+                "regression targets must be finite and within "
+                f"±{target_limit(top):.6g}, so that a sum of squares over "
+                f"{top} rows cannot overflow")
     elif n_classes is None:
         n_classes = int(y.max()) + 1
     elif y.min() < 0 or y.max() >= n_classes:
         # a batched bincount would count such a label in another node
         raise ValueError(f"class labels must lie in [0, {n_classes})")
-    p = X.shape[1]
-    k_feats = resolve_max_features(config.max_features, p)
-    every_feature = np.arange(p)
     if keys is None:
         keys = sort_keys(X)
-    table = _scan_table(X, keys, y, n_classes)
-    max_depth, min_split = config.max_depth, config.min_samples_split
-
-    stats, imp = _node_stats(y, np.concatenate(bags),
-                             np.array([len(rows) for rows in bags]), n_classes)
-    trees = [_Growing(*root, classify) for root in zip(bags, rngs, stats, imp)]
-    growing = trees
-    while growing:
-        waiting = []  # (tree, node, rows, depth, feats, impurity)
-        for t in growing:
-            while t.stack:
-                rows, depth, parent, stats, imp = t.stack.pop()
-                node = len(t.n)
-                if parent >= 0:
-                    t.right[parent] = node
-                n = len(rows)
-                if classify:
-                    t.stats.extend(stats)
-                else:
-                    t.stats.append(stats)
-                t.n.append(n)
-                t.impurity.append(imp)
-                t.feature.append(-1)
-                t.threshold.append(0.0)
-                t.left.append(-1)
-                t.right.append(-1)
-                if (max_depth is not None and depth >= max_depth) \
-                        or n < min_split or imp <= 0.0:
-                    continue
-                feats = t.draw(p, k_feats) if k_feats < p else every_feature
-                waiting.append((t, node, rows, depth, feats, imp))
-                break
-        found = _best_splits(X, y, keys, table,
-                             [(w[2], w[4], w[5]) for w in waiting],
-                             n_classes, config.min_samples_leaf)
-        retry = [i for i, split in enumerate(found) if split is None]
-        if retry and k_feats < p:
-            # drawn subset unsplittable: fall back to scanning all features
-            again = _best_splits(
-                X, y, keys, table,
-                [(waiting[i][2], every_feature, waiting[i][5]) for i in retry],
-                n_classes, config.min_samples_leaf)
-            for i, split in zip(retry, again):
-                found[i] = split
-        split = [(w, s) for w, s in zip(waiting, found) if s is not None]
-        if split:
-            _split_nodes(X, y, split, n_classes)
-        growing = [t for t in growing if t.stack]
+    table = _scan_table(X, keys, y, n_classes) if classify else None
+    # a regression tree's group holds its bag's presorted rows and, per row
+    # of X, a target and a code (_grow_group)
+    groups = [(0, len(bags))] if classify else _chunks(
+        np.array([len(rows) for rows in bags]) * X.shape[1] + len(X), PRESORT_VALUES)
     grown = []
-    for i, t in enumerate(trees):
-        t.rewind(p, k_feats)
-        grown.append(t.tree(task, n_classes, p))
-        trees[i] = None  # free the columns as soon as the tree holds them
+    for a, b in groups:
+        grown += _grow_group(X, y, keys, table, bags[a:b], rngs[a:b], config,
+                             task, n_classes)
     return grown
 
 
-def _split_nodes(X, y, split, n_classes):
-    """Record each (waiting node, Split) pair's split in its tree, and push
-    its children onto the tree's stack, right then left: every node's rows
-    are partitioned by one gather and one compare, and all the children get
-    their stats from one _node_stats call. Each child's rows are copied out,
-    so that no array spanning the step outlives it."""
-    rows = np.concatenate([w[2] for w, _ in split])
-    sizes = np.array([len(w[2]) for w, _ in split])
-    feature = np.array([s.feature for _, s in split])
-    threshold = np.array([s.threshold for _, s in split])
-    go_left = X[rows, np.repeat(feature, sizes)] <= np.repeat(threshold, sizes)
-    n_left = np.bincount(np.repeat(np.arange(len(split)), sizes)[go_left],
-                         minlength=len(split))
-    # the left children's rows, then the right children's
-    child_sizes = np.concatenate([n_left, sizes - n_left])
-    children = np.concatenate([rows[go_left], rows[~go_left]])
-    stats, imp = _node_stats(y, children, child_sizes, n_classes)
-    ends = np.cumsum(child_sizes).tolist()
-    parts = [children[a:b].copy() for a, b in zip([0] + ends, ends)]
-    m = len(split)
-    for i, ((t, node, _, depth, _, _), s) in enumerate(split):
-        t.feature[node] = s.feature
-        t.threshold[node] = s.threshold
-        t.left[node] = node + 1
-        t.stack.append((parts[m + i], depth + 1, node, stats[m + i], imp[m + i]))
-        t.stack.append((parts[i], depth + 1, -1, stats[i], imp[i]))
+def target_limit(n: int) -> float:
+    """The largest |y| for which no sum of squared deviations of n
+    regression targets overflows: sqrt(DBL_MAX / (4 n))."""
+    return float(np.sqrt(np.finfo(np.float64).max / (4.0 * n)))
+
+
+def _grow_group(X, y, keys, table, bags, rngs, config, task, n_classes):
+    """grow_trees on one group of bags."""
+    p = X.shape[1]
+    k_feats = resolve_max_features(config.max_features, p)
+    every = np.arange(p)
+    rec = _Record(n_classes is not None)
+    sizes = np.array([len(rows) for rows in bags])
+    roots, scan = _new_nodes(y, rec, np.arange(len(bags)), np.zeros(len(bags), np.intp),
+                             np.concatenate(bags), sizes, n_classes, config)
+    waiting = _take(roots, scan)
+    code = scan_y = None
+    if n_classes is None:
+        # a node's presorted rows are ids tree * len(X) + row, which index
+        # the group's copy of y per tree, and ``code``, which holds a row's
+        # way out of its node for _split
+        n_data = len(X)
+        dtype = _row_dtype(len(bags) * n_data)
+        if len(waiting):
+            waiting.pairs = _padded(
+                [_presort(keys, waiting.rows[a:a + n], t * n_data, dtype)
+                 for t, a, n in zip(waiting.tree, waiting.start, waiting.n)],
+                int(waiting.n.max()))
+        scan_y = np.concatenate([y] * len(bags))
+        code = np.zeros(len(bags) * n_data, dtype=np.uint8)
+    draws = stacks = None
+    if k_feats < p:
+        draws = [_Draws(rng) for rng in rngs]
+        stacks = [[] for _ in bags]
+        _push(stacks, waiting, np.ones(len(waiting), dtype=bool), p)
+    while True:
+        if stacks is not None:
+            entries = [s.pop() for s in stacks if s]
+            if not entries:
+                break
+            nodes = _Nodes.stack(entries)
+            feats = np.array([draws[t].draw(p, k_feats) for t in nodes.tree])
+        else:
+            nodes = waiting
+            if not len(nodes):
+                break
+            feats = np.broadcast_to(every, (len(nodes), p))
+        everyone = np.arange(len(nodes))
+        feature, threshold = _best_splits(X, scan_y, table, nodes, everyone,
+                                          feats, n_classes, config.min_samples_leaf)
+        retry = np.flatnonzero(feature < 0)
+        if len(retry) and k_feats < p:
+            # drawn subset unsplittable: fall back to scanning all features
+            feature[retry], threshold[retry] = _best_splits(
+                X, scan_y, table, nodes, retry, np.broadcast_to(every, (len(retry), p)),
+                n_classes, config.min_samples_leaf)
+        waiting, left = _split(X, y, nodes, feature, threshold, rec, config,
+                               n_classes, code)
+        if stacks is not None:
+            _push(stacks, waiting, left, p)
+    if draws is not None:
+        for d in draws:
+            d.rewind(p, k_feats)
+    return rec.trees(task, n_classes, p, sizes)
+
+
+def _push(stacks, nodes: _Nodes, left: np.ndarray, p: int):
+    """Push each node onto its tree's stack, right children before left
+    ones, so that a tree's next node in preorder is on top."""
+    entries = nodes.entries(p)
+    for i in np.concatenate([np.flatnonzero(~left), np.flatnonzero(left)]).tolist():
+        stacks[entries[i][0][0]].append(entries[i])
+
+
+def _split(X, y, nodes, feature, threshold, rec, config, n_classes, code):
+    """Split each node of the set whose feature is not -1, and record its
+    split and its children. Returns the children to scan, as _Nodes, left
+    children first, with a mask of the left ones.
+
+    Every node's rows are partitioned by one gather and one compare, and
+    the children get their stats from one _node_stats call. For regression,
+    each child to scan gets its blocks by filtering its parent's, in pieces
+    of about SCAN_VALUES values: every row of the set gets a code in
+    ``code`` by (tree, row), 1 if it goes to a left child to scan, 2 if to
+    a right one and 0 otherwise, and np.compress keeps the codes 1, then
+    the codes 2, of every block, in order."""
+    p = X.shape[1]
+    m = len(nodes)
+    split = feature >= 0
+    sp = np.flatnonzero(split)
+    of_row = np.repeat(np.arange(m), nodes.n)
+    go_left = X[nodes.rows, np.maximum(feature, 0)[of_row]] <= threshold[of_row]
+    to_left = go_left & split[of_row]
+    to_right = ~go_left & split[of_row]
+    n_left = np.bincount(of_row[to_left], minlength=m)[sp]
+    sizes = nodes.n[sp]
+    children, scan = _new_nodes(
+        y, rec, np.concatenate([nodes.tree[sp]] * 2),
+        np.concatenate([nodes.depth[sp] + 1] * 2),
+        np.concatenate([np.compress(to_left, nodes.rows),
+                        np.compress(to_right, nodes.rows)]),
+        np.concatenate([n_left, sizes - n_left]), n_classes, config)
+    half = len(sp)
+    rec.split(node=nodes.gid[sp], feature=feature[sp], threshold=threshold[sp],
+              left=children.gid[:half], right=children.gid[half:])
+    waiting = _take(children, scan)
+    left = np.flatnonzero(scan) < half
+    if n_classes is None and len(waiting):
+        keep_left, keep_right = np.zeros(m, dtype=bool), np.zeros(m, dtype=bool)
+        keep_left[sp], keep_right[sp] = scan[:half], scan[half:]
+        n_data = X.shape[0]
+        code[nodes.tree[of_row] * n_data + nodes.rows] = \
+            (to_left & keep_left[of_row]) + 2 * (to_right & keep_right[of_row])
+        waiting.pairs = np.empty((p * len(waiting.rows) + waiting.n.max(), 2),
+                                 dtype=nodes.pairs.dtype)
+        waiting.pairs[p * len(waiting.rows):] = 0
+        at = [0, p * waiting.n[left].sum()]  # where the left, right blocks go
+        busy = keep_left | keep_right
+        for a, b in _chunks(p * nodes.n * busy, SCAN_VALUES):
+            a, b = a + int(busy[a:b].argmax()), b - int(busy[a:b][::-1].argmax())
+            if not busy[a]:
+                continue
+            lo, hi = p * nodes.start[a], p * (nodes.start[b - 1] + nodes.n[b - 1])
+            way = code.take(nodes.pairs[lo:hi, 0])
+            for side in (0, 1):
+                mask = way == side + 1
+                count = int(np.count_nonzero(mask))
+                np.compress(mask, nodes.pairs[lo:hi], axis=0,
+                            out=waiting.pairs[at[side]:at[side] + count])
+                at[side] += count
+    return waiting, left

@@ -4,7 +4,7 @@ import numpy as np
 
 from ufitree.importance import _mean_loss
 from ufitree.tree import (
-    COLUMNS, GAIN_EPS, LOSS_TIE_TOL, Split, Tree, _mean_and_mse, best_split,
+    COLUMNS, GAIN_EPS, LOSS_TIE_TOL, Split, Tree, _mean_and_mse,
     impurity_from_counts, resolve_max_features, sort_keys,
 )
 
@@ -116,18 +116,60 @@ def reference_scan_classification(X, y, idx, feats, n_classes, msl):
     return int(j), float(threshold), float(loss[best])
 
 
+def reference_scan_regression(X, keys, y, idx, feats, msl):
+    """The per-node mean squared error scan that the batched scan must
+    match bit for bit: (feature, threshold, loss) or None. ``keys`` is
+    sort_keys(X), or X.T itself, which orders and ties alike.
+
+    Only admissible thresholds (between distinct values, leaving msl rows
+    on each side) are scored; left sums of targets and of their squares
+    are cumsums along each feature's stable sort, and the node's totals
+    are add.reduce over its rows in node order; the first loss within the
+    tie tolerance of the minimum wins, in feature-major order.
+    """
+    n = len(idx)
+    sub = keys[feats].take(idx, axis=1)
+    order = sub.argsort(axis=1, kind="stable")
+    sk = np.sort(sub, axis=1)
+    valid = sk[:, 1:] > sk[:, :-1]
+    if msl > 1:
+        pos = np.arange(1, n)
+        valid = valid & (pos >= msl) & (n - pos >= msl)
+    f_pos, t_pos = np.nonzero(valid)
+    if len(f_pos) == 0:
+        return None
+    nl = t_pos + 1.0
+    nr = n - nl
+    yv = np.asarray(y[idx], dtype=np.float64)
+    ys = yv[order]
+    cum = ys.cumsum(axis=1)[f_pos, t_pos]
+    cum2 = (ys * ys).cumsum(axis=1)[f_pos, t_pos]
+    tot = np.add.reduce(yv)
+    tot2 = np.add.reduce(yv * yv)
+    Hl = np.maximum(cum2 / nl - (cum / nl) ** 2, 0.0)
+    Hr = np.maximum((tot2 - cum2) / nr - ((tot - cum) / nr) ** 2, 0.0)
+    loss = (nl * Hl + nr * Hr) / n
+    m = float(loss.min())
+    best = int((loss <= m + LOSS_TIE_TOL * max(1.0, abs(m))).argmax())
+    f, t = f_pos[best], t_pos[best]
+    rows, j = order[f], feats[f]
+    threshold = (X[idx[rows[t]], j] + X[idx[rows[t + 1]], j]) / 2.0
+    return int(j), float(threshold), float(loss[best])
+
+
 def reference_best_split(X, y, idx, feats, n_classes, min_samples_leaf,
                          parent_impurity, keys=None):
     """best_split as the grower claims it: reference_scan_classification
-    for a classification node, the library's per-node MSE scan for a
-    regression node."""
-    if n_classes is None:
-        return best_split(X, y, idx, feats, None, min_samples_leaf,
-                          parent_impurity, keys)
+    for a classification node, reference_scan_regression for a regression
+    node, then the gain check."""
     idx = np.asarray(idx, dtype=np.intp)
     feats = np.sort(np.asarray(feats, dtype=np.intp))
-    found = reference_scan_classification(X, y, idx, feats, n_classes,
-                                          min_samples_leaf)
+    if n_classes is None:
+        found = reference_scan_regression(
+            X, X.T if keys is None else keys, y, idx, feats, min_samples_leaf)
+    else:
+        found = reference_scan_classification(X, y, idx, feats, n_classes,
+                                              min_samples_leaf)
     if found is None:
         return None
     f, s, loss = found

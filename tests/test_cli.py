@@ -65,6 +65,19 @@ class TestTrain:
         assert res.exit_code == 1
         assert "missing value" in res.output
 
+    def test_target_whose_squares_overflow_is_data_error(self, workspace):
+        """Before, this file ended in an IndexError from the split scan."""
+        (workspace / "big.csv").write_text(
+            "x,y\n1,1e200\n2,-1e200\n3,1e200\n4,1\n5,5\n")
+        (workspace / "big.json").write_text(
+            json.dumps({"target": "y", "task": "regression"}))
+        res = CliRunner().invoke(main, [
+            "importance", "--data", str(workspace / "big.csv"),
+            "--schema", str(workspace / "big.json"), "--method", "ufi",
+            "--trees", "3", "--seed", "1", "--out", str(workspace / "out")])
+        assert res.exit_code == 1, res.output
+        assert "'1e200' at row 1, column 'y'" in res.output
+
     @pytest.mark.parametrize("command", [["train"],
                                          ["importance", "--method", "si"]])
     def test_more_levels_than_declared_is_data_error(self, workspace, command):
@@ -120,6 +133,29 @@ class TestTrain:
         assert payload["config"]["max_features"] == 1
         assert manifest["config"]["max_features"] == 1
         assert Forest.from_dict(payload).config.tree.max_features == 1
+
+    def test_max_features_float_spellings_are_fractions(self, workspace):
+        """1e-1 is the fraction 0.1, as 0.1 is; an integer literal stays a
+        count."""
+        models = []
+        for value in ("0.1", "1e-1", "1"):
+            out = workspace / f"model_{value}"
+            res = _run(["train", "--data", str(workspace / "data.csv"),
+                        "--schema", str(workspace / "schema.json"), "--trees", "3",
+                        "--max-features", value, "--seed", "0", "--out", str(out)])
+            assert res.exit_code == 0, res.output
+            models.append((out / "model.json").read_bytes())
+        assert models[0] == models[1]
+        assert json.loads(models[1])["config"]["max_features"] == 0.1
+        assert json.loads(models[2])["config"]["max_features"] == 1
+
+    @pytest.mark.parametrize("value", ["1e2", "nan", "x"])
+    def test_bad_max_features_is_usage_error(self, workspace, value):
+        res = CliRunner().invoke(main, [
+            "train", "--data", str(workspace / "data.csv"),
+            "--schema", str(workspace / "schema.json"), "--seed", "0",
+            "--max-features", value, "--out", str(workspace / "model")])
+        assert res.exit_code == 2, res.output
 
     def test_same_seed_byte_identical_models(self, workspace):
         args = ["train", "--data", str(workspace / "data.csv"),

@@ -42,6 +42,21 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="missing value at row 2, column 'x'"):
             load_csv(path, target="y", task="classification")
 
+    @pytest.mark.parametrize("big", ["1e200", "-1e200", "3e153"])
+    def test_target_whose_squares_overflow_rejected_with_position(self, tmp_path, big):
+        """Five targets of 1e200 squared overflow a sum; a bound of
+        sqrt(DBL_MAX / (4 n)) keeps every sum of squared deviations finite."""
+        path = _write(tmp_path, f"x,y\n1,1\n2,5\n3,{big}\n4,1\n5,5\n")
+        with pytest.raises(DataError, match=f"'{big}' at row 3, column 'y'"):
+            load_csv(path, target="y", task="regression")
+        y = np.array([1.0, 5.0, float(big), 1.0, 5.0])
+        with pytest.raises(DataError, match="at row 3"):
+            Dataset(np.zeros((5, 1)), y, ["x"], [FeatureKind(CONTINUOUS)], "regression")
+
+    def test_target_below_the_bound_accepted(self, tmp_path):
+        path = _write(tmp_path, "x,y\n1,1e153\n2,-1e153\n3,1e153\n4,1\n5,5\n")
+        assert load_csv(path, target="y", task="regression").y[0] == 1e153
+
     def test_parse_failure_reported_with_position(self, tmp_path):
         path = _write(tmp_path, "x,y\n1.0,0\noops,1\n")
         with pytest.raises(DataError, match="row 2, column 'x'"):

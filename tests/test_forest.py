@@ -345,9 +345,8 @@ def test_fit_grows_the_reference_trees(case):
 
 @pytest.mark.parametrize("task", ["classification", "regression"])
 def test_fits_on_more_rows_than_uint16_ranks_grow_the_reference_trees(task):
-    """70,000 rows take uint32 sort keys, in the batched scans as in the
-    per-node ones; trees 12 deep reach regression nodes small enough for
-    the batch."""
+    """70,000 rows take uint32 sort keys, and regression trees uint32
+    presorted row ids; trees 12 deep scan nodes of many sizes together."""
     n = 70_000
     rng = np.random.default_rng(21)
     X = np.column_stack([rng.permutation(n) / 8.0 - 4000.0,
@@ -363,14 +362,15 @@ def test_fits_on_more_rows_than_uint16_ranks_grow_the_reference_trees(task):
     for tree, (rng, rows) in zip(got, zip(*draw_bags(d.n, cfg)[:2])):
         assert_same_tree(tree, reference_grow(d.X, d.y, rows, cfg.tree,
                                               d.task, d.n_classes, rng=rng))
-        assert (tree.n[~tree.is_leaf] <= tree_mod.SMALL_NODE).any()
+        assert (tree.n[~tree.is_leaf] <= 64).any()
 
 
 @st.composite
 def regression_cases(draw):
     """A tie-heavy regression dataset with unrounded targets, a forest
-    config scanning all features or sqrt of them, and a SMALL_SCAN gate
-    that puts no small node, some or all of them in the batch."""
+    config scanning all features or sqrt of them, and a presort budget
+    that grows every tree in a group of its own, some trees together or
+    all of them in one group."""
     n = draw(st.integers(3, 300))
     p = draw(st.integers(1, 24))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -387,7 +387,7 @@ def regression_cases(draw):
     cfg = ForestConfig(n_trees=draw(st.integers(1, 4)), tree=tree,
                        bootstrap=draw(st.booleans()),
                        seed=draw(st.integers(0, 2**16)))
-    return d, cfg, draw(st.sampled_from([0, 60, tree_mod.SMALL_SCAN, 10**6]))
+    return d, cfg, draw(st.sampled_from([1, 5000, tree_mod.PRESORT_VALUES]))
 
 
 @needs_fork
@@ -395,7 +395,7 @@ def regression_cases(draw):
           suppress_health_check=[HealthCheck.too_slow])
 @given(case=regression_cases())
 def test_fit_grows_the_reference_regression_trees(case):
-    d, cfg, gate = case
+    d, cfg, budget = case
     rngs = tree_rngs(cfg)
     bags = [draw_bag(d.n, rng, cfg.bootstrap)[0] for rng in rngs]
     want = [reference_grow(d.X, d.y, rows, cfg.tree, d.task, rng=rng,
@@ -403,41 +403,41 @@ def test_fit_grows_the_reference_regression_trees(case):
             for rows, rng in zip(bags, rngs)]
     with pytest.MonkeyPatch.context() as mp:
         _patch_cpus(mp, 2)
-        mp.setattr(tree_mod, "SMALL_SCAN", gate)  # forked workers inherit it
+        mp.setattr(tree_mod, "PRESORT_VALUES", budget)  # forked workers inherit it
         for jobs in (1, 2):
             for got, expected in zip(fit(d, cfg, jobs=jobs).trees, want):
                 assert_same_tree(got, expected)
 
 
-def test_small_regression_nodes_scan_on_both_sides_of_the_gate(monkeypatch):
-    """With 20 features, nodes of at most 32 rows scan in the batch, and
-    nodes of 33 to 64 rows, like larger ones, scan one at a time; both
-    grow the reference trees."""
-    d = _dataset("regression", n=300, p=20, seed=4)
+def test_a_level_of_every_size_class_grows_the_reference_trees(monkeypatch):
+    """Unlimited regression trees on 600 rows reach a level whose scan
+    holds nodes of every size class from 2 rows to 129-256 rows, and blocks
+    of many (node, feature) segments; the trees are the reference trees."""
+    d = _dataset("regression", n=600, p=20, seed=4)
     cfg = ForestConfig(n_trees=3, seed=9)
-    batched, alone = [], []
-    scan_segments, best_split = tree_mod._scan_segments, tree_mod.best_split
+    calls, blocks = [], []
+    scan, block = tree_mod._scan_regression, tree_mod._scan_block
 
-    def recording_scan_segments(X, keys, y, nodes, *args):
-        batched.extend(len(rows) for rows, _, _ in nodes)
-        return scan_segments(X, keys, y, nodes, *args)
+    def recording_scan(X, y, pairs, n, *args):
+        calls.append(n.copy())
+        return scan(X, y, pairs, n, *args)
 
-    def recording_best_split(X, y, idx, *args):
-        alone.append(len(idx))
-        return best_split(X, y, idx, *args)
+    def recording_block(X, y, pairs, n, base, tot, tot2, imp, feats, msl,
+                        nodes, out):
+        blocks.append(len(nodes) * feats.shape[1])
+        return block(X, y, pairs, n, base, tot, tot2, imp, feats, msl, nodes, out)
 
-    monkeypatch.setattr(tree_mod, "_scan_segments", recording_scan_segments)
-    monkeypatch.setattr(tree_mod, "best_split", recording_best_split)
+    monkeypatch.setattr(tree_mod, "_scan_regression", recording_scan)
+    monkeypatch.setattr(tree_mod, "_scan_block", recording_block)
+    monkeypatch.setattr(tree_mod, "best_split", None)  # the grower never calls it
     got = fit(d, cfg).trees
     monkeypatch.undo()
-    assert batched and max(batched) == tree_mod.SMALL_SCAN // 20
-    assert any(33 <= n <= tree_mod.SMALL_NODE for n in alone)
-    assert any(n > tree_mod.SMALL_NODE for n in alone)
-    rngs = tree_rngs(cfg)
-    for tree, rng in zip(got, rngs):
-        rows = draw_bag(d.n, rng, cfg.bootstrap)[0]
-        assert_same_tree(tree, reference_grow(d.X, d.y, rows, cfg.tree,
-                                              d.task, rng=rng))
+    classes = [set(np.frexp(n - 1.0)[1].tolist()) for n in calls]
+    assert any(c >= set(range(1, 9)) for c in classes), classes
+    assert max(blocks) > 1000
+    for tree, (rng, rows) in zip(got, zip(*draw_bags(d.n, cfg)[:2])):
+        assert_same_tree(tree, reference_grow(d.X, d.y, rows, cfg.tree, d.task,
+                                              rng=rng))
 
 
 class TestPredict:

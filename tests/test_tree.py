@@ -13,8 +13,8 @@ from ufitree.data import CONTINUOUS, Dataset, FeatureKind
 from ufitree.forest import ForestConfig, fit
 from ufitree.importance import ufi_tree_classification
 from ufitree.tree import (
-    FIRST_BLOCK, MAX_BLOCK, SMALL_NODE, Split, Tree, TreeConfig,
-    _best_splits, _draw_subsets, _node_impurity, _scan_features,
+    FIRST_BLOCK, MAX_BLOCK, Split, Tree, TreeConfig, _best_splits,
+    _draw_subsets, _node_impurity, _Nodes, _padded, _presort, _row_dtype,
     _scan_segments, _scan_table, best_split, evaluate_split, grow,
     impurity_from_counts, impurity_from_values, predictive_gini, sort_keys,
 )
@@ -118,13 +118,10 @@ class TestBestSplit:
             feats = np.arange(X.shape[1])
             keys = sort_keys(X)
             assert keys.dtype == np.uint16
-            if k is None:
-                want = _scan_features(X, X.T, y, idx, feats, 1)
-                got = _scan_features(X, keys, y, idx, feats, 1)
-            else:
-                imp = _node_impurity(y[idx], k)
-                want = reference_best_split(X, y, idx, feats, k, 1, imp)
-                got = best_split(X, y, idx, feats, k, 1, imp, keys)
+            imp = _node_impurity(y[idx], k)
+            # the reference scans the float values
+            want = reference_best_split(X, y, idx, feats, k, 1, imp)
+            got = best_split(X, y, idx, feats, k, 1, imp, keys)
             assert got == want
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -147,57 +144,91 @@ class TestBestSplit:
         assert not keys[1].any()  # -0.0 and 0.0 tie
 
 
+def scan_batch(X, y, keys, nodes, n_classes, msl):
+    """(feature, threshold) arrays of (rows, feats, impurity) nodes, whose
+    feats have one length, from one _best_splits call on them as one set,
+    as the grower makes it: for regression, with every node's rows
+    presorted (one tree, ids = rows) and its target totals."""
+    rows = [np.asarray(r, dtype=np.intp) for r, _, _ in nodes]
+    n = np.array([len(r) for r in rows])
+    zero = np.zeros(len(nodes), dtype=np.intp)
+    table = tot = tot2 = pairs = None
+    if n_classes is None:
+        tot = np.array([np.add.reduce(y[r]) for r in rows])
+        tot2 = np.array([np.add.reduce(y[r] * y[r]) for r in rows])
+        pairs = _padded([_presort(keys, r, 0, _row_dtype(len(X))) for r in rows],
+                        int(n.max()))
+    else:
+        table = _scan_table(X, keys, y, n_classes)
+    batch = _Nodes(zero, zero, zero, n, np.array([i for _, _, i in nodes]),
+                   tot, tot2, np.concatenate(rows), pairs)
+    return _best_splits(X, y, table, batch, np.arange(len(nodes)),
+                        np.array([f for _, f, _ in nodes]), n_classes, msl)
+
+
+def _same_float(a, b):
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
 @st.composite
-def small_node_batches(draw):
-    """Up to 12 nodes of at most SMALL_NODE rows, drawn with repeats from
-    one tie-heavy dataset, each with its own sorted feature subset. The
-    targets are class labels or unrounded floats."""
-    task = draw(st.sampled_from(["classification", "regression"]))
-    n = draw(st.integers(2, 200))
-    p = draw(st.integers(1, 12))
+def regression_batches(draw):
+    """Up to 60 regression nodes of 1 to 3, 20 or 300 rows, drawn with repeats from
+    one tie-heavy dataset with unrounded targets, each with its own sorted
+    subset of one size, so that a batch holds nodes of every size class.
+    The scan's block sizes are tiny or the defaults."""
+    n = draw(st.integers(2, 300))
+    p = draw(st.integers(1, 16))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     X = np.column_stack([
         rng.integers(0, draw(st.integers(2, max(2, n))), n) / 4.0
         for _ in range(p)])
-    if task == "classification":
-        k = draw(st.integers(2, 4))
-        y = rng.integers(0, k, n)
-    else:
-        k = None
-        y = rng.standard_normal(n) * 10.0 ** draw(st.integers(-3, 3))
+    y = rng.standard_normal(n) * 10.0 ** draw(st.integers(-3, 3))
+    k = draw(st.just(p) | st.integers(1, p))
+    top = draw(st.sampled_from([3, 20, 300]))
     nodes = []
-    for _ in range(draw(st.integers(1, 12))):
-        rows = rng.integers(0, n, int(rng.integers(1, SMALL_NODE + 1)))
-        feats = np.sort(rng.choice(p, int(rng.integers(1, p + 1)),
-                                   replace=False))
-        nodes.append((rows, feats, _node_impurity(y[rows], k)))
-    return X, y, k, nodes, draw(st.integers(1, 5))
+    for _ in range(draw(st.integers(1, 60))):
+        size = draw(st.sampled_from([1, 2, 3]) | st.integers(1, top))
+        rows = rng.integers(0, n, size)
+        feats = np.sort(rng.choice(p, k, replace=False))
+        nodes.append((rows, feats, _node_impurity(y[rows], None)))
+    sizes = draw(st.sampled_from([(1, 1), (64, 64),
+                                  (tree_mod.SCAN_VALUES, tree_mod.SMALL_BLOCK)]))
+    return X, y, nodes, draw(st.integers(1, 5)), sizes
 
 
 @settings(max_examples=200, deadline=None)
-@given(case=small_node_batches())
+@given(case=regression_batches())
 def test_batched_scan_is_best_split_bit_for_bit(case):
-    X, y, k, nodes, msl = case
+    """The batched regression scan finds, for every node, the split of the
+    per-node reference scan, to the bit; so does best_split, with and
+    without the fit's keys."""
+    X, y, nodes, msl, (values, small) = case
     keys = sort_keys(X)
-    found = _scan_segments(X, keys, y, nodes, k, msl)
-    for (rows, feats, imp), got in zip(nodes, found):
-        want = reference_best_split(X, y, rows, feats, k, msl, imp, keys)
-        if want is None:
-            assert got is None
-        else:
-            assert got[0] == want[0]
-            assert np.float64(got[1]).tobytes() == np.float64(want[1]).tobytes()
-        # without keys, best_split scans the node's own rows and features
-        assert best_split(X, y, rows, feats, k, msl, imp) == want
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tree_mod, "SCAN_VALUES", values)
+        mp.setattr(tree_mod, "SMALL_BLOCK", small)
+        feature, threshold = scan_batch(X, y, keys, nodes, None, msl)
+    for (rows, feats, imp), f, s in zip(nodes, feature, threshold):
+        want = reference_best_split(X, y, rows, feats, None, msl, imp)
+        assert (f < 0) == (want is None)
+        if want is not None:
+            assert f == want[0].feature and _same_float(s, want[0].threshold)
+        for k in (keys, None):
+            got = best_split(X, y, rows, feats, None, msl, imp, k)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got[0].feature == want[0].feature
+                assert _same_float(got[0].threshold, want[0].threshold)
+                assert _same_float(got[1], want[1])
 
 
 @st.composite
 def classification_nodes(draw):
     """Up to 8 classification nodes of 2 to 3000 rows, drawn with repeats
     from one dataset whose columns are tie-heavy, two-valued, or hold both
-    signed zeros; each node has its own sorted feature subset. Labels take
-    2 to 5 classes, and the batch cap on scanned values is tiny, moderate or
-    the default."""
+    signed zeros; each node has its own sorted feature subset, all of one
+    size. Labels take 2 to 5 classes, and the batch cap on scanned values
+    is tiny, moderate or the default."""
     n = draw(st.integers(2, 3000))
     p = draw(st.integers(1, 8))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -214,20 +245,16 @@ def classification_nodes(draw):
     X = np.column_stack(columns)
     k = draw(st.integers(2, 5))
     y = rng.integers(0, k, n)
+    n_feats = int(rng.integers(1, p + 1))
     nodes = []
     for _ in range(draw(st.integers(1, 8))):
         size = draw(st.sampled_from([2, 3, 64, 65, 3000])
                     | st.integers(2, 3000))
         rows = rng.integers(0, n, size)
-        feats = np.sort(rng.choice(p, int(rng.integers(1, p + 1)),
-                                   replace=False))
+        feats = np.sort(rng.choice(p, n_feats, replace=False))
         nodes.append((rows, feats, _node_impurity(y[rows], k)))
     cap = draw(st.sampled_from([1, 100, 5000, tree_mod.SCAN_VALUES]))
     return X, y, k, nodes, draw(st.integers(1, 5)), cap
-
-
-def _same_float(a, b):
-    return np.float64(a).tobytes() == np.float64(b).tobytes()
 
 
 @settings(max_examples=150, deadline=None)
@@ -238,23 +265,31 @@ def test_classification_scan_is_best_split_bit_for_bit(case):
     table = _scan_table(X, keys, y, k)
     want = [reference_best_split(X, y, rows, feats, k, msl, imp)
             for rows, feats, imp in nodes]
-    for (rows, feats, imp), got, expected in zip(
-            nodes, _scan_segments(X, keys, y, nodes, k, msl, table), want):
+    rows = [np.asarray(r, dtype=np.intp) for r, _, _ in nodes]
+    n = np.array([len(r) for r in rows])
+    found = _scan_segments(table, len(X), np.concatenate(rows), np.cumsum(n) - n,
+                           n, np.array([f for _, f, _ in nodes]),
+                           np.array([i for _, _, i in nodes]), k, msl)
+    for (rows, feats, imp), f, s, loss, expected in zip(nodes, *found, want):
+        assert (f < 0) == (expected is None)
+        if expected is not None:
+            assert f == expected[0].feature
+            assert _same_float(s, expected[0].threshold)
+            assert _same_float(loss, expected[1])
+        # best_split scans a classification node on its own rows
+        got = best_split(X, y, rows, feats, k, msl, imp, keys)
         assert (got is None) == (expected is None)
         if got is not None:
-            assert got[0].feature == expected[0].feature
-            assert _same_float(got[0].threshold, expected[0].threshold)
-            assert _same_float(got[1], expected[1])
-        # best_split scans a classification node on its own rows
-        assert best_split(X, y, rows, feats, k, msl, imp, keys) == got
+            assert (got[0].feature, got[1]) == (f, loss)
+            assert _same_float(got[0].threshold, s)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tree_mod, "SCAN_VALUES", cap)
-        found = _best_splits(X, y, keys, table, nodes, k, msl)
-    for got, expected in zip(found, want):
-        assert (got is None) == (expected is None)
-        if got is not None:
-            assert got.feature == expected[0].feature
-            assert _same_float(got.threshold, expected[0].threshold)
+        feature, threshold = scan_batch(X, y, keys, nodes, k, msl)
+    for f, s, expected in zip(feature, threshold, want):
+        assert (f < 0) == (expected is None)
+        if expected is not None:
+            assert f == expected[0].feature
+            assert _same_float(s, expected[0].threshold)
 
 
 def test_scan_table_codes_keys_and_classes():
@@ -436,6 +471,46 @@ def test_grow_leaves_a_callers_generator_where_per_node_draws_do(kw):
         assert draws > 0 and draws not in _block_ends()  # last block partly used
     _assert_same_stream(gen, ref)
 
+@st.composite
+def regression_growths(draw):
+    """A tie-heavy regression dataset, up to 4 bags with heavy duplicates
+    (some of 1 to 3 rows), and a config over every max_features, max_depth
+    and min_samples_leaf setting the grower treats apart."""
+    n = draw(st.integers(1, 120))
+    p = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = np.column_stack([rng.integers(0, draw(st.integers(1, max(1, n))), n) / 2.0
+                         for _ in range(p)])
+    y = np.round(rng.standard_normal(n), draw(st.integers(0, 3)))
+    bags = []
+    for _ in range(draw(st.integers(1, 4))):
+        size = draw(st.sampled_from([1, 2, 3]) | st.integers(1, 2 * n))
+        # rows from a narrow range repeat often
+        rows = rng.integers(0, draw(st.integers(1, n)), size)
+        bags.append(rows)
+    cfg = TreeConfig(max_depth=draw(st.sampled_from([None, 2, 6])),
+                     min_samples_leaf=draw(st.sampled_from([1, 3])),
+                     max_features=draw(st.sampled_from(["all", "sqrt"])))
+    return X, y, bags, cfg, draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=regression_growths())
+def test_grow_trees_grows_the_reference_regression_trees(case):
+    """Level by level without draws, node by node in preorder with them,
+    the grower makes the reference trees, numbered in preorder: a left
+    child's id is its parent's plus one."""
+    X, y, bags, cfg, seed = case
+    rngs = [np.random.default_rng([seed, b]) for b in range(len(bags))]
+    refs = [np.random.default_rng([seed, b]) for b in range(len(bags))]
+    grown = tree_mod.grow_trees(X, y, bags, rngs, cfg, "regression")
+    for tree, rows, gen, ref in zip(grown, bags, rngs, refs):
+        assert_same_tree(tree, reference_grow(X, y, rows, cfg, "regression", rng=ref))
+        inner = np.flatnonzero(~tree.is_leaf)
+        assert np.array_equal(tree.left[inner], inner + 1)
+        _assert_same_stream(gen, ref)
+
+
 def _fit(X, y, task, seed=0, **kw):
     cfg = TreeConfig(**kw)
     n_classes = int(np.max(y)) + 1 if task == "classification" else None
@@ -514,6 +589,15 @@ class TestGrow:
             X, y, k = random_instance(rng, task)
             tree = _fit(X, y, task)
             assert np.all(tree.train_decrease[~tree.is_leaf] >= 0.0)
+
+    @pytest.mark.parametrize("big", [1e200, np.inf, np.nan])
+    def test_regression_target_whose_squares_overflow_rejected(self, big):
+        X = np.arange(5.0)[:, None]
+        y = np.array([1.0, 5.0, big, 1.0, 5.0])
+        with pytest.raises(ValueError, match="regression targets"):
+            grow(X, y, np.arange(5), TreeConfig(), "regression")
+        # a row outside every bag is never summed
+        grow(X, y, [0, 1, 3, 4], TreeConfig(), "regression")
 
     def test_feature_subset_falls_back_to_full_scan(self):
         # column 0 is constant; with max_features=1 some draws see only it
