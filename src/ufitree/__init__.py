@@ -1,7 +1,7 @@
 """Tree ensembles with debiased (out-of-sample corrected) split-improvement
 feature importance, plus simulation harnesses and a CLI."""
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .data import (
     Dataset, Encoder, FeatureKind,

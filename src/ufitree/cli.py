@@ -197,7 +197,8 @@ def cmd_train(data, schema, task, out, trees, max_depth, max_features,
 @click.option("--method", type=click.Choice(["si", "ufi", "permutation"]),
               required=True)
 @click.option("--test", "test_source", type=str, default="oob", show_default=True,
-              help="'oob' or a path to a test CSV with the same schema")
+              help="'oob' or a path to a test CSV with the same schema "
+                   "(ufi and permutation)")
 @click.option("--inject-random", is_flag=True, default=False,
               help="append an independent standard-normal probe column")
 @click.option("--out", type=click.Path(file_okay=False), default="ufitree_importance")
@@ -210,6 +211,8 @@ def cmd_importance(data, schema, task, method, test_source, inject_random,
     seed = _resolve_seed(seed)
     d, enc, encoder = _load_encoded(data, schema, task,
                                     seed + 1 if inject_random else None)
+    if method == "si" and test_source != "oob":
+        _die_usage("si scores the training fit; it takes no --test")
     if method in ("ufi", "permutation") and test_source == "oob" and not bootstrap:
         _die_usage(f"--method {method} --test oob requires --bootstrap")
     config = _forest_config(trees, max_depth, max_features, min_samples_leaf,
@@ -254,7 +257,8 @@ def cmd_importance(data, schema, task, method, test_source, inject_random,
     _write_manifest(out_dir, "importance", {
         **forest.config.to_dict(),
         "method": method,
-        "test": "oob" if test_print is None else test_print["path"],
+        "test": None if method == "si" else "oob" if test_print is None
+        else test_print["path"],
         "inject_random": inject_random,
     }, seed, worker_count(threads, trees), _fingerprint(data, d), started,
         extra={"test_dataset": test_print})

@@ -1,11 +1,12 @@
 """CART-style trees: impurity, best-split search, growth, routing, prediction.
 
-``grow_trees`` grows the trees of a forest together, in lockstep, so that
-the nodes they wait to split are scanned, split and counted in batches: a
-tree that draws feature subsets one node at a time in preorder, a tree that
-draws none a level at a time. Regression nodes carry their rows presorted
-by every feature. ``grow`` is that grower on one bag. A grown ``Tree`` is a
-set of flat preorder arrays.
+``grow_trees`` grows the trees of a forest together, a level at a time, so
+that the nodes they wait to split are scanned, split and counted in
+batches. A node that draws a feature subset draws it from a hash of its
+tree's seed and its place in the tree, so no draw depends on the order
+nodes grow in. Regression nodes carry their rows presorted by every
+feature. ``grow`` is that grower on one bag. A grown ``Tree`` is a set of
+flat preorder arrays.
 """
 
 from __future__ import annotations
@@ -697,6 +698,8 @@ def _node_impurity(y_node, n_classes) -> float:
     if n_classes is None:
         return impurity_from_values(y_node)
     return impurity_from_counts(np.bincount(y_node, minlength=n_classes))
+
+
 def evaluate_split(X, y, idx, split: Split, n_root, n_classes=None,
                    min_samples_leaf=1):
     """Loss L(Q, theta) and root-weighted decrease for one concrete split,
@@ -720,140 +723,74 @@ def evaluate_split(X, y, idx, split: Split, n_root, n_classes=None,
     return loss, delta
 
 
-# A growing tree draws its max_features subsets in blocks of _draw_subsets
-# rows: the first holds FIRST_BLOCK rows, and each next one twice as many,
-# up to MAX_BLOCK.
-FIRST_BLOCK = 8
-MAX_BLOCK = 256
-
-# A _draw_subsets pass marks taken values in a table of rows x p bools, and
-# takes as many rows as fit in this many bytes, or one.
-MARK_BYTES = 1 << 21
+# splitmix64 (Steele, Lea and Flood, OOPSLA 2014): its increment and the
+# two multipliers of its finaliser
+GOLDEN_GAMMA = 0x9E3779B97F4A7C15
+MIX_1, MIX_2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
 
 
-def _draw_subsets(rng, p: int, k: int, count: int) -> np.ndarray:
-    """``count`` rows equal to ``count`` successive
-    ``np.sort(rng.choice(p, k, replace=False))`` calls, 0 < k < p, leaving
-    rng in the state those calls leave it in.
+def mix(x: np.ndarray) -> np.ndarray:
+    """splitmix64 of each word of a uint64 array: add GOLDEN_GAMMA, then
+    the finaliser, in wrapping uint64 arithmetic."""
+    z = x + GOLDEN_GAMMA
+    z = (z ^ (z >> 30)) * MIX_1
+    z = (z ^ (z >> 27)) * MIX_2
+    return z ^ (z >> 31)
 
-    Unless p > 10000 and k > p // 50, choice runs Floyd's algorithm: for j
-    in p-k .. p-1 it draws v in [0, j] and takes v, or j if v is taken;
-    then it shuffles the k values, drawing in [0, i] for i = k-1 .. 1, and
-    the sort undoes the shuffle. Each draw is Lemire's: a 32-bit output w
-    and r = j+1 (or i+1) give w*r >> 32, unless the low half of w*r is
-    below (2**32 - r) % r, and then it draws again. A PCG64 generator's
-    32-bit outputs are the low, then the high halves of its raw 64-bit
-    words, after the half its state holds over, if any. So a row with no
-    draw made again takes 2k - 1 outputs, and the rows before the first
-    that has one are computed at once from the raw words; choice draws that
-    row itself. Other streams, and choice's other algorithm, are drawn row
-    by row.
-    """
-    bg = rng.bit_generator
-    if not isinstance(bg, np.random.PCG64) or (p > 10000 and k > p // 50):
-        return np.array([np.sort(rng.choice(p, k, replace=False))
-                         for _ in range(count)])
-    width = 2 * k - 1
-    r = np.concatenate([np.arange(p - k + 1, p + 1),
-                        np.arange(k, 1, -1)]).astype(np.uint64)
-    least = (2**32 - r) % r  # the smallest low half a draw keeps
-    floor = np.arange(p - k, p)  # Floyd's j per step
-    out = []
-    while count:
-        n = min(count, max(1, MARK_BYTES // p))
-        state = bg.state
-        carry = state["has_uint32"]
-        words = bg.random_raw((n * width - carry + 1) // 2)
-        halves = np.empty(2 * len(words) + carry, dtype=np.uint64)
-        halves[:carry] = state["uinteger"]
-        halves[carry::2] = words & 0xFFFFFFFF
-        halves[carry + 1::2] = words >> 32
-        m = halves[:n * width].reshape(n, width) * r
-        kept = ((m & 0xFFFFFFFF) >= least).all(axis=1)
-        n_ok = n if kept.all() else int(kept.argmin())
-        v = (m[:n_ok, :k] >> 32).astype(np.int64)
-        rows = np.empty((n_ok, k), dtype=np.int64)
-        base = np.arange(n_ok) * p
-        taken = np.zeros(n_ok * p, dtype=bool)
-        for t in range(k):
-            s = np.where(taken[base + v[:, t]], floor[t], v[:, t])
-            taken[base + s] = True
-            rows[:, t] = s
-        rows.sort(axis=1)
-        out.append(rows)
-        # the stream just after those rows: `used` outputs of the raw words
-        used = n_ok * width - carry
-        bg.state = state
-        bg.advance((used + 1) // 2)
-        after = bg.state
-        after["has_uint32"] = used % 2
-        after["uinteger"] = int(words[(used - 1) // 2] >> 32) if used > 0 \
-            else state["uinteger"]
-        bg.state = after
-        count -= n_ok
-        if n_ok < n:
-            out.append(np.sort(rng.choice(p, k, replace=False))[None])
-            count -= 1
-    return np.concatenate(out)
 
+def child_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The path keys of the left and of the right children of nodes with
+    these keys: mix(2 key + side), side 0 on the left and 1 on the right.
+    A root's key is mix of its tree's seed."""
+    twice = keys << 1
+    return mix(twice), mix(twice | 1)
+
+
+def draw_subsets(keys: np.ndarray, p: int, k: int) -> np.ndarray:
+    """The sorted max_features subset of each node with these path keys,
+    one row of k of the p features per node: the k features j with the
+    smallest mix(key ^ mix(j)). A node's subset depends on its tree's seed
+    and its place in the tree alone, as the counter-based generators of
+    Salmon et al. (SC 2011) draw. mix is a bijection of uint64 words, and
+    so is XOR with a key, so a node's p hashes are distinct: no tie needs
+    a rule, and a partition finds the k smallest. Nodes are hashed in
+    pieces of about SCAN_VALUES (node, feature) pairs."""
+    out = np.empty((len(keys), k), dtype=np.intp)
+    salt = mix(np.arange(p, dtype=np.uint64))
+    step = max(1, SCAN_VALUES // p)
+    for a in range(0, len(keys), step):
+        h = mix(keys[a:a + step, None] ^ salt)
+        out[a:a + step] = np.sort(np.argpartition(h, k - 1, axis=1)[:, :k], axis=1)
+    return out
 
 
 def grow(X, y, indices, config: TreeConfig, task: str,
          n_classes: int | None = None, rng=0, keys=None) -> Tree:
     """Grow a tree on the given row indices of (X, y): grow_trees on one bag.
 
-    ``rng`` is a seed or a Generator; it draws the max_features subsets.
-    ``keys`` is sort_keys(X); computed here if None.
+    ``rng`` is a seed or a Generator; the tree takes one raw word of it as
+    the seed of its max_features subsets. ``keys`` is sort_keys(X);
+    computed here if None.
     """
     return grow_trees(X, y, [indices], [np.random.default_rng(rng)], config,
                       task, n_classes, keys)[0]
 
 
-class _Draws:
-    """A growing tree's max_features subsets: its generator, the block of
-    subsets drawn from it, the generator's state before that block, the
-    rows used and the size of the next block."""
-
-    def __init__(self, rng):
-        self.rng = rng
-        self.block, self.block_state, self.used = (), None, 0
-        self.block_rows = FIRST_BLOCK
-
-    def draw(self, p, k) -> np.ndarray:
-        """The tree's next subset: the next row of its block, after drawing
-        a new block if this one is used up."""
-        if self.used == len(self.block):
-            self.block_state = self.rng.bit_generator.state
-            self.block = _draw_subsets(self.rng, p, k, self.block_rows)
-            self.block_rows = min(2 * self.block_rows, MAX_BLOCK)
-            self.used = 0
-        self.used += 1
-        return self.block[self.used - 1]
-
-    def rewind(self, p, k):
-        """Leave the generator just after the last subset used, where a
-        draw per node would leave it."""
-        if self.used < len(self.block):
-            self.rng.bit_generator.state = self.block_state
-            _draw_subsets(self.rng, p, k, self.used)
-
-
 class _Nodes:
     """Nodes waiting for a scan, in flat arrays. Per node: its tree (an
     index into the group), its id (the group's creation order), depth, row
-    count and impurity, and for regression the add.reduce sums of its
-    targets and of their squares. ``rows`` holds each node's rows in node
-    order, one node after another from ``start``; for regression,
-    ``pairs`` holds each node's block of p x n (id, key) pairs
-    (_presort's), one node after another, then padding (_padded)."""
+    count, impurity and path key (child_keys'), and for regression the
+    add.reduce sums of its targets and of their squares. ``rows`` holds
+    each node's rows in node order, one node after another from ``start``;
+    for regression, ``pairs`` holds each node's block of p x n (id, key)
+    pairs (_presort's), one node after another, then padding (_padded)."""
 
-    FIELDS = ("tree", "gid", "depth", "n", "imp", "tot", "tot2")
+    FIELDS = ("tree", "gid", "depth", "n", "imp", "key", "tot", "tot2")
 
-    def __init__(self, tree, gid, depth, n, imp, tot, tot2, rows,
-                 pairs=None):
+    def __init__(self, tree, gid, depth, n, imp, key, tot, tot2, rows):
         self.tree, self.gid, self.depth, self.n = tree, gid, depth, n
-        self.imp, self.tot, self.tot2 = imp, tot, tot2
-        self.rows, self.pairs = rows, pairs
+        self.imp, self.key, self.tot, self.tot2 = imp, key, tot, tot2
+        self.rows, self.pairs = rows, None
         self.start = np.cumsum(n) - n
 
     def __len__(self) -> int:
@@ -861,28 +798,6 @@ class _Nodes:
 
     def _fields(self):
         return [getattr(self, name) for name in self.FIELDS]
-
-    def entries(self, p: int) -> list[tuple]:
-        """Each node alone, as a tuple that _Nodes.stack takes: its fields
-        as Python numbers, then its arrays, copied, so that no array
-        spanning the set outlives it."""
-        fields = list(zip(*(f.tolist() if f is not None else [None] * len(self)
-                            for f in self._fields())))
-        out = []
-        for i, (a, n) in enumerate(zip(self.start.tolist(), self.n.tolist())):
-            out.append((fields[i], self.rows[a:a + n].copy(), None
-                        if self.pairs is None else self.pairs[p * a:p * (a + n)].copy()))
-        return out
-
-    @classmethod
-    def stack(cls, entries: list) -> "_Nodes":
-        """The nodes of several entries() tuples, as one set."""
-        fields = [None if c[0] is None else np.array(c)
-                  for c in zip(*(e[0] for e in entries))]
-        rows = [e[1] for e in entries]
-        pairs = None if entries[0][2] is None else \
-            _padded([e[2] for e in entries], max(len(r) for r in rows))
-        return cls(*fields, np.concatenate(rows), pairs)
 
 
 class _Record:
@@ -1022,17 +937,17 @@ def _node_stats(y, rows, sizes, n_classes) -> tuple:
     return tuple(out)
 
 
-def _new_nodes(y, rec, tree, depth, rows, sizes, n_classes, config):
-    """Record the nodes with these trees, depths and consecutive groups of
-    rows, and return them as _Nodes, with the mask of those to scan: the
-    others are leaves by the stop rules (max_depth, min_samples_split, zero
-    impurity)."""
+def _new_nodes(y, rec, tree, depth, key, rows, sizes, n_classes, config):
+    """Record the nodes with these trees, depths, path keys and consecutive
+    groups of rows, and return them as _Nodes, with the mask of those to
+    scan: the others are leaves by the stop rules (max_depth,
+    min_samples_split, zero impurity)."""
     stats, imp, tot, tot2 = _node_stats(y, rows, sizes, n_classes)
     gid = rec.add(tree=tree, depth=depth, n=sizes, stats=stats, impurity=imp)
     scan = (sizes >= config.min_samples_split) & (imp > 0.0)
     if config.max_depth is not None:
         scan &= depth < config.max_depth
-    return _Nodes(tree, gid, depth, sizes, imp, tot, tot2, rows), scan
+    return _Nodes(tree, gid, depth, sizes, imp, key, tot, tot2, rows), scan
 
 
 def _take(nodes: _Nodes, keep: np.ndarray) -> _Nodes:
@@ -1043,27 +958,25 @@ def _take(nodes: _Nodes, keep: np.ndarray) -> _Nodes:
 
 def grow_trees(X, y, bags, rngs, config: TreeConfig, task: str,
                n_classes: int | None = None, keys=None) -> list[Tree]:
-    """Grow one tree per bag of row indices of (X, y), all in lockstep.
+    """Grow one tree per bag of row indices of (X, y), all together.
 
     Trees grow in groups (one for classification; for regression, trees
-    whose bags hold about PRESORT_VALUES (row, feature) values). A
-    regression node carries its rows presorted by every feature: a root
-    sorts its bag once, stably by sort_keys, and a child keeps its parent's
-    order, filtered by the split, which is the stable order of its own
-    rows. In each step the nodes that wait for a scan are scanned together
+    whose bags hold about PRESORT_VALUES (row, feature) values), a level at
+    a time. A regression node carries its rows presorted by every feature:
+    a root sorts its bag once, stably by sort_keys, and a child keeps its
+    parent's order, filtered by the split, which is the stable order of its
+    own rows. In each step every node that waits for a scan is scanned
     (_best_splits), and the nodes that split are partitioned, and their
     children get their stats, together (_split).
 
-    A tree that draws feature subsets (max_features below p) has its
-    generator in ``rngs`` draw them one node at a time in preorder, so a
-    step takes its next node in preorder; the subsets are those of
-    successive sorted ``choice`` calls, read in blocks (_draw_subsets), and
-    each generator ends just after the last one used. A tree that draws
-    nothing does not depend on the order its nodes grow in, so a step
-    takes all its waiting nodes: it grows a level at a time. Either way a
-    tree is the same whichever trees grow beside it, and its nodes are
-    numbered in preorder. ``keys`` is sort_keys(X), which the trees share;
-    computed here if None.
+    Each tree takes one raw 64-bit word of its generator in ``rngs`` as its
+    seed. A node whose tree draws feature subsets (max_features below p)
+    scans draw_subsets' subset of its path key, chained from the seed by
+    child_keys, or all features if that subset has no admissible split. So
+    no node depends on the order nodes grow in: a tree is the same
+    whichever trees grow beside it, and its nodes are numbered in
+    preorder. ``keys`` is sort_keys(X), which the trees share; computed
+    here if None.
     """
     X = np.asarray(X, dtype=np.float64)
     bags = [np.asarray(rows, dtype=np.intp) for rows in bags]
@@ -1095,9 +1008,11 @@ def grow_trees(X, y, bags, rngs, config: TreeConfig, task: str,
     # of X, a target and a code (_grow_group)
     groups = [(0, len(bags))] if classify else _chunks(
         np.array([len(rows) for rows in bags]) * X.shape[1] + len(X), PRESORT_VALUES)
+    seeds = np.array([rng.bit_generator.random_raw() for rng in rngs],
+                     dtype=np.uint64)
     grown = []
     for a, b in groups:
-        grown += _grow_group(X, y, keys, table, bags[a:b], rngs[a:b], config,
+        grown += _grow_group(X, y, keys, table, bags[a:b], seeds[a:b], config,
                              task, n_classes)
     return grown
 
@@ -1108,16 +1023,17 @@ def target_limit(n: int) -> float:
     return float(np.sqrt(np.finfo(np.float64).max / (4.0 * n)))
 
 
-def _grow_group(X, y, keys, table, bags, rngs, config, task, n_classes):
-    """grow_trees on one group of bags."""
+def _grow_group(X, y, keys, table, bags, seeds, config, task, n_classes):
+    """grow_trees on one group of bags, with their trees' seeds."""
     p = X.shape[1]
     k_feats = resolve_max_features(config.max_features, p)
     every = np.arange(p)
     rec = _Record(n_classes is not None)
     sizes = np.array([len(rows) for rows in bags])
     roots, scan = _new_nodes(y, rec, np.arange(len(bags)), np.zeros(len(bags), np.intp),
-                             np.concatenate(bags), sizes, n_classes, config)
-    waiting = _take(roots, scan)
+                             mix(seeds), np.concatenate(bags), sizes, n_classes,
+                             config)
+    nodes = _take(roots, scan)
     code = scan_y = None
     if n_classes is None:
         # a node's presorted rows are ids tree * len(X) + row, which index
@@ -1125,32 +1041,17 @@ def _grow_group(X, y, keys, table, bags, rngs, config, task, n_classes):
         # way out of its node for _split
         n_data = len(X)
         dtype = _row_dtype(len(bags) * n_data)
-        if len(waiting):
-            waiting.pairs = _padded(
-                [_presort(keys, waiting.rows[a:a + n], t * n_data, dtype)
-                 for t, a, n in zip(waiting.tree, waiting.start, waiting.n)],
-                int(waiting.n.max()))
+        if len(nodes):
+            nodes.pairs = _padded(
+                [_presort(keys, nodes.rows[a:a + n], t * n_data, dtype)
+                 for t, a, n in zip(nodes.tree, nodes.start, nodes.n)],
+                int(nodes.n.max()))
         scan_y = np.concatenate([y] * len(bags))
         code = np.zeros(len(bags) * n_data, dtype=np.uint8)
-    draws = stacks = None
-    if k_feats < p:
-        draws = [_Draws(rng) for rng in rngs]
-        stacks = [[] for _ in bags]
-        _push(stacks, waiting, np.ones(len(waiting), dtype=bool), p)
-    while True:
-        if stacks is not None:
-            entries = [s.pop() for s in stacks if s]
-            if not entries:
-                break
-            nodes = _Nodes.stack(entries)
-            feats = np.array([draws[t].draw(p, k_feats) for t in nodes.tree])
-        else:
-            nodes = waiting
-            if not len(nodes):
-                break
-            feats = np.broadcast_to(every, (len(nodes), p))
-        everyone = np.arange(len(nodes))
-        feature, threshold = _best_splits(X, scan_y, table, nodes, everyone,
+    while len(nodes):
+        feats = draw_subsets(nodes.key, p, k_feats) if k_feats < p \
+            else np.broadcast_to(every, (len(nodes), p))
+        feature, threshold = _best_splits(X, scan_y, table, nodes, np.arange(len(nodes)),
                                           feats, n_classes, config.min_samples_leaf)
         retry = np.flatnonzero(feature < 0)
         if len(retry) and k_feats < p:
@@ -1158,28 +1059,15 @@ def _grow_group(X, y, keys, table, bags, rngs, config, task, n_classes):
             feature[retry], threshold[retry] = _best_splits(
                 X, scan_y, table, nodes, retry, np.broadcast_to(every, (len(retry), p)),
                 n_classes, config.min_samples_leaf)
-        waiting, left = _split(X, y, nodes, feature, threshold, rec, config,
-                               n_classes, code)
-        if stacks is not None:
-            _push(stacks, waiting, left, p)
-    if draws is not None:
-        for d in draws:
-            d.rewind(p, k_feats)
+        nodes = _split(X, y, nodes, feature, threshold, rec, config, n_classes,
+                       code)
     return rec.trees(task, n_classes, p, sizes)
-
-
-def _push(stacks, nodes: _Nodes, left: np.ndarray, p: int):
-    """Push each node onto its tree's stack, right children before left
-    ones, so that a tree's next node in preorder is on top."""
-    entries = nodes.entries(p)
-    for i in np.concatenate([np.flatnonzero(~left), np.flatnonzero(left)]).tolist():
-        stacks[entries[i][0][0]].append(entries[i])
 
 
 def _split(X, y, nodes, feature, threshold, rec, config, n_classes, code):
     """Split each node of the set whose feature is not -1, and record its
     split and its children. Returns the children to scan, as _Nodes, left
-    children first, with a mask of the left ones.
+    children first.
 
     Every node's rows are partitioned by one gather and one compare, and
     the children get their stats from one _node_stats call. For regression,
@@ -1201,6 +1089,7 @@ def _split(X, y, nodes, feature, threshold, rec, config, n_classes, code):
     children, scan = _new_nodes(
         y, rec, np.concatenate([nodes.tree[sp]] * 2),
         np.concatenate([nodes.depth[sp] + 1] * 2),
+        np.concatenate(child_keys(nodes.key[sp])),
         np.concatenate([np.compress(to_left, nodes.rows),
                         np.compress(to_right, nodes.rows)]),
         np.concatenate([n_left, sizes - n_left]), n_classes, config)
@@ -1208,7 +1097,6 @@ def _split(X, y, nodes, feature, threshold, rec, config, n_classes, code):
     rec.split(node=nodes.gid[sp], feature=feature[sp], threshold=threshold[sp],
               left=children.gid[:half], right=children.gid[half:])
     waiting = _take(children, scan)
-    left = np.flatnonzero(scan) < half
     if n_classes is None and len(waiting):
         keep_left, keep_right = np.zeros(m, dtype=bool), np.zeros(m, dtype=bool)
         keep_left[sp], keep_right[sp] = scan[:half], scan[half:]
@@ -1218,7 +1106,8 @@ def _split(X, y, nodes, feature, threshold, rec, config, n_classes, code):
         waiting.pairs = np.empty((p * len(waiting.rows) + waiting.n.max(), 2),
                                  dtype=nodes.pairs.dtype)
         waiting.pairs[p * len(waiting.rows):] = 0
-        at = [0, p * waiting.n[left].sum()]  # where the left, right blocks go
+        # where the left, then the right children's blocks go
+        at = [0, p * waiting.n[:np.count_nonzero(scan[:half])].sum()]
         busy = keep_left | keep_right
         for a, b in _chunks(p * nodes.n * busy, SCAN_VALUES):
             a, b = a + int(busy[a:b].argmax()), b - int(busy[a:b][::-1].argmax())
@@ -1232,4 +1121,4 @@ def _split(X, y, nodes, feature, threshold, rec, config, n_classes, code):
                 np.compress(mask, nodes.pairs[lo:hi], axis=0,
                             out=waiting.pairs[at[side]:at[side] + count])
                 at[side] += count
-    return waiting, left
+    return waiting

@@ -178,13 +178,37 @@ def reference_best_split(X, y, idx, feats, n_classes, min_samples_leaf,
     return Split(f, s), loss
 
 
+MASK64 = (1 << 64) - 1
+
+
+def splitmix64(x: int) -> int:
+    """The splitmix64 mix of a 64-bit word, on plain Python ints masked to
+    64 bits: add the golden increment, then the finaliser."""
+    z = (x + 0x9E3779B97F4A7C15) & MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return z ^ (z >> 31)
+
+
+def reference_subset(key: int, p: int, k: int) -> list[int]:
+    """A node's max_features subset as the grower claims it: the k features
+    j with the smallest splitmix64(key ^ splitmix64(j)), ties to the lower
+    j, in ascending order."""
+    ranked = sorted(range(p), key=lambda j: (splitmix64(key ^ splitmix64(j)), j))
+    return sorted(ranked[:k])
+
+
 def reference_grow(X, y, indices, config, task, n_classes=None, rng=0,
                    keys=None):
-    """One tree grown by plain recursion, a reference_best_split call per
-    node: the oracle that the lockstep grower must match column for column.
+    """One tree grown by plain recursion in preorder, a reference_best_split
+    call per node: the oracle that the lockstep grower must match column
+    for column.
 
-    The node numbering, the draws of the max_features subsets, the fallback
-    to all features and the float operations are those the grower claims.
+    The node numbering, the fallback to all features and the float
+    operations are those the grower claims. The tree's seed is one raw
+    word of ``rng``; the root's path key is splitmix64(seed), a child's is
+    splitmix64(2 key + side), side 0 on the left and 1 on the right, and a
+    node that draws scans reference_subset of its key.
     """
     X = np.asarray(X, dtype=np.float64)
     indices = np.asarray(indices, dtype=np.intp)
@@ -195,7 +219,7 @@ def reference_grow(X, y, indices, config, task, n_classes=None, rng=0,
         y = np.asarray(y, dtype=np.float64)
     elif n_classes is None:
         n_classes = int(y.max()) + 1
-    rng = np.random.default_rng(rng)
+    seed = int(np.random.default_rng(rng).bit_generator.random_raw())
     p = X.shape[1]
     k_feats = resolve_max_features(config.max_features, p)
     if keys is None:
@@ -204,7 +228,7 @@ def reference_grow(X, y, indices, config, task, n_classes=None, rng=0,
     (feature, threshold, left, right, n_rows, counts, means, impurity,
      decrease) = ([] for _ in COLUMNS)
 
-    def build(idx, depth):
+    def build(idx, depth, key):
         node = len(n_rows)
         n = len(idx)
         if classify:
@@ -224,7 +248,7 @@ def reference_grow(X, y, indices, config, task, n_classes=None, rng=0,
         if (config.max_depth is not None and depth >= config.max_depth) \
                 or n < config.min_samples_split or imp <= 0.0:
             return node
-        feats = np.sort(rng.choice(p, size=k_feats, replace=False)) \
+        feats = np.array(reference_subset(key, p, k_feats)) \
             if k_feats < p else np.arange(p)
         found = reference_best_split(X, y, idx, feats, n_classes,
                                      config.min_samples_leaf, imp, keys)
@@ -235,8 +259,8 @@ def reference_grow(X, y, indices, config, task, n_classes=None, rng=0,
             return node
         split, _ = found
         mask = X[idx, split.feature] <= split.threshold
-        lo = build(idx[mask], depth + 1)
-        hi = build(idx[~mask], depth + 1)
+        lo = build(idx[mask], depth + 1, splitmix64((2 * key) & MASK64))
+        hi = build(idx[~mask], depth + 1, splitmix64((2 * key + 1) & MASK64))
         feature[node], threshold[node] = split.feature, split.threshold
         left[node], right[node] = lo, hi
         decrease[node] = (
@@ -246,7 +270,7 @@ def reference_grow(X, y, indices, config, task, n_classes=None, rng=0,
         )
         return node
 
-    build(indices, 0)
+    build(indices, 0, splitmix64(seed))
     return Tree(feature, threshold, left, right, n_rows,
                 counts if classify else None, None if classify else means,
                 impurity, decrease, p, n_root, task, n_classes)

@@ -213,6 +213,25 @@ class TestImportance:
         assert res.exit_code == 2, res.output
         assert not (out / "scores.json").exists()
 
+    def test_si_with_a_test_file_is_usage_error(self, workspace):
+        """si scores the training fit. Before, a --test file was loaded and
+        fingerprinted, named in the manifest and never read, and its data
+        errors failed the run."""
+        (workspace / "bad.csv").write_text("x1,x2,label\n1.0,a,0\n,b,1\n")
+        common = ["importance", "--data", str(workspace / "data.csv"),
+                  "--schema", str(workspace / "schema.json"), "--method", "si",
+                  "--trees", "2", "--seed", "0"]
+        out = workspace / "imp"
+        res = CliRunner().invoke(main, [*common, "--test", str(workspace / "bad.csv"),
+                                        "--out", str(out)])
+        assert res.exit_code == 2, res.output
+        assert "si scores the training fit; it takes no --test" in res.output
+        assert not out.exists()
+        _run([*common, "--out", str(out)])
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["test"] is None
+        assert manifest["test_dataset"] is None
+
     def test_manifest_does_not_depend_on_the_run_directory(self, tmp_path):
         manifests = []
         for where in (tmp_path / "a", tmp_path / "b" / "c" / "deeper"):

@@ -319,7 +319,7 @@ def forest_cases(draw):
         max_depth=draw(st.one_of(st.none(), st.integers(0, 6))),
         min_samples_leaf=draw(st.integers(1, 5)),
         max_features=draw(st.one_of(st.sampled_from(["sqrt", "all"]),
-                                    st.integers(1, p))))
+                                    st.integers(1, p), st.floats(0.05, 1.0))))
     return d, ForestConfig(n_trees=draw(st.integers(1, 4)), tree=tree,
                            bootstrap=draw(st.booleans()),
                            seed=draw(st.integers(0, 2**16)))
@@ -346,29 +346,36 @@ def test_fit_grows_the_reference_trees(case):
 @pytest.mark.parametrize("task", ["classification", "regression"])
 def test_fits_on_more_rows_than_uint16_ranks_grow_the_reference_trees(task):
     """70,000 rows take uint32 sort keys, and regression trees uint32
-    presorted row ids; trees 12 deep scan nodes of many sizes together."""
+    presorted row ids; trees 12 deep scan nodes of many sizes together,
+    drawing the task's default subsets, sqrt of the 4 features, a count
+    of them or a fraction."""
     n = 70_000
     rng = np.random.default_rng(21)
     X = np.column_stack([rng.permutation(n) / 8.0 - 4000.0,
                          rng.integers(0, 40, n) / 2.0])
-    names, kinds = ["x0", "x1"], [FeatureKind(CONTINUOUS)] * 2
-    if task == "classification":
-        d = Dataset(X, rng.integers(0, 3, n), names, kinds, task, 3)
-    else:
-        d = Dataset(X, rng.standard_normal(n), names, kinds, task)
-    cfg = ForestConfig(n_trees=2, seed=8, tree=TreeConfig(max_depth=12))
+    y = rng.integers(0, 3, n) if task == "classification" \
+        else rng.standard_normal(n)
+    more = np.random.default_rng(22)
+    X = np.column_stack([X, more.integers(0, 7, n) * 1.5,
+                         np.round(more.standard_normal(n), 2)])
+    names, kinds = [f"x{j}" for j in range(4)], [FeatureKind(CONTINUOUS)] * 4
+    d = Dataset(X, y, names, kinds, task, 3 if task == "classification" else None)
     assert sort_keys(d.X).dtype == np.uint32
-    got = fit(d, cfg).trees
-    for tree, (rng, rows) in zip(got, zip(*draw_bags(d.n, cfg)[:2])):
-        assert_same_tree(tree, reference_grow(d.X, d.y, rows, cfg.tree,
-                                              d.task, d.n_classes, rng=rng))
-        assert (tree.n[~tree.is_leaf] <= 64).any()
+    for max_features in (None, "sqrt", 3, 0.25):
+        cfg = ForestConfig(n_trees=2, seed=8, tree=TreeConfig(
+            max_depth=12, max_features=max_features))
+        got = fit(d, cfg).trees
+        for tree, (rng, rows) in zip(got, zip(*draw_bags(d.n, cfg)[:2])):
+            assert_same_tree(tree, reference_grow(d.X, d.y, rows, cfg.tree,
+                                                  d.task, d.n_classes, rng=rng))
+            assert (tree.n[~tree.is_leaf] <= 64).any()
 
 
 @st.composite
 def regression_cases(draw):
     """A tie-heavy regression dataset with unrounded targets, a forest
-    config scanning all features or sqrt of them, and a presort budget
+    config scanning all features, sqrt of them, a count or a fraction of
+    them, and a presort budget
     that grows every tree in a group of its own, some trees together or
     all of them in one group."""
     n = draw(st.integers(3, 300))
@@ -383,7 +390,8 @@ def regression_cases(draw):
     tree = TreeConfig(
         max_depth=draw(st.one_of(st.none(), st.integers(0, 8))),
         min_samples_leaf=draw(st.integers(1, 5)),
-        max_features=draw(st.sampled_from(["all", "sqrt"])))
+        max_features=draw(st.sampled_from(["all", "sqrt"]) | st.integers(1, p)
+                          | st.floats(0.05, 1.0)))
     cfg = ForestConfig(n_trees=draw(st.integers(1, 4)), tree=tree,
                        bootstrap=draw(st.booleans()),
                        seed=draw(st.integers(0, 2**16)))

@@ -11,6 +11,12 @@ dot, whose summation order depended on the CPU's kernel. They now hold
 the elementwise sum in class order, which is the same on every CPU, and
 ``test_gini_pins_rederive_with_a_scalar_python_gini`` re-derives each of
 them with a plain-Python Gini.
+
+The pins of forests whose trees draw feature subsets (every classification
+pin) were recorded when a tree drew them in preorder from its generator.
+They now hold the subsets keyed by each node's place in its tree, and
+``test_keyed_draw_pins_rederive_with_the_reference_grower`` re-derives each
+of them with every tree grown by the recursive reference grower.
 """
 
 import hashlib
@@ -19,9 +25,9 @@ import json
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from conftest import scalar_gini
+from conftest import reference_grow, scalar_gini
 
-from ufitree import importance as importance_mod, tree as tree_mod
+from ufitree import forest as forest_mod, importance as importance_mod, tree as tree_mod
 from ufitree.cli import main
 
 LEVELS = "abc"
@@ -50,15 +56,15 @@ def _rows(n, offset, task):
 # column=level name under the training labels, apart from the loader.
 DIGESTS = {
     ("classification", "si", "oob"):
-        "ca630c214bcaddc80158b9cda517911f68c7c029c4cc9aa988621c016752bdef",
+        "1a0fd76bf57d0cf92c10bad9210e6989e579d9c59ff3e3d4eb036b50a532736f",
     ("classification", "ufi", "oob"):
-        "cb1e62820538b621f6407e6bc1d62cb81f644fee0e62bca0cb5871de2aa3ee64",
+        "0febbf7a0e385286735b801059b0dc3ada2b965bdf81b86347156a5afc24ee41",
     ("classification", "ufi", "test.csv"):
-        "716d8992196a78cde18f43d490917f20366efa1c57e11dee8f7dd367e9f95f31",
+        "6cfa24f338266ce8fcf21eaf1c5338ffb7ba4219e7c8e1a77d52197ef4ec294c",
     ("classification", "permutation", "oob"):
-        "934f3e33c69a80fa273c8ab30c5ff655818ab183993a4faef6e5a2a399202bb1",
+        "c5072f48675ea7e0643193ed20765d1ff0c4b9696270b80eed0e01b6d7a9a703",
     ("classification", "permutation", "test.csv"):
-        "d1f5992bf1bff4aa97c2082cd60a37e3b430240518455a2f5b49124a3f73db35",
+        "62745f91f136e58af1450219fd092b2b196e5229fad6c525daf4d8429e542ce5",
     ("regression", "si", "oob"):
         "45f39165fb3770971fdbbf0fb863da39aeca86d7dc8f6a812683e26638d85192",
     ("regression", "ufi", "oob"):
@@ -99,7 +105,7 @@ def test_scores_encoded_bits_are_pinned(tmp_path, task, method, test):
 # sha256 of summary.json from a small fixed-seed simulate run. Its depth-2
 # trees leave many features at a score of 0, so avg_rank holds tied ranks.
 # The digest holds for every --threads count.
-SUMMARY_DIGEST = "64c5edf56ff604471cc75437c1b6eb009489f3514ea05eb5d86f1cb8970a6ac8"
+SUMMARY_DIGEST = "fd5e39fe45b45420df30a985d1e89bd3a79ca696ca1d9b1b0255bed9fed80a43"
 
 
 def _simulate_digest(tmp_path, threads):
@@ -135,7 +141,7 @@ def _three_class_rows(n):
 
 # sha256 of model.json from a fixed-seed train run with unlimited depth. The
 # digest holds for every --threads count.
-MODEL_DIGEST = "7efecfe67412f6267391c7fc2e843c01616f6337c053425a9eb16b4b160a8b23"
+MODEL_DIGEST = "baa486e6d81200751cfe138b9b2037397e9f4ddbf7a3dfb45cc699e0bf54a0e6"
 
 
 def _train_digest(tmp_path, threads):
@@ -247,9 +253,9 @@ def _ten_level_rows(n, offset, task):
 # that both files encode alike.
 DEEP_PERMUTATION_DIGESTS = {
     ("classification", "oob"):
-        "26e004540c886f77ca5bd728bba0721ac15bbb52141fcf0623e9d15550fe6488",
+        "10f4dfd49ce33b117fd5f1a50ebcc7d34455b17184e07fdf505f441ff6fb6b7b",
     ("classification", "test.csv"):
-        "a6f6ace72bcddeceb0a5efa4aeb9be652453663055238098e653042c80b02f06",
+        "61f806f963dfaff45541222a4e631c3f4f806e9eb822149be94fcf53513fec23",
     ("regression", "oob"):
         "da4e3b7123651a8ef28eaea3d0349f101f036915cc76c483dc77d137aa357d33",
     ("regression", "test.csv"):
@@ -257,8 +263,7 @@ DEEP_PERMUTATION_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("task,test", list(DEEP_PERMUTATION_DIGESTS))
-def test_deep_permutation_bits_are_pinned(tmp_path, task, test):
+def _deep_permutation_digest(tmp_path, task, test):
     (tmp_path / "train.csv").write_text(_ten_level_rows(300, 0, task))
     (tmp_path / "test.csv").write_text(_ten_level_rows(120, 320, task))
     (tmp_path / "schema.json").write_text(json.dumps({
@@ -273,8 +278,13 @@ def test_deep_permutation_bits_are_pinned(tmp_path, task, test):
         "--trees", "10", "--seed", "13", "--out", str(out)],
         catch_exceptions=False)
     assert res.exit_code == 0, res.output
-    digest = hashlib.sha256((out / "scores_encoded.csv").read_bytes()).hexdigest()
-    assert digest == DEEP_PERMUTATION_DIGESTS[(task, test)]
+    return hashlib.sha256((out / "scores_encoded.csv").read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("task,test", list(DEEP_PERMUTATION_DIGESTS))
+def test_deep_permutation_bits_are_pinned(tmp_path, task, test):
+    assert _deep_permutation_digest(tmp_path, task, test) \
+        == DEEP_PERMUTATION_DIGESTS[(task, test)]
 
 
 MIXED_CARDS = {"c2": 2, "c4": 4, "c10": 10, "c20": 20}
@@ -303,7 +313,7 @@ def _mixed_rows(n):
 # than 256 feature subsets each, and rescan unsplittable drawn subsets over
 # all 37 columns. The digest holds for every --threads count.
 MIXED_MODEL_DIGEST = (
-    "209ed02514217f751e6599a7cb57c6885633eb98ed5601aaa0518aa1525cc4b0")
+    "ed5f311b45889f27f1c9629c51f6245cac22eb5452c4d88c48b8e56280b11476")
 
 
 def _mixed_train_digest(tmp_path, threads):
@@ -368,3 +378,40 @@ def test_gini_pins_rederive_with_a_scalar_python_gini(tmp_path, monkeypatch, pin
     run, digest = GINI_PINS[pin]
     assert run(tmp_path) == digest
     assert calls or pin.endswith("train-2")  # there only workers grow trees
+
+
+# Every pin of a forest whose trees draw feature subsets, how to run it
+# (at one --threads count; the pins hold for every count) and its digest
+KEYED_DRAW_PINS = {
+    **{f"classification-{m}-{t}": (
+        lambda tmp, m=m, t=t: _importance_digest(tmp, "classification", m, t),
+        digest)
+       for (task, m, t), digest in DIGESTS.items() if task == "classification"},
+    **{f"deep-permutation-{t}": (
+        lambda tmp, t=t: _deep_permutation_digest(tmp, "classification", t),
+        DEEP_PERMUTATION_DIGESTS[("classification", t)])
+       for t in ["oob", "test.csv"]},
+    "simulate": (lambda tmp: _simulate_digest(tmp, "1"), SUMMARY_DIGEST),
+    "train": (lambda tmp: _train_digest(tmp, "1"), MODEL_DIGEST),
+    "mixed-train": (lambda tmp: _mixed_train_digest(tmp, "1"), MIXED_MODEL_DIGEST),
+}
+
+
+@pytest.mark.parametrize("pin", list(KEYED_DRAW_PINS))
+def test_keyed_draw_pins_rederive_with_the_reference_grower(tmp_path, monkeypatch,
+                                                           pin):
+    """Each pin of a drawing forest, re-derived with fit's grow_trees
+    replaced by the reference grower, one recursive tree at a time, which
+    draws each node's subset with splitmix64 on plain Python ints."""
+    grown = []
+
+    def reference_grow_trees(X, y, bags, rngs, config, task, n_classes=None,
+                             keys=None):
+        grown.append(len(bags))
+        return [reference_grow(X, y, rows, config, task, n_classes, rng=rng,
+                               keys=keys) for rows, rng in zip(bags, rngs)]
+
+    monkeypatch.setattr(forest_mod, "grow_trees", reference_grow_trees)
+    run, digest = KEYED_DRAW_PINS[pin]
+    assert run(tmp_path) == digest
+    assert grown

@@ -13,10 +13,10 @@ from ufitree.data import CONTINUOUS, Dataset, FeatureKind
 from ufitree.forest import ForestConfig, fit
 from ufitree.importance import ufi_tree_classification
 from ufitree.tree import (
-    FIRST_BLOCK, MAX_BLOCK, Split, Tree, TreeConfig, _best_splits,
-    _draw_subsets, _node_impurity, _Nodes, _padded, _presort, _row_dtype,
-    _scan_segments, _scan_table, best_split, evaluate_split, grow,
-    impurity_from_counts, impurity_from_values, predictive_gini, sort_keys,
+    Split, Tree, TreeConfig, _best_splits, _node_impurity, _Nodes, _padded,
+    _presort, _row_dtype, _scan_segments, _scan_table, best_split,
+    child_keys, draw_subsets, evaluate_split, grow, impurity_from_counts,
+    impurity_from_values, mix, predictive_gini, sort_keys,
 )
 
 FOUR_X = np.array([[1.0], [2.0], [3.0], [4.0]])
@@ -161,7 +161,8 @@ def scan_batch(X, y, keys, nodes, n_classes, msl):
     else:
         table = _scan_table(X, keys, y, n_classes)
     batch = _Nodes(zero, zero, zero, n, np.array([i for _, _, i in nodes]),
-                   tot, tot2, np.concatenate(rows), pairs)
+                   None, tot, tot2, np.concatenate(rows))
+    batch.pairs = pairs
     return _best_splits(X, y, table, batch, np.arange(len(nodes)),
                         np.array([f for _, f, _ in nodes]), n_classes, msl)
 
@@ -360,12 +361,6 @@ def test_gini_rows_match_on_every_node_of_a_forest():
     assert nodes > 500
 
 
-def _choice_rows(rng, p, k, count):
-    """count successive sorted rng.choice draws: what _draw_subsets claims."""
-    return np.array([np.sort(rng.choice(p, k, replace=False))
-                     for _ in range(count)])
-
-
 def _assert_same_stream(got, want):
     """Two generators in one state: their next 32-bit outputs, which take a
     held-over half word first, and their next raw words agree."""
@@ -383,73 +378,14 @@ def _skip_outputs(rng, outputs):
     return rng
 
 
-class TestDrawSubsets:
-    @settings(max_examples=300, deadline=None)
-    @given(seed=st.integers(0, 2**64 - 1), data=st.data(),
-           outputs=st.integers(0, 5),
-           count=st.integers(1, MAX_BLOCK) | st.sampled_from(
-               [FIRST_BLOCK << i for i in range(6)]))
-    def test_rows_and_stream_are_those_of_choice(self, seed, data, outputs,
-                                                  count):
-        # every count up to MAX_BLOCK: the grower's blocks, and the redraw
-        # of a block's used rows when a tree ends
-        p = data.draw(st.integers(2, 300), label="p")
-        k = data.draw(st.integers(1, p - 1), label="k")
-        got_rng = _skip_outputs(np.random.default_rng(seed), outputs)
-        want_rng = _skip_outputs(np.random.default_rng(seed), outputs)
-        got = _draw_subsets(got_rng, p, k, count)
-        want = _choice_rows(want_rng, p, k, count)
-        assert got.dtype == want.dtype and np.array_equal(got, want)
-        _assert_same_stream(got_rng, want_rng)
-
-    def test_a_redrawn_value_is_left_to_choice(self):
-        # seed 47's first 256 rows hold a draw that Lemire's method rejects
-        # and makes again (row 60); rows after it are shifted by one output
-        p, k, count, seed = 10000, 100, 256, 47
-        words = np.random.default_rng(seed).bit_generator.random_raw(
-            count * (2 * k - 1))
-        halves = np.column_stack([words & 0xFFFFFFFF, words >> 32]).ravel()
-        r = np.concatenate([np.arange(p - k + 1, p + 1),
-                            np.arange(k, 1, -1)]).astype(np.uint64)
-        m = halves[:count * (2 * k - 1)].reshape(count, -1) * r
-        assert ((m & 0xFFFFFFFF) < (2**32 - r) % r).any()
-        got_rng, want_rng = (np.random.default_rng(seed) for _ in range(2))
-        assert np.array_equal(_draw_subsets(got_rng, p, k, count),
-                              _choice_rows(want_rng, p, k, count))
-        _assert_same_stream(got_rng, want_rng)
-
-    @pytest.mark.parametrize("p, k", [(10001, 201), (12000, 300)])
-    def test_choice_tail_shuffle_is_drawn_by_choice(self, p, k):
-        # p > 10000 and k > p // 50: choice shuffles the tail of arange(p)
-        got_rng, want_rng = (np.random.default_rng(3) for _ in range(2))
-        assert np.array_equal(_draw_subsets(got_rng, p, k, 3),
-                              _choice_rows(want_rng, p, k, 3))
-        _assert_same_stream(got_rng, want_rng)
-
-    def test_other_bit_generators_are_drawn_by_choice(self):
-        got_rng, want_rng = (np.random.Generator(np.random.Philox(4))
-                             for _ in range(2))
-        assert np.array_equal(_draw_subsets(got_rng, 37, 6, 20),
-                              _choice_rows(want_rng, 37, 6, 20))
-        _assert_same_stream(got_rng, want_rng)
-
-
-def _block_ends():
-    """The draw counts after which every block a tree drew is used up."""
-    ends, rows, total = set(), FIRST_BLOCK, 0
-    while total < 10**5:
-        total += rows
-        ends.add(total)
-        rows = min(2 * rows, MAX_BLOCK)
-    return ends
-
-
 @pytest.mark.parametrize("kw", [
     dict(max_features=2),
     dict(max_features=2, max_depth=1),
     dict(max_features="all"),
 ], ids=["deep", "depth-1", "all-features"])
-def test_grow_leaves_a_callers_generator_where_per_node_draws_do(kw):
+def test_grow_takes_one_raw_word_of_a_callers_generator(kw):
+    """However many nodes draw, grow advances its generator by one raw
+    word, the tree's seed, and a held-over half word stays held over."""
     rng = np.random.default_rng(17)
     X = np.round(rng.standard_normal((300, 6)), 1)
     y = rng.integers(0, 3, 300)
@@ -459,29 +395,70 @@ def test_grow_leaves_a_callers_generator_where_per_node_draws_do(kw):
     gen = _skip_outputs(np.random.default_rng(99), 1)
     ref = _skip_outputs(np.random.default_rng(99), 1)
     tree = grow(X, y, rows, cfg, "classification", 3, rng=gen)
-    assert_same_tree(tree, reference_grow(X, y, rows, cfg, "classification",
-                                          3, rng=ref))
-    # a node draws unless a stop rule holds: depth, size or purity
-    depth = np.zeros(tree.n_nodes(), dtype=int)
-    for node in np.flatnonzero(~tree.is_leaf):
-        depth[[tree.left[node], tree.right[node]]] = depth[node] + 1
-    below = depth < (cfg.max_depth if cfg.max_depth is not None else 10**9)
-    draws = int((below & (tree.n >= 2) & (tree.impurity > 0)).sum())
-    if kw["max_features"] != "all":
-        assert draws > 0 and draws not in _block_ends()  # last block partly used
+    assert tree.n_nodes() == 3 if cfg.max_depth == 1 else tree.n_nodes() > 50
+    ref.bit_generator.random_raw()
     _assert_same_stream(gen, ref)
 
+
+def test_tree_grows_alike_alone_beside_others_and_in_any_group(monkeypatch):
+    """A tree that draws is the same grown alone, beside other trees in one
+    grow_trees call, and with any PRESORT_VALUES budget, which puts each
+    regression tree in a group of its own, some trees together or all of
+    them in one group."""
+    rng = np.random.default_rng(23)
+    X = np.round(rng.standard_normal((250, 9)), 1)
+    bags = [rng.integers(0, 250, size) for size in (250, 40, 250, 3, 180)]
+    seeds = [[23, b] for b in range(len(bags))]
+    for task, y, n_classes in [
+            ("classification", rng.integers(0, 3, 250), 3),
+            ("regression", np.round(rng.standard_normal(250), 2), None)]:
+        cfg = TreeConfig(max_features="sqrt", min_samples_leaf=2)
+        alone = [grow(X, y, rows, cfg, task, n_classes, rng=seed)
+                 for rows, seed in zip(bags, seeds)]
+        for budget in (1, 250 * 9 * 2, tree_mod.PRESORT_VALUES):
+            monkeypatch.setattr(tree_mod, "PRESORT_VALUES", budget)
+            together = tree_mod.grow_trees(
+                X, y, bags, [np.random.default_rng(s) for s in seeds], cfg,
+                task, n_classes)
+            for got, want in zip(together, alone):
+                assert_same_tree(got, want)
+        assert sum(t.n_nodes() for t in alone) > 300
+
+
+def test_subset_draws_are_uniform_over_features():
+    """Over about 20,000 nodes of complete trees, each feature is drawn
+    k/p of the time, within 5 binomial standard deviations."""
+    keys = mix(np.arange(5, dtype=np.uint64))  # five trees' roots
+    level, levels = keys, [keys]
+    for _ in range(11):
+        level = np.concatenate(child_keys(level))
+        levels.append(level)
+    keys = np.concatenate(levels)
+    assert 20_000 <= len(keys) <= 21_000
+    for p, k in [(37, 6), (10, 3), (4, 1)]:
+        subsets = draw_subsets(keys, p, k)
+        assert (np.diff(subsets, axis=1) > 0).all()  # distinct, ascending
+        counts = np.bincount(subsets.ravel(), minlength=p)
+        q = k / p
+        sd = np.sqrt(len(keys) * q * (1 - q))
+        assert (np.abs(counts - len(keys) * q) <= 5 * sd).all(), counts
+
+
 @st.composite
-def regression_growths(draw):
-    """A tie-heavy regression dataset, up to 4 bags with heavy duplicates
-    (some of 1 to 3 rows), and a config over every max_features, max_depth
-    and min_samples_leaf setting the grower treats apart."""
+def growths(draw, task):
+    """A tie-heavy dataset of the task (up to 4 classes), up to 4 bags with
+    heavy duplicates (some of 1 to 3 rows), and a config over every
+    max_features kind (all, sqrt, a count, a fraction), max_depth and
+    min_samples_leaf setting the grower treats apart."""
     n = draw(st.integers(1, 120))
     p = draw(st.integers(1, 8))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     X = np.column_stack([rng.integers(0, draw(st.integers(1, max(1, n))), n) / 2.0
                          for _ in range(p)])
-    y = np.round(rng.standard_normal(n), draw(st.integers(0, 3)))
+    if task == "classification":
+        y = rng.integers(0, draw(st.integers(1, 4)), n)
+    else:
+        y = np.round(rng.standard_normal(n), draw(st.integers(0, 3)))
     bags = []
     for _ in range(draw(st.integers(1, 4))):
         size = draw(st.sampled_from([1, 2, 3]) | st.integers(1, 2 * n))
@@ -490,25 +467,40 @@ def regression_growths(draw):
         bags.append(rows)
     cfg = TreeConfig(max_depth=draw(st.sampled_from([None, 2, 6])),
                      min_samples_leaf=draw(st.sampled_from([1, 3])),
-                     max_features=draw(st.sampled_from(["all", "sqrt"])))
+                     max_features=draw(st.sampled_from(["all", "sqrt"])
+                                       | st.integers(1, p)
+                                       | st.floats(0.05, 1.0)))
     return X, y, bags, cfg, draw(st.integers(0, 2**16))
 
 
-@settings(max_examples=150, deadline=None)
-@given(case=regression_growths())
-def test_grow_trees_grows_the_reference_regression_trees(case):
-    """Level by level without draws, node by node in preorder with them,
-    the grower makes the reference trees, numbered in preorder: a left
-    child's id is its parent's plus one."""
+def _grows_the_reference_trees(case, task):
+    """Level by level, with or without draws, the grower makes the
+    reference trees, numbered in preorder (a left child's id is its
+    parent's plus one), and leaves each generator where the reference
+    leaves it."""
     X, y, bags, cfg, seed = case
     rngs = [np.random.default_rng([seed, b]) for b in range(len(bags))]
     refs = [np.random.default_rng([seed, b]) for b in range(len(bags))]
-    grown = tree_mod.grow_trees(X, y, bags, rngs, cfg, "regression")
+    grown = tree_mod.grow_trees(X, y, bags, rngs, cfg, task)
+    n_classes = int(y.max()) + 1 if task == "classification" else None
     for tree, rows, gen, ref in zip(grown, bags, rngs, refs):
-        assert_same_tree(tree, reference_grow(X, y, rows, cfg, "regression", rng=ref))
+        assert_same_tree(tree, reference_grow(X, y, rows, cfg, task, n_classes,
+                                              rng=ref))
         inner = np.flatnonzero(~tree.is_leaf)
         assert np.array_equal(tree.left[inner], inner + 1)
         _assert_same_stream(gen, ref)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=growths("regression"))
+def test_grow_trees_grows_the_reference_regression_trees(case):
+    _grows_the_reference_trees(case, "regression")
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=growths("classification"))
+def test_grow_trees_grows_the_reference_classification_trees(case):
+    _grows_the_reference_trees(case, "classification")
 
 
 def _fit(X, y, task, seed=0, **kw):
@@ -600,10 +592,12 @@ class TestGrow:
         grow(X, y, [0, 1, 3, 4], TreeConfig(), "regression")
 
     def test_feature_subset_falls_back_to_full_scan(self):
-        # column 0 is constant; with max_features=1 some draws see only it
+        # column 0 is constant, and seed 3's root draws only it
         X = np.column_stack([np.ones(8), np.arange(8.0)])
         y = np.array([0, 0, 0, 0, 1, 1, 1, 1])
-        tree = _fit(X, y, "classification", max_features=1, max_depth=1, seed=0)
+        word = np.random.default_rng(3).bit_generator.random_raw(1)
+        assert draw_subsets(mix(word), 2, 1).tolist() == [[0]]
+        tree = _fit(X, y, "classification", max_features=1, max_depth=1, seed=3)
         assert not tree.is_leaf[0]
         assert tree.feature[0] == 1
 
