@@ -151,18 +151,25 @@ def parse_schema(schema: dict) -> tuple[str, str | None, dict[str, FeatureKind]]
 
     Kinds may be plain strings or ``{"categorical": k}`` objects. Either way
     a categorical column's levels are those the file shows; a declared k is
-    the most it may show, which the CLI checks after loading.
+    the most it may show, which the CLI checks after loading. A k that is
+    not a JSON integer (a fraction, a string or a boolean) is rejected.
     """
+    if not isinstance(schema, dict):
+        raise DataError("schema must be a JSON object")
     if "target" not in schema:
         raise DataError("schema must name a 'target' column")
     target = schema["target"]
     task = schema.get("task")
+    specs = schema.get("kinds", {})
+    if not isinstance(specs, dict):
+        raise DataError("schema 'kinds' must be an object mapping columns to kinds")
     kinds: dict[str, FeatureKind] = {}
-    for name, spec in schema.get("kinds", {}).items():
+    for name, spec in specs.items():
         if isinstance(spec, dict):
-            if list(spec) != [CATEGORICAL]:
+            count = spec[CATEGORICAL] if list(spec) == [CATEGORICAL] else None
+            if type(count) is not int:
                 raise DataError(f"bad kind spec for column {name!r}: {spec!r}")
-            kinds[name] = FeatureKind(CATEGORICAL, int(spec[CATEGORICAL]))
+            kinds[name] = FeatureKind(CATEGORICAL, count)
         elif spec == CATEGORICAL:
             kinds[name] = FeatureKind(CATEGORICAL, 2)  # cardinality fixed after load
         else:

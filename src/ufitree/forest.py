@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -31,15 +31,10 @@ class ForestConfig:
     seed: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "n_trees": self.n_trees,
-            "bootstrap": self.bootstrap,
-            "seed": self.seed,
-            "max_depth": self.tree.max_depth,
-            "min_samples_split": self.tree.min_samples_split,
-            "min_samples_leaf": self.tree.min_samples_leaf,
-            "max_features": self.tree.max_features,
-        }
+        """The forest settings, then TreeConfig's fields in their order."""
+        return {"n_trees": self.n_trees, "bootstrap": self.bootstrap,
+                "seed": self.seed,
+                **{f.name: getattr(self.tree, f.name) for f in fields(TreeConfig)}}
 
 
 class Forest:
@@ -100,15 +95,8 @@ class Forest:
         c = d["config"]
         config = ForestConfig(
             n_trees=c["n_trees"],
-            tree=TreeConfig(
-                max_depth=c["max_depth"],
-                min_samples_split=c["min_samples_split"],
-                min_samples_leaf=c["min_samples_leaf"],
-                max_features=c["max_features"],
-            ),
-            bootstrap=c["bootstrap"],
-            seed=c["seed"],
-        )
+            tree=TreeConfig(**{f.name: c[f.name] for f in fields(TreeConfig)}),
+            bootstrap=c["bootstrap"], seed=c["seed"])
         trees = [Tree.from_dict(td) for td in d["trees"]]
         # tree b is scored on the out-of-bag rows of bag b
         if len(trees) != config.n_trees:

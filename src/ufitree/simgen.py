@@ -179,9 +179,13 @@ def run_experiment(setting: SimSetting, config: ForestConfig,
     """Repeat generate -> encode -> fit -> score and aggregate per method;
     each fit grows its trees in ``jobs`` processes (see forest.fit)."""
     setting.validate()
-    for m in methods:
+    if not methods:
+        raise ValueError("name at least one method")
+    for i, m in enumerate(methods):
         if m not in METHODS:
             raise ValueError(f"unknown method {m!r}")
+        if m in methods[:i]:
+            raise ValueError(f"method {m!r} is named twice")
     master = np.random.SeedSequence(setting.seed)
     rep_seeds = master.spawn(setting.reps)
     per_method: dict[str, list[np.ndarray]] = {m: [] for m in methods}

@@ -375,11 +375,6 @@ SCAN_VALUES = 1 << 16
 # call.
 PRESORT_VALUES = 1 << 19
 
-# A regression scan block of at most this many (row, feature) values may
-# hold nodes of any size: the block's fixed cost is about that of
-# scanning this many padded values.
-SMALL_BLOCK = 1 << 14
-
 
 def _chunks(cost: np.ndarray, cap: int) -> list[tuple[int, int]]:
     """Consecutive ranges [a, b) of items whose costs add up to at most
@@ -434,19 +429,17 @@ def _scan_regression(X, y, pairs, n, base, tot, tot2, imp, feats, msl):
     node order, imp[i] its MSE and feats[i] the sorted features it scans
     (an m x k array).
 
-    Nodes are scanned in blocks, largest first. A block holds at most
-    SCAN_VALUES (row, feature) values, or one node, and its nodes are over
-    half as large as its first, unless it holds at most SMALL_BLOCK
-    values, which cost less than another block would. A block is a
-    (segment x position) array of targets, a segment being a (node,
-    feature) pair read through a window as wide as the block's largest
-    node, and the left sums are np.cumsum along each segment: the bits of
-    a per-node cumsum along the node's stable sort, whatever follows a
-    segment in its window. A candidate threshold
-    lies wherever the key changes, leaving msl rows on each side. The loss
-    is the weighted child MSE relative to the node; the first candidate
-    within LOSS_TIE_TOL of the node's minimum wins, in (feature, threshold)
-    order. A threshold is the mean of the two values around it.
+    Nodes are scanned in blocks, largest first, under one rule: a block
+    holds one node, or nodes over half as large as its largest that hold
+    at most SCAN_VALUES (row, feature) values once each is padded to the
+    largest's rows. A block is a (segment x position) array of targets, a
+    segment being a (node, feature) pair read through a window as wide as
+    the block's largest node, and the left sums are np.cumsum along each
+    segment: the bits of a per-node cumsum along the node's stable sort,
+    whatever follows a segment in its window. A candidate threshold lies
+    wherever the key changes, leaving msl rows on each side. The loss is
+    the weighted child MSE relative to the node, and _first_best picks
+    the split. A threshold is the mean of the two values around it.
     """
     m, k = feats.shape
     out = (np.full(m, -1, dtype=np.intp), np.zeros(m), np.zeros(m))
@@ -456,8 +449,7 @@ def _scan_regression(X, y, pairs, n, base, tot, tot2, imp, feats, msl):
     while a < m:
         width = -int(fall[a])
         b = min(a + max(1, SCAN_VALUES // (k * width)),
-                max(a + 1, a + SMALL_BLOCK // (k * width),
-                    int(np.searchsorted(fall, -(width // 2)))))
+                int(np.searchsorted(fall, -(width // 2))))
         _scan_block(X, y, pairs, n, base, tot, tot2, imp, feats, msl,
                     by_size[a:b], out)
         a = b
@@ -500,9 +492,8 @@ def _scan_block(X, y, pairs, n, base, tot, tot2, imp, feats, msl, nodes, out):
     Hl = np.maximum(cum2 / nl - (cum / nl) ** 2, 0.0)
     Hr = np.maximum((s2 - cum2) / nr - ((s - cum) / nr) ** 2, 0.0)
     loss = (nl * Hl + nr * Hr) / total
-    best, found = _first_best(loss, node, len(nodes))
-    ok = imp[nodes[found]] - loss[best] > GAIN_EPS
-    best, found = best[ok], nodes[found[ok]]
+    best, found = _first_best(loss, node, imp[nodes])
+    found = nodes[found]
     seg, t = seg[best], t[best]
     j = seg_feat[seg]
     lo, hi = rows[seg, t] % len(X), rows[seg, t + 1] % len(X)
@@ -511,18 +502,22 @@ def _scan_block(X, y, pairs, n, base, tot, tot2, imp, feats, msl, nodes, out):
     out[2][found] = loss[best]
 
 
-def _first_best(loss, node, m) -> tuple[np.ndarray, np.ndarray]:
-    """(best, nodes): for each of the m nodes that has candidates, the
-    index of its first candidate within LOSS_TIE_TOL of its minimum loss.
-    ``node`` holds each candidate's node, in ascending order."""
-    counts = np.bincount(node, minlength=m)
+def _first_best(loss, node, imp) -> tuple[np.ndarray, np.ndarray]:
+    """The pick rule of both split scans. ``node`` holds each candidate's
+    node, in ascending order, and imp[i] is node i's impurity. Returns
+    (best, nodes): for each node that splits, the index of its first
+    candidate within LOSS_TIE_TOL of its minimum loss, in (feature,
+    threshold) order. A node splits if that loss improves on its impurity
+    by more than GAIN_EPS."""
+    counts = np.bincount(node, minlength=len(imp))
     nodes = np.flatnonzero(counts)
     first = (np.cumsum(counts) - counts)[nodes]
     low = np.minimum.reduceat(loss, first)
     tol = np.repeat(low + LOSS_TIE_TOL * np.maximum(1.0, np.abs(low)), counts[nodes])
     best = np.minimum.reduceat(
         np.where(loss <= tol, np.arange(len(loss)), len(loss)), first)
-    return best, nodes
+    ok = imp[nodes] - loss[best] > GAIN_EPS
+    return best[ok], nodes[ok]
 
 
 def best_split(X, y, idx, feats, n_classes=None, min_samples_leaf=1,
@@ -661,9 +656,7 @@ def _scan_segments(table, n_data, rows, start, n, feats, imp, n_classes, msl):
         sr = sr + pr * pr
     loss = (nl * (1.0 - sl) + nr * (1.0 - sr)) / total
 
-    best, found = _first_best(loss, seg_node[seg], m)
-    ok = imp[found] - loss[best] > GAIN_EPS
-    best, found = best[ok], found[ok]
+    best, found = _first_best(loss, seg_node[seg], imp)
     e = cand[best]
     j = seg_feat[seg[best]]
     key_mask = (1 << key_bits) - 1
@@ -893,11 +886,6 @@ class _Record:
         return grown
 
 
-# _node_stats sums up to this many groups with add.reduce calls of their
-# own: three segment_sums calls cost about as much as 16 groups' own calls.
-FEW_GROUPS = 16
-
-
 def _node_stats(y, rows, sizes, n_classes) -> tuple:
     """(stats, impurities, sums, sums of squares) of consecutive groups of
     rows, ``rows`` holding them one after another and ``sizes`` their
@@ -905,9 +893,9 @@ def _node_stats(y, rows, sizes, n_classes) -> tuple:
     x classes) and their Gini, from one bincount and one predictive_gini
     call (impurity_from_counts' bits), and no sums. For regression: the
     mean and the MSE (_mean_and_mse's bits) and the sums of the targets
-    and of their squares (add.reduce's): for a few groups, add.reduce
-    calls of their own, which then cost less, else segment_sums calls on
-    pieces of about SCAN_VALUES rows."""
+    and of their squares (add.reduce's), from three segment_sums calls
+    per piece: a piece holds consecutive groups of at most SCAN_VALUES
+    rows in all, or one group."""
     if n_classes is not None:
         code = np.repeat(np.arange(len(sizes)) * n_classes, sizes) + y[rows]
         counts = np.bincount(code, minlength=len(sizes) * n_classes) \
@@ -916,14 +904,6 @@ def _node_stats(y, rows, sizes, n_classes) -> tuple:
         return counts, predictive_gini(q, q), None, None
     out = np.empty((4, len(sizes)))
     ends = np.cumsum(sizes)
-    if len(sizes) <= FEW_GROUPS:
-        for i, (a, b) in enumerate(zip((ends - sizes).tolist(), ends.tolist())):
-            v = y[rows[a:b]]
-            out[2, i] = total = np.add.reduce(v)
-            out[0, i] = mean = total / len(v)
-            out[1, i] = np.add.reduce((v - mean) ** 2) / len(v)
-            out[3, i] = np.add.reduce(v * v)
-        return tuple(out)
     for a, b in _chunks(sizes, SCAN_VALUES):
         first = ends[a] - sizes[a]
         v = y.take(rows[first:ends[b - 1]])

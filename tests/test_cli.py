@@ -57,6 +57,23 @@ class TestTrain:
             "--schema", str(workspace / "schema2.json"), "--seed", "0"])
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize("schema", [
+        ["target"],
+        {"target": "label", "task": "classification", "kinds": "x2"},
+        {"target": "label", "task": "classification",
+         "kinds": {"x2": {"categorical": "x"}}},
+        {"target": "label", "task": "classification",
+         "kinds": {"x2": {"categorical": 2.9}}},
+    ], ids=["list", "kinds-string", "count-string", "count-fraction"])
+    def test_malformed_schema_is_usage_error(self, workspace, schema):
+        (workspace / "bad.json").write_text(json.dumps(schema))
+        res = CliRunner().invoke(main, [
+            "train", "--data", str(workspace / "data.csv"),
+            "--schema", str(workspace / "bad.json"), "--seed", "0",
+            "--out", str(workspace / "out")])
+        assert res.exit_code == 2, res.output
+        assert "bad schema" in res.output
+
     def test_missing_value_is_data_error(self, workspace):
         (workspace / "bad.csv").write_text("x1,x2,label\n1.0,a,0\n,b,1\n")
         res = CliRunner().invoke(main, [
@@ -440,6 +457,18 @@ class TestSimulate:
             "--n", "100", "--reps", "1", "--trees", "0", "--seed", "0",
             "--out", str(tmp_path / "x")])
         assert res.exit_code == 2
+
+    @pytest.mark.parametrize("methods, message", [("si,si", "named twice"),
+                                                  (",", "at least one method")])
+    def test_repeated_or_no_method_is_usage_error(self, tmp_path, methods, message):
+        out = tmp_path / "x"
+        res = CliRunner().invoke(main, [
+            "simulate", "--scenario", "discrete10", "--task", "classification",
+            "--n", "100", "--reps", "2", "--trees", "2", "--max-depth", "2",
+            "--seed", "0", "--methods", methods, "--out", str(out)])
+        assert res.exit_code == 2, res.output
+        assert message in res.output
+        assert not out.exists()
 
     def test_seed_and_threads_reproducibility(self, tmp_path):
         base = ["simulate", "--scenario", "null-mixed", "--task", "regression",

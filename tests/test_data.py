@@ -126,6 +126,17 @@ class TestParseSchema:
         with pytest.raises(DataError):
             parse_schema({"kinds": {}})
 
+    @pytest.mark.parametrize("schema, message", [
+        (["target"], "JSON object"),
+        ({"target": "y", "kinds": ["a"]}, "'kinds' must be an object"),
+        ({"target": "y", "kinds": {"a": {"categorical": "x"}}}, "bad kind spec"),
+        ({"target": "y", "kinds": {"a": {"categorical": 2.9}}}, "bad kind spec"),
+        ({"target": "y", "kinds": {"a": {"categorical": True}}}, "bad kind spec"),
+    ], ids=["list", "kinds-list", "count-string", "count-fraction", "count-bool"])
+    def test_malformed_schema_rejected(self, schema, message):
+        with pytest.raises(DataError, match=message):
+            parse_schema(schema)
+
 
 def _mixed_dataset(n=8, seed=0):
     rng = np.random.default_rng(seed)

@@ -419,8 +419,10 @@ def test_fit_grows_the_reference_regression_trees(case):
 
 def test_a_level_of_every_size_class_grows_the_reference_trees(monkeypatch):
     """Unlimited regression trees on 600 rows reach a level whose scan
-    holds nodes of every size class from 2 rows to 129-256 rows, and blocks
-    of many (node, feature) segments; the trees are the reference trees."""
+    holds nodes of every size class from 2 rows to 129-256 rows. Each scan
+    block holds one node, or several over half as large as its largest
+    that, padded to its rows, hold at most SCAN_VALUES values; some hold
+    several. The trees are the reference trees."""
     d = _dataset("regression", n=600, p=20, seed=4)
     cfg = ForestConfig(n_trees=3, seed=9)
     calls, blocks = [], []
@@ -432,7 +434,7 @@ def test_a_level_of_every_size_class_grows_the_reference_trees(monkeypatch):
 
     def recording_block(X, y, pairs, n, base, tot, tot2, imp, feats, msl,
                         nodes, out):
-        blocks.append(len(nodes) * feats.shape[1])
+        blocks.append((n[nodes], feats.shape[1]))
         return block(X, y, pairs, n, base, tot, tot2, imp, feats, msl, nodes, out)
 
     monkeypatch.setattr(tree_mod, "_scan_regression", recording_scan)
@@ -442,7 +444,11 @@ def test_a_level_of_every_size_class_grows_the_reference_trees(monkeypatch):
     monkeypatch.undo()
     classes = [set(np.frexp(n - 1.0)[1].tolist()) for n in calls]
     assert any(c >= set(range(1, 9)) for c in classes), classes
-    assert max(blocks) > 1000
+    for size, k in blocks:
+        top = int(size.max())
+        assert len(size) == 1 or (2 * size.min() > top
+                                  and len(size) * k * top <= tree_mod.SCAN_VALUES)
+    assert max(len(size) for size, _ in blocks) > 1
     for tree, (rng, rows) in zip(got, zip(*draw_bags(d.n, cfg)[:2])):
         assert_same_tree(tree, reference_grow(d.X, d.y, rows, cfg.tree, d.task,
                                               rng=rng))

@@ -13,8 +13,9 @@ from ufitree.data import CONTINUOUS, Dataset, FeatureKind
 from ufitree.forest import ForestConfig, fit
 from ufitree.importance import ufi_tree_classification
 from ufitree.tree import (
-    Split, Tree, TreeConfig, _best_splits, _node_impurity, _Nodes, _padded,
-    _presort, _row_dtype, _scan_segments, _scan_table, best_split,
+    Split, Tree, TreeConfig, _best_splits, _mean_and_mse, _node_impurity,
+    _node_stats, _Nodes, _padded, _presort, _row_dtype, _scan_segments,
+    _scan_table, best_split,
     child_keys, draw_subsets, evaluate_split, grow, impurity_from_counts,
     impurity_from_values, mix, predictive_gini, sort_keys,
 )
@@ -176,7 +177,7 @@ def regression_batches(draw):
     """Up to 60 regression nodes of 1 to 3, 20 or 300 rows, drawn with repeats from
     one tie-heavy dataset with unrounded targets, each with its own sorted
     subset of one size, so that a batch holds nodes of every size class.
-    The scan's block sizes are tiny or the defaults."""
+    The scan's block size is tiny or the default."""
     n = draw(st.integers(2, 300))
     p = draw(st.integers(1, 16))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -192,9 +193,8 @@ def regression_batches(draw):
         rows = rng.integers(0, n, size)
         feats = np.sort(rng.choice(p, k, replace=False))
         nodes.append((rows, feats, _node_impurity(y[rows], None)))
-    sizes = draw(st.sampled_from([(1, 1), (64, 64),
-                                  (tree_mod.SCAN_VALUES, tree_mod.SMALL_BLOCK)]))
-    return X, y, nodes, draw(st.integers(1, 5)), sizes
+    values = draw(st.sampled_from([1, 64, tree_mod.SCAN_VALUES]))
+    return X, y, nodes, draw(st.integers(1, 5)), values
 
 
 @settings(max_examples=200, deadline=None)
@@ -203,11 +203,10 @@ def test_batched_scan_is_best_split_bit_for_bit(case):
     """The batched regression scan finds, for every node, the split of the
     per-node reference scan, to the bit; so does best_split, with and
     without the fit's keys."""
-    X, y, nodes, msl, (values, small) = case
+    X, y, nodes, msl, values = case
     keys = sort_keys(X)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tree_mod, "SCAN_VALUES", values)
-        mp.setattr(tree_mod, "SMALL_BLOCK", small)
         feature, threshold = scan_batch(X, y, keys, nodes, None, msl)
     for (rows, feats, imp), f, s in zip(nodes, feature, threshold):
         want = reference_best_split(X, y, rows, feats, None, msl, imp)
@@ -221,6 +220,26 @@ def test_batched_scan_is_best_split_bit_for_bit(case):
                 assert got[0].feature == want[0].feature
                 assert _same_float(got[0].threshold, want[0].threshold)
                 assert _same_float(got[1], want[1])
+
+
+@pytest.mark.parametrize("scan_values", [1, 500, tree_mod.SCAN_VALUES])
+def test_node_stats_are_per_group_reductions_bit_for_bit(monkeypatch, scan_values):
+    """The regression stats of 1 to 40 groups of 1 to 300 rows, summed in
+    pieces of every size, are those of _mean_and_mse and of one
+    np.add.reduce per group, to the bit."""
+    monkeypatch.setattr(tree_mod, "SCAN_VALUES", scan_values)
+    rng = np.random.default_rng(7)
+    y = rng.standard_normal(500) * 10.0 ** rng.integers(-3, 4, 500)
+    for m in (1, 2, 15, 16, 17, 39, 40):
+        sizes = rng.integers(1, 301, m)
+        sizes[:m // 2] = rng.choice([1, 7, 8, 9, 127, 128, 129, 300], m // 2)
+        rows = rng.integers(0, len(y), sizes.sum())
+        want = []
+        for v in np.split(y[rows], np.cumsum(sizes)[:-1]):
+            want.append((*_mean_and_mse(v), np.add.reduce(v), np.add.reduce(v * v)))
+        got = _node_stats(y, rows, sizes, None)
+        for column, expected in zip(got, zip(*want)):
+            assert column.tobytes() == np.array(expected).tobytes()
 
 
 @st.composite
