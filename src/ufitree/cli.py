@@ -43,15 +43,13 @@ def _fingerprint(path: str, d: Dataset) -> dict:
     return {"path": os.path.basename(path), "rows": d.n, "cols": d.p, "sha256": h}
 
 
-def _write_manifest(out_dir: Path, command: str, config: dict, seed: int,
-                    threads: int, fingerprint: dict | None, started: float,
-                    extra: dict | None = None):
+def _write_manifest(out_dir: Path, command: str, config: dict, threads: int,
+                    fingerprint: dict | None, started: float, extra: dict | None = None):
     # threads is the worker count that ran; it stays out of config because
     # the outputs are the same for every count
     manifest = {
         "command": command,
         "config": config,
-        "seed": seed,
         "threads": threads,
         "version": __version__,
         "dataset": fingerprint,
@@ -77,19 +75,18 @@ def _parse_max_features(value: str | None):
     _die_usage(f"bad --max-features value {value!r}")
 
 
-def _load_encoded(data_path, schema_path, task, probe_seed: int | None = None,
+def _load_encoded(data_path, schema_path, probe_seed: int | None = None,
                   encoder: Encoder | None = None):
     """(dataset, encoded dataset, encoder) of a CSV, coded by ``encoder`` or
     by one fitted on it, with a random probe column appended first when
     ``probe_seed`` is given."""
     try:
         schema = json.loads(Path(schema_path).read_text())
-        target, schema_task, kinds = parse_schema(schema)
+        target, task, kinds = parse_schema(schema)
     except (OSError, json.JSONDecodeError, DataError) as e:
         _die_usage(f"bad schema: {e}")
-    task = task or schema_task
     if task not in ("classification", "regression"):
-        _die_usage("--task (or schema 'task') must be classification or regression")
+        _die_usage("schema 'task' must be classification or regression")
     declared = {name: kinds[name].cardinality
                 for name, spec in schema.get("kinds", {}).items()
                 if isinstance(spec, dict)}
@@ -166,23 +163,21 @@ def with_forest_flags(f):
 @main.command("train")
 @click.option("--data", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--schema", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--task", type=click.Choice(["classification", "regression"]),
-              default=None)
 @click.option("--out", type=click.Path(file_okay=False), default="ufitree_model")
 @with_forest_flags
-def cmd_train(data, schema, task, out, trees, max_depth, max_features,
+def cmd_train(data, schema, out, trees, max_depth, max_features,
               min_samples_leaf, bootstrap, seed, threads):
     """Fit a forest on a CSV and write the model plus a run manifest."""
     started = time.time()
     seed = _resolve_seed(seed)
-    d, enc, encoder = _load_encoded(data, schema, task)
+    d, enc, encoder = _load_encoded(data, schema)
     config = _forest_config(trees, max_depth, max_features, min_samples_leaf,
                             bootstrap, seed, enc.task)
     forest = _usage_errors(fit, enc, config, threads)
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _save_model(out_dir / "model.json", forest, encoder)
-    _write_manifest(out_dir, "train", forest.config.to_dict(), seed,
+    _write_manifest(out_dir, "train", forest.config.to_dict(),
                     worker_count(threads, trees), _fingerprint(data, d), started,
                     extra={"class_labels": d.class_labels})
     click.echo(f"model written to {out_dir / 'model.json'}")
@@ -192,8 +187,6 @@ def cmd_train(data, schema, task, out, trees, max_depth, max_features,
 @click.option("--data", required=True, type=click.Path(exists=True, dir_okay=False),
               help="training CSV (used to fit, and for OOB evaluation)")
 @click.option("--schema", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--task", type=click.Choice(["classification", "regression"]),
-              default=None)
 @click.option("--method", type=click.Choice(["si", "ufi", "permutation"]),
               required=True)
 @click.option("--test", "test_source", type=str, default="oob", show_default=True,
@@ -203,14 +196,13 @@ def cmd_train(data, schema, task, out, trees, max_depth, max_features,
               help="append an independent standard-normal probe column")
 @click.option("--out", type=click.Path(file_okay=False), default="ufitree_importance")
 @with_forest_flags
-def cmd_importance(data, schema, task, method, test_source, inject_random,
+def cmd_importance(data, schema, method, test_source, inject_random,
                    out, trees, max_depth, max_features, min_samples_leaf,
                    bootstrap, seed, threads):
     """Train a forest and score features with one importance method."""
     started = time.time()
     seed = _resolve_seed(seed)
-    d, enc, encoder = _load_encoded(data, schema, task,
-                                    seed + 1 if inject_random else None)
+    d, enc, encoder = _load_encoded(data, schema, seed + 1 if inject_random else None)
     if method == "si" and test_source != "oob":
         _die_usage("si scores the training fit; it takes no --test")
     if method in ("ufi", "permutation") and test_source == "oob" and not bootstrap:
@@ -220,7 +212,7 @@ def cmd_importance(data, schema, task, method, test_source, inject_random,
     forest = _usage_errors(fit, enc, config, threads)
 
     if test_source != "oob":
-        dt, enc_t, _ = _load_encoded(test_source, schema, enc.task,
+        dt, enc_t, _ = _load_encoded(test_source, schema,
                                      seed + 2 if inject_random else None, encoder)
         xt, yt = enc_t.X, enc_t.y
         test_print = _fingerprint(test_source, dt)
@@ -260,7 +252,7 @@ def cmd_importance(data, schema, task, method, test_source, inject_random,
         "test": None if method == "si" else "oob" if test_print is None
         else test_print["path"],
         "inject_random": inject_random,
-    }, seed, worker_count(threads, trees), _fingerprint(data, d), started,
+    }, worker_count(threads, trees), _fingerprint(data, d), started,
         extra={"test_dataset": test_print})
     click.echo(f"reports written to {out_dir}")
 
@@ -300,7 +292,7 @@ def cmd_simulate(scenario, task, rho, n, reps, encoding, methods, out, trees,
         **config.to_dict(),
         "scenario": setting.scenario, "task": task, "rho": rho, "n": n,
         "reps": reps, "encoding": encoding, "methods": method_list,
-    }, seed, worker_count(threads, trees), None, started)
+    }, worker_count(threads, trees), None, started)
     click.echo(f"results written to {out_dir}")
 
 

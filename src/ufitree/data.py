@@ -152,17 +152,22 @@ def parse_schema(schema: dict) -> tuple[str, str | None, dict[str, FeatureKind]]
     Kinds may be plain strings or ``{"categorical": k}`` objects. Either way
     a categorical column's levels are those the file shows; a declared k is
     the most it may show, which the CLI checks after loading. A k that is
-    not a JSON integer (a fraction, a string or a boolean) is rejected.
+    not a JSON integer (a fraction, a string or a boolean) is rejected, as
+    are a target that is not a string and a kind given for the target.
     """
     if not isinstance(schema, dict):
         raise DataError("schema must be a JSON object")
     if "target" not in schema:
         raise DataError("schema must name a 'target' column")
     target = schema["target"]
+    if not isinstance(target, str):
+        raise DataError(f"schema 'target' must be a column name, not {target!r}")
     task = schema.get("task")
     specs = schema.get("kinds", {})
     if not isinstance(specs, dict):
         raise DataError("schema 'kinds' must be an object mapping columns to kinds")
+    if target in specs:
+        raise DataError(f"schema 'kinds' names the target column {target!r}")
     kinds: dict[str, FeatureKind] = {}
     for name, spec in specs.items():
         if isinstance(spec, dict):
@@ -357,14 +362,14 @@ def fold_importances(scores: np.ndarray, encoder: Encoder) -> tuple[list[str], n
     return list(encoder.feature_names), out
 
 
-def inject_random_feature(d: Dataset, seed: int, name: str = "random") -> Dataset:
-    """Append one standard-normal column independent of everything else."""
+def inject_random_feature(d: Dataset, seed: int) -> Dataset:
+    """Append a standard-normal column ``random``, independent of all else."""
     rng = np.random.default_rng(seed)
     col = rng.standard_normal(d.n)
     return Dataset(
         X=np.column_stack([d.X, col]),
         y=d.y,
-        feature_names=d.feature_names + [name],
+        feature_names=d.feature_names + ["random"],
         kinds=d.kinds + [FeatureKind(CONTINUOUS)],
         task=d.task,
         n_classes=d.n_classes,

@@ -40,21 +40,24 @@ class ForestConfig:
 class Forest:
     """B grown trees plus their in-bag multisets and out-of-bag index lists."""
 
-    def __init__(self, trees, in_bag, oob, n_rows, task, n_classes, n_features,
-                 config, feature_names=None):
+    def __init__(self, trees, in_bag, oob, n_rows, task, n_classes, config,
+                 feature_names):
         self.trees: list[Tree] = trees
         self.in_bag: list[np.ndarray] = in_bag
         self.oob: list[np.ndarray] = oob
         self.n_rows = n_rows  # rows of the training data
         self.task = task
         self.n_classes = n_classes
-        self.n_features = n_features
         self.config = config
-        self.feature_names = feature_names
+        self.feature_names: list[str] = feature_names
 
     @property
     def n_trees(self) -> int:
         return len(self.trees)
+
+    @property
+    def n_features(self) -> int:
+        return len(self.feature_names)
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         if self.task != "classification":
@@ -78,7 +81,6 @@ class Forest:
             "version": FORMAT_VERSION,
             "task": self.task,
             "n_classes": self.n_classes,
-            "n_features": self.n_features,
             "feature_names": self.feature_names,
             "config": self.config.to_dict(),
             "trees": [t.to_dict() for t in self.trees],
@@ -102,7 +104,7 @@ class Forest:
         if len(trees) != config.n_trees:
             raise ValueError(f"model holds {len(trees)} trees; its config "
                              f"grew {config.n_trees}")
-        meta = (d["n_features"], d["task"], d["n_classes"])
+        meta = (len(d["feature_names"]), d["task"], d["n_classes"])
         if any((t.n_features, t.task, t.n_classes) != meta for t in trees):
             raise ValueError("a tree's (n_features, task, n_classes) differ "
                              f"from the forest's {meta}")
@@ -110,8 +112,8 @@ class Forest:
         if bag_digest(in_bag) != d["bag_sha256"]:
             raise ValueError("rebuilt bootstrap samples do not match the "
                              "model's bag digest")
-        return cls(trees, in_bag, oob, d["n_rows"], d["task"],
-                   d["n_classes"], d["n_features"], config, d.get("feature_names"))
+        return cls(trees, in_bag, oob, d["n_rows"], d["task"], d["n_classes"],
+                   config, d["feature_names"])
 
 
 def bag_digest(in_bag: list[np.ndarray]) -> str:
@@ -269,5 +271,5 @@ def fit(d: Dataset, config: ForestConfig, jobs: int = 1) -> Forest:
     else:
         trees = _grow_in_workers((d, tree_cfg, keys, rngs, in_bag),
                                  config.n_trees, workers)
-    return Forest(trees, in_bag, oob, d.n, d.task, d.n_classes, d.p, config,
-                  feature_names=list(d.feature_names))
+    return Forest(trees, in_bag, oob, d.n, d.task, d.n_classes, config,
+                  list(d.feature_names))

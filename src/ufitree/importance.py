@@ -61,15 +61,11 @@ def si_forest(forest: Forest) -> ImportanceReport:
     per_tree = np.array([si_tree(t) for t in forest.trees])
     return ImportanceReport(
         method="si",
-        feature_names=forest.feature_names or _default_names(forest.n_features),
+        feature_names=forest.feature_names,
         scores=per_tree.mean(axis=0),
         n_trees=forest.n_trees,
         per_tree=per_tree,
     )
-
-
-def _default_names(p: int) -> list[str]:
-    return [f"x{j}" for j in range(p)]
 
 
 def _route_test(tree: Tree, X_test, y_test):
@@ -199,7 +195,7 @@ def ufi_forest(forest: Forest, X, y, X_test=None, y_test=None) -> ImportanceRepo
         skipped += sk
     return ImportanceReport(
         method="ufi",
-        feature_names=forest.feature_names or _default_names(forest.n_features),
+        feature_names=forest.feature_names,
         scores=per_tree.mean(axis=0),
         skipped_nodes=skipped,
         n_trees=forest.n_trees,
@@ -284,7 +280,7 @@ def permutation_importance(forest: Forest, X, y, rng=None,
 
     return ImportanceReport(
         method="permutation",
-        feature_names=forest.feature_names or _default_names(p),
+        feature_names=forest.feature_names,
         scores=scores,
         n_trees=forest.n_trees,
         per_tree=per_tree,

@@ -186,6 +186,8 @@ def run_experiment(setting: SimSetting, config: ForestConfig,
             raise ValueError(f"unknown method {m!r}")
         if m in methods[:i]:
             raise ValueError(f"method {m!r} is named twice")
+        if m != "si" and not config.bootstrap:
+            raise ValueError(f"{m} scores out-of-bag rows: it requires bootstrap")
     master = np.random.SeedSequence(setting.seed)
     rep_seeds = master.spawn(setting.reps)
     per_method: dict[str, list[np.ndarray]] = {m: [] for m in methods}

@@ -47,7 +47,6 @@ class TreeConfig:
     classification, mean squared error for regression."""
 
     max_depth: int | None = None
-    min_samples_split: int = 2
     min_samples_leaf: int = 1
     # "all" | "sqrt" | int count | float fraction; None picks the task
     # default: sqrt(p) for classification, all for regression
@@ -62,8 +61,8 @@ class TreeConfig:
     def validate(self, p: int):
         if self.max_depth is not None and self.max_depth < 0:
             raise ValueError("max_depth must be >= 0")
-        if self.min_samples_split < 2 or self.min_samples_leaf < 1:
-            raise ValueError("min_samples_split >= 2 and min_samples_leaf >= 1 required")
+        if self.min_samples_leaf < 1:
+            raise ValueError("min_samples_leaf must be >= 1")
         if isinstance(self.max_features, int) and not isinstance(self.max_features, bool):
             if not 1 <= self.max_features <= p:
                 raise ValueError("max_features count must be in [1, p]")
@@ -136,7 +135,7 @@ class Tree:
     """
 
     def __init__(self, feature, threshold, left, right, n, class_counts, mean,
-                 impurity, train_decrease, n_features, n_root, task, n_classes):
+                 impurity, train_decrease, n_features, task, n_classes):
         self.feature = np.asarray(feature, dtype=np.intp)
         self.threshold = np.asarray(threshold, dtype=np.float64)
         self.left = np.asarray(left, dtype=np.intp)
@@ -148,12 +147,15 @@ class Tree:
         self.impurity = np.asarray(impurity, dtype=np.float64)
         self.train_decrease = np.asarray(train_decrease, dtype=np.float64)
         self.n_features = n_features
-        self.n_root = n_root
         self.task = task
         self.n_classes = n_classes
 
     def n_nodes(self) -> int:
         return len(self.feature)
+
+    @property
+    def n_root(self) -> int:
+        return int(self.n[0])
 
     @property
     def is_leaf(self) -> np.ndarray:
@@ -265,7 +267,6 @@ class Tree:
             "version": FORMAT_VERSION,
             "task": self.task,
             "n_features": self.n_features,
-            "n_root": self.n_root,
             "n_classes": self.n_classes,
             **{name: None if getattr(self, name) is None else getattr(self, name).tolist()
                for name in COLUMNS},
@@ -275,8 +276,8 @@ class Tree:
     def from_dict(cls, d: dict) -> "Tree":
         if d.get("version") != FORMAT_VERSION:
             raise ValueError(f"unsupported tree format: {d.get('version')!r}")
-        return cls(*(d[name] for name in COLUMNS), d["n_features"], d["n_root"],
-                   d["task"], d["n_classes"])
+        return cls(*(d[name] for name in COLUMNS), d["n_features"], d["task"],
+                   d["n_classes"])
 
 
 def _row_dtype(n_rows: int):
@@ -821,14 +822,13 @@ class _Record:
     def split(self, **values):
         self._extend(self.splits, values)
 
-    def trees(self, task, n_classes, p, n_roots) -> list[Tree]:
+    def trees(self, task, n_classes, p, n_trees) -> list[Tree]:
         """The group's trees, each numbered in preorder: node 0 is the root
         and a node's left subtree follows it directly. A node's preorder
         number comes from its subtree sizes, one depth at a time. The
-        roots are the first nodes made, one per tree, and n_roots holds
-        their row counts. Each column moves from its typed array to the
-        trees' numpy array one at a time, so that the record's memory is
-        held about once, not twice."""
+        roots are the first n_trees nodes made, tree t's root node t. Each
+        column moves from its typed array to the trees' numpy array one at
+        a time, so that the record's memory is held about once, not twice."""
 
         def take(columns, name):
             col = columns.pop(name)
@@ -847,8 +847,8 @@ class _Record:
         for at in levels:
             pre[lo[at]] = pre[inner[at]] + 1
             pre[hi[at]] = pre[inner[at]] + 1 + size[lo[at]]
-        ends = np.cumsum(size[:len(n_roots)])
-        firsts = ends - size[:len(n_roots)]
+        ends = np.cumsum(size[:n_trees])
+        firsts = ends - size[:n_trees]
         # perm[i]: the node at place i of the trees, one after another
         perm = np.empty(m, dtype=np.intp)
         perm[firsts[tree] + pre] = np.arange(m)
@@ -857,7 +857,7 @@ class _Record:
         # the decrease is recomputed from node stats so downstream
         # identities are exact
         n, imp = take(self.nodes, "n"), take(self.nodes, "impurity")
-        root = np.asarray(n_roots)[tree[inner]]
+        root = n[tree[inner]]
         col = np.zeros(m)
         col[inner] = n[inner] / root * imp[inner] - (
             n[lo] / root * imp[lo] + n[hi] / root * imp[hi])
@@ -882,7 +882,7 @@ class _Record:
             grown.append(Tree(c["feature"], c["threshold"], c["left"], c["right"],
                               c["n"], c["stats"] if classify else None,
                               None if classify else c["stats"], c["impurity"],
-                              c["decrease"], p, int(n_roots[t]), task, n_classes))
+                              c["decrease"], p, task, n_classes))
         return grown
 
 
@@ -920,11 +920,10 @@ def _node_stats(y, rows, sizes, n_classes) -> tuple:
 def _new_nodes(y, rec, tree, depth, key, rows, sizes, n_classes, config):
     """Record the nodes with these trees, depths, path keys and consecutive
     groups of rows, and return them as _Nodes, with the mask of those to
-    scan: the others are leaves by the stop rules (max_depth,
-    min_samples_split, zero impurity)."""
+    scan: the others are at max_depth, pure, or too small for two leaves."""
     stats, imp, tot, tot2 = _node_stats(y, rows, sizes, n_classes)
     gid = rec.add(tree=tree, depth=depth, n=sizes, stats=stats, impurity=imp)
-    scan = (sizes >= config.min_samples_split) & (imp > 0.0)
+    scan = (sizes >= 2 * config.min_samples_leaf) & (imp > 0.0)
     if config.max_depth is not None:
         scan &= depth < config.max_depth
     return _Nodes(tree, gid, depth, sizes, imp, key, tot, tot2, rows), scan
@@ -1041,7 +1040,7 @@ def _grow_group(X, y, keys, table, bags, seeds, config, task, n_classes):
                 n_classes, config.min_samples_leaf)
         nodes = _split(X, y, nodes, feature, threshold, rec, config, n_classes,
                        code)
-    return rec.trees(task, n_classes, p, sizes)
+    return rec.trees(task, n_classes, p, len(bags))
 
 
 def _split(X, y, nodes, feature, threshold, rec, config, n_classes, code):

@@ -245,8 +245,9 @@ def reference_grow(X, y, indices, config, task, n_classes=None, rng=0,
         left.append(-1)
         right.append(-1)
         decrease.append(0.0)
+        # a node too small for two leaves is scanned, and finds no candidate
         if (config.max_depth is not None and depth >= config.max_depth) \
-                or n < config.min_samples_split or imp <= 0.0:
+                or imp <= 0.0:
             return node
         feats = np.array(reference_subset(key, p, k_feats)) \
             if k_feats < p else np.arange(p)
@@ -273,7 +274,7 @@ def reference_grow(X, y, indices, config, task, n_classes=None, rng=0,
     build(indices, 0, splitmix64(seed))
     return Tree(feature, threshold, left, right, n_rows,
                 counts if classify else None, None if classify else means,
-                impurity, decrease, p, n_root, task, n_classes)
+                impurity, decrease, p, task, n_classes)
 
 
 def assert_same_tree(got, want):

@@ -64,7 +64,12 @@ class TestTrain:
          "kinds": {"x2": {"categorical": "x"}}},
         {"target": "label", "task": "classification",
          "kinds": {"x2": {"categorical": 2.9}}},
-    ], ids=["list", "kinds-string", "count-string", "count-fraction"])
+        {"target": "label", "task": "classification",
+         "kinds": {"label": "categorical"}},
+        {"target": 3, "task": "classification"},
+        {"target": None, "task": "classification"},
+    ], ids=["list", "kinds-string", "count-string", "count-fraction",
+            "target-kind", "target-number", "target-null"])
     def test_malformed_schema_is_usage_error(self, workspace, schema):
         (workspace / "bad.json").write_text(json.dumps(schema))
         res = CliRunner().invoke(main, [
@@ -73,6 +78,17 @@ class TestTrain:
             "--out", str(workspace / "out")])
         assert res.exit_code == 2, res.output
         assert "bad schema" in res.output
+
+    @pytest.mark.parametrize("command", [["train"],
+                                         ["importance", "--method", "si"]])
+    def test_task_comes_from_the_schema_alone(self, workspace, command):
+        res = CliRunner().invoke(main, [
+            *command, "--data", str(workspace / "data.csv"),
+            "--schema", str(workspace / "schema.json"),
+            "--task", "classification", "--out", str(workspace / "out")])
+        assert res.exit_code == 2, res.output
+        assert "--task" in res.output
+        assert not (workspace / "out").exists()
 
     def test_missing_value_is_data_error(self, workspace):
         (workspace / "bad.csv").write_text("x1,x2,label\n1.0,a,0\n,b,1\n")

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ufitree.data import (
     BINARY, CATEGORICAL, CONTINUOUS, ORDINAL,
@@ -132,7 +132,11 @@ class TestParseSchema:
         ({"target": "y", "kinds": {"a": {"categorical": "x"}}}, "bad kind spec"),
         ({"target": "y", "kinds": {"a": {"categorical": 2.9}}}, "bad kind spec"),
         ({"target": "y", "kinds": {"a": {"categorical": True}}}, "bad kind spec"),
-    ], ids=["list", "kinds-list", "count-string", "count-fraction", "count-bool"])
+        ({"target": "y", "kinds": {"y": "categorical"}}, "target column 'y'"),
+        ({"target": 3}, "must be a column name"),
+        ({"target": None}, "must be a column name"),
+    ], ids=["list", "kinds-list", "count-string", "count-fraction", "count-bool",
+            "target-kind", "target-number", "target-null"])
     def test_malformed_schema_rejected(self, schema, message):
         with pytest.raises(DataError, match=message):
             parse_schema(schema)
@@ -284,6 +288,7 @@ class TestEncoder:
             dummy_encode(load_csv(moved, "label", "classification", CAT, encoder),
                          encoder)
 
+    @settings(deadline=None)
     @given(st.lists(st.tuples(st.sampled_from("pqr"), st.sampled_from("uvw"),
                               st.integers(-3, 3)), min_size=1, max_size=12),
            st.data())

@@ -15,7 +15,7 @@ from ufitree.forest import (
     Forest, ForestConfig, bootstrap_indices, draw_bag, draw_bags, fit,
     tree_rngs, worker_count,
 )
-from ufitree.importance import si_forest
+from ufitree.importance import permutation_importance, si_forest, ufi_forest
 from ufitree.tree import COLUMNS, TreeConfig, grow, grow_trees, sort_keys
 
 SRC = os.path.dirname(os.path.dirname(forest_mod.__file__))
@@ -495,6 +495,25 @@ class TestSerialization:
             assert clone.to_dict() == f.to_dict()
             for got, want in zip(clone.in_bag + clone.oob, f.in_bag + f.oob):
                 assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("task", ["classification", "regression"])
+    def test_a_model_with_the_keys_now_derived_loads_and_scores_the_same(self, task):
+        """ufiforest/4 files once also held config.min_samples_split (always
+        2), the forest's n_features and each tree's n_root; such a file
+        loads to the same forest, which scores bit for bit the same."""
+        d = _dataset(task, n=80)
+        f = fit(d, ForestConfig(n_trees=4, seed=8, tree=TreeConfig(max_depth=4)))
+        payload = json.loads(json.dumps(f.to_dict()))
+        payload["config"]["min_samples_split"] = 2
+        payload["n_features"] = d.p
+        for tree in payload["trees"]:
+            tree["n_root"] = tree["n"][0]
+        old = Forest.from_dict(payload)
+        assert old.to_dict() == f.to_dict()
+        assert old.predict(d.X).tobytes() == f.predict(d.X).tobytes()
+        for score in (si_forest, lambda m: ufi_forest(m, d.X, d.y),
+                      lambda m: permutation_importance(m, d.X, d.y, 5)):
+            assert score(old).scores.tobytes() == score(f).scores.tobytes()
 
     @pytest.mark.parametrize("key,value", [
         ("bag_sha256", "0" * 64),

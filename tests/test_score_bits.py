@@ -141,7 +141,7 @@ def _three_class_rows(n):
 
 # sha256 of model.json from a fixed-seed train run with unlimited depth. The
 # digest holds for every --threads count.
-MODEL_DIGEST = "baa486e6d81200751cfe138b9b2037397e9f4ddbf7a3dfb45cc699e0bf54a0e6"
+MODEL_DIGEST = "e83ed7e1dd29b3848ab6d9f8f50c83d93dbf43aec99b595aba22b40bb0065641"
 
 
 def _train_digest(tmp_path, threads):
@@ -183,7 +183,7 @@ def _regression_rows(n):
 # sha256 of model.json from a fixed-seed regression train run with unlimited
 # depth. The digest holds for every --threads count.
 REGRESSION_MODEL_DIGEST = (
-    "5a98a3143b6677063a7e5ec0073475b18d9bfcc1a238e3d773c75010c33f8f74")
+    "0f596a94a567f5e8404bc62b071b7e919543309e3a13ca3ded455e993ca2ffcb")
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
@@ -313,7 +313,7 @@ def _mixed_rows(n):
 # than 256 feature subsets each, and rescan unsplittable drawn subsets over
 # all 37 columns. The digest holds for every --threads count.
 MIXED_MODEL_DIGEST = (
-    "ed5f311b45889f27f1c9629c51f6245cac22eb5452c4d88c48b8e56280b11476")
+    "1367f4ed7220856a8c72f6b08e4770133cb14bc79aadd8d1809fcb21a46202e0")
 
 
 def _mixed_train_digest(tmp_path, threads):

@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.stats import binom, rankdata
 
+from ufitree import forest as forest_mod
 from ufitree.forest import ForestConfig
 from ufitree.simgen import (
     SimSetting, average_rank, gen_discrete10, gen_null_mixed, gen_signal,
@@ -152,6 +155,17 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             run_experiment(SimSetting("null_mixed", "classification", n=100, reps=1),
                            self._config(), ["bogus"])
+
+    @pytest.mark.parametrize("methods", [["si", "ufi"], ["permutation"]])
+    def test_out_of_bag_method_without_bootstrap_rejected_before_any_fit(
+            self, monkeypatch, methods):
+        def fit(*args, **kwargs):
+            raise AssertionError("a repetition was fitted")
+
+        monkeypatch.setattr(forest_mod, "fit", fit)
+        with pytest.raises(ValueError, match="requires bootstrap"):
+            run_experiment(SimSetting("null_mixed", "classification", n=100, reps=2),
+                           replace(self._config(), bootstrap=False), methods)
 
     def test_outputs_serialize(self):
         setting = SimSetting("discrete10", "classification", n=100, reps=2, seed=6)

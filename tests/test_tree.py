@@ -468,7 +468,9 @@ def growths(draw, task):
     """A tie-heavy dataset of the task (up to 4 classes), up to 4 bags with
     heavy duplicates (some of 1 to 3 rows), and a config over every
     max_features kind (all, sqrt, a count, a fraction), max_depth and
-    min_samples_leaf setting the grower treats apart."""
+    min_samples_leaf setting the grower treats apart. Under min_samples_leaf
+    m up to 7, impure nodes of 2 to 2m - 1 rows are common: the grower
+    leaves them unscanned, and the reference scans them and finds nothing."""
     n = draw(st.integers(1, 120))
     p = draw(st.integers(1, 8))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -485,7 +487,7 @@ def growths(draw, task):
         rows = rng.integers(0, draw(st.integers(1, n)), size)
         bags.append(rows)
     cfg = TreeConfig(max_depth=draw(st.sampled_from([None, 2, 6])),
-                     min_samples_leaf=draw(st.sampled_from([1, 3])),
+                     min_samples_leaf=draw(st.sampled_from([1, 2, 3, 7])),
                      max_features=draw(st.sampled_from(["all", "sqrt"])
                                        | st.integers(1, p)
                                        | st.floats(0.05, 1.0)))
@@ -551,10 +553,10 @@ class TestGrow:
 
     @pytest.mark.parametrize("bad", [
         dict(max_depth=-1),
-        dict(min_samples_split=1),
         dict(min_samples_leaf=0),
         dict(max_features=0),
         dict(max_features=1.5),
+        dict(max_features="half"),
     ])
     def test_bad_config_rejected(self, bad):
         with pytest.raises(ValueError):
