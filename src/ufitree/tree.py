@@ -417,7 +417,7 @@ def _windows(pairs: np.ndarray, width: int) -> np.ndarray:
                       0, (2 * size, 2 * size, size))
 
 
-def _scan_regression(X, y, pairs, n, base, tot, tot2, imp, feats, msl):
+def _scan_regression(X, y, pairs, n, base, mean, imp, feats, msl):
     """best_split's (feature, threshold, loss) of each of m regression
     nodes, as arrays; the feature is -1 where no candidate improves on the
     node by more than GAIN_EPS.
@@ -425,22 +425,26 @@ def _scan_regression(X, y, pairs, n, base, tot, tot2, imp, feats, msl):
     Node i has n[i] rows. Its rows in the stable order of feature j's keys
     are the (id, key) pairs ``pairs[base[i] + j * n[i]:][:n[i]]``: an id
     indexes the targets y, and id r is row r modulo len(X) of X. The pairs
-    run on for at least max(n) pairs past the last block. tot[i] and
-    tot2[i] are add.reduce of the node's targets and of their squares, in
-    node order, imp[i] its MSE and feats[i] the sorted features it scans
-    (an m x k array).
+    run on for at least max(n) pairs past the last block. mean[i] is the
+    node's recorded mean, imp[i] its MSE and feats[i] the sorted features
+    it scans (an m x k array).
 
     Nodes are scanned in blocks, largest first, under one rule: a block
     holds one node, or nodes over half as large as its largest that hold
     at most SCAN_VALUES (row, feature) values once each is padded to the
-    largest's rows. A block is a (segment x position) array of targets, a
-    segment being a (node, feature) pair read through a window as wide as
-    the block's largest node, and the left sums are np.cumsum along each
-    segment: the bits of a per-node cumsum along the node's stable sort,
-    whatever follows a segment in its window. A candidate threshold lies
-    wherever the key changes, leaving msl rows on each side. The loss is
-    the weighted child MSE relative to the node, and _first_best picks
-    the split. A threshold is the mean of the two values around it.
+    largest's rows. A block is a (segment x position) array of targets
+    less their node's mean, a segment being a (node, feature) pair read
+    through a window as wide as the block's largest node. np.cumsum along
+    each segment gives the left sums d and, at the segment's last row,
+    its own total s: the bits of a per-node cumsum along the node's stable
+    sort, whatever follows a segment in its window. A candidate threshold
+    lies wherever the key changes, leaving msl rows on each side. Its
+    loss, the weighted child MSE, is the node's MSE less the between-groups
+    term nl nr gap**2 / n**2, gap = d/nl - (s - d)/nr being the difference
+    of the side means (Breiman et al. 1984). Centred sums do not cancel
+    when |mean(y)| >> sd(y), as sums of y and y**2 do (Chan, Golub and
+    LeVeque 1983), so a shift of y leaves the tree as it is. _first_best
+    picks the split. A threshold is the mean of the two values around it.
     """
     m, k = feats.shape
     out = (np.full(m, -1, dtype=np.intp), np.zeros(m), np.zeros(m))
@@ -451,13 +455,13 @@ def _scan_regression(X, y, pairs, n, base, tot, tot2, imp, feats, msl):
         width = -int(fall[a])
         b = min(a + max(1, SCAN_VALUES // (k * width)),
                 int(np.searchsorted(fall, -(width // 2))))
-        _scan_block(X, y, pairs, n, base, tot, tot2, imp, feats, msl,
+        _scan_block(X, y, pairs, n, base, mean, imp, feats, msl,
                     by_size[a:b], out)
         a = b
     return out
 
 
-def _scan_block(X, y, pairs, n, base, tot, tot2, imp, feats, msl, nodes, out):
+def _scan_block(X, y, pairs, n, base, mean, imp, feats, msl, nodes, out):
     """_scan_regression on the given nodes, written into ``out``."""
     k = feats.shape[1]
     size = n[nodes]
@@ -477,22 +481,19 @@ def _scan_block(X, y, pairs, n, base, tot, tot2, imp, feats, msl, nodes, out):
     seg, t = seg[keep], t[keep]
     if not len(seg):
         return
-    # (y or y**2, segment, position), up to the last position a candidate
-    # reads: a cumsum along each segment
-    upto = int(t.max()) + 1
-    sums = np.empty((2, len(start), upto))
-    y.take(rows[:, :upto], out=sums[0], mode="clip")  # unbuffered
-    np.multiply(sums[0], sums[0], out=sums[1])
-    np.cumsum(sums, axis=2, out=sums)
-    cum, cum2 = sums[0, seg, t], sums[1, seg, t]
+    # (segment, position): the targets less their node's mean, summed
+    # along each segment
+    cum = np.empty(rows.shape)
+    y.take(rows, out=cum, mode="clip")  # unbuffered
+    cum -= np.repeat(mean[nodes], k)[:, None]
+    np.cumsum(cum, axis=1, out=cum)
     node = seg // k
     nl = t + 1.0
     total = seg_n[seg]
     nr = total - nl
-    s, s2 = tot[nodes][node], tot2[nodes][node]
-    Hl = np.maximum(cum2 / nl - (cum / nl) ** 2, 0.0)
-    Hr = np.maximum((s2 - cum2) / nr - ((s - cum) / nr) ** 2, 0.0)
-    loss = (nl * Hl + nr * Hr) / total
+    d, s = cum[seg, t], cum[seg, total - 1]
+    gap = d / nl - (s - d) / nr
+    loss = imp[nodes][node] - nl * nr / (total * total) * (gap * gap)
     best, found = _first_best(loss, node, imp[nodes])
     found = nodes[found]
     seg, t = seg[best], t[best]
@@ -545,12 +546,11 @@ def best_split(X, y, idx, feats, n_classes=None, min_samples_leaf=1,
     n, start = np.array([len(idx)]), np.zeros(1, dtype=np.intp)
     imp = np.array([parent_impurity], dtype=np.float64)
     if n_classes is None:
-        v = np.asarray(y[idx], dtype=np.float64)
+        y = np.asarray(y, dtype=np.float64)
         pairs = _padded([_presort(keys, idx, 0, _row_dtype(len(X)))], len(idx))
-        found = _scan_regression(X, np.asarray(y, dtype=np.float64), pairs, n,
-                                 start, np.array([np.add.reduce(v)]),
-                                 np.array([np.add.reduce(v * v)]), imp, feats,
-                                 min_samples_leaf)
+        found = _scan_regression(X, y, pairs, n, start,
+                                 np.add.reduce(y[idx], keepdims=True) / n, imp,
+                                 feats, min_samples_leaf)
     else:
         found = _scan_segments(_scan_table(X, keys, y, n_classes), len(X), idx,
                                start, n, feats, imp, n_classes, min_samples_leaf)
@@ -675,9 +675,8 @@ def _best_splits(X, y, table, nodes, sel, feats, n_classes, msl):
     about SCAN_VALUES values."""
     n = nodes.n[sel]
     if n_classes is None:
-        return _scan_regression(X, y, nodes.pairs, n,
-                                X.shape[1] * nodes.start[sel], nodes.tot[sel],
-                                nodes.tot2[sel], nodes.imp[sel], feats, msl)[:2]
+        return _scan_regression(X, y, nodes.pairs, n, X.shape[1] * nodes.start[sel],
+                                nodes.mean[sel], nodes.imp[sel], feats, msl)[:2]
     feature, threshold = np.empty(len(sel), dtype=np.intp), np.empty(len(sel))
     for a, b in _chunks(n * feats.shape[1], SCAN_VALUES):
         part = sel[a:b]
@@ -773,17 +772,16 @@ def grow(X, y, indices, config: TreeConfig, task: str,
 class _Nodes:
     """Nodes waiting for a scan, in flat arrays. Per node: its tree (an
     index into the group), its id (the group's creation order), depth, row
-    count, impurity and path key (child_keys'), and for regression the
-    add.reduce sums of its targets and of their squares. ``rows`` holds
-    each node's rows in node order, one node after another from ``start``;
-    for regression, ``pairs`` holds each node's block of p x n (id, key)
+    count, impurity and path key (child_keys'), and its mean (None for
+    classification). ``rows`` holds each node's rows in node order, one
+    node after another from ``start``; for regression, ``pairs`` holds each node's block of p x n (id, key)
     pairs (_presort's), one node after another, then padding (_padded)."""
 
-    FIELDS = ("tree", "gid", "depth", "n", "imp", "key", "tot", "tot2")
+    FIELDS = ("tree", "gid", "depth", "n", "imp", "key", "mean")
 
-    def __init__(self, tree, gid, depth, n, imp, key, tot, tot2, rows):
+    def __init__(self, tree, gid, depth, n, imp, key, mean, rows):
         self.tree, self.gid, self.depth, self.n = tree, gid, depth, n
-        self.imp, self.key, self.tot, self.tot2 = imp, key, tot, tot2
+        self.imp, self.key, self.mean = imp, key, mean
         self.rows, self.pairs = rows, None
         self.start = np.cumsum(n) - n
 
@@ -887,33 +885,30 @@ class _Record:
 
 
 def _node_stats(y, rows, sizes, n_classes) -> tuple:
-    """(stats, impurities, sums, sums of squares) of consecutive groups of
-    rows, ``rows`` holding them one after another and ``sizes`` their
-    lengths, none of them 0. For classification: the class counts (groups
-    x classes) and their Gini, from one bincount and one predictive_gini
-    call (impurity_from_counts' bits), and no sums. For regression: the
-    mean and the MSE (_mean_and_mse's bits) and the sums of the targets
-    and of their squares (add.reduce's), from three segment_sums calls
-    per piece: a piece holds consecutive groups of at most SCAN_VALUES
-    rows in all, or one group."""
+    """(stats, impurities) of consecutive groups of rows, ``rows`` holding
+    them one after another and ``sizes`` their lengths, none of them 0.
+    For classification: the class counts (groups x classes) and their
+    Gini, from one bincount and one predictive_gini call
+    (impurity_from_counts' bits). For regression: the mean and the MSE
+    (_mean_and_mse's bits), from two segment_sums calls per piece: a
+    piece holds consecutive groups of at most SCAN_VALUES rows in all, or
+    one group."""
     if n_classes is not None:
         code = np.repeat(np.arange(len(sizes)) * n_classes, sizes) + y[rows]
         counts = np.bincount(code, minlength=len(sizes) * n_classes) \
             .reshape(len(sizes), n_classes)
         q = counts / sizes[:, None]
-        return counts, predictive_gini(q, q), None, None
-    out = np.empty((4, len(sizes)))
+        return counts, predictive_gini(q, q)
+    out = np.empty((2, len(sizes)))
     ends = np.cumsum(sizes)
     for a, b in _chunks(sizes, SCAN_VALUES):
         first = ends[a] - sizes[a]
         v = y.take(rows[first:ends[b - 1]])
         offsets = np.concatenate([[0], ends[a:b] - first])
         n = sizes[a:b]
-        out[2, a:b] = segment_sums(v, offsets)
-        out[0, a:b] = mean = out[2, a:b] / n
+        out[0, a:b] = mean = segment_sums(v, offsets) / n
         dev = v - np.repeat(mean, n)
         out[1, a:b] = segment_sums(dev * dev, offsets) / n
-        out[3, a:b] = segment_sums(v * v, offsets)
     return tuple(out)
 
 
@@ -921,12 +916,13 @@ def _new_nodes(y, rec, tree, depth, key, rows, sizes, n_classes, config):
     """Record the nodes with these trees, depths, path keys and consecutive
     groups of rows, and return them as _Nodes, with the mask of those to
     scan: the others are at max_depth, pure, or too small for two leaves."""
-    stats, imp, tot, tot2 = _node_stats(y, rows, sizes, n_classes)
+    stats, imp = _node_stats(y, rows, sizes, n_classes)
     gid = rec.add(tree=tree, depth=depth, n=sizes, stats=stats, impurity=imp)
     scan = (sizes >= 2 * config.min_samples_leaf) & (imp > 0.0)
     if config.max_depth is not None:
         scan &= depth < config.max_depth
-    return _Nodes(tree, gid, depth, sizes, imp, key, tot, tot2, rows), scan
+    return _Nodes(tree, gid, depth, sizes, imp, key,
+                  None if n_classes is not None else stats, rows), scan
 
 
 def _take(nodes: _Nodes, keep: np.ndarray) -> _Nodes:

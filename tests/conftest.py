@@ -116,16 +116,19 @@ def reference_scan_classification(X, y, idx, feats, n_classes, msl):
     return int(j), float(threshold), float(loss[best])
 
 
-def reference_scan_regression(X, keys, y, idx, feats, msl):
+def reference_scan_regression(X, keys, y, idx, feats, msl, imp):
     """The per-node mean squared error scan that the batched scan must
-    match bit for bit: (feature, threshold, loss) or None. ``keys`` is
-    sort_keys(X), or X.T itself, which orders and ties alike.
+    match bit for bit: (feature, threshold, loss) or None, for a node of
+    MSE imp. ``keys`` is sort_keys(X), or X.T itself, which orders and
+    ties alike.
 
     Only admissible thresholds (between distinct values, leaving msl rows
-    on each side) are scored; left sums of targets and of their squares
-    are cumsums along each feature's stable sort, and the node's totals
-    are add.reduce over its rows in node order; the first loss within the
-    tie tolerance of the minimum wins, in feature-major order.
+    on each side) are scored. The targets less the node's mean (add.reduce
+    over its rows in node order, over n) are summed by a cumsum along each
+    feature's stable sort, whose last position holds their own total. The
+    loss is imp less the between-groups term of the two side means; the
+    first loss within the tie tolerance of the minimum wins, in
+    feature-major order.
     """
     n = len(idx)
     sub = keys[feats].take(idx, axis=1)
@@ -141,14 +144,10 @@ def reference_scan_regression(X, keys, y, idx, feats, msl):
     nl = t_pos + 1.0
     nr = n - nl
     yv = np.asarray(y[idx], dtype=np.float64)
-    ys = yv[order]
-    cum = ys.cumsum(axis=1)[f_pos, t_pos]
-    cum2 = (ys * ys).cumsum(axis=1)[f_pos, t_pos]
-    tot = np.add.reduce(yv)
-    tot2 = np.add.reduce(yv * yv)
-    Hl = np.maximum(cum2 / nl - (cum / nl) ** 2, 0.0)
-    Hr = np.maximum((tot2 - cum2) / nr - ((tot - cum) / nr) ** 2, 0.0)
-    loss = (nl * Hl + nr * Hr) / n
+    cum = (yv - np.add.reduce(yv) / n)[order].cumsum(axis=1)
+    d, s = cum[f_pos, t_pos], cum[f_pos, n - 1]
+    gap = d / nl - (s - d) / nr
+    loss = imp - nl * nr / (n * n) * (gap * gap)
     m = float(loss.min())
     best = int((loss <= m + LOSS_TIE_TOL * max(1.0, abs(m))).argmax())
     f, t = f_pos[best], t_pos[best]
@@ -166,7 +165,8 @@ def reference_best_split(X, y, idx, feats, n_classes, min_samples_leaf,
     feats = np.sort(np.asarray(feats, dtype=np.intp))
     if n_classes is None:
         found = reference_scan_regression(
-            X, X.T if keys is None else keys, y, idx, feats, min_samples_leaf)
+            X, X.T if keys is None else keys, y, idx, feats, min_samples_leaf,
+            parent_impurity)
     else:
         found = reference_scan_classification(X, y, idx, feats, n_classes,
                                               min_samples_leaf)

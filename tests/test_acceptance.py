@@ -30,6 +30,18 @@ def _report(num, desc, ok):
     assert ok, f"criterion {num} failed: {desc}"
 
 
+def _margin(record_property, name, value, low=None, high=None):
+    """Record a statistic of a check, its bounds and its margin, the
+    distance to the nearer bound (negative outside), as a property of the
+    test in the JUnit XML (``--junitxml``). A margin gates nothing: it
+    shows a statistic drifting toward its bound before the check flips."""
+    value = float(value)
+    margin = min(np.inf if low is None else value - low,
+                 np.inf if high is None else high - value)
+    record_property(name, json.dumps({"value": value, "low": low, "high": high,
+                                      "margin": margin}))
+
+
 def _grow(X, y, task, **kw):
     n_classes = int(np.max(y)) + 1 if task == "classification" else None
     return grow(X, y, np.arange(len(y)), TreeConfig(**kw), task, n_classes)
@@ -143,7 +155,7 @@ def test_criterion_3_reduction_identities_exact():
                "exact per node and per feature on 100 random trees", True)
 
 
-def test_criterion_4_lemma_level_unbiasedness():
+def test_criterion_4_lemma_level_unbiasedness(record_property):
     started = time.time()
     rng = np.random.default_rng(404)
     results = {}
@@ -170,6 +182,8 @@ def test_criterion_4_lemma_level_unbiasedness():
         vals = np.array(vals)
         se = vals.std(ddof=1) / np.sqrt(len(vals))
         results[task] = (vals.mean(), se)
+        _margin(record_property, f"criterion_4.{task}.abs_mean_over_se",
+                abs(vals.mean()) / se, high=3.0)
         assert abs(vals.mean()) <= 3 * se, \
             f"{task}: mean {vals.mean():.3e} exceeds 3 SE ({se:.3e})"
     elapsed = time.time() - started
@@ -180,14 +194,23 @@ def test_criterion_4_lemma_level_unbiasedness():
 
 
 @pytest.mark.slow
-def test_criterion_5_bias_reproduction(null_cls, null_reg):
+def test_criterion_5_bias_reproduction(null_cls, null_reg, record_property):
     started = time.time()
     si_c = null_cls["si"]
     si_r = null_reg["si"]
     names = si_c.feature_names
     all_positive = np.all(si_c.mean > 0) and np.all(si_r.mean > 0)
     x5_over_x2 = si_c.mean[names.index("X5")] > si_c.mean[names.index("X2")]
-    x1_largest_reg = int(np.argmax(si_r.mean)) == names.index("X1")
+    x1 = names.index("X1")
+    x1_largest_reg = int(np.argmax(si_r.mean)) == x1
+    _margin(record_property, "criterion_5.classification.min_si_mean",
+            si_c.mean.min(), low=0.0)
+    _margin(record_property, "criterion_5.regression.min_si_mean",
+            si_r.mean.min(), low=0.0)
+    _margin(record_property, "criterion_5.classification.si_X5_less_X2",
+            si_c.mean[names.index("X5")] - si_c.mean[names.index("X2")], low=0.0)
+    _margin(record_property, "criterion_5.regression.si_X1_less_next",
+            si_r.mean[x1] - np.delete(si_r.mean, x1).max(), low=0.0)
     elapsed = time.time() - started
     _report(5, "null-data SI means all positive; X5 > X2 in classification; "
                f"X1 largest in regression ({elapsed:.0f}s)",
@@ -195,11 +218,13 @@ def test_criterion_5_bias_reproduction(null_cls, null_reg):
 
 
 @pytest.mark.slow
-def test_criterion_6_unbiasedness_reproduction(null_cls, null_reg):
+def test_criterion_6_unbiasedness_reproduction(null_cls, null_reg, record_property):
     ok = True
     for label, res in (("classification", null_cls["ufi"]),
                        ("regression", null_reg["ufi"])):
         for j, name in enumerate(res.feature_names):
+            _margin(record_property, f"criterion_6.{label}.ufi_{name}.abs_mean_over_se",
+                    abs(res.mean[j]) / res.stderr()[j], high=3.0)
             inside = _within_3se(res, j)
             if not inside:
                 print(f"  {label} {name}: mean {res.mean[j]:.3e} vs "
@@ -210,7 +235,7 @@ def test_criterion_6_unbiasedness_reproduction(null_cls, null_reg):
 
 
 @pytest.mark.slow
-def test_criterion_7_discrete_benchmark_ranks():
+def test_criterion_7_discrete_benchmark_ranks(record_property):
     started = time.time()
     checks = []
     for task in ("classification", "regression"):
@@ -224,6 +249,10 @@ def test_criterion_7_discrete_benchmark_ranks():
             x1 = res["si"].feature_names.index("X1")
             si_rank = res["si"].avg_rank[x1]
             ufi_rank = res["ufi"].avg_rank[x1]
+            prefix = f"criterion_7.{task}.depth_{depth}"
+            _margin(record_property, f"{prefix}.si_rank_X1", si_rank,
+                    *((9.0, None) if depth == 10 else (2.5, 5.5)))
+            _margin(record_property, f"{prefix}.ufi_rank_X1", ufi_rank, high=2.5)
             if depth == 10:
                 checks.append((f"{task} deep SI rank {si_rank:.2f} >= 9.0",
                                si_rank >= 9.0))
@@ -240,7 +269,7 @@ def test_criterion_7_discrete_benchmark_ranks():
 
 
 @pytest.mark.slow
-def test_criterion_8_signal_detection():
+def test_criterion_8_signal_detection(record_property):
     res_01 = _sim("signal", "classification", depth=5, reps=100, seed=801,
                   methods=["si", "ufi"], rho=0.1)
     names = res_01["ufi"].feature_names
@@ -260,6 +289,13 @@ def test_criterion_8_signal_detection():
     res_r5 = _sim("signal", "regression", depth=5, reps=100, seed=803,
                   methods=["si"], rho=0.5)
     si_miss_r5 = si_misses_x2(res_r5)
+    _margin(record_property, "criterion_8.classification.rho_0.1.ufi_rank_X2",
+            res_01["ufi"].avg_rank[x2], high=2.0)
+    for label, res in (("classification.rho_0.1", res_01),
+                       ("classification.rho_0.2", res_02),
+                       ("regression.rho_0.5", res_r5)):
+        _margin(record_property, f"criterion_8.{label}.si_rank_X2",
+                res["si"].avg_rank[x2], low=1.2)
     print(f"  UFI rank(X2) at rho=0.1: {res_01['ufi'].avg_rank[x2]:.2f}")
     print(f"  SI rank(X2): rho=0.1 cls {res_01['si'].avg_rank[x2]:.2f}, "
           f"rho=0.2 cls {res_02['si'].avg_rank[x2]:.2f}, "
@@ -269,7 +305,7 @@ def test_criterion_8_signal_detection():
             ufi_finds_x2 and si_miss_01 and si_miss_02 and si_miss_r5)
 
 
-def test_criterion_9_random_probe_workflow():
+def test_criterion_9_random_probe_workflow(record_property):
     reps = 100
     master = np.random.SeedSequence(909)
     si_scores = []
@@ -297,6 +333,10 @@ def test_criterion_9_random_probe_workflow():
     ufi_probe = ufi_scores[:, probe]
     se = ufi_probe.std(ddof=1) / np.sqrt(reps)
     probe_near_zero = abs(ufi_probe.mean()) <= 3 * se
+    _margin(record_property, "criterion_9.si_real_features_below_probe",
+            n_below_probe, low=2)
+    _margin(record_property, "criterion_9.ufi_probe.abs_mean_over_se",
+            abs(ufi_probe.mean()) / se, high=3.0)
     print(f"  SI ranks probe above {n_below_probe} real features; "
           f"UFI probe mean {ufi_probe.mean():.3e} (3 SE {3 * se:.3e})")
     _report(9, "SI overrates the injected probe; UFI probe mean within "

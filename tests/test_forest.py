@@ -432,10 +432,9 @@ def test_a_level_of_every_size_class_grows_the_reference_trees(monkeypatch):
         calls.append(n.copy())
         return scan(X, y, pairs, n, *args)
 
-    def recording_block(X, y, pairs, n, base, tot, tot2, imp, feats, msl,
-                        nodes, out):
+    def recording_block(X, y, pairs, n, base, mean, imp, feats, msl, nodes, out):
         blocks.append((n[nodes], feats.shape[1]))
-        return block(X, y, pairs, n, base, tot, tot2, imp, feats, msl, nodes, out)
+        return block(X, y, pairs, n, base, mean, imp, feats, msl, nodes, out)
 
     monkeypatch.setattr(tree_mod, "_scan_regression", recording_scan)
     monkeypatch.setattr(tree_mod, "_scan_block", recording_block)

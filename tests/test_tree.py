@@ -106,6 +106,9 @@ class TestBestSplit:
             else:
                 assert got is not None
                 assert got[0] == want[0]
+                if task == "regression":
+                    # the between-groups loss against the two-pass child MSEs
+                    assert got[1] == pytest.approx(want[1], rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("task", ["classification", "regression"],
                              ids=["classification-gini", "regression-mse"])
@@ -149,20 +152,19 @@ def scan_batch(X, y, keys, nodes, n_classes, msl):
     """(feature, threshold) arrays of (rows, feats, impurity) nodes, whose
     feats have one length, from one _best_splits call on them as one set,
     as the grower makes it: for regression, with every node's rows
-    presorted (one tree, ids = rows) and its target totals."""
+    presorted (one tree, ids = rows) and its mean."""
     rows = [np.asarray(r, dtype=np.intp) for r, _, _ in nodes]
     n = np.array([len(r) for r in rows])
     zero = np.zeros(len(nodes), dtype=np.intp)
-    table = tot = tot2 = pairs = None
+    table = mean = pairs = None
     if n_classes is None:
-        tot = np.array([np.add.reduce(y[r]) for r in rows])
-        tot2 = np.array([np.add.reduce(y[r] * y[r]) for r in rows])
+        mean = np.array([_mean_and_mse(y[r])[0] for r in rows])
         pairs = _padded([_presort(keys, r, 0, _row_dtype(len(X))) for r in rows],
                         int(n.max()))
     else:
         table = _scan_table(X, keys, y, n_classes)
     batch = _Nodes(zero, zero, zero, n, np.array([i for _, _, i in nodes]),
-                   None, tot, tot2, np.concatenate(rows))
+                   None, mean, np.concatenate(rows))
     batch.pairs = pairs
     return _best_splits(X, y, table, batch, np.arange(len(nodes)),
                         np.array([f for _, f, _ in nodes]), n_classes, msl)
@@ -225,8 +227,8 @@ def test_batched_scan_is_best_split_bit_for_bit(case):
 @pytest.mark.parametrize("scan_values", [1, 500, tree_mod.SCAN_VALUES])
 def test_node_stats_are_per_group_reductions_bit_for_bit(monkeypatch, scan_values):
     """The regression stats of 1 to 40 groups of 1 to 300 rows, summed in
-    pieces of every size, are those of _mean_and_mse and of one
-    np.add.reduce per group, to the bit."""
+    pieces of every size, are those of _mean_and_mse per group, to the
+    bit."""
     monkeypatch.setattr(tree_mod, "SCAN_VALUES", scan_values)
     rng = np.random.default_rng(7)
     y = rng.standard_normal(500) * 10.0 ** rng.integers(-3, 4, 500)
@@ -236,8 +238,9 @@ def test_node_stats_are_per_group_reductions_bit_for_bit(monkeypatch, scan_value
         rows = rng.integers(0, len(y), sizes.sum())
         want = []
         for v in np.split(y[rows], np.cumsum(sizes)[:-1]):
-            want.append((*_mean_and_mse(v), np.add.reduce(v), np.add.reduce(v * v)))
+            want.append(_mean_and_mse(v))
         got = _node_stats(y, rows, sizes, None)
+        assert len(got) == 2
         for column, expected in zip(got, zip(*want)):
             assert column.tobytes() == np.array(expected).tobytes()
 
@@ -611,6 +614,28 @@ class TestGrow:
             grow(X, y, np.arange(5), TreeConfig(), "regression")
         # a row outside every bag is never summed
         grow(X, y, [0, 1, 3, 4], TreeConfig(), "regression")
+
+    @pytest.mark.parametrize("shift", [2.0**10, 2.0**20, 2.0**26, 2.0**30])
+    def test_shifted_targets_grow_the_same_tree(self, shift):
+        """Adding a constant to the targets leaves every split as it is.
+        The targets lie on a 1/1024 grid and the shifts are powers of two,
+        so y + shift holds y exactly."""
+        rng = np.random.default_rng(11)
+        X = rng.standard_normal((1000, 5))
+        y = np.round((X[:, 0] + 0.5 * X[:, 1] + rng.standard_normal(1000)) * 1024) / 1024
+        assert np.array_equal(y + shift - shift, y)
+        rows, config = np.arange(1000), TreeConfig(max_depth=8)
+        want = grow(X, y, rows, config, "regression")
+        got = grow(X, y + shift, rows, config, "regression")
+        assert want.n_nodes() > 300
+        assert np.array_equal(got.feature, want.feature)
+        assert np.array_equal(got.threshold, want.threshold)
+        # one node, scanned on its own
+        idx = rows[X[:, 2] > 0.0]
+        split, loss = best_split(X, y, idx, np.arange(5))
+        got_split, got_loss = best_split(X, y + shift, idx, np.arange(5))
+        assert got_split == split
+        assert got_loss == pytest.approx(loss, rel=1e-12, abs=0)
 
     def test_feature_subset_falls_back_to_full_scan(self):
         # column 0 is constant, and seed 3's root draws only it
