@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .forest import Forest
-from .tree import Tree, predictive_gini, segment_sums
+from .tree import Tree, predictive_gini, root_weighted_decrease, segment_sums
 
 
 @dataclass
@@ -82,15 +82,15 @@ def _route_test(tree: Tree, X_test, y_test):
 
 def _test_decrease(tree: Tree, h: np.ndarray, routed: np.ndarray):
     """Root-weighted decrease of a per-node test impurity ``h`` at each
-    internal node: n_m/n h_m - (n_l/n h_l + n_r/n h_r).
+    internal node: n_m/n h_m - (n_l/n h_l + n_r/n h_r), by the formula of
+    the tree's train_decrease.
 
     Returns (internal node ids, whether both children got test rows, decrease).
     """
-    w = tree.n / tree.n_root
     node = np.flatnonzero(~tree.is_leaf)
     lo, hi = tree.left[node], tree.right[node]
     ok = (routed[lo] > 0) & (routed[hi] > 0)
-    return node, ok, w[node] * h[node] - (w[lo] * h[lo] + w[hi] * h[hi])
+    return node, ok, root_weighted_decrease(tree.n / tree.n_root, h, node, lo, hi)
 
 
 def _ufi_result(tree: Tree, node: np.ndarray, ok: np.ndarray, term: np.ndarray):
@@ -134,17 +134,19 @@ def ufi_tree_regression(tree: Tree, X_test, y_test):
     """Corrected split-improvement for one MSE-grown tree.
 
     Test impurity at a node is the mean squared deviation of routed test
-    targets from that node's training mean; each node contributes its train
-    decrease plus the (typically negative) test-side decrease. Returns
-    (scores, skipped, per-node terms).
+    targets from that node's training mean, summed by segment_sums as the
+    grower sums a node's MSE, so a tree's own in-bag rows give back its
+    impurities; each node contributes its train decrease plus the
+    (typically negative) test-side decrease. Returns (scores, skipped,
+    per-node terms).
     """
     if tree.task != "regression":
         raise ValueError("regression tree required")
     y_test = np.asarray(y_test, dtype=np.float64)
     rows, offsets, routed = _route_test(tree, X_test, y_test)
-    sq = (y_test[rows] - np.repeat(tree.mean, routed)) ** 2
+    dev = y_test[rows] - np.repeat(tree.mean, routed)
     # a node no test row reaches sums to 0.0, and its h stays 0.0
-    h = segment_sums(sq, offsets) / np.maximum(routed, 1)
+    h = segment_sums(dev * dev, offsets) / np.maximum(routed, 1)
     node, ok, delta = _test_decrease(tree, h, routed)
     return _ufi_result(tree, node, ok, tree.train_decrease[node] + delta)
 

@@ -16,14 +16,17 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-# Gains at or below this are treated as zero (no admissible improvement).
+# Gains at or below this share of the node's impurity are treated as zero
+# (no admissible improvement).
 GAIN_EPS = 1e-12
 
-# Candidate losses within this relative tolerance of the minimum count as
-# tied; ties resolve to the smallest feature index, then smallest threshold.
-# Needed because distinct candidates can induce the same partition (e.g. one
-# mirrored left/right) whose mathematically equal losses differ in the last
-# floating-point bits.
+# Candidate losses within this share of the node's impurity above the
+# minimum count as tied; ties resolve to the smallest feature index, then
+# smallest threshold. Needed because distinct candidates can induce the
+# same partition (e.g. one mirrored left/right) whose mathematically equal
+# losses differ in the last floating-point bits. Both tolerances scale with
+# the impurity, so regression targets scaled by a power of two grow the
+# same tree.
 LOSS_TIE_TOL = 1e-9
 
 FORMAT_VERSION = "ufitree/4"
@@ -107,7 +110,8 @@ def impurity_from_counts(counts: np.ndarray) -> float:
 
 
 def impurity_from_values(y: np.ndarray) -> float:
-    """Mean squared deviation of a node's targets from their mean."""
+    """Mean squared deviation of a node's targets from their mean, with
+    the grower's bits (_mean_and_mse)."""
     y = np.asarray(y, dtype=np.float64)
     if len(y) == 0:
         raise ValueError("empty node has no impurity")
@@ -115,13 +119,12 @@ def impurity_from_values(y: np.ndarray) -> float:
 
 
 def _mean_and_mse(y: np.ndarray) -> tuple[float, float]:
-    """Mean and mean squared deviation of non-empty float64 values.
-
-    add.reduce is what ndarray.mean and np.sum run, without their wrappers,
-    so the bits are those of y.mean() and np.sum((y - y.mean()) ** 2) / n.
-    """
-    mean = np.add.reduce(y) / len(y)
-    return float(mean), float(np.add.reduce((y - mean) ** 2)) / len(y)
+    """Mean and mean squared deviation of non-empty float64 values, each
+    sum one np.add.reduceat call: the bits that segment_sums and
+    _node_stats give the same values among other nodes'."""
+    mean = np.add.reduceat(y, [0])[0] / len(y)
+    dev = y - mean
+    return float(mean), float(np.add.reduceat(dev * dev, [0])[0]) / len(y)
 
 
 class Tree:
@@ -299,67 +302,24 @@ def sort_keys(X: np.ndarray) -> np.ndarray:
     return keys
 
 
-# numpy's add.reduce sums a float64 run of at most this many values with 8
-# accumulators, and splits a longer run in two (pairwise summation)
-PAIRWISE_BLOCK = 128
-
-# the value add.reduce adds its pairwise sum to, as an empty sum shows
-_REDUCE_START = np.add.reduce(np.empty(0))
-
-
 def segment_sums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """np.add.reduce(values[offsets[i]:offsets[i + 1]]) for every i, bit for bit.
-
-    A segment of at most PAIRWISE_BLOCK values repeats numpy's pairwise
-    sum in vectorized steps: 8 accumulators start from the first 8 values
-    and take each further full block of 8, they combine as
-    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), and the remaining
-    values follow in order. Below 8 values the accumulators are -0.0 and
-    every value is a remaining one. Padding is -0.0, since x + -0.0 == x
-    exactly. A longer segment calls add.reduce itself.
-    """
+    """The sum of values[offsets[i]:offsets[i + 1]] for every i, 0.0 for an
+    empty segment: one np.add.reduceat call over the non-empty segments,
+    the one summation rule of regression node statistics. A segment's sum
+    has the bits of np.add.reduceat(segment, [0]), wherever it lies."""
     values = np.asarray(values, dtype=np.float64)
     offsets = np.asarray(offsets, dtype=np.intp)
-    lens = np.diff(offsets)
-    sums = np.empty(len(lens))
-    for i in np.flatnonzero(lens > PAIRWISE_BLOCK).tolist():
-        sums[i] = np.add.reduce(values[offsets[i]:offsets[i + 1]])
-    seg = np.flatnonzero(lens <= PAIRWISE_BLOCK)
-    if not len(seg):
-        return sums
-    start, n = offsets[seg], lens[seg]
-    n_blocked = n - n % 8  # values taken by the accumulators
-    tail = np.full((8, len(seg)), -0.0)
-    wide = np.flatnonzero(n_blocked)
-    if len(wide):
-        # (block, accumulator, segment): value k of a segment is in block
-        # k // 8 at accumulator k % 8
-        blocks = np.full((n_blocked.max() // 8, 8, len(wide)), -0.0)
-        s, k = _positions(n_blocked[wide])
-        blocks.reshape(-1, len(wide))[k, s] = values[start[wide][s] + k]
-        r = blocks[0]
-        for block in blocks[1:]:
-            r += block
-        tail[0, wide] = (((r[0] + r[1]) + (r[2] + r[3]))
-                         + ((r[4] + r[5]) + (r[6] + r[7])))
-    s, k = _positions(n - n_blocked)
-    tail[k + 1, s] = values[(start + n_blocked)[s] + k]
-    r = tail[0]
-    for value in tail[1:]:
-        r += value
-    sums[seg] = _REDUCE_START + r
+    starts = offsets[:-1]
+    full = starts < offsets[1:]
+    sums = np.zeros(len(starts))
+    if full.any():
+        sums[full] = np.add.reduceat(values[:offsets[-1]], starts[full])
     return sums
 
 
-def _positions(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(i, k) for every k < counts[i], i-major."""
-    i = np.repeat(np.arange(len(counts)), counts)
-    return i, np.arange(len(i)) - np.repeat(np.cumsum(counts) - counts, counts)
-
-
 # A scan call takes nodes until they hold this many (row, feature) values,
-# or one node if it alone holds more; the split and the node stats work in
-# pieces of about this size too. The first steps of a 20-tree
+# or one node if it alone holds more; a regression split filters its
+# blocks in pieces of about this size too. The first steps of a 20-tree
 # classification fit on 2,000 rows hold up to 240,000 values (6 features)
 # or 1.5 million (37 in the rescans); scanned at once, they raised the
 # process's peak RSS from 45.3 to 47.9 MB, and in calls of this size to
@@ -508,17 +468,18 @@ def _first_best(loss, node, imp) -> tuple[np.ndarray, np.ndarray]:
     """The pick rule of both split scans. ``node`` holds each candidate's
     node, in ascending order, and imp[i] is node i's impurity. Returns
     (best, nodes): for each node that splits, the index of its first
-    candidate within LOSS_TIE_TOL of its minimum loss, in (feature,
-    threshold) order. A node splits if that loss improves on its impurity
-    by more than GAIN_EPS."""
+    candidate within LOSS_TIE_TOL times its impurity of its minimum loss,
+    in (feature, threshold) order. A node splits if that loss improves on
+    its impurity by more than GAIN_EPS times the impurity."""
     counts = np.bincount(node, minlength=len(imp))
     nodes = np.flatnonzero(counts)
     first = (np.cumsum(counts) - counts)[nodes]
     low = np.minimum.reduceat(loss, first)
-    tol = np.repeat(low + LOSS_TIE_TOL * np.maximum(1.0, np.abs(low)), counts[nodes])
+    h = imp[nodes]
+    tol = np.repeat(low + LOSS_TIE_TOL * h, counts[nodes])
     best = np.minimum.reduceat(
         np.where(loss <= tol, np.arange(len(loss)), len(loss)), first)
-    ok = imp[nodes] - loss[best] > GAIN_EPS
+    ok = h - loss[best] > GAIN_EPS * h
     return best[ok], nodes[ok]
 
 
@@ -528,12 +489,14 @@ def best_split(X, y, idx, feats, n_classes=None, min_samples_leaf=1,
 
     Returns (Split, loss) minimizing the weighted child impurity: Gini when
     ``n_classes`` is given, mean squared error when it is None. None when
-    no admissible candidate improves on the parent (gain <= GAIN_EPS).
+    no admissible candidate improves on the parent (gain <= GAIN_EPS times
+    its impurity).
     ``keys`` is sort_keys(X), which grow_trees computes once; without it
     the node is scanned on its own rows' ranks, which order and tie as
     sort_keys(X)'s do: the same bits, at the node's cost rather than X's.
     The node is a one-node call of the kernel that fits use:
-    _scan_regression on its presorted rows, or _scan_segments.
+    _scan_regression on its presorted rows, centred on the mean that
+    _mean_and_mse gives them, or _scan_segments.
     """
     idx = np.asarray(idx, dtype=np.intp)
     feats = np.sort(np.asarray(feats, dtype=np.intp))[None]
@@ -549,7 +512,7 @@ def best_split(X, y, idx, feats, n_classes=None, min_samples_leaf=1,
         y = np.asarray(y, dtype=np.float64)
         pairs = _padded([_presort(keys, idx, 0, _row_dtype(len(X)))], len(idx))
         found = _scan_regression(X, y, pairs, n, start,
-                                 np.add.reduce(y[idx], keepdims=True) / n, imp,
+                                 np.add.reduceat(y[idx], [0]) / n, imp,
                                  feats, min_samples_leaf)
     else:
         found = _scan_segments(_scan_table(X, keys, y, n_classes), len(X), idx,
@@ -708,12 +671,19 @@ def evaluate_split(X, y, idx, split: Split, n_root, n_classes=None,
     nr = n - nl
     if nl < min_samples_leaf or nr < min_samples_leaf:
         return None
-    hm = _node_impurity(y[idx], n_classes)
-    hl = _node_impurity(y[idx[mask]], n_classes)
-    hr = _node_impurity(y[idx[~mask]], n_classes)
-    loss = (nl * hl + nr * hr) / n
-    delta = (n / n_root) * hm - ((nl / n_root) * hl + (nr / n_root) * hr)
-    return loss, delta
+    h = np.array([_node_impurity(y[rows], n_classes)
+                  for rows in (idx, idx[mask], idx[~mask])])
+    delta = root_weighted_decrease(np.array([n, nl, nr]) / n_root, h, 0, 1, 2)
+    return float((nl * h[1] + nr * h[2]) / n), float(delta)
+
+
+def root_weighted_decrease(w, h, node, lo, hi):
+    """The root-weighted decrease of impurity h at internal nodes ``node``
+    with children ``lo`` and ``hi``, w[i] being node i's share of the
+    root's rows: w_m h_m - (w_l h_l + w_r h_r). A tree's train_decrease
+    and ufi's test-side decrease both come from here, so scoring a tree on
+    its own in-bag rows gives its train_decrease to the bit."""
+    return w[node] * h[node] - (w[lo] * h[lo] + w[hi] * h[hi])
 
 
 # splitmix64 (Steele, Lea and Flood, OOPSLA 2014): its increment and the
@@ -852,15 +822,12 @@ class _Record:
         perm[firsts[tree] + pre] = np.arange(m)
         del size
         out = {}
-        # the decrease is recomputed from node stats so downstream
-        # identities are exact
         n, imp = take(self.nodes, "n"), take(self.nodes, "impurity")
-        root = n[tree[inner]]
         col = np.zeros(m)
-        col[inner] = n[inner] / root * imp[inner] - (
-            n[lo] / root * imp[lo] + n[hi] / root * imp[hi])
+        # tree t's root is node t
+        col[inner] = root_weighted_decrease(n / n[tree], imp, inner, lo, hi)
         out["decrease"], out["n"], out["impurity"] = col[perm], n[perm], imp[perm]
-        del n, imp, root, tree
+        del n, imp, tree
         for name, values, fill in (("feature", take(self.splits, "feature"), -1),
                                    ("threshold", take(self.splits, "threshold"), 0),
                                    ("left", pre[lo], -1), ("right", pre[hi], -1)):
@@ -890,26 +857,18 @@ def _node_stats(y, rows, sizes, n_classes) -> tuple:
     For classification: the class counts (groups x classes) and their
     Gini, from one bincount and one predictive_gini call
     (impurity_from_counts' bits). For regression: the mean and the MSE
-    (_mean_and_mse's bits), from two segment_sums calls per piece: a
-    piece holds consecutive groups of at most SCAN_VALUES rows in all, or
-    one group."""
+    (_mean_and_mse's bits), from two np.add.reduceat calls."""
     if n_classes is not None:
         code = np.repeat(np.arange(len(sizes)) * n_classes, sizes) + y[rows]
         counts = np.bincount(code, minlength=len(sizes) * n_classes) \
             .reshape(len(sizes), n_classes)
         q = counts / sizes[:, None]
         return counts, predictive_gini(q, q)
-    out = np.empty((2, len(sizes)))
-    ends = np.cumsum(sizes)
-    for a, b in _chunks(sizes, SCAN_VALUES):
-        first = ends[a] - sizes[a]
-        v = y.take(rows[first:ends[b - 1]])
-        offsets = np.concatenate([[0], ends[a:b] - first])
-        n = sizes[a:b]
-        out[0, a:b] = mean = segment_sums(v, offsets) / n
-        dev = v - np.repeat(mean, n)
-        out[1, a:b] = segment_sums(dev * dev, offsets) / n
-    return tuple(out)
+    v = y.take(rows)
+    starts = np.cumsum(sizes) - sizes
+    mean = np.add.reduceat(v, starts) / sizes
+    dev = v - np.repeat(mean, sizes)
+    return mean, np.add.reduceat(dev * dev, starts) / sizes
 
 
 def _new_nodes(y, rec, tree, depth, key, rows, sizes, n_classes, config):

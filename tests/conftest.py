@@ -4,8 +4,8 @@ import numpy as np
 
 from ufitree.importance import _mean_loss
 from ufitree.tree import (
-    COLUMNS, GAIN_EPS, LOSS_TIE_TOL, Split, Tree, _mean_and_mse,
-    impurity_from_counts, resolve_max_features, sort_keys,
+    COLUMNS, GAIN_EPS, LOSS_TIE_TOL, Split, Tree, impurity_from_counts,
+    resolve_max_features, sort_keys,
 )
 
 
@@ -35,9 +35,10 @@ def brute_force_best_split(X, y, idx, feats, n_classes=None,
     when n_classes is given and MSE when it is None.
 
     Applies the documented contract: smallest loss wins, losses within the
-    relative tie tolerance of the minimum count as tied and resolve to the
-    smallest feature index then smallest threshold, and a best candidate that
-    improves the parent by at most GAIN_EPS counts as no split.
+    tie tolerance (LOSS_TIE_TOL times the parent's impurity) of the minimum
+    count as tied and resolve to the smallest feature index then smallest
+    threshold, and a best candidate that improves the parent by at most
+    GAIN_EPS times its impurity counts as no split.
     """
     idx = np.asarray(idx)
     n = len(idx)
@@ -65,19 +66,20 @@ def brute_force_best_split(X, y, idx, feats, n_classes=None,
     if not cands:
         return None
     m = min(c[0] for c in cands)
-    if parent - m <= GAIN_EPS:
+    if parent - m <= GAIN_EPS * parent:
         return None
-    best = next(c for c in cands if c[0] <= m + LOSS_TIE_TOL * max(1.0, abs(m)))
+    best = next(c for c in cands if c[0] <= m + LOSS_TIE_TOL * parent)
     return Split(best[1], best[2]), best[0]
 
 
-def reference_scan_classification(X, y, idx, feats, n_classes, msl):
+def reference_scan_classification(X, y, idx, feats, n_classes, msl, imp):
     """The per-node Gini scan that the batched scan must match bit for bit:
-    (feature, threshold, loss) or None, over the float values of X.
+    (feature, threshold, loss) or None, for a node of Gini imp, over the
+    float values of X.
 
     Only admissible thresholds (between distinct values, leaving msl rows on
     each side) are scored; per-class left counts are cumsums along each
-    feature's stable sort; the first loss within the tie tolerance of the
+    feature's stable sort; the first loss within LOSS_TIE_TOL imp of the
     minimum wins, in feature-major order.
     """
     n = len(idx)
@@ -109,7 +111,7 @@ def reference_scan_classification(X, y, idx, feats, n_classes, msl):
         sr = sr + pr * pr
     loss = (nl * (1.0 - sl) + nr * (1.0 - sr)) / n
     m = float(loss.min())
-    best = int((loss <= m + LOSS_TIE_TOL * max(1.0, abs(m))).argmax())
+    best = int((loss <= m + LOSS_TIE_TOL * imp).argmax())
     f, t = f_pos[best], t_pos[best]
     rows, j = order[f], feats[f]
     threshold = (X[idx[rows[t]], j] + X[idx[rows[t + 1]], j]) / 2.0
@@ -123,12 +125,12 @@ def reference_scan_regression(X, keys, y, idx, feats, msl, imp):
     ties alike.
 
     Only admissible thresholds (between distinct values, leaving msl rows
-    on each side) are scored. The targets less the node's mean (add.reduce
-    over its rows in node order, over n) are summed by a cumsum along each
-    feature's stable sort, whose last position holds their own total. The
-    loss is imp less the between-groups term of the two side means; the
-    first loss within the tie tolerance of the minimum wins, in
-    feature-major order.
+    on each side) are scored. The targets less the node's mean (one
+    np.add.reduceat over its rows in node order, over n) are summed by a
+    cumsum along each feature's stable sort, whose last position holds
+    their own total. The loss is imp less the between-groups term of the
+    two side means; the first loss within LOSS_TIE_TOL imp of the minimum
+    wins, in feature-major order.
     """
     n = len(idx)
     sub = keys[feats].take(idx, axis=1)
@@ -144,12 +146,12 @@ def reference_scan_regression(X, keys, y, idx, feats, msl, imp):
     nl = t_pos + 1.0
     nr = n - nl
     yv = np.asarray(y[idx], dtype=np.float64)
-    cum = (yv - np.add.reduce(yv) / n)[order].cumsum(axis=1)
+    cum = (yv - np.add.reduceat(yv, [0])[0] / n)[order].cumsum(axis=1)
     d, s = cum[f_pos, t_pos], cum[f_pos, n - 1]
     gap = d / nl - (s - d) / nr
     loss = imp - nl * nr / (n * n) * (gap * gap)
     m = float(loss.min())
-    best = int((loss <= m + LOSS_TIE_TOL * max(1.0, abs(m))).argmax())
+    best = int((loss <= m + LOSS_TIE_TOL * imp).argmax())
     f, t = f_pos[best], t_pos[best]
     rows, j = order[f], feats[f]
     threshold = (X[idx[rows[t]], j] + X[idx[rows[t + 1]], j]) / 2.0
@@ -160,7 +162,7 @@ def reference_best_split(X, y, idx, feats, n_classes, min_samples_leaf,
                          parent_impurity, keys=None):
     """best_split as the grower claims it: reference_scan_classification
     for a classification node, reference_scan_regression for a regression
-    node, then the gain check."""
+    node, then the gain check, relative to the node's impurity."""
     idx = np.asarray(idx, dtype=np.intp)
     feats = np.sort(np.asarray(feats, dtype=np.intp))
     if n_classes is None:
@@ -169,13 +171,39 @@ def reference_best_split(X, y, idx, feats, n_classes, min_samples_leaf,
             parent_impurity)
     else:
         found = reference_scan_classification(X, y, idx, feats, n_classes,
-                                              min_samples_leaf)
+                                              min_samples_leaf, parent_impurity)
     if found is None:
         return None
     f, s, loss = found
-    if parent_impurity - loss <= GAIN_EPS:
+    if parent_impurity - loss <= GAIN_EPS * parent_impurity:
         return None
     return Split(f, s), loss
+
+
+def reference_ufi_regression(tree, X_test, y_test):
+    """ufi_tree_regression one node at a time: each reached node's squared
+    test deviations summed by an np.add.reduceat call of its own, and the
+    root-weighted decrease written out. Returns (scores, skipped, per-node
+    terms); a node counts where both its children get test rows, and the
+    scores add its term in node order."""
+    y_test = np.asarray(y_test, dtype=np.float64)
+    rows, offsets = tree.route(X_test)
+    routed = np.diff(offsets)
+    h = np.zeros(tree.n_nodes())
+    for i in np.flatnonzero(routed):
+        dev = y_test[rows[offsets[i]:offsets[i + 1]]] - tree.mean[i]
+        h[i] = np.add.reduceat(dev * dev, [0])[0] / routed[i]
+    w = tree.n / tree.n_root
+    scores, terms, skipped = np.zeros(tree.n_features), np.zeros(tree.n_nodes()), 0
+    for i in np.flatnonzero(~tree.is_leaf):
+        lo, hi = tree.left[i], tree.right[i]
+        if not (routed[lo] and routed[hi]):
+            skipped += 1
+            continue
+        delta = w[i] * h[i] - (w[lo] * h[lo] + w[hi] * h[hi])
+        terms[i] = tree.train_decrease[i] + delta
+        scores[tree.feature[i]] += terms[i]
+    return scores, skipped, terms
 
 
 MASK64 = (1 << 64) - 1
@@ -205,10 +233,12 @@ def reference_grow(X, y, indices, config, task, n_classes=None, rng=0,
     for column.
 
     The node numbering, the fallback to all features and the float
-    operations are those the grower claims. The tree's seed is one raw
-    word of ``rng``; the root's path key is splitmix64(seed), a child's is
-    splitmix64(2 key + side), side 0 on the left and 1 on the right, and a
-    node that draws scans reference_subset of its key.
+    operations are those the grower claims; a regression node's mean and
+    MSE sum its values with np.add.reduceat calls of their own. The tree's
+    seed is one raw word of ``rng``; the root's path key is
+    splitmix64(seed), a child's is splitmix64(2 key + side), side 0 on the
+    left and 1 on the right, and a node that draws scans reference_subset
+    of its key.
     """
     X = np.asarray(X, dtype=np.float64)
     indices = np.asarray(indices, dtype=np.intp)
@@ -236,8 +266,11 @@ def reference_grow(X, y, indices, config, task, n_classes=None, rng=0,
             imp = impurity_from_counts(c)
             counts.append(c)
         else:
-            mean, imp = _mean_and_mse(y[idx])
-            means.append(mean)
+            v = y[idx]
+            mean = np.add.reduceat(v, [0])[0] / n
+            dev = v - mean
+            imp = float(np.add.reduceat(dev * dev, [0])[0] / n)
+            means.append(float(mean))
         n_rows.append(n)
         impurity.append(imp)
         feature.append(-1)

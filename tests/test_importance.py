@@ -4,17 +4,21 @@ import numpy as np
 import pytest
 from conftest import (
     random_instance, reference_permutation_importance, reference_permuted_loss,
+    reference_ufi_regression,
 )
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from ufitree import importance as importance_mod
 from ufitree.data import CONTINUOUS, Dataset, FeatureKind
 from ufitree.forest import ForestConfig, fit
 from ufitree.importance import (
-    _route_test, _test_decrease, _ufi_result,
-    permutation_importance, segment_sums, si_forest, si_tree, ufi_forest,
-    ufi_tree_classification, ufi_tree_regression,
+    _route_test, permutation_importance, segment_sums, si_forest, si_tree,
+    ufi_forest, ufi_tree_classification, ufi_tree_regression,
 )
-from ufitree.tree import TreeConfig, grow, predictive_gini
+from ufitree.tree import (
+    TreeConfig, _mean_and_mse, _node_stats, grow, predictive_gini,
+    root_weighted_decrease,
+)
 
 FOUR_X = np.array([[1.0], [2.0], [3.0], [4.0]])
 FOUR_Y = np.array([0, 0, 1, 1])
@@ -243,62 +247,40 @@ class TestWeightIdentity:
                 assert lhs == rhs
 
 
-# lengths at which add.reduce changes how it sums: below 8 values, 8
-# accumulators, and a pairwise split above 128 values (PAIRWISE_BLOCK)
-EDGE_LENGTHS = [0, 1, 7, 8, 9, 15, 16, 17, 127, 128, 129, 255, 256, 257]
-
-
-@st.composite
-def segmented_values(draw):
-    """Segments of 0 to 300 float64 values and their offsets. Magnitudes
-    span 1e-300 to 1e300, in a narrow or a wide band, and signed zeros and
-    infinities are sprinkled in, or fill the values."""
-    lens = draw(st.lists(st.one_of(st.sampled_from(EDGE_LENGTHS),
-                                   st.integers(0, 300)), min_size=1, max_size=6))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n = sum(lens)
-    center = draw(st.integers(-300, 300))
-    spread = draw(st.sampled_from([0, 2, 20, 600]))
-    exponents = np.clip(center + rng.uniform(-spread / 2, spread / 2, n), -300, 300)
-    values = rng.choice([-1.0, 1.0], n) * rng.uniform(1, 10, n) * 10.0 ** exponents
-    special = np.array(draw(st.sampled_from(
-        [[], [0.0, -0.0], [-0.0], [np.inf], [np.inf, -np.inf, -0.0]])))
-    if len(special):
-        share = draw(st.sampled_from([0.05, 0.5, 1.0]))
-        hit = rng.random(n) < share
-        values[hit] = rng.choice(special, int(hit.sum()))
-    return values, np.r_[0, np.cumsum(lens)]
-
-
-@settings(max_examples=300, deadline=None)
-@given(case=segmented_values())
-def test_segment_sums_are_add_reduce_bit_for_bit(case):
-    values, offsets = case
-    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is nan
-        want = np.array([np.add.reduce(values[a:b])
-                         for a, b in zip(offsets[:-1], offsets[1:])])
-        got = segment_sums(values, offsets)
-    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-
-
-def test_segment_sums_cover_every_summation_path():
-    values = np.arange(1.0, 1.0 + sum(EDGE_LENGTHS)) / 7
-    offsets = np.r_[0, np.cumsum(EDGE_LENGTHS)]
-    want = [np.add.reduce(values[a:b]) for a, b in zip(offsets[:-1], offsets[1:])]
+def test_regression_node_sums_follow_one_rule(monkeypatch):
+    """Every regression node statistic sums by one rule. segment_sums gives
+    an empty segment 0.0, and any other the bits of np.add.reduceat over it
+    alone; _node_stats gives each group _mean_and_mse's bits; and
+    ufi_tree_regression, scoring a tree on its own in-bag rows, gets back
+    each node's impurity as its test impurity h."""
+    rng = np.random.default_rng(3)
+    values = rng.standard_normal(400) * 10.0 ** rng.integers(-3, 4, 400)
+    lens = [0, 1, 0, 0, 7, 8, 9, 0, 128, 129, 118, 0]
+    offsets = np.r_[0, np.cumsum(lens)]
+    want = [np.add.reduceat(values[a:b], [0])[0] if b > a else 0.0
+            for a, b in zip(offsets[:-1], offsets[1:])]
     assert segment_sums(values, offsets).tobytes() == np.array(want).tobytes()
 
+    sizes = np.array([1, 2, 7, 8, 9, 128, 129, 300])
+    rows = rng.integers(0, len(values), sizes.sum())
+    want = [_mean_and_mse(v) for v in np.split(values[rows], np.cumsum(sizes)[:-1])]
+    for column, expected in zip(_node_stats(values, rows, sizes, None), zip(*want)):
+        assert column.tobytes() == np.array(expected).tobytes()
 
-def _ufi_regression_per_node(tree, X_test, y_test):
-    """ufi_tree_regression with one add.reduce per node reached: the
-    reference the vectorized sums must match."""
-    y_test = np.asarray(y_test, dtype=np.float64)
-    rows, offsets, routed = _route_test(tree, X_test, y_test)
-    h = np.zeros(tree.n_nodes())
-    for i in np.flatnonzero(routed):
-        yi = y_test[rows[offsets[i]:offsets[i + 1]]]
-        h[i] = float(np.add.reduce((yi - tree.mean[i]) ** 2)) / routed[i]
-    node, ok, delta = _test_decrease(tree, h, routed)
-    return _ufi_result(tree, node, ok, tree.train_decrease[node] + delta)
+    X = np.round(rng.standard_normal((300, 3)), 1)
+    y = X[:, 0] + rng.standard_normal(300)
+    bag = rng.integers(0, 300, 300)
+    tree = grow(X, y, bag, TreeConfig(), "regression")
+    seen = []
+
+    def decrease(w, h, node, lo, hi):
+        seen.append(h)
+        return root_weighted_decrease(w, h, node, lo, hi)
+
+    monkeypatch.setattr(importance_mod, "root_weighted_decrease", decrease)
+    ufi_tree_regression(tree, X[bag], y[bag])
+    assert tree.n_nodes() > 100
+    assert seen[0].tobytes() == tree.impurity.tobytes()
 
 
 @settings(max_examples=40, deadline=None,
@@ -319,7 +301,7 @@ def test_ufi_regression_matches_per_node_reference(seed, n, n_test, max_depth):
     for tree in forest.trees:
         for xt, yt in ((X_test, y_test), (X, d.y)):
             scores, skipped, terms = ufi_tree_regression(tree, xt, yt)
-            s0, k0, t0 = _ufi_regression_per_node(tree, xt, yt)
+            s0, k0, t0 = reference_ufi_regression(tree, xt, yt)
             assert scores.tobytes() == s0.tobytes()
             assert skipped == k0
             assert terms.tobytes() == t0.tobytes()
@@ -331,7 +313,7 @@ def test_ufi_regression_reference_includes_unreached_nodes():
     X_test, y_test = d.X[:5], d.y[:5]
     assert (_route_test(tree, X_test, y_test)[2] == 0).any()
     scores, skipped, terms = ufi_tree_regression(tree, X_test, y_test)
-    s0, k0, t0 = _ufi_regression_per_node(tree, X_test, y_test)
+    s0, k0, t0 = reference_ufi_regression(tree, X_test, y_test)
     assert scores.tobytes() == s0.tobytes() and terms.tobytes() == t0.tobytes()
     assert skipped == k0 > 0
 

@@ -17,6 +17,12 @@ pin) were recorded when a tree drew them in preorder from its generator.
 They now hold the subsets keyed by each node's place in its tree, and
 ``test_keyed_draw_pins_rederive_with_the_reference_grower`` re-derives each
 of them with every tree grown by the recursive reference grower.
+
+The regression pins that hold node sums (si, ufi, the model, the regression
+summary and the deep out-of-bag permutation) were recorded when those sums
+repeated np.add.reduce's pairwise order. They now hold np.add.reduceat
+sums, and the same test re-derives each of them through the reference
+grower and a per-node reference ufi, each summing a node on its own.
 """
 
 import hashlib
@@ -25,7 +31,7 @@ import json
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from conftest import reference_grow, scalar_gini
+from conftest import reference_grow, reference_ufi_regression, scalar_gini
 
 from ufitree import forest as forest_mod, importance as importance_mod, tree as tree_mod
 from ufitree.cli import main
@@ -66,11 +72,11 @@ DIGESTS = {
     ("classification", "permutation", "test.csv"):
         "62745f91f136e58af1450219fd092b2b196e5229fad6c525daf4d8429e542ce5",
     ("regression", "si", "oob"):
-        "45f39165fb3770971fdbbf0fb863da39aeca86d7dc8f6a812683e26638d85192",
+        "77a2002c52525f4f01f94ff97baf75734edadea55d50b25c29d9e3a589b9b35b",
     ("regression", "ufi", "oob"):
-        "9c4662459b44e72ab787b68f5d65a8a6cec671c39f9868a4bfb4d6c0888f2530",
+        "a0bae9b81b8da3e1b3218bb81efe774518021e45ad4f64dea029ce44a9b0523f",
     ("regression", "ufi", "test.csv"):
-        "d0b8c3034aa543f00fa5ece3c9ae7255913bf2f3c5c85ea17083cb0bff3704a4",
+        "a2be629a227e040b4bad711bb04c5b2d950ccac06b1217f5575ea69d1d0d80b6",
     ("regression", "permutation", "oob"):
         "e84827d9aee357ea4415312c9cdcc3886e04b19073241f22af382f4a97cbbc21",
     ("regression", "permutation", "test.csv"):
@@ -183,11 +189,10 @@ def _regression_rows(n):
 # sha256 of model.json from a fixed-seed regression train run with unlimited
 # depth. The digest holds for every --threads count.
 REGRESSION_MODEL_DIGEST = (
-    "0f596a94a567f5e8404bc62b071b7e919543309e3a13ca3ded455e993ca2ffcb")
+    "4e4c7e7e28ef36ea7936d39de929bac74f818bb3d5f3fee4ff411086c3cf8950")
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_regression_train_model_bits_are_pinned(tmp_path, threads):
+def _regression_train_digest(tmp_path, threads):
     (tmp_path / "train.csv").write_text(_regression_rows(300))
     (tmp_path / "schema.json").write_text(json.dumps({
         "target": "y", "task": "regression",
@@ -201,20 +206,22 @@ def test_regression_train_model_bits_are_pinned(tmp_path, threads):
         "--out", str(out)],
         catch_exceptions=False)
     assert res.exit_code == 0, res.output
-    digest = hashlib.sha256((out / "model.json").read_bytes()).hexdigest()
-    assert digest == REGRESSION_MODEL_DIGEST
-
-
-# sha256 of summary.json from a small fixed-seed discrete10 regression
-# simulate run. At n=400 a tree's out-of-bag rows number about 147, so ufi
-# sums test segments of more and of fewer than 128 rows. The digest holds
-# for every --threads count.
-REGRESSION_SUMMARY_DIGEST = (
-    "8c09a719a5120b595cde388625cbd1a222db0a986f631a564d58385d42b5488b")
+    return hashlib.sha256((out / "model.json").read_bytes()).hexdigest()
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
-def test_regression_simulate_summary_bits_are_pinned(tmp_path, threads):
+def test_regression_train_model_bits_are_pinned(tmp_path, threads):
+    assert _regression_train_digest(tmp_path, threads) == REGRESSION_MODEL_DIGEST
+
+
+# sha256 of summary.json from a small fixed-seed discrete10 regression
+# simulate run, whose ufi sums out-of-bag segments of about 147 rows at the
+# root. The digest holds for every --threads count.
+REGRESSION_SUMMARY_DIGEST = (
+    "da2ec6130d88f642a23ee5d1f66237e2c72ff4d5223a7b0361c3a27175d19342")
+
+
+def _regression_simulate_digest(tmp_path, threads):
     out = tmp_path / "sim"
     res = CliRunner().invoke(main, [
         "simulate", "--scenario", "discrete10", "--task", "regression",
@@ -223,8 +230,12 @@ def test_regression_simulate_summary_bits_are_pinned(tmp_path, threads):
         "--threads", threads, "--out", str(out)],
         catch_exceptions=False)
     assert res.exit_code == 0, res.output
-    digest = hashlib.sha256((out / "summary.json").read_bytes()).hexdigest()
-    assert digest == REGRESSION_SUMMARY_DIGEST
+    return hashlib.sha256((out / "summary.json").read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_regression_simulate_summary_bits_are_pinned(tmp_path, threads):
+    assert _regression_simulate_digest(tmp_path, threads) == REGRESSION_SUMMARY_DIGEST
 
 
 TEN_LEVELS = "abcdefghij"
@@ -257,7 +268,7 @@ DEEP_PERMUTATION_DIGESTS = {
     ("classification", "test.csv"):
         "61f806f963dfaff45541222a4e631c3f4f806e9eb822149be94fcf53513fec23",
     ("regression", "oob"):
-        "da4e3b7123651a8ef28eaea3d0349f101f036915cc76c483dc77d137aa357d33",
+        "1b5e628c78d859838655cc5884cf81c4c400f193a9fdc0c37abb90b121da76b9",
     ("regression", "test.csv"):
         "f42c2bde3c80df8dc6887ae9ca3300aec74690f52ccf606d21513d0d70e7daa1",
 }
@@ -380,9 +391,11 @@ def test_gini_pins_rederive_with_a_scalar_python_gini(tmp_path, monkeypatch, pin
     assert calls or pin.endswith("train-2")  # there only workers grow trees
 
 
-# Every pin of a forest whose trees draw feature subsets, how to run it
-# (at one --threads count; the pins hold for every count) and its digest
-KEYED_DRAW_PINS = {
+# Every pin of a forest whose trees draw feature subsets, and every pin
+# that holds regression node sums and moved when they became
+# np.add.reduceat calls: how to run it (at one --threads count; the pins
+# hold for every count) and its digest
+REFERENCE_GROWER_PINS = {
     **{f"classification-{m}-{t}": (
         lambda tmp, m=m, t=t: _importance_digest(tmp, "classification", m, t),
         digest)
@@ -394,15 +407,28 @@ KEYED_DRAW_PINS = {
     "simulate": (lambda tmp: _simulate_digest(tmp, "1"), SUMMARY_DIGEST),
     "train": (lambda tmp: _train_digest(tmp, "1"), MODEL_DIGEST),
     "mixed-train": (lambda tmp: _mixed_train_digest(tmp, "1"), MIXED_MODEL_DIGEST),
+    **{f"regression-{m}-{t}": (
+        lambda tmp, m=m, t=t: _importance_digest(tmp, "regression", m, t),
+        DIGESTS[("regression", m, t)])
+       for m, t in [("si", "oob"), ("ufi", "oob"), ("ufi", "test.csv")]},
+    "regression-train": (lambda tmp: _regression_train_digest(tmp, "1"),
+                         REGRESSION_MODEL_DIGEST),
+    "regression-simulate": (lambda tmp: _regression_simulate_digest(tmp, "1"),
+                            REGRESSION_SUMMARY_DIGEST),
+    "regression-deep-permutation-oob": (
+        lambda tmp: _deep_permutation_digest(tmp, "regression", "oob"),
+        DEEP_PERMUTATION_DIGESTS[("regression", "oob")]),
 }
 
 
-@pytest.mark.parametrize("pin", list(KEYED_DRAW_PINS))
+@pytest.mark.parametrize("pin", list(REFERENCE_GROWER_PINS))
 def test_keyed_draw_pins_rederive_with_the_reference_grower(tmp_path, monkeypatch,
                                                            pin):
-    """Each pin of a drawing forest, re-derived with fit's grow_trees
-    replaced by the reference grower, one recursive tree at a time, which
-    draws each node's subset with splitmix64 on plain Python ints."""
+    """Each pin of a drawing forest or of regression node sums, re-derived
+    with fit's grow_trees replaced by the reference grower, one recursive
+    tree at a time, which draws each node's subset with splitmix64 on plain
+    Python ints and sums each regression node with np.add.reduceat calls of
+    its own, and with regression ufi replaced by its per-node reference."""
     grown = []
 
     def reference_grow_trees(X, y, bags, rngs, config, task, n_classes=None,
@@ -412,6 +438,7 @@ def test_keyed_draw_pins_rederive_with_the_reference_grower(tmp_path, monkeypatc
                                keys=keys) for rows, rng in zip(bags, rngs)]
 
     monkeypatch.setattr(forest_mod, "grow_trees", reference_grow_trees)
-    run, digest = KEYED_DRAW_PINS[pin]
+    monkeypatch.setattr(importance_mod, "ufi_tree_regression", reference_ufi_regression)
+    run, digest = REFERENCE_GROWER_PINS[pin]
     assert run(tmp_path) == digest
     assert grown

@@ -224,12 +224,9 @@ def test_batched_scan_is_best_split_bit_for_bit(case):
                 assert _same_float(got[1], want[1])
 
 
-@pytest.mark.parametrize("scan_values", [1, 500, tree_mod.SCAN_VALUES])
-def test_node_stats_are_per_group_reductions_bit_for_bit(monkeypatch, scan_values):
-    """The regression stats of 1 to 40 groups of 1 to 300 rows, summed in
-    pieces of every size, are those of _mean_and_mse per group, to the
-    bit."""
-    monkeypatch.setattr(tree_mod, "SCAN_VALUES", scan_values)
+def test_node_stats_are_per_group_reductions_bit_for_bit():
+    """The regression stats of 1 to 40 groups of 1 to 300 rows are those
+    of _mean_and_mse per group, to the bit."""
     rng = np.random.default_rng(7)
     y = rng.standard_normal(500) * 10.0 ** rng.integers(-3, 4, 500)
     for m in (1, 2, 15, 16, 17, 39, 40):
@@ -615,27 +612,31 @@ class TestGrow:
         # a row outside every bag is never summed
         grow(X, y, [0, 1, 3, 4], TreeConfig(), "regression")
 
-    @pytest.mark.parametrize("shift", [2.0**10, 2.0**20, 2.0**26, 2.0**30])
-    def test_shifted_targets_grow_the_same_tree(self, shift):
-        """Adding a constant to the targets leaves every split as it is.
-        The targets lie on a 1/1024 grid and the shifts are powers of two,
-        so y + shift holds y exactly."""
+    @pytest.mark.parametrize("shift,scale", [
+        *(pytest.param(2.0**e, 1.0, id=repr(2.0**e)) for e in (10, 20, 26, 30)),
+        *(pytest.param(0.0, 2.0**e, id=f"scale-2^{e}") for e in (-20, -10, 10, 20)),
+    ])
+    def test_shifted_targets_grow_the_same_tree(self, shift, scale):
+        """Adding a constant to the targets, or scaling them, leaves every
+        split as it is. The targets lie on a 1/1024 grid and the shifts and
+        scales are powers of two, so y * scale + shift holds y exactly."""
         rng = np.random.default_rng(11)
         X = rng.standard_normal((1000, 5))
         y = np.round((X[:, 0] + 0.5 * X[:, 1] + rng.standard_normal(1000)) * 1024) / 1024
-        assert np.array_equal(y + shift - shift, y)
+        moved = y * scale + shift
+        assert np.array_equal((moved - shift) / scale, y)
         rows, config = np.arange(1000), TreeConfig(max_depth=8)
         want = grow(X, y, rows, config, "regression")
-        got = grow(X, y + shift, rows, config, "regression")
+        got = grow(X, moved, rows, config, "regression")
         assert want.n_nodes() > 300
         assert np.array_equal(got.feature, want.feature)
         assert np.array_equal(got.threshold, want.threshold)
         # one node, scanned on its own
         idx = rows[X[:, 2] > 0.0]
         split, loss = best_split(X, y, idx, np.arange(5))
-        got_split, got_loss = best_split(X, y + shift, idx, np.arange(5))
+        got_split, got_loss = best_split(X, moved, idx, np.arange(5))
         assert got_split == split
-        assert got_loss == pytest.approx(loss, rel=1e-12, abs=0)
+        assert got_loss == pytest.approx(loss * scale**2, rel=1e-12, abs=0)
 
     def test_feature_subset_falls_back_to_full_scan(self):
         # column 0 is constant, and seed 3's root draws only it
