@@ -224,9 +224,12 @@ def test_batched_scan_is_best_split_bit_for_bit(case):
                 assert _same_float(got[1], want[1])
 
 
-def test_node_stats_are_per_group_reductions_bit_for_bit():
+@pytest.mark.parametrize("scan_values", [1, 500, tree_mod.SCAN_VALUES])
+def test_node_stats_are_per_group_reductions_bit_for_bit(monkeypatch, scan_values):
     """The regression stats of 1 to 40 groups of 1 to 300 rows are those
-    of _mean_and_mse per group, to the bit."""
+    of _mean_and_mse per group, to the bit, whatever the cap on scanned
+    values."""
+    monkeypatch.setattr(tree_mod, "SCAN_VALUES", scan_values)
     rng = np.random.default_rng(7)
     y = rng.standard_normal(500) * 10.0 ** rng.integers(-3, 4, 500)
     for m in (1, 2, 15, 16, 17, 39, 40):
