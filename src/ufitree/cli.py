@@ -231,7 +231,7 @@ def cmd_importance(data, schema, method, test_source, inject_random,
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "scores_encoded.csv").write_text(report.to_csv())
     (out_dir / "scores_encoded.json").write_text(report.to_json() + "\n")
-    if encoder.groups:
+    if any(kind.is_categorical for kind in encoder.kinds):
         # folded onto the original columns
         names, folded = fold_importances(report.scores, encoder)
         lines = ["feature,score"]

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -111,39 +111,37 @@ class Encoder:
     """The coding of a training set, which every set scored with its model
     shares: column names, kinds (whose ``levels`` order each categorical
     column's codes) and class labels.  A categorical column expands into one
-    indicator column per level; ``groups`` maps it to those encoded columns
-    and ``passthrough`` maps every other column to its one encoded column.
+    indicator column per level, named ``column=level``; every other column
+    keeps its one column and its name.
     """
 
     feature_names: list[str]
     kinds: list[FeatureKind]
     class_labels: list[str] | None
-    groups: dict[str, list[int]] = field(init=False, repr=False, compare=False)
-    passthrough: dict[str, int] = field(init=False, repr=False, compare=False)
     encoded_names: list[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.groups, self.passthrough, self.encoded_names = {}, {}, []
+        self.encoded_names = []
         for name, kind in zip(self.feature_names, self.kinds):
-            if name in self.groups or name in self.passthrough:
+            if self.feature_names.count(name) > 1:
                 raise DataError(f"column {name!r} is named twice")
-            if kind.is_categorical:
-                start = len(self.encoded_names)
-                self.groups[name] = list(range(start, start + kind.cardinality))
-                self.encoded_names += [
-                    f"{name}={lv}" for lv in kind.levels or range(kind.cardinality)]
-            else:
-                self.passthrough[name] = len(self.encoded_names)
-                self.encoded_names.append(name)
+            self.encoded_names += [f"{name}={lv}" for lv in kind.levels or range(
+                kind.cardinality)] if kind.is_categorical else [name]
 
     def to_dict(self) -> dict:
-        """The model file's record of the coding: ``dummy_groups`` (None when
-        no column is categorical) and ``class_labels``."""
-        groups = None
-        if self.groups:
-            groups = {"groups": self.groups, "passthrough": self.passthrough,
-                      "original_names": self.feature_names}
-        return {"dummy_groups": groups, "class_labels": self.class_labels}
+        """The model file's record of the coding: each column's name, kind
+        and levels (``kinds``), and the class labels."""
+        return {"kinds": [{"name": name, "kind": k.kind, "levels": k.levels and [*k.levels]}
+                          for name, k in zip(self.feature_names, self.kinds)],
+                "class_labels": self.class_labels}
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "Encoder":
+        """The coding that to_dict recorded, if its categoricals had levels."""
+        return cls([c["name"] for c in d["kinds"]],
+                   [FeatureKind(c["kind"], c["levels"] and len(c["levels"]),
+                                c["levels"] and tuple(c["levels"])) for c in d["kinds"]],
+                   d["class_labels"])
 
 
 def parse_schema(schema: dict) -> tuple[str, str | None, dict[str, FeatureKind]]:
@@ -318,28 +316,18 @@ def dummy_encode(d: Dataset, encoder: Encoder | None = None) -> tuple[Dataset, E
     elif fitted != encoder:
         raise DataError(f"columns {fitted.feature_names} are not the training columns "
                         f"{encoder.feature_names} under their levels and labels")
-    if not encoder.groups:
+    if not any(kind.is_categorical for kind in encoder.kinds):
         return d, encoder
-    cols = []
-    enc_kinds = []
+    cols, enc_kinds = [], []
     for j, kind in enumerate(d.kinds):
         if kind.is_categorical:
-            codes = d.X[:, j]
-            cols += [(codes == lv).astype(np.float64) for lv in range(kind.cardinality)]
+            cols += [(d.X[:, j] == lv).astype(np.float64) for lv in range(kind.cardinality)]
             enc_kinds += [FeatureKind(BINARY)] * kind.cardinality
         else:
             cols.append(d.X[:, j])
             enc_kinds.append(kind)
-    enc = Dataset(
-        X=np.column_stack(cols),
-        y=d.y,
-        feature_names=list(encoder.encoded_names),
-        kinds=enc_kinds,
-        task=d.task,
-        n_classes=d.n_classes,
-        class_labels=d.class_labels,
-    )
-    return enc, encoder
+    return replace(d, X=np.column_stack(cols), feature_names=list(encoder.encoded_names),
+                   kinds=enc_kinds), encoder
 
 
 def fold_importances(scores: np.ndarray, encoder: Encoder) -> tuple[list[str], np.ndarray]:
@@ -353,25 +341,15 @@ def fold_importances(scores: np.ndarray, encoder: Encoder) -> tuple[list[str], n
     n_cols = len(encoder.encoded_names)
     if len(scores) != n_cols:
         raise DataError(f"expected {n_cols} scores, got {len(scores)}")
-    out = np.empty(len(encoder.feature_names))
-    for i, name in enumerate(encoder.feature_names):
-        if name in encoder.groups:
-            out[i] = scores[encoder.groups[name]].sum()
-        else:
-            out[i] = scores[encoder.passthrough[name]]
+    ends = np.cumsum([k.cardinality if k.is_categorical else 1 for k in encoder.kinds])
+    out = np.array([scores[b - k.cardinality:b].sum() if k.is_categorical else scores[b - 1]
+                    for k, b in zip(encoder.kinds, ends)])
     return list(encoder.feature_names), out
 
 
 def inject_random_feature(d: Dataset, seed: int) -> Dataset:
     """Append a standard-normal column ``random``, independent of all else."""
-    rng = np.random.default_rng(seed)
-    col = rng.standard_normal(d.n)
-    return Dataset(
-        X=np.column_stack([d.X, col]),
-        y=d.y,
-        feature_names=d.feature_names + ["random"],
-        kinds=d.kinds + [FeatureKind(CONTINUOUS)],
-        task=d.task,
-        n_classes=d.n_classes,
-        class_labels=d.class_labels,
-    )
+    col = np.random.default_rng(seed).standard_normal(d.n)
+    return replace(d, X=np.column_stack([d.X, col]),
+                   feature_names=d.feature_names + ["random"],
+                   kinds=d.kinds + [FeatureKind(CONTINUOUS)])

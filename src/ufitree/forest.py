@@ -18,9 +18,10 @@ import numpy as np
 from .data import Dataset
 # grow stays importable from here: the traced benchmark run patches
 # ufitree.forest.grow by name
-from .tree import Tree, TreeConfig, grow, grow_trees, sort_keys  # noqa: F401
+from .tree import (FACTS, Tree, TreeConfig, build_trees, grow,  # noqa: F401
+                   grow_trees, sort_keys)
 
-FORMAT_VERSION = "ufiforest/4"
+FORMAT_VERSION = "ufiforest/5"
 
 
 @dataclass
@@ -83,7 +84,8 @@ class Forest:
             "n_classes": self.n_classes,
             "feature_names": self.feature_names,
             "config": self.config.to_dict(),
-            "trees": [t.to_dict() for t in self.trees],
+            "trees": [{name: getattr(t, name).tolist() for name in FACTS[self.task]}
+                      for t in self.trees],
             # the bags are redrawn from config.seed on load; the digest
             # catches a seed stream that no longer reproduces them
             "n_rows": self.n_rows,
@@ -99,21 +101,38 @@ class Forest:
             n_trees=c["n_trees"],
             tree=TreeConfig(**{f.name: c[f.name] for f in fields(TreeConfig)}),
             bootstrap=c["bootstrap"], seed=c["seed"])
-        trees = [Tree.from_dict(td) for td in d["trees"]]
         # tree b is scored on the out-of-bag rows of bag b
-        if len(trees) != config.n_trees:
-            raise ValueError(f"model holds {len(trees)} trees; its config "
+        if len(d["trees"]) != config.n_trees:
+            raise ValueError(f"model holds {len(d['trees'])} trees; its config "
                              f"grew {config.n_trees}")
-        meta = (len(d["feature_names"]), d["task"], d["n_classes"])
-        if any((t.n_features, t.task, t.n_classes) != meta for t in trees):
-            raise ValueError("a tree's (n_features, task, n_classes) differ "
-                             f"from the forest's {meta}")
+        sizes, facts = _stored_facts(d["trees"], d["task"], d["n_classes"])
+        p = len(d["feature_names"])
         _, in_bag, oob = draw_bags(d["n_rows"], config)
         if bag_digest(in_bag) != d["bag_sha256"]:
             raise ValueError("rebuilt bootstrap samples do not match the "
                              "model's bag digest")
-        return cls(trees, in_bag, oob, d["n_rows"], d["task"], d["n_classes"],
-                   config, d["feature_names"])
+        return cls(build_trees(facts, sizes, d["task"], d["n_classes"], p), in_bag, oob,
+                   d["n_rows"], d["task"], d["n_classes"], config, d["feature_names"])
+
+
+def _stored_facts(trees: list[dict], task: str, n_classes) -> tuple[list, dict]:
+    """The stored trees' node counts and FACTS[task], each the trees' columns
+    one after another. Raises ValueError naming a tree with other columns."""
+    facts = {name: [] for name in FACTS[task]}
+    for t, tree in enumerate(trees):
+        try:
+            if sorted(tree) != sorted(facts):
+                raise ValueError(f"columns {sorted(tree)}, not {sorted(facts)}")
+            for name, parts in facts.items():
+                parts.append(np.asarray(tree[name], dtype=FACTS[task][name]))
+                shape = (len(tree["feature"]),) + (
+                    (n_classes,) if name == "class_counts" else ())
+                if parts[-1].shape != shape:
+                    raise ValueError(f"{name} has shape {parts[-1].shape}, not {shape}")
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"tree {t}: {exc}") from None
+    return ([len(tree["feature"]) for tree in trees],
+            {name: np.concatenate(parts) for name, parts in facts.items()})
 
 
 def bag_digest(in_bag: list[np.ndarray]) -> str:

@@ -95,14 +95,10 @@ def average_rank(scores: np.ndarray) -> np.ndarray:
 
 
 def _mixed_features(n: int, rng: np.random.Generator):
-    cols = [rng.standard_normal(n)]
-    kinds = [FeatureKind(CONTINUOUS)]
-    names = ["X1"]
-    for i, card in enumerate(_MIXED_CARDS, start=2):
-        cols.append(rng.integers(0, card, size=n).astype(np.float64))
-        kinds.append(FeatureKind(CATEGORICAL, card))
-        names.append(f"X{i}")
-    return np.column_stack(cols), names, kinds
+    cols = [rng.standard_normal(n)] + [
+        rng.integers(0, card, size=n).astype(np.float64) for card in _MIXED_CARDS]
+    kinds = [FeatureKind(CONTINUOUS)] + [FeatureKind(CATEGORICAL, c) for c in _MIXED_CARDS]
+    return np.column_stack(cols), [f"X{i}" for i in range(1, len(cols) + 1)], kinds
 
 
 def gen_null_mixed(n: int, task: str, rng: np.random.Generator) -> Dataset:
@@ -134,15 +130,10 @@ def gen_signal(n: int, rho: float, task: str, rng: np.random.Generator) -> Datas
 def gen_discrete10(n: int, task: str, rng: np.random.Generator) -> Dataset:
     """Ten uniform ordinal features of increasing support; only the binary X1
     is informative, with a deliberately weak signal."""
-    cols = []
-    names = []
-    kinds = []
-    for i in range(1, 11):
-        card = max(i, 2)  # X1 is binary; X_i ranges over 0..i-1 for i >= 2
-        cols.append(rng.integers(0, card, size=n).astype(np.float64))
-        names.append(f"X{i}")
-        kinds.append(FeatureKind(ORDINAL))
-    X = np.column_stack(cols)
+    # X1 is binary; X_i ranges over 0..i-1 for i >= 2
+    X = np.column_stack([rng.integers(0, max(i, 2), size=n).astype(np.float64)
+                         for i in range(1, 11)])
+    names, kinds = [f"X{i}" for i in range(1, 11)], [FeatureKind(ORDINAL)] * 10
     x1 = X[:, 0]
     if task == "classification":
         p1 = np.where(x1 == 1, 0.55, 0.45)

@@ -29,11 +29,14 @@ GAIN_EPS = 1e-12
 # same tree.
 LOSS_TIE_TOL = 1e-9
 
-FORMAT_VERSION = "ufitree/4"
-
-# the per-node arrays of a Tree, in constructor order; also its JSON columns
+# the per-node arrays of a Tree, in constructor order
 COLUMNS = ("feature", "threshold", "left", "right", "n", "class_counts", "mean",
            "impurity", "train_decrease")
+
+# a tree's facts by task, with their type codes: what a model file stores
+FACTS = {"classification": {"feature": "q", "threshold": "d", "class_counts": "q"},
+         "regression": {"feature": "q", "threshold": "d", "n": "q", "mean": "d",
+                        "impurity": "d"}}
 
 
 @dataclass(frozen=True)
@@ -264,23 +267,6 @@ class Tree:
         if self.task == "classification":
             return np.argmax(self.class_counts[leaves], axis=1)
         return self.mean[leaves]
-
-    def to_dict(self) -> dict:
-        return {
-            "version": FORMAT_VERSION,
-            "task": self.task,
-            "n_features": self.n_features,
-            "n_classes": self.n_classes,
-            **{name: None if getattr(self, name) is None else getattr(self, name).tolist()
-               for name in COLUMNS},
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Tree":
-        if d.get("version") != FORMAT_VERSION:
-            raise ValueError(f"unsupported tree format: {d.get('version')!r}")
-        return cls(*(d[name] for name in COLUMNS), d["n_features"], d["task"],
-                   d["n_classes"])
 
 
 def _row_dtype(n_rows: int):
@@ -686,6 +672,52 @@ def root_weighted_decrease(w, h, node, lo, hi):
     return w[node] * h[node] - (w[lo] * h[lo] + w[hi] * h[hi])
 
 
+def build_trees(facts: dict, sizes, task: str, n_classes, p: int) -> list[Tree]:
+    """Trees from their FACTS[task], numpy columns of trees one after
+    another, tree t's sizes[t] nodes in preorder with feature -1 at leaves.
+    A left child follows its parent; a right child follows its sibling's
+    subtree, which ends at the first later node whose running count (+1
+    per internal node, -1 per leaf) is one below the parent's. Derives
+    train_decrease, and a classification node's n and impurity with
+    _node_stats' bits. Raises ValueError naming the first tree at fault."""
+    if not np.all(sizes):
+        raise ValueError(f"tree {np.argmin(sizes)}: no nodes")
+    ends = np.cumsum(sizes)
+    firsts, feature, m = ends - sizes, facts["feature"], int(ends[-1])
+    counts = facts["class_counts"] if task == "classification" else None
+    n = facts["n"] if counts is None else counts.sum(axis=1)
+    first = np.repeat(firsts, sizes)
+    level = np.cumsum(np.where(feature == -1, -1, 1))
+    # a full binary tree's own count falls below 0 at its last node alone
+    closed = level < (level - 2 * (feature != -1) + 1)[first]
+    closed[ends - 1] ^= True
+    for ok, what in (((feature >= -1) & (feature < p), f"a feature outside [-1, {p})"),
+                     (np.isfinite(facts["threshold"]), "a non-finite threshold"),
+                     (~closed, "features not a full binary tree in preorder"),
+                     ((n >= 1) & (True if counts is None else (counts >= 0).all(axis=1)),
+                      "a node count below 1 or a negative class count")):
+        if not ok.all():
+            raise ValueError(f"tree {ends.searchsorted(ok.argmin(), 'right')}: {what}")
+    inner = np.flatnonzero(feature != -1)
+    key = (level - level.min()) * (m + 1) + np.arange(m)
+    ranked = np.sort(key)
+    hi = ranked[ranked.searchsorted(key[inner] - m - 1)] % (m + 1) + 1
+    del closed, level, key, ranked
+    if counts is None:
+        mean, impurity = facts["mean"], facts["impurity"]
+    else:
+        mean, impurity = None, predictive_gini(*[counts / n[:, None]] * 2)
+    decrease = np.zeros(m)
+    decrease[inner] = root_weighted_decrease(n / n[first], impurity, inner, inner + 1, hi)
+    # child ids count from each tree's first node
+    left, right = np.full(m, -1), np.full(m, -1)
+    left[inner], right[inner] = inner + 1 - first[inner], hi - first[inner]
+    columns = (feature, facts["threshold"], left, right, n, counts, mean, impurity,
+               decrease)
+    return [Tree(*(None if c is None else c[a:b] for c in columns), p, task, n_classes)
+            for a, b in zip(firsts.tolist(), ends.tolist())]
+
+
 # splitmix64 (Steele, Lea and Flood, OOPSLA 2014): its increment and the
 # two multipliers of its finaliser
 GOLDEN_GAMMA = 0x9E3779B97F4A7C15
@@ -763,92 +795,72 @@ class _Nodes:
 
 
 class _Record:
-    """What a group of growing trees has made, in typed arrays: each node,
-    in creation order (its tree, depth, row count, stats and impurity), and
-    each split (the node, its feature and threshold, and its children).
-    The stats are a node's class counts, flat, or its mean."""
+    """What a group of growing trees has made, in typed arrays: each node's
+    facts, class counts flat, in creation order, and each split (the node,
+    its feature and threshold, and its children), one step after another.
+    A step splits nodes of one depth."""
 
-    def __init__(self, classify: bool):
-        self.nodes = {name: array("q") for name in ("tree", "depth", "n")}
-        self.nodes["impurity"] = array("d")
-        self.nodes["stats"] = array("q" if classify else "d")
+    def __init__(self, task: str):
         self.splits = {name: array("q") for name in ("node", "feature", "left", "right")}
         self.splits["threshold"] = array("d")
+        self.nodes = {name: array(code) for name, code in FACTS[task].items()
+                      if name not in self.splits}
+        self.made, self.steps = 0, [0]  # nodes made; where each step's splits start
 
     @staticmethod
     def _extend(columns, values):
-        for name, v in values.items():
-            col = columns[name]
-            col.frombytes(np.asarray(v, dtype=np.dtype(col.typecode)).tobytes())
+        """Append values[name] to each column; other values are not kept."""
+        for name, col in columns.items():
+            col.frombytes(np.asarray(values[name], dtype=np.dtype(col.typecode)).tobytes())
 
     def add(self, **values) -> np.ndarray:
         """Record new nodes; returns their ids."""
-        first = len(self.nodes["tree"])
         self._extend(self.nodes, values)
-        return np.arange(first, len(self.nodes["tree"]))
+        self.made += len(values["n"])
+        return np.arange(self.made - len(values["n"]), self.made)
 
     def split(self, **values):
+        """Record a step's splits."""
         self._extend(self.splits, values)
+        self.steps.append(len(self.splits["node"]))
 
     def trees(self, task, n_classes, p, n_trees) -> list[Tree]:
-        """The group's trees, each numbered in preorder: node 0 is the root
-        and a node's left subtree follows it directly. A node's preorder
-        number comes from its subtree sizes, one depth at a time. The
-        roots are the first n_trees nodes made, tree t's root node t. Each
-        column moves from its typed array to the trees' numpy array one at
+        """The group's trees, from their facts in preorder (build_trees). Tree
+        t's root is node t, and a node's place follows from subtree sizes,
+        a step at a time. The columns move from typed to numpy arrays one at
         a time, so that the record's memory is held about once, not twice."""
 
         def take(columns, name):
             col = columns.pop(name)
             return np.frombuffer(col, dtype=np.dtype(col.typecode)).copy()
 
-        tree, depth = take(self.nodes, "tree"), take(self.nodes, "depth")
         inner, lo, hi = (take(self.splits, name) for name in ("node", "left", "right"))
-        m = len(tree)
-        by_depth = np.argsort(depth[inner], kind="stable")
-        levels = np.split(by_depth, np.cumsum(np.bincount(depth[inner]))[:-1])
-        del depth, by_depth
+        m = self.made
+        levels = [slice(a, b) for a, b in zip(self.steps, self.steps[1:])]
         size = np.ones(m, dtype=np.int64)
         for at in reversed(levels):
             size[inner[at]] += size[lo[at]] + size[hi[at]]
-        pre = np.zeros(m, dtype=np.int64)
+        sizes = size[:n_trees]
+        # place[i]: node i's place in the trees, one after another
+        place = np.zeros(m, dtype=np.int64)
+        place[:n_trees] = np.cumsum(sizes) - sizes
         for at in levels:
-            pre[lo[at]] = pre[inner[at]] + 1
-            pre[hi[at]] = pre[inner[at]] + 1 + size[lo[at]]
-        ends = np.cumsum(size[:n_trees])
-        firsts = ends - size[:n_trees]
-        # perm[i]: the node at place i of the trees, one after another
+            place[lo[at]] = place[inner[at]] + 1
+            place[hi[at]] = place[inner[at]] + 1 + size[lo[at]]
         perm = np.empty(m, dtype=np.intp)
-        perm[firsts[tree] + pre] = np.arange(m)
-        del size
-        out = {}
-        n, imp = take(self.nodes, "n"), take(self.nodes, "impurity")
-        col = np.zeros(m)
-        # tree t's root is node t
-        col[inner] = root_weighted_decrease(n / n[tree], imp, inner, lo, hi)
-        out["decrease"], out["n"], out["impurity"] = col[perm], n[perm], imp[perm]
-        del n, imp, tree
-        for name, values, fill in (("feature", take(self.splits, "feature"), -1),
-                                   ("threshold", take(self.splits, "threshold"), 0),
-                                   ("left", pre[lo], -1), ("right", pre[hi], -1)):
-            col = np.full(m, fill, dtype=values.dtype)
-            col[inner] = values
-            out[name] = col[perm]
-        del col, pre
-        stats = take(self.nodes, "stats")
-        if task == "classification":
-            stats = stats.reshape(m, n_classes)
-        out["stats"] = stats[perm]
-        del stats
-        classify = task == "classification"
-        grown = []
-        for t, (a, b) in enumerate(zip(firsts.tolist(), ends.tolist())):
-            c = {name: col[a:b] for name, col in out.items()}
-            grown.append(Tree(c["feature"], c["threshold"], c["left"], c["right"],
-                              c["n"], c["stats"] if classify else None,
-                              None if classify else c["stats"], c["impurity"],
-                              c["decrease"], p, task, n_classes))
-        return grown
+        perm[place] = np.arange(m)
+        del size, place, lo, hi
+        facts = {}
+        for name, fill in (("feature", -1), ("threshold", 0)):
+            values = take(self.splits, name)
+            facts[name] = np.full(m, fill, dtype=values.dtype)
+            facts[name][inner] = values
+            facts[name] = facts[name][perm]
+        for name in list(self.nodes):
+            c = take(self.nodes, name)
+            facts[name] = (c.reshape(m, n_classes) if name == "class_counts" else c)[perm]
+        del inner, perm, values, c
+        return build_trees(facts, sizes, task, n_classes, p)
 
 
 def _node_stats(y, rows, sizes, n_classes) -> tuple:
@@ -876,7 +888,7 @@ def _new_nodes(y, rec, tree, depth, key, rows, sizes, n_classes, config):
     groups of rows, and return them as _Nodes, with the mask of those to
     scan: the others are at max_depth, pure, or too small for two leaves."""
     stats, imp = _node_stats(y, rows, sizes, n_classes)
-    gid = rec.add(tree=tree, depth=depth, n=sizes, stats=stats, impurity=imp)
+    gid = rec.add(n=sizes, impurity=imp, class_counts=stats, mean=stats)
     scan = (sizes >= 2 * config.min_samples_leaf) & (imp > 0.0)
     if config.max_depth is not None:
         scan &= depth < config.max_depth
@@ -962,7 +974,7 @@ def _grow_group(X, y, keys, table, bags, seeds, config, task, n_classes):
     p = X.shape[1]
     k_feats = resolve_max_features(config.max_features, p)
     every = np.arange(p)
-    rec = _Record(n_classes is not None)
+    rec = _Record(task)
     sizes = np.array([len(rows) for rows in bags])
     roots, scan = _new_nodes(y, rec, np.arange(len(bags)), np.zeros(len(bags), np.intp),
                              mix(seeds), np.concatenate(bags), sizes, n_classes,

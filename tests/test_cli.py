@@ -40,9 +40,9 @@ class TestTrain:
                     "--no-bootstrap", "--seed", "0", "--out", str(out)])
         assert res.exit_code == 0, res.output
         payload = json.loads((out / "model.json").read_text())
-        assert payload["version"] == "ufiforest/4"
+        assert payload["version"] == "ufiforest/5"
         tree = payload["trees"][0]
-        splits = [f for f, lo in zip(tree["feature"], tree["left"]) if lo != -1]
+        splits = [f for f in tree["feature"] if f != -1]
         assert splits == [0]  # one split, on x1, which separates the labels
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == "train"

@@ -1,3 +1,4 @@
+import json
 import tempfile
 from pathlib import Path
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from ufitree.data import (
     BINARY, CATEGORICAL, CONTINUOUS, ORDINAL,
-    DataError, Dataset, FeatureKind, dummy_encode, fold_importances,
+    DataError, Dataset, Encoder, FeatureKind, dummy_encode, fold_importances,
     inject_random_feature, load_csv, parse_schema,
 )
 
@@ -160,8 +161,8 @@ class TestDummyEncode:
     def test_one_hot_partition(self):
         d = _mixed_dataset()
         enc, encoder = dummy_encode(d)
-        assert enc.p == 5
-        block = enc.X[:, encoder.groups["cat"]]
+        assert encoder.encoded_names == ["cont", "cat=0", "cat=1", "cat=2", "cat=3"]
+        block = enc.X[:, 1:]
         assert np.array_equal(block.sum(axis=1), np.ones(d.n))
         assert set(block.ravel()) <= {0.0, 1.0}
 
@@ -182,7 +183,7 @@ class TestDummyEncode:
                     [FeatureKind(CONTINUOUS), FeatureKind(ORDINAL),
                      FeatureKind(BINARY)], "classification", 2)
         enc, encoder = dummy_encode(d)
-        assert enc is d and not encoder.groups
+        assert enc is d and encoder.encoded_names == d.feature_names
 
     def test_paper_mixed_design_column_count(self):
         rng = np.random.default_rng(2)
@@ -267,6 +268,25 @@ class TestEncoder:
         assert enc_t.X.tolist() == [[0.0, 0.0, 1.0, 5.0], [0.0, 1.0, 0.0, 6.0]]
         assert enc_t.y.tolist() == [1, 0]
         assert encoder.to_dict()["class_labels"] == ["no", "yes"]
+
+    @pytest.mark.parametrize("task", ["classification", "regression"])
+    def test_coding_round_trips_through_its_record(self, tmp_path, task):
+        """The model file's record of the coding gives back the encoder,
+        levels included, where a column name and a level hold '=' and so
+        a ``column=level`` name alone is ambiguous."""
+        path = _write(tmp_path, "a=b,o,k,y\nc=d,1,0,1.5\ne,2,1,2\nc=d,3,1,1\n")
+        kinds = {"a=b": FeatureKind(CATEGORICAL, 2), "o": FeatureKind(ORDINAL),
+                 "k": FeatureKind(BINARY)}
+        enc, encoder = dummy_encode(load_csv(path, "y", task, kinds))
+        assert enc.feature_names == ["a=b=c=d", "a=b=e", "o", "k"]
+        record = json.loads(json.dumps(encoder.to_dict()))
+        assert record["kinds"][0] == {"name": "a=b", "kind": "categorical",
+                                      "levels": ["c=d", "e"]}
+        clone = Encoder.from_dict(record)
+        assert clone == encoder and clone.kinds == encoder.kinds
+        assert clone.encoded_names == encoder.encoded_names
+        assert clone.class_labels == (["1.5", "2", "1"] if task == "classification"
+                                      else None)
 
     @pytest.mark.parametrize("text,where", [
         ("c,x,label\na,5.0,yes\nd,6.0,no\n", "row 2, column 'c'"),

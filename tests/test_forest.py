@@ -1,3 +1,4 @@
+import itertools
 import json
 import multiprocessing
 import os
@@ -10,7 +11,9 @@ from conftest import assert_same_tree, reference_grow
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ufitree import forest as forest_mod, tree as tree_mod
-from ufitree.data import CONTINUOUS, Dataset, FeatureKind
+from ufitree.data import (
+    CATEGORICAL, CONTINUOUS, Dataset, Encoder, FeatureKind, dummy_encode,
+)
 from ufitree.forest import (
     Forest, ForestConfig, bootstrap_indices, draw_bag, draw_bags, fit,
     tree_rngs, worker_count,
@@ -88,7 +91,7 @@ class TestFit:
         solo = grow(d.X, d.y, np.arange(d.n),
                     TreeConfig(max_depth=3, max_features="all"),
                     d.task, d.n_classes)
-        assert f.trees[0].to_dict() == solo.to_dict()
+        assert_same_tree(f.trees[0], solo)
         assert len(f.oob[0]) == 0
 
     def test_structural_invariants_with_bootstrap(self):
@@ -481,38 +484,151 @@ class TestPredict:
         assert np.all(proba >= 0)
 
 
+def _coded(task, categorical, n=60):
+    """_dataset's columns, with a categorical column of three levels
+    appended if ``categorical``, and their coding."""
+    d = _dataset(task, n=n)
+    if categorical:
+        level = np.random.default_rng(1).integers(0, 3, n)
+        d = Dataset(np.column_stack([d.X, level]), d.y, d.feature_names + ["c"],
+                    d.kinds + [FeatureKind(CATEGORICAL, 3, ("a", "b", "c"))],
+                    task, d.n_classes)
+    return dummy_encode(d)
+
+
+def _payload(task="classification"):
+    """A 4-tree model file's contents, as JSON reads them back."""
+    f = fit(_dataset(task, n=60), ForestConfig(n_trees=4, seed=8,
+                                              tree=TreeConfig(max_depth=2)))
+    return json.loads(json.dumps(f.to_dict()))
+
+
+def _stored_tree(task, feature, **columns):
+    """A stored tree with these features, plausible other facts at every
+    node, and the given columns in place of those."""
+    m = len(feature)
+    tree = {"feature": feature, "threshold": [0.5] * m}
+    if task == "classification":
+        tree["class_counts"] = [[1, 1]] * m
+    else:
+        tree.update(n=[2] * m, mean=[0.0] * m, impurity=[0.25] * m)
+    return {**tree, **columns}
+
+
+def _load_with(task, tree):
+    """Load a model file whose tree 2 is ``tree``."""
+    payload = _payload(task)
+    payload["trees"][2] = tree
+    return Forest.from_dict(payload)
+
+
 class TestSerialization:
     def test_round_trip(self):
-        d = _dataset(n=60)
-        for bootstrap in (True, False):
-            f = fit(d, ForestConfig(n_trees=4, seed=8, bootstrap=bootstrap,
-                                    tree=TreeConfig(max_depth=3)))
-            payload = json.loads(json.dumps(f.to_dict()))
+        """fit, the model file, then load: every tree's nine columns come
+        back to the bit, and si, ufi and permutation score the same bits,
+        for both tasks, with and without a categorical column, with and
+        without bootstrap. The coding comes back too."""
+        for task, categorical, bootstrap in itertools.product(
+                ("classification", "regression"), (False, True), (True, False)):
+            enc, encoder = _coded(task, categorical)
+            f = fit(enc, ForestConfig(n_trees=4, seed=8, bootstrap=bootstrap,
+                                      tree=TreeConfig(max_depth=6)))
+            payload = json.loads(json.dumps({**f.to_dict(), **encoder.to_dict()}))
             assert "in_bag" not in payload and "oob" not in payload
             clone = Forest.from_dict(payload)
-            assert np.array_equal(clone.predict(d.X), f.predict(d.X))
+            assert Encoder.from_dict(payload) == encoder
+            for got, want in zip(clone.trees, f.trees):
+                assert_same_tree(got, want)
+            assert clone.predict(enc.X).tobytes() == f.predict(enc.X).tobytes()
             assert clone.to_dict() == f.to_dict()
             for got, want in zip(clone.in_bag + clone.oob, f.in_bag + f.oob):
                 assert np.array_equal(got, want)
+            # out-of-bag rows need a bootstrap; without one, the training
+            # rows are scored as a test set
+            test = () if bootstrap else (enc.X, enc.y)
+            for score in (si_forest, lambda m: ufi_forest(m, enc.X, enc.y, *test),
+                          lambda m: permutation_importance(m, enc.X, enc.y, 5, *test)):
+                got, want = score(clone), score(f)
+                assert got.scores.tobytes() == want.scores.tobytes()
+                assert (got.per_tree is None and want.per_tree is None) or \
+                    got.per_tree.tobytes() == want.per_tree.tobytes()
 
     @pytest.mark.parametrize("task", ["classification", "regression"])
-    def test_a_model_with_the_keys_now_derived_loads_and_scores_the_same(self, task):
-        """ufiforest/4 files once also held config.min_samples_split (always
-        2), the forest's n_features and each tree's n_root; such a file
-        loads to the same forest, which scores bit for bit the same."""
-        d = _dataset(task, n=80)
-        f = fit(d, ForestConfig(n_trees=4, seed=8, tree=TreeConfig(max_depth=4)))
-        payload = json.loads(json.dumps(f.to_dict()))
-        payload["config"]["min_samples_split"] = 2
-        payload["n_features"] = d.p
-        for tree in payload["trees"]:
-            tree["n_root"] = tree["n"][0]
-        old = Forest.from_dict(payload)
-        assert old.to_dict() == f.to_dict()
-        assert old.predict(d.X).tobytes() == f.predict(d.X).tobytes()
-        for score in (si_forest, lambda m: ufi_forest(m, d.X, d.y),
-                      lambda m: permutation_importance(m, d.X, d.y, 5)):
-            assert score(old).scores.tobytes() == score(f).scores.tobytes()
+    def test_children_and_decreases_follow_from_the_facts(self, task):
+        """A stored tree holds no children, and for classification no row
+        counts or impurities: its preorder and class counts fix them."""
+        if task == "classification":
+            tree = _stored_tree(task, [0, 1, -1, -1, -1], class_counts=[
+                [3, 2], [3, 1], [3, 0], [0, 1], [0, 1]])
+            imp = [0.48, 0.375, 0.0, 0.0, 0.0]
+        else:
+            imp = [0.5, 0.25, 0.0, 0.0, 0.0]
+            tree = _stored_tree(task, [0, 1, -1, -1, -1], n=[5, 4, 3, 1, 1],
+                                impurity=imp)
+        got = _load_with(task, tree).trees[2]
+        assert got.left.tolist() == [1, 2, -1, -1, -1]
+        assert got.right.tolist() == [4, 3, -1, -1, -1]
+        assert got.n.tolist() == [5, 4, 3, 1, 1]
+        assert got.impurity.tolist() == pytest.approx(imp)
+        assert got.train_decrease.tolist() == pytest.approx(
+            [imp[0] - 4 / 5 * imp[1], 4 / 5 * imp[1], 0.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("task", ["classification", "regression"])
+    @pytest.mark.parametrize("feature", [[0, -1], [-1, -1, -1], [0, -1, -1, -1],
+                                         [0, 0, -1, -1], []])
+    def test_features_not_a_full_binary_preorder_rejected(self, task, feature):
+        with pytest.raises(ValueError, match="tree 2"):
+            _load_with(task, _stored_tree(task, feature))
+
+    @pytest.mark.parametrize("index", [4, 9, -2])
+    def test_feature_index_out_of_range_rejected(self, index):
+        """The model's trees split on features 0 to 3."""
+        with pytest.raises(ValueError, match=r"tree 2: a feature outside \[-1, 4\)"):
+            _load_with("classification",
+                       _stored_tree("classification", [index, -1, -1]))
+
+    @pytest.mark.parametrize("task,column,value", [
+        ("classification", "threshold", [0.5, 0.5]),
+        ("classification", "class_counts", [[1, 1]] * 4),
+        ("classification", "class_counts", [[1, 1, 1]] * 3),
+        ("regression", "n", [2, 2]),
+        ("regression", "mean", [0.0] * 4),
+        ("regression", "impurity", [0.0]),
+    ])
+    def test_columns_of_unequal_length_rejected(self, task, column, value):
+        with pytest.raises(ValueError, match=f"tree 2: {column} has shape"):
+            _load_with(task, _stored_tree(task, [0, -1, -1], **{column: value}))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_threshold_rejected(self, value):
+        with pytest.raises(ValueError, match="tree 2: a non-finite threshold"):
+            _load_with("regression", _stored_tree(
+                "regression", [0, -1, -1], threshold=[value, 0.0, 0.0]))
+
+    @pytest.mark.parametrize("task,column,value", [
+        ("classification", "class_counts", [[1, 1], [2, -1], [0, 1]]),
+        ("classification", "class_counts", [[1, 1], [0, 0], [1, 1]]),
+        ("regression", "n", [2, 0, 2]),
+        ("regression", "n", [2, 2, -3]),
+    ])
+    def test_bad_node_counts_rejected(self, task, column, value):
+        with pytest.raises(ValueError, match="tree 2: a node count below 1 or "
+                                             "a negative class count"):
+            _load_with(task, _stored_tree(task, [0, -1, -1], **{column: value}))
+
+    def test_a_cycle_through_stored_children_cannot_be_written(self):
+        """ufiforest/4 stored each node's children: a file whose left[0]
+        was 0 loaded, and then Forest.predict never returned. Now a tree's
+        children follow from its preorder, each after its parent, and a
+        file that holds a children column is refused."""
+        payload = _payload()
+        payload["trees"][2]["left"] = [0] * len(payload["trees"][2]["feature"])
+        with pytest.raises(ValueError, match="tree 2: columns"):
+            Forest.from_dict(payload)
+        for tree in Forest.from_dict(_payload()).trees:
+            inner = np.flatnonzero(tree.feature >= 0)
+            assert (tree.left[inner] == inner + 1).all()
+            assert (tree.right[inner] > tree.left[inner]).all()
 
     @pytest.mark.parametrize("key,value", [
         ("bag_sha256", "0" * 64),
@@ -530,10 +646,7 @@ class TestSerialization:
     @pytest.mark.parametrize("edit", [
         lambda trees: trees.pop(1),
         lambda trees: trees.append(dict(trees[0])),
-        lambda trees: trees[2].update(n_features=5),
-        lambda trees: trees[0].update(task="regression"),
-        lambda trees: trees[3].update(n_classes=3),
-    ], ids=["tree-deleted", "tree-added", "n_features", "task", "n_classes"])
+    ], ids=["tree-deleted", "tree-added"])
     def test_trees_that_do_not_match_the_forest_rejected(self, edit):
         """A deleted tree would have each later tree scored on the out-of-bag
         rows of the tree before it, which are partly in its bag."""
@@ -552,4 +665,6 @@ class TestSerialization:
         # v3 recorded a criterion that v4 no longer has; refuse, do not guess
         with pytest.raises(ValueError, match="ufiforest/3"):
             Forest.from_dict({"version": "ufiforest/3"})
-
+        # v4 stored columns that v5 derives; its reader is gone
+        with pytest.raises(ValueError, match="ufiforest/4"):
+            Forest.from_dict({"version": "ufiforest/4"})

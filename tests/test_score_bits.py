@@ -147,7 +147,7 @@ def _three_class_rows(n):
 
 # sha256 of model.json from a fixed-seed train run with unlimited depth. The
 # digest holds for every --threads count.
-MODEL_DIGEST = "e83ed7e1dd29b3848ab6d9f8f50c83d93dbf43aec99b595aba22b40bb0065641"
+MODEL_DIGEST = "1997c6f82d0d5d3e5c58012138fea4d19a085adb398c2c730c88a330c9be69f3"
 
 
 def _train_digest(tmp_path, threads):
@@ -189,7 +189,7 @@ def _regression_rows(n):
 # sha256 of model.json from a fixed-seed regression train run with unlimited
 # depth. The digest holds for every --threads count.
 REGRESSION_MODEL_DIGEST = (
-    "4e4c7e7e28ef36ea7936d39de929bac74f818bb3d5f3fee4ff411086c3cf8950")
+    "b934e7fcb6419b145c863e3a3deeeb7b683e33c268e338d253bc8569512ebaf1")
 
 
 def _regression_train_digest(tmp_path, threads):
@@ -324,7 +324,7 @@ def _mixed_rows(n):
 # than 256 feature subsets each, and rescan unsplittable drawn subsets over
 # all 37 columns. The digest holds for every --threads count.
 MIXED_MODEL_DIGEST = (
-    "1367f4ed7220856a8c72f6b08e4770133cb14bc79aadd8d1809fcb21a46202e0")
+    "565fd7dc42a4b6ef1214cd2573dfa142d7e3ad7e7c2307111748558f7cfca536")
 
 
 def _mixed_train_digest(tmp_path, threads):

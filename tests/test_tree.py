@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from conftest import (
@@ -13,7 +11,7 @@ from ufitree.data import CONTINUOUS, Dataset, FeatureKind
 from ufitree.forest import ForestConfig, fit
 from ufitree.importance import ufi_tree_classification
 from ufitree.tree import (
-    Split, Tree, TreeConfig, _best_splits, _mean_and_mse, _node_impurity,
+    Split, TreeConfig, _best_splits, _mean_and_mse, _node_impurity,
     _node_stats, _Nodes, _padded, _presort, _row_dtype, _scan_segments,
     _scan_table, best_split,
     child_keys, draw_subsets, evaluate_split, grow, impurity_from_counts,
@@ -552,7 +550,7 @@ class TestGrow:
         y = rng.standard_normal(60)
         t1 = _fit(X, y, "regression", max_features=2, seed=11)
         t2 = _fit(X, y, "regression", max_features=2, seed=11)
-        assert t1.to_dict() == t2.to_dict()
+        assert_same_tree(t1, t2)
 
     @pytest.mark.parametrize("bad", [
         dict(max_depth=-1),
@@ -743,24 +741,3 @@ class TestRouteAndPredict:
         y = np.array([1.0, 3.0])
         tree = _fit(X, y, "regression", max_depth=0)
         assert tree.predict(np.zeros((1, 1)))[0] == pytest.approx(2.0)
-
-
-class TestSerialization:
-    def test_json_round_trip(self):
-        rng = np.random.default_rng(31)
-        X = rng.standard_normal((40, 3))
-        y = rng.integers(0, 2, size=40)
-        tree = _fit(X, y, "classification", max_depth=3)
-        payload = json.loads(json.dumps(tree.to_dict()))
-        assert payload["version"] == "ufitree/4"
-        assert "criterion" not in payload
-        clone = Tree.from_dict(payload)
-        assert np.array_equal(clone.predict(X), tree.predict(X))
-        assert clone.to_dict() == tree.to_dict()
-
-    def test_unknown_version_rejected(self):
-        with pytest.raises(ValueError):
-            Tree.from_dict({"version": "bogus/9"})
-        # a v3 tree may have been grown with entropy; it must not load as Gini
-        with pytest.raises(ValueError, match="ufitree/3"):
-            Tree.from_dict({"version": "ufitree/3", "criterion": "entropy"})
