@@ -130,16 +130,21 @@ class Encoder:
 
     def to_dict(self) -> dict:
         """The model file's record of the coding: each column's name, kind
-        and levels (``kinds``), and the class labels."""
-        return {"kinds": [{"name": name, "kind": k.kind, "levels": k.levels and [*k.levels]}
-                          for name, k in zip(self.feature_names, self.kinds)],
-                "class_labels": self.class_labels}
+        and levels (``kinds``), and the class labels. A categorical column
+        declared without levels records its cardinality."""
+        kinds = []
+        for name, k in zip(self.feature_names, self.kinds):
+            kinds.append({"name": name, "kind": k.kind, "levels": k.levels and [*k.levels]})
+            if k.is_categorical and not k.levels:
+                kinds[-1]["cardinality"] = k.cardinality
+        return {"kinds": kinds, "class_labels": self.class_labels}
 
     @classmethod
     def from_dict(cls, d: dict) -> "Encoder":
-        """The coding that to_dict recorded, if its categoricals had levels."""
+        """The coding that to_dict recorded."""
         return cls([c["name"] for c in d["kinds"]],
-                   [FeatureKind(c["kind"], c["levels"] and len(c["levels"]),
+                   [FeatureKind(c["kind"],
+                                len(c["levels"]) if c["levels"] else c.get("cardinality"),
                                 c["levels"] and tuple(c["levels"])) for c in d["kinds"]],
                    d["class_labels"])
 

@@ -96,6 +96,9 @@ class Forest:
     def from_dict(cls, d: dict) -> "Forest":
         if d.get("version") != FORMAT_VERSION:
             raise ValueError(f"unsupported forest format: {d.get('version')!r}")
+        if d["task"] not in FACTS:
+            raise ValueError(f"unknown task {d['task']!r}: a model is of "
+                             f"{' or '.join(FACTS)}")
         c = d["config"]
         config = ForestConfig(
             n_trees=c["n_trees"],

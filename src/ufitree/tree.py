@@ -170,7 +170,7 @@ class Tree:
     def _descend(self, X: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
         """(rows, nodes) per depth: the rows that reach that depth, ascending,
         and the node each reaches. One vectorized step per depth."""
-        X = np.asarray(X, dtype=np.float64)
+        X = np.ascontiguousarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.n_features:
             raise ValueError(f"expected {self.n_features} columns, got {X.shape}")
         rows = np.arange(X.shape[0])
@@ -181,7 +181,8 @@ class Tree:
             rows, nodes = rows[inner], nodes[inner]
             if not len(rows):
                 return steps
-            go_left = X[rows, self.feature[nodes]] <= self.threshold[nodes]
+            go_left = X.take(rows * X.shape[1] + self.feature[nodes]) \
+                <= self.threshold[nodes]
             nodes = np.where(go_left, self.left[nodes], self.right[nodes])
             steps.append((rows, nodes))
 
@@ -196,8 +197,10 @@ class Tree:
         nodes = np.concatenate([nd for _, nd in steps])
         offsets = np.zeros(self.n_nodes() + 1, dtype=np.intp)
         np.cumsum(np.bincount(nodes, minlength=self.n_nodes()), out=offsets[1:])
-        # every visit to a node happens at one depth, where rows ascend
-        return rows[np.argsort(nodes, kind="stable")], offsets
+        # every visit to a node happens at one depth, where rows ascend; as
+        # uint16, up to 65,536 nodes, the stable sort is numpy's radix sort
+        order = np.argsort(nodes.astype(_row_dtype(self.n_nodes())), kind="stable")
+        return rows[order], offsets
 
     def apply(self, X: np.ndarray) -> np.ndarray:
         """Leaf id reached by each row."""
@@ -272,6 +275,12 @@ class Tree:
 def _row_dtype(n_rows: int):
     """The unsigned type of row ids and sort keys over n_rows rows."""
     return np.uint16 if n_rows <= 2**16 else np.uint32
+
+
+def _code_dtype(bits: int):
+    """The type of non-negative codes of at most ``bits`` bits: uint32 up
+    to 32 bits, which numpy sorts about twice as fast, else int64."""
+    return np.uint32 if bits <= 32 else np.int64
 
 
 def sort_keys(X: np.ndarray) -> np.ndarray:
@@ -515,12 +524,12 @@ def _scan_table(X, keys, y, n_classes) -> tuple:
 
     ``coded[j * n + r]`` is row r's key in column j, of at most
     ``key_bits`` bits, shifted left by ``low`` bits, which hold the row's
-    class. It is uint32 if key and class fit in 32 bits, else int64. The
-    value of rank k in column j is ``values[offsets[j] + k]``.
+    class, as _code_dtype(key_bits + low). The value of rank k in column j
+    is ``values[offsets[j] + k]``.
     """
     key_bits = int(keys.max()).bit_length()
     low = int(n_classes - 1).bit_length()
-    coded = keys.astype(np.uint32 if key_bits + low <= 32 else np.int64) << low
+    coded = keys.astype(_code_dtype(key_bits + low)) << low
     coded |= np.asarray(y, dtype=coded.dtype)
     sizes = keys.max(axis=1).astype(np.intp) + 1
     offsets = np.cumsum(sizes) - sizes
@@ -537,63 +546,74 @@ def _scan_segments(table, n_data, rows, start, n, feats, imp, n_classes, msl):
     (_scan_table's) codes, imp[i] its Gini and feats[i] the sorted
     features it scans (an m x k array).
 
-    Each (node, feature) pair is a segment of one flat array of int64
-    codes, each of which packs (segment, key, class); a plain sort puts
-    the codes in (segment, key) order, and a candidate threshold lies
-    wherever the key changes inside a segment. Class counts do not depend
-    on the order of the rows within a key, so left class counts are
-    integer prefix sums less the segment's base, exact like a per-feature
-    cumsum. The loss, the per-node minimum, the tie rule and the gain check
-    repeat, operation by operation and in feature-major order, the
-    per-node scan that tests/conftest.py keeps as the reference. A
-    threshold is the mean of the values of the two keys around it, which
-    are the values a per-node scan reads from X.
+    Each (node, feature) pair is a segment of one flat array of codes,
+    each of which packs (segment, key, class), as _code_dtype of their
+    width: uint32 whenever segment, key and class fit in 32 bits. A plain
+    sort puts the codes in (segment, key, class) order, whatever their type
+    and the order they start in. A candidate threshold lies wherever a run
+    of equal codes with a new key starts inside a segment. Class counts do
+    not depend on the order of the rows within a key, so left class counts
+    are integer prefix sums over the runs less the segment's base, exact
+    like a per-feature cumsum. The loss, the per-node minimum, the tie rule
+    and the gain check repeat, operation by operation and in feature-major
+    order, the per-node scan that tests/conftest.py keeps as the reference.
+    A threshold is the mean of the values of the two keys around it, which
+    are the values a per-node scan reads from X. Every node has rows.
     """
     coded, key_bits, low, values, offsets = table
     m, k = feats.shape
     seg_node = np.repeat(np.arange(m), k)
     seg_len = n[seg_node]
-    seg_end = np.cumsum(seg_len)
-    seg_start = seg_end - seg_len
+    seg_start = np.cumsum(seg_len) - seg_len
     seg_feat = feats.ravel()
-    # element e of segment s stands for its node's row at position
-    # e - seg_start[s], which is rows[e + start[node] - seg_start[s]]
-    flat = rows[np.arange(seg_end[-1])
-                + np.repeat(start[seg_node] - seg_start, seg_len)]
-    flat += np.repeat(seg_feat * n_data, seg_len)
-    code = np.repeat(np.arange(len(seg_len), dtype=np.int64) << (key_bits + low),
-                     seg_len)
-    code |= coded[flat]
-    del flat
+    # the codes start as a (feature, row) array: row r of the nodes' rows
+    # one after another, at position t of node i, is rows[start[i] + t],
+    # and its code on node i's f-th feature is in segment i * k + f
+    node = np.repeat(np.arange(m), n)
+    ends = np.cumsum(n)
+    at = np.arange(ends[-1]) + np.repeat(start - (ends - n), n)
     shift = key_bits + low
+    dtype = _code_dtype((len(seg_len) - 1).bit_length() + shift)
+    code = np.add.outer(np.arange(k, dtype=dtype) << shift,
+                        (node * k).astype(dtype) << shift)
+    flat = np.take(feats.T * n_data, node, axis=1)
+    flat += rows[at]
+    code |= coded[flat]
+    code = code.ravel()
+    del node, at, flat
     code.sort()
-    sk = code >> low  # (segment, key)
-    low_mask = (1 << low) - 1
-
-    # candidate e splits its segment after sorted position e: between
-    # distinct keys, leaving msl rows on each side
-    valid = sk[1:] != sk[:-1]
-    valid[seg_end[:-1] - 1] = False  # the last element of a segment
-    cand = np.flatnonzero(valid)
-    seg = code[cand] >> shift
-    nl = cand + 1 - seg_start[seg]
+    # runs of equal codes; segment s's runs are bounds[s] to bounds[s + 1]
+    starts = np.flatnonzero(code[1:] != code[:-1]) + 1
+    before, after = code[starts - 1] >> low, code[starts] >> low  # (segment, key)
+    new_seg = before >> key_bits != after >> key_bits
+    run_start = np.concatenate([[0], starts])
+    bounds = np.concatenate([[0], np.flatnonzero(new_seg) + 1, [len(run_start)]])
+    # the candidates: the runs with a new key inside a segment, each with
+    # the nl rows of its segment before it, leaving msl rows on each side
+    cand = np.flatnonzero((before != after) & ~new_seg)
+    before, after, run = before[cand], after[cand], cand + 1
+    seg = after >> key_bits
+    nl = run_start[run] - seg_start[seg]
     total = seg_len[seg]
     if msl > 1:
         keep = (nl >= msl) & (total - nl >= msl)
-        cand, seg, nl, total = cand[keep], seg[keep], nl[keep], total[keep]
+        before, after, run, seg, nl, total = (
+            a[keep] for a in (before, after, run, seg, nl, total))
     out = (np.full(m, -1, dtype=np.intp), np.zeros(m), np.zeros(m))
-    if len(cand) == 0:
+    if len(run) == 0:
         return out
     nl = nl.astype(np.float64)
     nr = total - nl
-    # per-class counts left of each candidate and in its segment; the last
-    # class holds the rest
-    prefix = np.zeros((n_classes - 1, len(code) + 1), dtype=np.int32)
-    np.cumsum((code & low_mask) == np.arange(n_classes - 1)[:, None],
-              axis=1, dtype=np.int32, out=prefix[:, 1:])
-    base = prefix[:, seg_start[seg]]
-    cums = prefix[:, cand + 1] - base
-    totals = prefix[:, seg_end[seg]] - base
+    # per-class counts left of each candidate and in its segment, as prefix
+    # sums over runs; the last class holds the rest
+    prefix = np.zeros((n_classes - 1, len(run_start) + 1), dtype=np.int64)
+    np.cumsum(np.where((code[run_start] & (1 << low) - 1)
+                       == np.arange(n_classes - 1)[:, None],
+                       np.diff(run_start, append=len(code)), 0),
+              axis=1, out=prefix[:, 1:])
+    base = prefix[:, bounds[seg]]
+    cums = prefix[:, run] - base
+    totals = prefix[:, bounds[seg + 1]] - base
     del prefix
     cums = np.vstack([cums, nl - cums.sum(axis=0)]).astype(np.float64)
     totals = np.vstack([totals, total - totals.sum(axis=0)]).astype(np.float64)
@@ -607,12 +627,11 @@ def _scan_segments(table, n_data, rows, start, n, feats, imp, n_classes, msl):
     loss = (nl * (1.0 - sl) + nr * (1.0 - sr)) / total
 
     best, found = _first_best(loss, seg_node[seg], imp)
-    e = cand[best]
     j = seg_feat[seg[best]]
     key_mask = (1 << key_bits) - 1
     out[0][found] = j
-    out[1][found] = (values[offsets[j] + (sk[e] & key_mask)]
-                     + values[offsets[j] + (sk[e + 1] & key_mask)]) / 2.0
+    out[1][found] = (values[offsets[j] + (before[best] & key_mask)]
+                     + values[offsets[j] + (after[best] & key_mask)]) / 2.0
     out[2][found] = loss[best]
     return out
 
@@ -924,7 +943,7 @@ def grow_trees(X, y, bags, rngs, config: TreeConfig, task: str,
     preorder. ``keys`` is sort_keys(X), which the trees share; computed
     here if None.
     """
-    X = np.asarray(X, dtype=np.float64)
+    X = np.ascontiguousarray(X, dtype=np.float64)
     bags = [np.asarray(rows, dtype=np.intp) for rows in bags]
     if any(len(rows) == 0 for rows in bags):
         raise ValueError("cannot grow a tree on an empty index set")
@@ -1027,7 +1046,8 @@ def _split(X, y, nodes, feature, threshold, rec, config, n_classes, code):
     split = feature >= 0
     sp = np.flatnonzero(split)
     of_row = np.repeat(np.arange(m), nodes.n)
-    go_left = X[nodes.rows, np.maximum(feature, 0)[of_row]] <= threshold[of_row]
+    # X is C-contiguous: a flat gather is about twice as fast as X[rows, j]
+    go_left = X.take(nodes.rows * p + np.maximum(feature, 0)[of_row]) <= threshold[of_row]
     to_left = go_left & split[of_row]
     to_right = ~go_left & split[of_row]
     n_left = np.bincount(of_row[to_left], minlength=m)[sp]

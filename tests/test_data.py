@@ -288,6 +288,23 @@ class TestEncoder:
         assert clone.class_labels == (["1.5", "2", "1"] if task == "classification"
                                       else None)
 
+    def test_coding_of_categoricals_without_levels_round_trips(self):
+        """A categorical declared by its cardinality alone, as simgen
+        declares its columns, records that cardinality; its record once
+        held ``levels: null`` and nothing else, which did not load."""
+        encoder = Encoder(["x", "c", "b"], [FeatureKind(CONTINUOUS),
+                                            FeatureKind(CATEGORICAL, 3),
+                                            FeatureKind(BINARY)], ["no", "yes"])
+        record = json.loads(json.dumps(encoder.to_dict()))
+        assert record["kinds"][1] == {"name": "c", "kind": "categorical",
+                                      "levels": None, "cardinality": 3}
+        assert "cardinality" not in record["kinds"][0]
+        assert "cardinality" not in record["kinds"][2]
+        clone = Encoder.from_dict(record)
+        assert clone == encoder and clone.kinds == encoder.kinds
+        assert clone.encoded_names == ["x", "c=0", "c=1", "c=2", "b"]
+        assert clone.class_labels == ["no", "yes"]
+
     @pytest.mark.parametrize("text,where", [
         ("c,x,label\na,5.0,yes\nd,6.0,no\n", "row 2, column 'c'"),
         ("c,x,label\na,5.0,maybe\n", "row 1, column 'label'"),

@@ -657,6 +657,14 @@ class TestSerialization:
         with pytest.raises(ValueError, match="tree"):
             Forest.from_dict(payload)
 
+    @pytest.mark.parametrize("task", ["survival", "Classification", None])
+    def test_unknown_task_rejected(self, task):
+        """Such a file once raised KeyError from the lookup of its facts."""
+        payload = _payload()
+        payload["task"] = task
+        with pytest.raises(ValueError, match=f"unknown task {task!r}"):
+            Forest.from_dict(payload)
+
     def test_unknown_version_rejected(self):
         with pytest.raises(ValueError):
             Forest.from_dict({"version": "nope/0"})

@@ -13,7 +13,7 @@ from ufitree.importance import ufi_tree_classification
 from ufitree.tree import (
     Split, TreeConfig, _best_splits, _mean_and_mse, _node_impurity,
     _node_stats, _Nodes, _padded, _presort, _row_dtype, _scan_segments,
-    _scan_table, best_split,
+    _scan_table, best_split, build_trees,
     child_keys, draw_subsets, evaluate_split, grow, impurity_from_counts,
     impurity_from_values, mix, predictive_gini, sort_keys,
 )
@@ -311,6 +311,50 @@ def test_classification_scan_is_best_split_bit_for_bit(case):
         if expected is not None:
             assert f == expected[0].feature
             assert _same_float(s, expected[0].threshold)
+
+
+@pytest.mark.parametrize("n_nodes,bits,dtype", [(8192, 32, np.uint32),
+                                                (8193, 33, np.int64)])
+def test_classification_scan_on_codes_of_32_and_33_bits(monkeypatch, n_nodes,
+                                                        bits, dtype):
+    """One scan call of n_nodes nodes of 2 to 6 rows, 2 features each, on
+    4,096 distinct values (12 key bits) and 33 classes (6 class bits):
+    8,192 nodes make 16,384 segments, whose codes need 14 more bits, 32 in
+    all, and one node more needs 33, so the codes are int64. The first 200
+    nodes and the last 800, the last node's segments among them, find the
+    reference scan's split, to the bit."""
+    rng = np.random.default_rng(5)
+    X = np.column_stack([rng.permutation(4096), rng.integers(0, 4096, 4096)]) / 8.0
+    y = rng.integers(0, 33, 4096)
+    y[:33] = np.arange(33)
+    widths, code_dtype = [], tree_mod._code_dtype
+
+    def spy(b):
+        widths.append(b)
+        return code_dtype(b)
+
+    monkeypatch.setattr(tree_mod, "_code_dtype", spy)
+    table = _scan_table(X, sort_keys(X), y, 33)
+    assert (table[1], table[2]) == (12, 6)
+    n = rng.integers(2, 7, n_nodes)
+    rows = rng.integers(0, 4096, n.sum())
+    start = np.cumsum(n) - n
+    feats = np.tile([0, 1], (n_nodes, 1))
+    imp = np.array([_node_impurity(y[rows[a:a + k]], 33) for a, k in zip(start, n)])
+    found = _scan_segments(table, len(X), rows, start, n, feats, imp, 33, 1)
+    assert widths[-1] == bits and code_dtype(bits) == dtype
+    check = np.r_[0:200, n_nodes - 800:n_nodes]
+    splits = 0
+    for i in check:
+        want = reference_best_split(X, y, rows[start[i]:start[i] + n[i]], [0, 1], 33,
+                                    1, imp[i])
+        f, s, loss = (a[i] for a in found)
+        assert (f < 0) == (want is None)
+        if want is not None:
+            splits += 1
+            assert f == want[0].feature and _same_float(s, want[0].threshold)
+            assert _same_float(loss, want[1])
+    assert splits > len(check) // 2
 
 
 def test_scan_table_codes_keys_and_classes():
@@ -694,6 +738,50 @@ class TestRouteAndPredict:
         for leaf in np.flatnonzero(tree.is_leaf):
             assert np.array_equal(rows[offsets[leaf]:offsets[leaf + 1]],
                                   np.flatnonzero(leaves == leaf))
+
+    @pytest.mark.parametrize("depth,split_last,n_nodes", [
+        (15, False, 65_535), (15, True, 65_537), (17, False, 262_143)])
+    def test_route_of_trees_about_and_over_65536_nodes(self, depth, split_last,
+                                                       n_nodes):
+        """route groups a tree's visits as an int64 stable argsort of the
+        node ids does, with ids as uint16 up to 65,536 nodes and as uint32
+        above. A full binary tree has an odd node count: 65,535 nodes is
+        the largest tree whose ids are uint16, and 65,537, the balanced
+        tree with one leaf split again, the smallest whose ids are not.
+        The trees split one feature at the midpoints of [0, 2**(depth + 1)),
+        and route agrees with apply at every leaf."""
+        span = 2 ** (depth + 1)
+        feature, threshold = [], []
+
+        def build(lo, hi, d):
+            if d < depth or (split_last and hi - lo == 2 and hi == span):
+                feature.append(0)
+                threshold.append((lo + hi) / 2 - 0.5)
+                mid = (lo + hi) // 2
+                build(lo, mid, d + 1)
+                build(mid, hi, d + 1)
+            else:
+                feature.append(-1)
+                threshold.append(0.0)
+
+        build(0, span, 0)
+        facts = {"feature": np.array(feature), "threshold": np.array(threshold),
+                 "class_counts": np.ones((len(feature), 2), dtype=np.int64)}
+        tree, = build_trees(facts, [len(feature)], "classification", 2, 1)
+        assert tree.n_nodes() == n_nodes
+        # the last leaves, whose ids need the widest type, are reached too
+        x = np.r_[np.random.default_rng(3).integers(0, span, 50_000), span - 4:span]
+        X = x[:, None] - 0.25
+        rows, offsets = tree.route(X)
+        visits = tree._descend(X)
+        nodes = np.concatenate([nd for _, nd in visits]).astype(np.int64)
+        want = np.concatenate([r for r, _ in visits])[np.argsort(nodes, kind="stable")]
+        assert np.array_equal(rows, want)
+        assert np.array_equal(offsets[1:], np.cumsum(np.bincount(nodes, minlength=n_nodes)))
+        leaves = tree.apply(X)
+        of_visit = np.repeat(np.arange(n_nodes), np.diff(offsets))
+        assert np.array_equal(rows[tree.is_leaf[of_visit]],
+                              np.argsort(leaves, kind="stable"))
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 80),
