@@ -18,8 +18,7 @@ import numpy as np
 from .data import Dataset
 # grow stays importable from here: the traced benchmark run patches
 # ufitree.forest.grow by name
-from .tree import (FACTS, Tree, TreeConfig, build_trees, grow,  # noqa: F401
-                   grow_trees, sort_keys)
+from .tree import FACTS, Tree, TreeConfig, build_trees, grow, grow_trees  # noqa: F401
 
 FORMAT_VERSION = "ufiforest/5"
 
@@ -146,12 +145,6 @@ def bag_digest(in_bag: list[np.ndarray]) -> str:
     return h.hexdigest()
 
 
-def tree_rngs(config: ForestConfig) -> list[np.random.Generator]:
-    """One generator per tree, spawned from the master seed by tree index."""
-    children = np.random.SeedSequence(config.seed).spawn(config.n_trees)
-    return [np.random.default_rng(c) for c in children]
-
-
 def bootstrap_indices(n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Draw n rows with replacement; OOB is the complement of the drawn set."""
     if n < 1:
@@ -161,14 +154,6 @@ def bootstrap_indices(n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.
     # without its sort, which took most of a draw's time
     oob = np.flatnonzero(np.bincount(in_bag, minlength=n) == 0)
     return in_bag, oob
-
-
-def draw_bag(n: int, rng: np.random.Generator,
-             bootstrap: bool) -> tuple[np.ndarray, np.ndarray]:
-    """A tree's (in-bag, out-of-bag) rows: a bootstrap draw, or all n rows."""
-    if bootstrap:
-        return bootstrap_indices(n, rng)
-    return np.arange(n), np.empty(0, dtype=np.intp)
 
 
 def worker_count(jobs: int, n_trees: int) -> int:
@@ -191,10 +176,14 @@ def worker_count(jobs: int, n_trees: int) -> int:
 
 
 def draw_bags(n: int, config: ForestConfig) -> tuple[list, list, list]:
-    """Every tree's generator, each left just after drawing its tree's bag,
-    with the trees' in-bag and out-of-bag rows."""
-    rngs = tree_rngs(config)
-    bags = [draw_bag(n, rng, config.bootstrap) for rng in rngs]
+    """Every tree's generator, spawned from the master seed by tree index
+    and left just after drawing its tree's bag, with the trees' in-bag and
+    out-of-bag rows: a bootstrap draw (bootstrap_indices), or all n rows."""
+    rngs = [np.random.default_rng(c)
+            for c in np.random.SeedSequence(config.seed).spawn(config.n_trees)]
+    if not config.bootstrap:
+        return rngs, [np.arange(n) for _ in rngs], [np.empty(0, np.intp) for _ in rngs]
+    bags = [bootstrap_indices(n, rng) for rng in rngs]
     return rngs, [b[0] for b in bags], [b[1] for b in bags]
 
 
@@ -204,11 +193,11 @@ def _grow_share(job, share, conn) -> None:
     message a tree, so that the parent never holds more than one tree's
     message. An exception, with its traceback as text, is sent in place of
     the trees not yet sent."""
-    d, tree_cfg, keys, rngs, in_bag = job
+    d, tree_cfg, rngs, in_bag = job
     try:
         grown = grow_trees(d.X, d.y, [in_bag[i] for i in share],
                            [rngs[i] for i in share], tree_cfg, d.task,
-                           d.n_classes, keys)
+                           d.n_classes)
         for i, tree in zip(share, grown):
             conn.send((int(i), tree))
     except Exception as exc:
@@ -283,15 +272,12 @@ def fit(d: Dataset, config: ForestConfig, jobs: int = 1) -> Forest:
         raise ValueError("n_trees must be >= 1")
     workers = worker_count(jobs, config.n_trees)
     tree_cfg = config.tree.resolved(d.task)
-    tree_cfg.validate(d.p)
     config = replace(config, tree=tree_cfg)
     rngs, in_bag, oob = draw_bags(d.n, config)
-    keys = sort_keys(d.X)
     if workers == 1:
-        trees = grow_trees(d.X, d.y, in_bag, rngs, tree_cfg, d.task,
-                           d.n_classes, keys)
+        trees = grow_trees(d.X, d.y, in_bag, rngs, tree_cfg, d.task, d.n_classes)
     else:
-        trees = _grow_in_workers((d, tree_cfg, keys, rngs, in_bag),
+        trees = _grow_in_workers((d, tree_cfg, rngs, in_bag),
                                  config.n_trees, workers)
     return Forest(trees, in_bag, oob, d.n, d.task, d.n_classes, config,
                   list(d.feature_names))

@@ -5,8 +5,8 @@ that the nodes they wait to split are scanned, split and counted in
 batches. A node that draws a feature subset draws it from a hash of its
 tree's seed and its place in the tree, so no draw depends on the order
 nodes grow in. Regression nodes carry their rows presorted by every
-feature. ``grow`` is that grower on one bag. A grown ``Tree`` is a set of
-flat preorder arrays.
+feature. ``grow`` is that grower on one bag, and ``best_split`` its root
+scan on one node. A grown ``Tree`` is a set of flat preorder arrays.
 """
 
 from __future__ import annotations
@@ -102,32 +102,24 @@ def predictive_gini(p_train: np.ndarray, p_test: np.ndarray):
     return 1.0 - s
 
 
-def impurity_from_counts(counts: np.ndarray) -> float:
-    """Gini impurity of a node's class counts."""
+def impurity_from_counts(counts: np.ndarray):
+    """Gini impurity of class counts over the last axis: a float for one
+    node's counts, an array for rows of them. The one Gini-of-counts rule:
+    the grower's node stats and build_trees come here."""
     counts = np.asarray(counts, dtype=np.float64)
-    n = np.add.reduce(counts)
-    if n <= 0:
+    n = counts.sum(axis=-1, keepdims=True)
+    if not (n > 0).all():
         raise ValueError("empty node has no impurity")
-    p = counts / n
-    return float(predictive_gini(p, p))
+    q = counts / n
+    return predictive_gini(q, q)
 
 
 def impurity_from_values(y: np.ndarray) -> float:
     """Mean squared deviation of a node's targets from their mean, with
-    the grower's bits (_mean_and_mse)."""
-    y = np.asarray(y, dtype=np.float64)
+    the grower's bits (_node_stats')."""
     if len(y) == 0:
         raise ValueError("empty node has no impurity")
-    return _mean_and_mse(y)[1]
-
-
-def _mean_and_mse(y: np.ndarray) -> tuple[float, float]:
-    """Mean and mean squared deviation of non-empty float64 values, each
-    sum one np.add.reduceat call: the bits that segment_sums and
-    _node_stats give the same values among other nodes'."""
-    mean = np.add.reduceat(y, [0])[0] / len(y)
-    dev = y - mean
-    return float(mean), float(np.add.reduceat(dev * dev, [0])[0]) / len(y)
+    return float(_node_stats(y, np.arange(len(y)), np.array([len(y)]), None)[1][0])
 
 
 class Tree:
@@ -173,6 +165,9 @@ class Tree:
         X = np.ascontiguousarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.n_features:
             raise ValueError(f"expected {self.n_features} columns, got {X.shape}")
+        if not np.isfinite(X).all():
+            # a NaN compares False with every threshold, so it would go right
+            raise ValueError("feature values must be finite")
         rows = np.arange(X.shape[0])
         nodes = np.zeros(len(rows), dtype=np.intp)
         steps = [(rows, nodes)]
@@ -478,41 +473,34 @@ def _first_best(loss, node, imp) -> tuple[np.ndarray, np.ndarray]:
     return best[ok], nodes[ok]
 
 
-def best_split(X, y, idx, feats, n_classes=None, min_samples_leaf=1,
-               parent_impurity=None, keys=None):
+def best_split(X, y, idx, feats, n_classes=None, min_samples_leaf=1):
     """Best (feature, threshold) over the candidate features, or None.
 
     Returns (Split, loss) minimizing the weighted child impurity: Gini when
     ``n_classes`` is given, mean squared error when it is None. None when
     no admissible candidate improves on the parent (gain <= GAIN_EPS times
-    its impurity).
-    ``keys`` is sort_keys(X), which grow_trees computes once; without it
-    the node is scanned on its own rows' ranks, which order and tie as
-    sort_keys(X)'s do: the same bits, at the node's cost rather than X's.
-    The node is a one-node call of the kernel that fits use:
-    _scan_regression on its presorted rows, centred on the mean that
-    _mean_and_mse gives them, or _scan_segments.
+    its impurity). The node is the root of a fit on (X[idx], y[idx]): the
+    grower's setup and checks (_prepare), its root (_roots) and one
+    _best_splits call on the given features, so a call costs the node's
+    size. Raises ValueError on what grow rejects, and on a feature outside
+    [0, p).
     """
-    idx = np.asarray(idx, dtype=np.intp)
-    feats = np.sort(np.asarray(feats, dtype=np.intp))[None]
-    if parent_impurity is None:
-        parent_impurity = _node_impurity(y[idx], n_classes)
-    if keys is None or n_classes is not None:
-        X, y = X[idx], y[idx]
-        keys = sort_keys(X) if keys is None else keys[:, idx]
-        idx = np.arange(len(idx))
-    n, start = np.array([len(idx)]), np.zeros(1, dtype=np.intp)
-    imp = np.array([parent_impurity], dtype=np.float64)
-    if n_classes is None:
-        y = np.asarray(y, dtype=np.float64)
-        pairs = _padded([_presort(keys, idx, 0, _row_dtype(len(X)))], len(idx))
-        found = _scan_regression(X, y, pairs, n, start,
-                                 np.add.reduceat(y[idx], [0]) / n, imp,
-                                 feats, min_samples_leaf)
-    else:
-        found = _scan_segments(_scan_table(X, keys, y, n_classes), len(X), idx,
-                               start, n, feats, imp, n_classes, min_samples_leaf)
-    f, s, loss = (a[0] for a in found)
+    X = np.asarray(X)
+    idx = _bag(idx, len(X))
+    task = "regression" if n_classes is None else "classification"
+    config = TreeConfig(min_samples_leaf=min_samples_leaf, max_features="all")
+    X, y, bags, config, n_classes, keys, table = _prepare(
+        X[idx], np.asarray(y)[idx], [np.arange(len(idx))], config, task, n_classes)
+    feats = np.sort(np.asarray(feats, dtype=np.intp))
+    if feats.ndim != 1 or not len(feats) or feats[0] < 0 or feats[-1] >= X.shape[1]:
+        raise ValueError(f"candidate features must be a non-empty subset of "
+                         f"[0, {X.shape[1]})")
+    root = _roots(X, y, keys, bags, np.zeros(1, np.uint64), _Record(task), config,
+                  n_classes)
+    if not len(root):  # pure, or too small for two leaves
+        return None
+    f, s, loss = (a[0] for a in _best_splits(X, y, table, root, np.arange(1),
+                                             feats[None], n_classes, min_samples_leaf))
     if f < 0:
         return None
     return Split(int(f), float(s)), float(loss)
@@ -637,28 +625,22 @@ def _scan_segments(table, n_data, rows, start, n, feats, imp, n_classes, msl):
 
 
 def _best_splits(X, y, table, nodes, sel, feats, n_classes, msl):
-    """(feature, threshold) arrays of the nodes ``sel`` of a _Nodes set,
-    scanning feats (one sorted row per node), with feature -1 where a node
-    does not split: one _scan_regression call, or _scan_segments calls of
-    about SCAN_VALUES values."""
+    """(feature, threshold, loss) arrays of the nodes ``sel`` of a _Nodes
+    set, scanning feats (one sorted row per node), with feature -1 where a
+    node does not split: one _scan_regression call, or _scan_segments calls
+    of about SCAN_VALUES values."""
     n = nodes.n[sel]
     if n_classes is None:
         return _scan_regression(X, y, nodes.pairs, n, X.shape[1] * nodes.start[sel],
-                                nodes.mean[sel], nodes.imp[sel], feats, msl)[:2]
-    feature, threshold = np.empty(len(sel), dtype=np.intp), np.empty(len(sel))
+                                nodes.mean[sel], nodes.imp[sel], feats, msl)
+    out = (np.empty(len(sel), dtype=np.intp), np.empty(len(sel)), np.empty(len(sel)))
     for a, b in _chunks(n * feats.shape[1], SCAN_VALUES):
         part = sel[a:b]
-        feature[a:b], threshold[a:b], _ = _scan_segments(
-            table, len(X), nodes.rows, nodes.start[part], n[a:b],
-            feats[a:b], nodes.imp[part], n_classes, msl)
-    return feature, threshold
-
-
-def _node_impurity(y_node, n_classes) -> float:
-    """Gini of the node's labels if n_classes is given, else their MSE."""
-    if n_classes is None:
-        return impurity_from_values(y_node)
-    return impurity_from_counts(np.bincount(y_node, minlength=n_classes))
+        for column, found in zip(out, _scan_segments(
+                table, len(X), nodes.rows, nodes.start[part], n[a:b],
+                feats[a:b], nodes.imp[part], n_classes, msl)):
+            column[a:b] = found
+    return out
 
 
 def evaluate_split(X, y, idx, split: Split, n_root, n_classes=None,
@@ -676,8 +658,8 @@ def evaluate_split(X, y, idx, split: Split, n_root, n_classes=None,
     nr = n - nl
     if nl < min_samples_leaf or nr < min_samples_leaf:
         return None
-    h = np.array([_node_impurity(y[rows], n_classes)
-                  for rows in (idx, idx[mask], idx[~mask])])
+    h = _node_stats(y, np.concatenate([idx, idx[mask], idx[~mask]]),
+                    np.array([n, nl, nr]), n_classes)[1]
     delta = root_weighted_decrease(np.array([n, nl, nr]) / n_root, h, 0, 1, 2)
     return float((nl * h[1] + nr * h[2]) / n), float(delta)
 
@@ -697,8 +679,8 @@ def build_trees(facts: dict, sizes, task: str, n_classes, p: int) -> list[Tree]:
     A left child follows its parent; a right child follows its sibling's
     subtree, which ends at the first later node whose running count (+1
     per internal node, -1 per leaf) is one below the parent's. Derives
-    train_decrease, and a classification node's n and impurity with
-    _node_stats' bits. Raises ValueError naming the first tree at fault."""
+    train_decrease, and a classification node's n and impurity
+    (impurity_from_counts). Raises ValueError naming the first tree at fault."""
     if not np.all(sizes):
         raise ValueError(f"tree {np.argmin(sizes)}: no nodes")
     ends = np.cumsum(sizes)
@@ -725,7 +707,7 @@ def build_trees(facts: dict, sizes, task: str, n_classes, p: int) -> list[Tree]:
     if counts is None:
         mean, impurity = facts["mean"], facts["impurity"]
     else:
-        mean, impurity = None, predictive_gini(*[counts / n[:, None]] * 2)
+        mean, impurity = None, impurity_from_counts(counts)
     decrease = np.zeros(m)
     decrease[inner] = root_weighted_decrease(n / n[first], impurity, inner, inner + 1, hi)
     # child ids count from each tree's first node
@@ -779,15 +761,14 @@ def draw_subsets(keys: np.ndarray, p: int, k: int) -> np.ndarray:
 
 
 def grow(X, y, indices, config: TreeConfig, task: str,
-         n_classes: int | None = None, rng=0, keys=None) -> Tree:
+         n_classes: int | None = None, rng=0) -> Tree:
     """Grow a tree on the given row indices of (X, y): grow_trees on one bag.
 
     ``rng`` is a seed or a Generator; the tree takes one raw word of it as
-    the seed of its max_features subsets. ``keys`` is sort_keys(X);
-    computed here if None.
+    the seed of its max_features subsets.
     """
     return grow_trees(X, y, [indices], [np.random.default_rng(rng)], config,
-                      task, n_classes, keys)[0]
+                      task, n_classes)[0]
 
 
 class _Nodes:
@@ -885,17 +866,16 @@ class _Record:
 def _node_stats(y, rows, sizes, n_classes) -> tuple:
     """(stats, impurities) of consecutive groups of rows, ``rows`` holding
     them one after another and ``sizes`` their lengths, none of them 0.
-    For classification: the class counts (groups x classes) and their
-    Gini, from one bincount and one predictive_gini call
-    (impurity_from_counts' bits). For regression: the mean and the MSE
-    (_mean_and_mse's bits), from two np.add.reduceat calls."""
+    For classification: the class counts (groups x classes) from one
+    bincount, and their Gini (impurity_from_counts). For regression: the
+    mean and the MSE, from two np.add.reduceat calls: each group's bits
+    are those of np.add.reduceat over its values alone."""
     if n_classes is not None:
         code = np.repeat(np.arange(len(sizes)) * n_classes, sizes) + y[rows]
         counts = np.bincount(code, minlength=len(sizes) * n_classes) \
             .reshape(len(sizes), n_classes)
-        q = counts / sizes[:, None]
-        return counts, predictive_gini(q, q)
-    v = y.take(rows)
+        return counts, impurity_from_counts(counts)
+    v = np.asarray(y, dtype=np.float64).take(rows)
     starts = np.cumsum(sizes) - sizes
     mean = np.add.reduceat(v, starts) / sizes
     dev = v - np.repeat(mean, sizes)
@@ -922,7 +902,7 @@ def _take(nodes: _Nodes, keep: np.ndarray) -> _Nodes:
 
 
 def grow_trees(X, y, bags, rngs, config: TreeConfig, task: str,
-               n_classes: int | None = None, keys=None) -> list[Tree]:
+               n_classes: int | None = None) -> list[Tree]:
     """Grow one tree per bag of row indices of (X, y), all together.
 
     Trees grow in groups (one for classification; for regression, trees
@@ -940,38 +920,15 @@ def grow_trees(X, y, bags, rngs, config: TreeConfig, task: str,
     child_keys, or all features if that subset has no admissible split. So
     no node depends on the order nodes grow in: a tree is the same
     whichever trees grow beside it, and its nodes are numbered in
-    preorder. ``keys`` is sort_keys(X), which the trees share; computed
-    here if None.
+    preorder. Raises ValueError on bad input (_prepare).
     """
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    bags = [np.asarray(rows, dtype=np.intp) for rows in bags]
-    if any(len(rows) == 0 for rows in bags):
-        raise ValueError("cannot grow a tree on an empty index set")
     if len(rngs) != len(bags):
         raise ValueError("grow_trees needs one generator per bag")
-    config = config.resolved(task)
-    config.validate(X.shape[1])
-    classify = task == "classification"
-    if not classify:
-        n_classes = None  # None selects MSE in the split scan
-        y = np.asarray(y, dtype=np.float64)
-        top = max(len(rows) for rows in bags)
-        if not np.abs(y[np.concatenate(bags)]).max() <= target_limit(top):
-            raise ValueError(
-                "regression targets must be finite and within "
-                f"±{target_limit(top):.6g}, so that a sum of squares over "
-                f"{top} rows cannot overflow")
-    elif n_classes is None:
-        n_classes = int(y.max()) + 1
-    elif y.min() < 0 or y.max() >= n_classes:
-        # a batched bincount would count such a label in another node
-        raise ValueError(f"class labels must lie in [0, {n_classes})")
-    if keys is None:
-        keys = sort_keys(X)
-    table = _scan_table(X, keys, y, n_classes) if classify else None
+    X, y, bags, config, n_classes, keys, table = _prepare(X, y, bags, config, task,
+                                                          n_classes)
     # a regression tree's group holds its bag's presorted rows and, per row
     # of X, a target and a code (_grow_group)
-    groups = [(0, len(bags))] if classify else _chunks(
+    groups = [(0, len(bags))] if table is not None else _chunks(
         np.array([len(rows) for rows in bags]) * X.shape[1] + len(X), PRESORT_VALUES)
     seeds = np.array([rng.bit_generator.random_raw() for rng in rngs],
                      dtype=np.uint64)
@@ -982,10 +939,74 @@ def grow_trees(X, y, bags, rngs, config: TreeConfig, task: str,
     return grown
 
 
+def _bag(rows, n: int) -> np.ndarray:
+    """A bag of row indices as intp: at least one row, each an integer in
+    [0, n). A float or boolean index would be cast to a row silently."""
+    rows = np.asarray(rows)
+    if rows.ndim != 1 or not len(rows) or rows.dtype.kind not in "iu" \
+            or rows.min() < 0 or rows.max() >= n:
+        raise ValueError(f"a bag must be a non-empty list of row indices in [0, {n})")
+    return rows.astype(np.intp, copy=False)
+
+
+def _prepare(X, y, bags, config: TreeConfig, task: str, n_classes) -> tuple:
+    """What a fit does before it grows. Checks X and y, the bags (_bag), the
+    config, and the labels (integers in [0, n_classes), the largest + 1 by
+    default) or the bags' targets (finite, and small enough to square and
+    sum). Returns (X, y, bags, config, n_classes, keys, table): keys is
+    sort_keys(X), and table _scan_table's, None for regression."""
+    X, y = np.ascontiguousarray(X, dtype=np.float64), np.asarray(y)
+    if X.ndim != 2 or y.shape != X.shape[:1]:
+        raise ValueError(f"X must be 2-D with one target per row; got X of "
+                         f"shape {X.shape} and y of shape {y.shape}")
+    bags = [_bag(rows, len(X)) for rows in bags]
+    config = config.resolved(task)
+    config.validate(X.shape[1])
+    if task != "classification":
+        n_classes = None  # None selects MSE in the split scan
+        y = np.asarray(y, dtype=np.float64)
+        top = max(len(rows) for rows in bags)
+        if not np.abs(y[np.concatenate(bags)]).max() <= target_limit(top):
+            raise ValueError(
+                "regression targets must be finite and within "
+                f"±{target_limit(top):.6g}, so that a sum of squares over "
+                f"{top} rows cannot overflow")
+    else:
+        if y.dtype.kind not in "biu":
+            raise ValueError(f"class labels must be integers, not {y.dtype}")
+        if n_classes is None:
+            n_classes = int(y.max()) + 1
+        if y.min() < 0 or y.max() >= n_classes:
+            # a batched bincount would count such a label in another node,
+            # and a scan code would carry it into its key bits
+            raise ValueError(f"class labels must lie in [0, {n_classes})")
+    keys = sort_keys(X)
+    table = None if n_classes is None else _scan_table(X, keys, y, n_classes)
+    return X, y, bags, config, n_classes, keys, table
+
+
 def target_limit(n: int) -> float:
     """The largest |y| for which no sum of squared deviations of n
     regression targets overflows: sqrt(DBL_MAX / (4 n))."""
     return float(np.sqrt(np.finfo(np.float64).max / (4.0 * n)))
+
+
+def _roots(X, y, keys, bags, seeds, rec, config, n_classes) -> _Nodes:
+    """Record the roots of trees on these bags, with these seeds, and
+    return those to scan, as _Nodes. A regression root gets its bag
+    presorted by every feature, as ids tree * len(X) + row (_presort)."""
+    sizes = np.array([len(rows) for rows in bags])
+    roots, scan = _new_nodes(y, rec, np.arange(len(bags)), np.zeros(len(bags), np.intp),
+                             mix(seeds), np.concatenate(bags), sizes, n_classes,
+                             config)
+    nodes = _take(roots, scan)
+    if n_classes is None and len(nodes):
+        dtype = _row_dtype(len(bags) * len(X))
+        nodes.pairs = _padded(
+            [_presort(keys, nodes.rows[a:a + n], t * len(X), dtype)
+             for t, a, n in zip(nodes.tree, nodes.start, nodes.n)],
+            int(nodes.n.max()))
+    return nodes
 
 
 def _grow_group(X, y, keys, table, bags, seeds, config, task, n_classes):
@@ -994,34 +1015,24 @@ def _grow_group(X, y, keys, table, bags, seeds, config, task, n_classes):
     k_feats = resolve_max_features(config.max_features, p)
     every = np.arange(p)
     rec = _Record(task)
-    sizes = np.array([len(rows) for rows in bags])
-    roots, scan = _new_nodes(y, rec, np.arange(len(bags)), np.zeros(len(bags), np.intp),
-                             mix(seeds), np.concatenate(bags), sizes, n_classes,
-                             config)
-    nodes = _take(roots, scan)
+    nodes = _roots(X, y, keys, bags, seeds, rec, config, n_classes)
     code = scan_y = None
     if n_classes is None:
         # a node's presorted rows are ids tree * len(X) + row, which index
         # the group's copy of y per tree, and ``code``, which holds a row's
         # way out of its node for _split
-        n_data = len(X)
-        dtype = _row_dtype(len(bags) * n_data)
-        if len(nodes):
-            nodes.pairs = _padded(
-                [_presort(keys, nodes.rows[a:a + n], t * n_data, dtype)
-                 for t, a, n in zip(nodes.tree, nodes.start, nodes.n)],
-                int(nodes.n.max()))
         scan_y = np.concatenate([y] * len(bags))
-        code = np.zeros(len(bags) * n_data, dtype=np.uint8)
+        code = np.zeros(len(bags) * len(X), dtype=np.uint8)
     while len(nodes):
         feats = draw_subsets(nodes.key, p, k_feats) if k_feats < p \
             else np.broadcast_to(every, (len(nodes), p))
-        feature, threshold = _best_splits(X, scan_y, table, nodes, np.arange(len(nodes)),
-                                          feats, n_classes, config.min_samples_leaf)
+        feature, threshold, _ = _best_splits(X, scan_y, table, nodes,
+                                             np.arange(len(nodes)), feats, n_classes,
+                                             config.min_samples_leaf)
         retry = np.flatnonzero(feature < 0)
         if len(retry) and k_feats < p:
             # drawn subset unsplittable: fall back to scanning all features
-            feature[retry], threshold[retry] = _best_splits(
+            feature[retry], threshold[retry], _ = _best_splits(
                 X, scan_y, table, nodes, retry, np.broadcast_to(every, (len(retry), p)),
                 n_classes, config.min_samples_leaf)
         nodes = _split(X, y, nodes, feature, threshold, rec, config, n_classes,

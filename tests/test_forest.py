@@ -15,8 +15,7 @@ from ufitree.data import (
     CATEGORICAL, CONTINUOUS, Dataset, Encoder, FeatureKind, dummy_encode,
 )
 from ufitree.forest import (
-    Forest, ForestConfig, bootstrap_indices, draw_bag, draw_bags, fit,
-    tree_rngs, worker_count,
+    Forest, ForestConfig, bootstrap_indices, draw_bags, fit, worker_count,
 )
 from ufitree.importance import permutation_importance, si_forest, ufi_forest
 from ufitree.tree import COLUMNS, TreeConfig, grow, grow_trees, sort_keys
@@ -334,8 +333,7 @@ def forest_cases(draw):
 @given(case=forest_cases())
 def test_fit_grows_the_reference_trees(case):
     d, cfg = case
-    rngs = tree_rngs(cfg)
-    bags = [draw_bag(d.n, rng, cfg.bootstrap)[0] for rng in rngs]
+    rngs, bags, _ = draw_bags(d.n, cfg)
     want = [reference_grow(d.X, d.y, rows, cfg.tree, d.task, d.n_classes,
                            rng=rng, keys=sort_keys(d.X))
             for rows, rng in zip(bags, rngs)]
@@ -407,8 +405,7 @@ def regression_cases(draw):
 @given(case=regression_cases())
 def test_fit_grows_the_reference_regression_trees(case):
     d, cfg, budget = case
-    rngs = tree_rngs(cfg)
-    bags = [draw_bag(d.n, rng, cfg.bootstrap)[0] for rng in rngs]
+    rngs, bags, _ = draw_bags(d.n, cfg)
     want = [reference_grow(d.X, d.y, rows, cfg.tree, d.task, rng=rng,
                            keys=sort_keys(d.X))
             for rows, rng in zip(bags, rngs)]
@@ -474,6 +471,15 @@ class TestPredict:
         pred = f.predict(d.X[:5])
         manual = np.mean([t.predict(d.X[:5]) for t in f.trees], axis=0)
         assert pred == pytest.approx(manual.tolist())
+
+    @pytest.mark.parametrize("task", ["classification", "regression"])
+    def test_non_finite_row_rejected(self, task):
+        d = _dataset(task, n=40)
+        f = fit(d, ForestConfig(n_trees=3, seed=2, tree=TreeConfig(max_depth=3)))
+        X = d.X[:5].copy()
+        X[1, 0] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            f.predict(X)
 
     def test_probabilities_on_simplex(self):
         d = _dataset(n=80)

@@ -16,7 +16,7 @@ from ufitree.importance import (
     ufi_forest, ufi_tree_classification, ufi_tree_regression,
 )
 from ufitree.tree import (
-    TreeConfig, _mean_and_mse, _node_stats, grow, predictive_gini,
+    TreeConfig, _node_stats, grow, predictive_gini,
     root_weighted_decrease,
 )
 
@@ -195,6 +195,18 @@ class TestUfiForest:
         with pytest.raises(ValueError, match="got 100 rows and 99 labels"):
             run(f, d.X, d.y[:99])
 
+    @pytest.mark.parametrize("score", ["ufi", "permutation"])
+    def test_non_finite_test_row_rejected(self, score):
+        """A NaN compares False with every threshold, so its row would go
+        right at every node."""
+        d = _dataset("classification")
+        f = fit(d, ForestConfig(n_trees=3, seed=3, tree=TreeConfig(max_depth=2)))
+        X_test = d.X[:5].copy()
+        X_test[2, 1] = np.nan
+        run = ufi_forest if score == "ufi" else permutation_importance
+        with pytest.raises(ValueError, match="finite"):
+            run(f, d.X, d.y, X_test=X_test, y_test=d.y[:5])
+
 
 class TestLemmaUnbiasedness:
     """Monte Carlo checks that single-split corrected decreases center on 0
@@ -250,7 +262,8 @@ class TestWeightIdentity:
 def test_regression_node_sums_follow_one_rule(monkeypatch):
     """Every regression node statistic sums by one rule. segment_sums gives
     an empty segment 0.0, and any other the bits of np.add.reduceat over it
-    alone; _node_stats gives each group _mean_and_mse's bits; and
+    alone; _node_stats gives each group the bits of np.add.reduceat calls
+    of its own; and
     ufi_tree_regression, scoring a tree on its own in-bag rows, gets back
     each node's impurity as its test impurity h."""
     rng = np.random.default_rng(3)
@@ -263,7 +276,11 @@ def test_regression_node_sums_follow_one_rule(monkeypatch):
 
     sizes = np.array([1, 2, 7, 8, 9, 128, 129, 300])
     rows = rng.integers(0, len(values), sizes.sum())
-    want = [_mean_and_mse(v) for v in np.split(values[rows], np.cumsum(sizes)[:-1])]
+    want = []
+    for v in np.split(values[rows], np.cumsum(sizes)[:-1]):
+        mean = np.add.reduceat(v, [0])[0] / len(v)
+        dev = v - mean
+        want.append((mean, np.add.reduceat(dev * dev, [0])[0] / len(v)))
     for column, expected in zip(_node_stats(values, rows, sizes, None), zip(*want)):
         assert column.tobytes() == np.array(expected).tobytes()
 

@@ -11,9 +11,8 @@ from ufitree.data import CONTINUOUS, Dataset, FeatureKind
 from ufitree.forest import ForestConfig, fit
 from ufitree.importance import ufi_tree_classification
 from ufitree.tree import (
-    Split, TreeConfig, _best_splits, _mean_and_mse, _node_impurity,
-    _node_stats, _Nodes, _padded, _presort, _row_dtype, _scan_segments,
-    _scan_table, best_split, build_trees,
+    Split, TreeConfig, _best_splits, _node_stats, _Nodes, _padded, _presort,
+    _row_dtype, _scan_segments, _scan_table, best_split, build_trees,
     child_keys, draw_subsets, evaluate_split, grow, impurity_from_counts,
     impurity_from_values, mix, predictive_gini, sort_keys,
 )
@@ -21,6 +20,14 @@ from ufitree.tree import (
 FOUR_X = np.array([[1.0], [2.0], [3.0], [4.0]])
 FOUR_Y = np.array([0, 0, 1, 1])
 ALL4 = np.arange(4)
+
+
+def node_impurity(y_node, n_classes):
+    """The Gini of a node's labels if n_classes is given, else their MSE:
+    the impurity the grower gives the node."""
+    if n_classes is None:
+        return impurity_from_values(y_node)
+    return impurity_from_counts(np.bincount(y_node, minlength=n_classes))
 
 
 class TestImpurity:
@@ -86,6 +93,16 @@ class TestBestSplit:
         split, _ = best_split(X, FOUR_Y, ALL4, [0, 1], n_classes=2)
         assert split.feature == 0
 
+    @pytest.mark.parametrize("n_classes", [2, None], ids=["classification", "regression"])
+    @pytest.mark.parametrize("feats", [[-1], [2], []], ids=["-1", "p", "none"])
+    def test_feature_outside_the_columns_rejected(self, feats, n_classes):
+        """Column p - 1 splits the rows perfectly, but -1 does not name it,
+        and p names no column."""
+        X = np.column_stack([np.zeros(4), FOUR_X[:, 0]])
+        assert best_split(X, FOUR_Y, ALL4, [1], n_classes)[0] == Split(1, 2.5)
+        with pytest.raises(ValueError, match="candidate features"):
+            best_split(X, FOUR_Y, ALL4, feats, n_classes)
+
     # ids name the impurity that the task implies
     @pytest.mark.parametrize("task", ["classification", "regression"],
                              ids=["classification-gini", "regression-mse"])
@@ -118,13 +135,11 @@ class TestBestSplit:
             X, y, k = random_instance(rng, task, duplicates=trial % 2 == 0)
             idx = rng.integers(0, len(y), size=len(y))
             feats = np.arange(X.shape[1])
-            keys = sort_keys(X)
-            assert keys.dtype == np.uint16
-            imp = _node_impurity(y[idx], k)
+            assert sort_keys(X).dtype == np.uint16
             # the reference scans the float values
-            want = reference_best_split(X, y, idx, feats, k, 1, imp)
-            got = best_split(X, y, idx, feats, k, 1, imp, keys)
-            assert got == want
+            want = reference_best_split(X, y, idx, feats, k, 1,
+                                        node_impurity(y[idx], k))
+            assert best_split(X, y, idx, feats, k) == want
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_sort_keys_reject_non_finite_values(self, bad):
@@ -156,7 +171,7 @@ def scan_batch(X, y, keys, nodes, n_classes, msl):
     zero = np.zeros(len(nodes), dtype=np.intp)
     table = mean = pairs = None
     if n_classes is None:
-        mean = np.array([_mean_and_mse(y[r])[0] for r in rows])
+        mean = np.array([np.add.reduceat(y[r], [0])[0] / len(r) for r in rows])
         pairs = _padded([_presort(keys, r, 0, _row_dtype(len(X))) for r in rows],
                         int(n.max()))
     else:
@@ -165,7 +180,7 @@ def scan_batch(X, y, keys, nodes, n_classes, msl):
                    None, mean, np.concatenate(rows))
     batch.pairs = pairs
     return _best_splits(X, y, table, batch, np.arange(len(nodes)),
-                        np.array([f for _, f, _ in nodes]), n_classes, msl)
+                        np.array([f for _, f, _ in nodes]), n_classes, msl)[:2]
 
 
 def _same_float(a, b):
@@ -192,7 +207,7 @@ def regression_batches(draw):
         size = draw(st.sampled_from([1, 2, 3]) | st.integers(1, top))
         rows = rng.integers(0, n, size)
         feats = np.sort(rng.choice(p, k, replace=False))
-        nodes.append((rows, feats, _node_impurity(y[rows], None)))
+        nodes.append((rows, feats, impurity_from_values(y[rows])))
     values = draw(st.sampled_from([1, 64, tree_mod.SCAN_VALUES]))
     return X, y, nodes, draw(st.integers(1, 5)), values
 
@@ -201,8 +216,7 @@ def regression_batches(draw):
 @given(case=regression_batches())
 def test_batched_scan_is_best_split_bit_for_bit(case):
     """The batched regression scan finds, for every node, the split of the
-    per-node reference scan, to the bit; so does best_split, with and
-    without the fit's keys."""
+    per-node reference scan, to the bit; so does best_split."""
     X, y, nodes, msl, values = case
     keys = sort_keys(X)
     with pytest.MonkeyPatch.context() as mp:
@@ -213,20 +227,19 @@ def test_batched_scan_is_best_split_bit_for_bit(case):
         assert (f < 0) == (want is None)
         if want is not None:
             assert f == want[0].feature and _same_float(s, want[0].threshold)
-        for k in (keys, None):
-            got = best_split(X, y, rows, feats, None, msl, imp, k)
-            assert (got is None) == (want is None)
-            if got is not None:
-                assert got[0].feature == want[0].feature
-                assert _same_float(got[0].threshold, want[0].threshold)
-                assert _same_float(got[1], want[1])
+        got = best_split(X, y, rows, feats, None, msl)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got[0].feature == want[0].feature
+            assert _same_float(got[0].threshold, want[0].threshold)
+            assert _same_float(got[1], want[1])
 
 
 @pytest.mark.parametrize("scan_values", [1, 500, tree_mod.SCAN_VALUES])
 def test_node_stats_are_per_group_reductions_bit_for_bit(monkeypatch, scan_values):
     """The regression stats of 1 to 40 groups of 1 to 300 rows are those
-    of _mean_and_mse per group, to the bit, whatever the cap on scanned
-    values."""
+    of np.add.reduceat calls per group, to the bit, whatever the cap on
+    scanned values."""
     monkeypatch.setattr(tree_mod, "SCAN_VALUES", scan_values)
     rng = np.random.default_rng(7)
     y = rng.standard_normal(500) * 10.0 ** rng.integers(-3, 4, 500)
@@ -236,7 +249,9 @@ def test_node_stats_are_per_group_reductions_bit_for_bit(monkeypatch, scan_value
         rows = rng.integers(0, len(y), sizes.sum())
         want = []
         for v in np.split(y[rows], np.cumsum(sizes)[:-1]):
-            want.append(_mean_and_mse(v))
+            mean = np.add.reduceat(v, [0])[0] / len(v)
+            dev = v - mean
+            want.append((mean, np.add.reduceat(dev * dev, [0])[0] / len(v)))
         got = _node_stats(y, rows, sizes, None)
         assert len(got) == 2
         for column, expected in zip(got, zip(*want)):
@@ -273,7 +288,7 @@ def classification_nodes(draw):
                     | st.integers(2, 3000))
         rows = rng.integers(0, n, size)
         feats = np.sort(rng.choice(p, n_feats, replace=False))
-        nodes.append((rows, feats, _node_impurity(y[rows], k)))
+        nodes.append((rows, feats, node_impurity(y[rows], k)))
     cap = draw(st.sampled_from([1, 100, 5000, tree_mod.SCAN_VALUES]))
     return X, y, k, nodes, draw(st.integers(1, 5)), cap
 
@@ -298,7 +313,7 @@ def test_classification_scan_is_best_split_bit_for_bit(case):
             assert _same_float(s, expected[0].threshold)
             assert _same_float(loss, expected[1])
         # best_split scans a classification node on its own rows
-        got = best_split(X, y, rows, feats, k, msl, imp, keys)
+        got = best_split(X, y, rows, feats, k, msl)
         assert (got is None) == (expected is None)
         if got is not None:
             assert (got[0].feature, got[1]) == (f, loss)
@@ -340,7 +355,7 @@ def test_classification_scan_on_codes_of_32_and_33_bits(monkeypatch, n_nodes,
     rows = rng.integers(0, 4096, n.sum())
     start = np.cumsum(n) - n
     feats = np.tile([0, 1], (n_nodes, 1))
-    imp = np.array([_node_impurity(y[rows[a:a + k]], 33) for a, k in zip(start, n)])
+    imp = np.array([node_impurity(y[rows[a:a + k]], 33) for a, k in zip(start, n)])
     found = _scan_segments(table, len(X), rows, start, n, feats, imp, 33, 1)
     assert widths[-1] == bits and code_dtype(bits) == dtype
     check = np.r_[0:200, n_nodes - 800:n_nodes]
@@ -612,6 +627,38 @@ class TestGrow:
             grow(FOUR_X, np.array([0, 1, 2, 1]), ALL4, TreeConfig(),
                  "classification", n_classes=2)
 
+    @pytest.mark.parametrize("y,n_classes,match", [
+        ([5, 5, 6, 6], 2, "class labels"),
+        ([0, -1, 1, 1], None, "class labels"),
+        ([0.0, 0.0, 1.0, 1.0], None, "integers"),
+    ], ids=["above-n-classes", "negative", "float"])
+    def test_bad_labels_rejected_by_grow_and_best_split(self, y, n_classes, match):
+        """Labels 5 and 6 under two classes would spill into the scan
+        codes' key bits."""
+        y = np.array(y)
+        with pytest.raises(ValueError, match=match):
+            grow(FOUR_X, y, ALL4, TreeConfig(), "classification", n_classes)
+        with pytest.raises(ValueError, match=match):
+            best_split(FOUR_X, y, ALL4, [0], n_classes or 2)
+
+    @pytest.mark.parametrize("rows", [[-1, 0, 1, 2], [0, 1, 2, 4], [0.5, 1.5, 2.5, 3.5],
+                                      [True, False, True, True]],
+                             ids=["-1", "n", "float", "mask"])
+    def test_row_index_outside_the_data_rejected(self, rows):
+        """-1 would take the last row, and a float or a mask would be cast
+        to rows."""
+        with pytest.raises(ValueError, match="row indices"):
+            grow(FOUR_X, FOUR_Y, rows, TreeConfig(), "classification", 2)
+        with pytest.raises(ValueError, match="row indices"):
+            best_split(FOUR_X, FOUR_Y, rows, [0], 2)
+
+    @pytest.mark.parametrize("task", ["classification", "regression"])
+    def test_targets_not_one_per_row_rejected(self, task):
+        with pytest.raises(ValueError, match="one target per row"):
+            grow(FOUR_X, FOUR_Y[:3], [0, 1, 2], TreeConfig(), task)
+        with pytest.raises(ValueError, match="2-D"):
+            grow(FOUR_X[:, 0], FOUR_Y, ALL4, TreeConfig(), task)
+
     def test_empty_index_set_rejected(self):
         with pytest.raises(ValueError):
             grow(FOUR_X, FOUR_Y, np.array([], dtype=int),
@@ -692,6 +739,41 @@ class TestGrow:
         tree = _fit(X, y, "classification", max_features=1, max_depth=1, seed=3)
         assert not tree.is_leaf[0]
         assert tree.feature[0] == 1
+
+
+@st.composite
+def root_cases(draw):
+    """A tie-heavy dataset of either task (up to 4 classes), a bag that
+    repeats rows of a narrow range, and min_samples_leaf 1 or 3."""
+    task = draw(st.sampled_from(["classification", "regression"]))
+    n = draw(st.integers(1, 80))
+    p = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = np.column_stack([rng.integers(0, draw(st.integers(1, n)), n) / 2.0
+                         for _ in range(p)])
+    if task == "classification":
+        y = rng.integers(0, draw(st.integers(1, 4)), n)
+    else:
+        y = np.round(rng.standard_normal(n), draw(st.integers(0, 3)))
+    bag = rng.integers(0, draw(st.integers(1, n)), draw(st.integers(1, 2 * n)))
+    return X, y, bag, task, draw(st.sampled_from([1, 3]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=root_cases())
+def test_best_split_is_the_root_split_of_a_depth_one_tree(case):
+    """best_split on a bag, over every feature, splits where grow splits
+    the root of a tree on that bag, to the bit, and finds no split where
+    the root stays a leaf."""
+    X, y, bag, task, msl = case
+    n_classes = int(y.max()) + 1 if task == "classification" else None
+    cfg = TreeConfig(max_depth=1, max_features="all", min_samples_leaf=msl)
+    tree = grow(X, y, bag, cfg, task, n_classes)
+    got = best_split(X, y, bag, range(X.shape[1]), n_classes, msl)
+    assert (got is None) == tree.is_leaf[0]
+    if got is not None:
+        assert got[0].feature == tree.feature[0]
+        assert _same_float(got[0].threshold, tree.threshold[0])
 
 
 class TestRouteAndPredict:
