@@ -81,22 +81,13 @@ def _load_encoded(data_path, schema_path, probe_seed: int | None = None,
     by one fitted on it, with a random probe column appended first when
     ``probe_seed`` is given."""
     try:
-        schema = json.loads(Path(schema_path).read_text())
-        target, task, kinds = parse_schema(schema)
+        target, task, kinds = parse_schema(json.loads(Path(schema_path).read_text()))
     except (OSError, json.JSONDecodeError, DataError) as e:
         _die_usage(f"bad schema: {e}")
     if task not in ("classification", "regression"):
         _die_usage("schema 'task' must be classification or regression")
-    declared = {name: kinds[name].cardinality
-                for name, spec in schema.get("kinds", {}).items()
-                if isinstance(spec, dict)}
     try:
         d = load_csv(data_path, target, task, kinds, encoder)
-        for name, kind in zip(d.feature_names, d.kinds):
-            if name in declared and len(kind.levels) > declared[name]:
-                raise DataError(
-                    f"{data_path}: column {name!r} shows {len(kind.levels)} "
-                    f"levels, more than the {declared[name]} its schema declares")
         if probe_seed is not None:
             d = inject_random_feature(d, seed=probe_seed)
         return (d, *dummy_encode(d, encoder))

@@ -29,26 +29,38 @@ class FeatureKind:
 
     ``binary`` is shorthand for a two-level categorical that is stored as 0/1
     and never dummy-encoded.  ``ordinal`` is stored as plain numeric codes and
-    split on directly.  A categorical column read from a file carries its
-    observed ``levels``, one per code.
+    split on directly.  A categorical column's ``levels`` name its codes, and
+    are its one count (``cardinality``); declared before its file is read, it
+    has none yet, and ``max_levels`` bounds how many the file may show.
     """
 
     kind: str
-    cardinality: int | None = None
     levels: tuple[str, ...] | None = None
+    max_levels: int | None = None
 
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise DataError(f"unknown feature kind {self.kind!r}")
-        if self.kind == CATEGORICAL:
-            # a file's column may show one level; a declared one allows two
-            least = 1 if self.levels else 2
-            if self.cardinality is None or self.cardinality < least:
-                raise DataError(f"categorical cardinality must be >= {least}")
+        if not self.is_categorical and (self.levels, self.max_levels) != (None, None):
+            raise DataError(f"a column of kind {self.kind!r} has no levels")
+        if self.levels is not None and not (
+                type(self.levels) is tuple and all(isinstance(lv, str) for lv in self.levels)
+                and len(set(self.levels)) == len(self.levels) > 0):
+            raise DataError(f"categorical levels {self.levels!r} are not a nonempty "
+                            "tuple of distinct strings")
+        if self.max_levels is not None and not (
+                type(self.max_levels) is int and max(2, self.cardinality) <= self.max_levels):
+            raise DataError(f"categorical max_levels must be an integer >= "
+                            f"{max(2, self.cardinality)}, not {self.max_levels!r}")
 
     @property
     def is_categorical(self) -> bool:
         return self.kind == CATEGORICAL
+
+    @property
+    def cardinality(self) -> int:
+        """The number of levels: a categorical column's indicator columns."""
+        return len(self.levels or ())
 
 
 @dataclass
@@ -56,8 +68,8 @@ class Dataset:
     """Immutable numeric feature matrix plus target and per-column metadata.
 
     Classification targets are dense integer labels in ``[0, n_classes)``,
-    named by ``class_labels``; categorical feature columns hold level codes,
-    named by their kind's ``levels``.
+    named by ``class_labels`` (which then fix ``n_classes``); categorical
+    feature columns hold level codes, named by their kind's ``levels``.
     """
 
     X: np.ndarray
@@ -78,7 +90,12 @@ class Dataset:
             raise DataError(f"unknown task {self.task!r}")
         if self.task == "classification":
             self.y = np.asarray(self.y, dtype=np.int64)
-            if self.n_classes is None:
+            if self.class_labels is not None:
+                if self.n_classes not in (None, len(self.class_labels)):
+                    raise DataError(f"n_classes {self.n_classes} does not match the "
+                                    f"{len(self.class_labels)} class labels")
+                self.n_classes = len(self.class_labels)
+            elif self.n_classes is None:
                 self.n_classes = int(self.y.max()) + 1 if len(self.y) else 0
             if self.y.min() < 0 or self.y.max() >= self.n_classes:
                 raise DataError("class labels must lie in [0, n_classes)")
@@ -125,28 +142,44 @@ class Encoder:
         for name, kind in zip(self.feature_names, self.kinds):
             if self.feature_names.count(name) > 1:
                 raise DataError(f"column {name!r} is named twice")
-            self.encoded_names += [f"{name}={lv}" for lv in kind.levels or range(
-                kind.cardinality)] if kind.is_categorical else [name]
+            if kind.is_categorical and not kind.levels:
+                raise DataError(f"categorical column {name!r} has no levels")
+            self.encoded_names += ([f"{name}={lv}" for lv in kind.levels]
+                                   if kind.levels else [name])
 
     def to_dict(self) -> dict:
         """The model file's record of the coding: each column's name, kind
-        and levels (``kinds``), and the class labels. A categorical column
-        declared without levels records its cardinality."""
-        kinds = []
-        for name, k in zip(self.feature_names, self.kinds):
-            kinds.append({"name": name, "kind": k.kind, "levels": k.levels and [*k.levels]})
-            if k.is_categorical and not k.levels:
-                kinds[-1]["cardinality"] = k.cardinality
-        return {"kinds": kinds, "class_labels": self.class_labels}
+        and levels (``kinds``), and the class labels."""
+        return {"kinds": [{"name": name, "kind": k.kind, "levels": k.levels and [*k.levels]}
+                          for name, k in zip(self.feature_names, self.kinds)],
+                "class_labels": self.class_labels}
 
     @classmethod
     def from_dict(cls, d: dict) -> "Encoder":
-        """The coding that to_dict recorded."""
-        return cls([c["name"] for c in d["kinds"]],
-                   [FeatureKind(c["kind"],
-                                len(c["levels"]) if c["levels"] else c.get("cardinality"),
-                                c["levels"] and tuple(c["levels"])) for c in d["kinds"]],
+        """The coding that to_dict recorded. Raises DataError naming the
+        column of a malformed ``kinds`` record."""
+        records = [_column_record(c, i) for i, c in enumerate(d["kinds"], 1)]
+        return cls([name for name, _ in records], [kind for _, kind in records],
                    d["class_labels"])
+
+
+def _column_record(c, i: int) -> tuple[str, FeatureKind]:
+    """The name and kind that column ``i``'s ``kinds`` record holds."""
+    name = c.get("name") if isinstance(c, dict) else None
+    try:
+        if not isinstance(c, dict) or sorted(c) != ["kind", "levels", "name"]:
+            raise DataError(f"record {c!r} does not hold just name, kind and levels")
+        if not isinstance(name, str):
+            raise DataError(f"name {name!r} is not a string")
+        levels = c["levels"]
+        if levels is not None and not (
+                isinstance(levels, list) and all(isinstance(lv, str) for lv in levels)):
+            raise DataError(f"levels {levels!r} are not a list of strings")
+        kind = FeatureKind(c["kind"], None if levels is None else tuple(levels))
+    except DataError as exc:
+        where = f"column {name!r}" if isinstance(name, str) else f"column {i}"
+        raise DataError(f"{where} of the coding: {exc}") from None
+    return name, kind
 
 
 def parse_schema(schema: dict) -> tuple[str, str | None, dict[str, FeatureKind]]:
@@ -154,7 +187,7 @@ def parse_schema(schema: dict) -> tuple[str, str | None, dict[str, FeatureKind]]
 
     Kinds may be plain strings or ``{"categorical": k}`` objects. Either way
     a categorical column's levels are those the file shows; a declared k is
-    the most it may show, which the CLI checks after loading. A k that is
+    the most it may show (``max_levels``), which load_csv checks. A k that is
     not a JSON integer (a fraction, a string or a boolean) is rejected, as
     are a target that is not a string and a kind given for the target.
     """
@@ -177,9 +210,7 @@ def parse_schema(schema: dict) -> tuple[str, str | None, dict[str, FeatureKind]]
             count = spec[CATEGORICAL] if list(spec) == [CATEGORICAL] else None
             if type(count) is not int:
                 raise DataError(f"bad kind spec for column {name!r}: {spec!r}")
-            kinds[name] = FeatureKind(CATEGORICAL, count)
-        elif spec == CATEGORICAL:
-            kinds[name] = FeatureKind(CATEGORICAL, 2)  # cardinality fixed after load
+            kinds[name] = FeatureKind(CATEGORICAL, max_levels=count)
         else:
             kinds[name] = FeatureKind(spec)
     return target, task, kinds
@@ -191,26 +222,35 @@ def load_csv(path, target: str, task: str, kinds: dict[str, FeatureKind] | None 
 
     Columns keep file order (target excluded), and a header that names a
     column twice is rejected.  Unlisted columns default to continuous.
-    Missing/unparseable cells are rejected with their position.  Categorical
-    levels and class labels are coded in first-appearance order or, given
+    Missing/unparseable cells are rejected with their position, and a column
+    with more levels than its ``max_levels`` by name.  Categorical levels and
+    class labels are coded in first-appearance order or, given
     the training set's ``encoder``, in its order; a level or label that the
-    encoder does not hold is then rejected with its position.
+    encoder does not hold is then rejected with its position.  Every
+    DataError names the file.
     """
-    kinds = dict(kinds or {})
+    try:
+        return _read_csv(path, target, task, dict(kinds or {}), encoder)
+    except DataError as e:
+        raise DataError(f"{path}: {e}") from None
+
+
+def _read_csv(path, target: str, task: str, kinds: dict[str, FeatureKind],
+              encoder: Encoder | None) -> Dataset:
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
-            raise DataError(f"{path}: empty file") from None
+            raise DataError("empty file") from None
         rows = list(reader)
     for c, name in enumerate(header):
         if name in header[:c]:
-            raise DataError(f"{path}: column {name!r} is named twice in the header")
+            raise DataError(f"column {name!r} is named twice in the header")
     if target not in header:
         raise DataError(f"target column {target!r} not in header")
     if not rows:
-        raise DataError(f"{path}: no data rows")
+        raise DataError("no data rows")
 
     feat_cols = [c for c in header if c != target]
     for name in kinds:
@@ -243,21 +283,14 @@ def load_csv(path, target: str, task: str, kinds: dict[str, FeatureKind] | None 
         if row is not None:
             raise DataError(f"target {rows[row][tgt_idx].strip()!r} at row {row + 1}, "
                             f"column {target!r} {_beyond(y)}")
-    final_kinds = [
-        FeatureKind(CATEGORICAL, len(level_codes[name]), tuple(level_codes[name]))
-        if kind.is_categorical else kind
-        for _, name, kind in cols
-    ]
-    class_labels = None if label_codes is None else list(label_codes)
-    return Dataset(
-        X=X,
-        y=y,
-        feature_names=feat_cols,
-        kinds=final_kinds,
-        task=task,
-        n_classes=len(class_labels) if class_labels is not None else None,
-        class_labels=class_labels,
-    )
+    for _, name, kind in cols:
+        if kind.max_levels and len(level_codes[name]) > kind.max_levels:
+            raise DataError(f"column {name!r} shows {len(level_codes[name])} levels, "
+                            f"more than the {kind.max_levels} its schema declares")
+    final_kinds = [FeatureKind(CATEGORICAL, tuple(level_codes[name]))
+                   if kind.is_categorical else kind for _, name, kind in cols]
+    return Dataset(X, y, feat_cols, final_kinds, task,
+                   class_labels=None if label_codes is None else list(label_codes))
 
 
 def _oversized_target(y: np.ndarray) -> int | None:

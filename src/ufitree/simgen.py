@@ -21,7 +21,7 @@ SCENARIOS = ("null_mixed", "signal", "discrete10")
 METHODS = ("si", "ufi", "permutation")
 
 # mixed-type design: one standard normal plus uniform categoricals of
-# increasing cardinality
+# increasing cardinality, whose levels are their codes "0" ... "k-1"
 _MIXED_CARDS = (2, 4, 10, 20)
 
 
@@ -97,7 +97,8 @@ def average_rank(scores: np.ndarray) -> np.ndarray:
 def _mixed_features(n: int, rng: np.random.Generator):
     cols = [rng.standard_normal(n)] + [
         rng.integers(0, card, size=n).astype(np.float64) for card in _MIXED_CARDS]
-    kinds = [FeatureKind(CONTINUOUS)] + [FeatureKind(CATEGORICAL, c) for c in _MIXED_CARDS]
+    kinds = [FeatureKind(CONTINUOUS)] + [
+        FeatureKind(CATEGORICAL, tuple(map(str, range(c)))) for c in _MIXED_CARDS]
     return np.column_stack(cols), [f"X{i}" for i in range(1, len(cols) + 1)], kinds
 
 

@@ -400,6 +400,33 @@ class TestTestFile:
         assert res.exit_code == 1, res.output
         assert where in res.output and "training data" in res.output
 
+    @pytest.mark.parametrize("text, message", [
+        ("x,c,label\nzz,a,no\n", "cannot parse 'zz' at row 1, column 'x'"),
+        ("x,c\n1.0,a\n", "target column 'label' not in header"),
+    ], ids=["parse", "no-target"])
+    def test_bad_training_file_is_named(self, pair, text, message):
+        (pair / "bad.csv").write_text(text)
+        res = CliRunner().invoke(main, [
+            "importance", "--data", str(pair / "bad.csv"),
+            "--schema", str(pair / "schema.json"), "--test", str(pair / "test.csv"),
+            "--method", "ufi", "--trees", "5", "--seed", "3", "--out", str(pair / "imp")])
+        assert res.exit_code == 1, res.output
+        assert f"error: {pair / 'bad.csv'}: {message}" in res.output
+        assert res.output.count("bad.csv") == 1
+
+    @pytest.mark.parametrize("text, message", [
+        ("x,c,label\nzz,a,no\n", "cannot parse 'zz' at row 1, column 'x'"),
+        ("x,c,label\n1.0,d,no\n", "value 'd' at row 1, column 'c' does not occur "
+                                  "in the training data"),
+        ("x,c\n1.0,a\n", "target column 'label' not in header"),
+    ], ids=["parse", "unseen-level", "no-target"])
+    def test_bad_test_file_is_named(self, pair, text, message):
+        (pair / "bad.csv").write_text(text)
+        res = _importance(pair, pair / "bad.csv", "--method", "ufi")
+        assert res.exit_code == 1, res.output
+        assert f"error: {pair / 'bad.csv'}: {message}" in res.output
+        assert res.output.count("bad.csv") == 1
+
     def test_test_file_lacking_a_level_scores(self, pair):
         (pair / "ab.csv").write_text("x,c,label\n1.0,a,no\n5.0,b,yes\n")
         res = _importance(pair, pair / "ab.csv", "--method", "ufi")

@@ -21,10 +21,35 @@ def _write(tmp_path, text, name="data.csv"):
 
 class TestFeatureKind:
     def test_categorical_needs_cardinality(self):
-        with pytest.raises(DataError):
-            FeatureKind(CATEGORICAL, 1)
+        """A categorical's count is its levels; a declared maximum allows
+        at least two."""
+        assert FeatureKind(CATEGORICAL, ("a",)).cardinality == 1
+        with pytest.raises(DataError, match="max_levels must be an integer >= 2"):
+            FeatureKind(CATEGORICAL, max_levels=1)
         with pytest.raises(DataError):
             FeatureKind("bogus")
+
+    @pytest.mark.parametrize("args, kw, message", [
+        ((CATEGORICAL, 3), {}, "levels 3 are not"),
+        ((CATEGORICAL, 5, ("a",)), {}, "levels 5 are not"),
+        ((CATEGORICAL, ["a", "b"]), {}, "are not a nonempty tuple"),
+        ((CATEGORICAL, ()), {}, "are not a nonempty tuple"),
+        ((CATEGORICAL, ("a", "a")), {}, "distinct strings"),
+        ((CATEGORICAL, ("a", 1)), {}, "distinct strings"),
+        ((CATEGORICAL, ("a", "b", "c")), {"max_levels": 2}, ">= 3, not 2"),
+        ((CATEGORICAL,), {"max_levels": 2.0}, ">= 2, not 2.0"),
+        ((CATEGORICAL,), {"max_levels": True}, ">= 2, not True"),
+        ((CONTINUOUS, 3, ("a", "b")), {}, "kind 'continuous' has no levels"),
+        ((ORDINAL, ("a", "b")), {}, "kind 'ordinal' has no levels"),
+        ((BINARY,), {"max_levels": 2}, "kind 'binary' has no levels"),
+    ], ids=["positional-count", "count-and-levels", "list", "empty", "repeated",
+            "non-string", "more-than-max", "max-fraction", "max-bool",
+            "continuous-levels", "ordinal-levels", "binary-max"])
+    def test_contradictory_kind_rejected(self, args, kw, message):
+        """A kind holds one record of its levels: a count is not taken as
+        levels, and only a categorical has levels or a maximum."""
+        with pytest.raises(DataError, match=message):
+            FeatureKind(*args, **kw)
 
     def test_binary_is_not_dummy_encoded(self):
         assert not FeatureKind("binary").is_categorical
@@ -78,8 +103,8 @@ class TestLoadCsv:
     def test_categorical_levels_first_appearance_order(self, tmp_path):
         path = _write(tmp_path, "c,y\nred,0\nblue,1\nred,0\ngreen,1\n")
         d = load_csv(path, target="y", task="classification",
-                     kinds={"c": FeatureKind(CATEGORICAL, 2)})
-        assert d.kinds[0].levels == ("red", "blue", "green")
+                     kinds={"c": FeatureKind(CATEGORICAL)})
+        assert d.kinds[0] == FeatureKind(CATEGORICAL, ("red", "blue", "green"))
         assert d.kinds[0].cardinality == 3
         assert d.X[:, 0].tolist() == [0.0, 1.0, 0.0, 2.0]
 
@@ -105,11 +130,49 @@ class TestLoadCsv:
                      kinds={"b": FeatureKind(BINARY)})
         assert d.X[:, 0].tolist() == [0.0, 1.0]
 
+    def test_more_levels_than_declared_rejected(self, tmp_path):
+        """The schema's declared maximum is load_csv's to check, and the
+        loaded kind keeps the levels alone."""
+        path = _write(tmp_path, "c,y\na,0\nb,1\nc,0\n")
+        schema = {"target": "y", "task": "classification",
+                  "kinds": {"c": {"categorical": 2}}}
+        with pytest.raises(DataError, match="data.csv: column 'c' shows 3 levels, "
+                           "more than the 2 its schema declares"):
+            load_csv(path, *parse_schema(schema))
+        schema["kinds"]["c"]["categorical"] = 3
+        d = load_csv(path, *parse_schema(schema))
+        assert d.kinds == [FeatureKind(CATEGORICAL, ("a", "b", "c"))]
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty file"),
+        ("x,y\n", "no data rows"),
+        ("x,x,y\n1,2,0\n", "column 'x' is named twice in the header"),
+        ("x,z\n1,0\n", "target column 'y' not in header"),
+        ("x,y\nzz,0\n", "cannot parse 'zz' at row 1, column 'x'"),
+        ("x,y\n1,0\n2\n", "row 2: expected 2 cells, got 1"),
+    ], ids=["empty", "no-rows", "named-twice", "no-target", "parse", "ragged"])
+    def test_every_error_names_its_file_once(self, tmp_path, text, message):
+        path = _write(tmp_path, text, "bad.csv")
+        with pytest.raises(DataError) as err:
+            load_csv(path, target="y", task="classification")
+        assert str(err.value) == f"{path}: {message}"
+
     def test_column_named_twice_rejected(self, tmp_path):
         path = _write(tmp_path, "a,a,label\nred,blue,0\nblue,red,1\n")
         with pytest.raises(DataError, match="column 'a' is named twice"):
             load_csv(path, target="label", task="classification",
-                     kinds={"a": FeatureKind(CATEGORICAL, 2)})
+                     kinds={"a": FeatureKind(CATEGORICAL)})
+
+
+class TestDataset:
+    def test_class_labels_fix_n_classes(self):
+        X, y = np.zeros((3, 1)), [0, 1, 0]
+        d = Dataset(X, y, ["x"], [FeatureKind(CONTINUOUS)], "classification",
+                    class_labels=["a", "b", "c"])
+        assert d.n_classes == 3
+        with pytest.raises(DataError, match="n_classes 3 does not match the 2"):
+            Dataset(X, y, ["x"], [FeatureKind(CONTINUOUS)], "classification",
+                    n_classes=3, class_labels=["a", "b"])
 
 
 class TestParseSchema:
@@ -120,8 +183,10 @@ class TestParseSchema:
             "kinds": {"a": "continuous", "b": {"categorical": 4}, "c": "ordinal"},
         })
         assert target == "y" and task == "classification"
-        assert kinds["b"] == FeatureKind(CATEGORICAL, 4)
+        assert kinds["b"] == FeatureKind(CATEGORICAL, max_levels=4)
         assert kinds["c"].kind == ORDINAL
+        assert parse_schema({"target": "y", "kinds": {"a": "categorical"}})[2] == {
+            "a": FeatureKind(CATEGORICAL)}
 
     def test_target_required(self):
         with pytest.raises(DataError):
@@ -152,7 +217,7 @@ def _mixed_dataset(n=8, seed=0):
     return Dataset(
         X=X, y=rng.integers(0, 2, size=n),
         feature_names=["cont", "cat"],
-        kinds=[FeatureKind(CONTINUOUS), FeatureKind(CATEGORICAL, 4)],
+        kinds=[FeatureKind(CONTINUOUS), FeatureKind(CATEGORICAL, ("0", "1", "2", "3"))],
         task="classification", n_classes=2,
     )
 
@@ -194,7 +259,7 @@ class TestDummyEncode:
         names = ["x1"]
         for i, c in enumerate(cards):
             cols.append(rng.integers(0, c, size=n).astype(float))
-            kinds.append(FeatureKind(CATEGORICAL, c))
+            kinds.append(FeatureKind(CATEGORICAL, tuple(map(str, range(c)))))
             names.append(f"x{i + 2}")
         d = Dataset(np.column_stack(cols), rng.integers(0, 2, n), names, kinds,
                     "classification", 2)
@@ -204,15 +269,16 @@ class TestDummyEncode:
     def test_one_level_categorical_gives_one_column(self, tmp_path):
         path = _write(tmp_path, "c,x,y\nred,1.0,0\nred,2.0,1\nred,3.0,0\n")
         d = load_csv(path, target="y", task="classification",
-                     kinds={"c": FeatureKind(CATEGORICAL, 2)})
+                     kinds={"c": FeatureKind(CATEGORICAL)})
         enc, _ = dummy_encode(d)
         assert enc.feature_names == ["c=red", "x"]
         assert enc.X[:, 0].tolist() == [1.0, 1.0, 1.0]
 
     def test_declared_cardinality_keeps_its_columns(self):
-        # a simulated categorical(4) column whose draws miss levels 2 and 3
+        # a simulated categorical(4) column, whose levels are "0" ... "3",
+        # with draws that miss levels 2 and 3
         d = Dataset(np.array([[0.0], [1.0], [0.0]]), [0, 1, 0], ["c"],
-                    [FeatureKind(CATEGORICAL, 4)], "classification", 2)
+                    [FeatureKind(CATEGORICAL, ("0", "1", "2", "3"))], "classification", 2)
         enc, _ = dummy_encode(d)
         assert enc.feature_names == ["c=0", "c=1", "c=2", "c=3"]
 
@@ -249,8 +315,28 @@ class TestFoldImportances:
         assert folded.sum() == pytest.approx(scores.sum(), rel=1e-9, abs=1e-9)
 
 
+# text for names, levels and labels: '=', ',', quotes and non-ASCII
+_TEXT = st.text(st.sampled_from("x=,\"'é字\n"), min_size=1, max_size=5) | st.text(max_size=4)
+
+
+@st.composite
+def _codings(draw, task):
+    """An encoder over distinct drawn column names of all four kinds, with
+    class labels for a classification task."""
+    names = draw(st.lists(_TEXT, min_size=1, max_size=5, unique=True))
+    kinds = []
+    for _ in names:
+        kind = draw(st.sampled_from([CONTINUOUS, BINARY, CATEGORICAL, ORDINAL]))
+        levels = (draw(st.lists(_TEXT, min_size=1, max_size=4, unique=True))
+                  if kind == CATEGORICAL else None)
+        kinds.append(FeatureKind(kind, levels and tuple(levels)))
+    labels = (draw(st.lists(_TEXT, min_size=1, max_size=4, unique=True))
+              if task == "classification" else None)
+    return Encoder(names, kinds, labels)
+
+
 TRAIN_CSV = "c,x,label\nc,1.0,no\nb,2.0,yes\na,3.0,no\nc,4.0,yes\n"
-CAT = {"c": FeatureKind(CATEGORICAL, 2)}
+CAT = {"c": FeatureKind(CATEGORICAL)}
 
 
 class TestEncoder:
@@ -270,40 +356,47 @@ class TestEncoder:
         assert encoder.to_dict()["class_labels"] == ["no", "yes"]
 
     @pytest.mark.parametrize("task", ["classification", "regression"])
-    def test_coding_round_trips_through_its_record(self, tmp_path, task):
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_coding_round_trips_through_its_record(self, task, data):
         """The model file's record of the coding gives back the encoder,
-        levels included, where a column name and a level hold '=' and so
-        a ``column=level`` name alone is ambiguous."""
-        path = _write(tmp_path, "a=b,o,k,y\nc=d,1,0,1.5\ne,2,1,2\nc=d,3,1,1\n")
-        kinds = {"a=b": FeatureKind(CATEGORICAL, 2), "o": FeatureKind(ORDINAL),
-                 "k": FeatureKind(BINARY)}
-        enc, encoder = dummy_encode(load_csv(path, "y", task, kinds))
-        assert enc.feature_names == ["a=b=c=d", "a=b=e", "o", "k"]
+        levels included, over all four kinds and whatever text names the
+        columns, levels and labels: '=' (so a ``column=level`` name alone is
+        ambiguous), ',', quotes and non-ASCII text. Every column's record
+        has one shape: its name, kind and levels."""
+        encoder = data.draw(_codings(task))
         record = json.loads(json.dumps(encoder.to_dict()))
-        assert record["kinds"][0] == {"name": "a=b", "kind": "categorical",
-                                      "levels": ["c=d", "e"]}
+        assert all(sorted(c) == ["kind", "levels", "name"] for c in record["kinds"])
         clone = Encoder.from_dict(record)
         assert clone == encoder and clone.kinds == encoder.kinds
         assert clone.encoded_names == encoder.encoded_names
-        assert clone.class_labels == (["1.5", "2", "1"] if task == "classification"
-                                      else None)
 
-    def test_coding_of_categoricals_without_levels_round_trips(self):
-        """A categorical declared by its cardinality alone, as simgen
-        declares its columns, records that cardinality; its record once
-        held ``levels: null`` and nothing else, which did not load."""
-        encoder = Encoder(["x", "c", "b"], [FeatureKind(CONTINUOUS),
-                                            FeatureKind(CATEGORICAL, 3),
-                                            FeatureKind(BINARY)], ["no", "yes"])
-        record = json.loads(json.dumps(encoder.to_dict()))
-        assert record["kinds"][1] == {"name": "c", "kind": "categorical",
-                                      "levels": None, "cardinality": 3}
-        assert "cardinality" not in record["kinds"][0]
-        assert "cardinality" not in record["kinds"][2]
-        clone = Encoder.from_dict(record)
-        assert clone == encoder and clone.kinds == encoder.kinds
-        assert clone.encoded_names == ["x", "c=0", "c=1", "c=2", "b"]
-        assert clone.class_labels == ["no", "yes"]
+    @pytest.mark.parametrize("column, message", [
+        ({"kind": "continuous", "levels": None}, "column 2 of the coding"),
+        ({"name": "c", "levels": ["a"]}, "column 'c' of the coding"),
+        ({"name": "c", "kind": "categorical"}, "column 'c' of the coding"),
+        ({"name": 7, "kind": "continuous", "levels": None}, "column 2 .* name 7"),
+        ({"name": "c", "kind": "categorical", "levels": "ab"},
+         "column 'c' .* not a list of strings"),
+        ({"name": "c", "kind": "categorical", "levels": ["a", 1]},
+         "column 'c' .* not a list of strings"),
+        ({"name": "c", "kind": "categorical", "levels": None},
+         "column 'c' has no levels"),
+        ({"name": "c", "kind": "categorical", "levels": None, "cardinality": 3},
+         "column 'c' of the coding"),
+        ({"name": "c", "kind": "continuous", "levels": ["a"]},
+         "column 'c' .* has no levels"),
+    ], ids=["no-name", "no-kind", "no-levels-key", "name-number", "levels-string",
+            "levels-number", "categorical-without-levels", "cardinality-only",
+            "continuous-levels"])
+    def test_malformed_record_rejected(self, column, message):
+        """A malformed column record is a DataError naming the column, by
+        name or else by position; a categorical records its levels, and the
+        old cardinality-only record is one of these."""
+        record = {"kinds": [{"name": "x", "kind": "continuous", "levels": None}, column],
+                  "class_labels": None}
+        with pytest.raises(DataError, match=message):
+            Encoder.from_dict(record)
 
     @pytest.mark.parametrize("text,where", [
         ("c,x,label\na,5.0,yes\nd,6.0,no\n", "row 2, column 'c'"),
@@ -331,7 +424,7 @@ class TestEncoder:
            st.data())
     def test_shuffled_training_file_keeps_its_rows(self, rows, data):
         perm = data.draw(st.permutations(range(len(rows))))
-        kinds = {"c": FeatureKind(CATEGORICAL, 2)}
+        kinds = {"c": FeatureKind(CATEGORICAL)}
         with tempfile.TemporaryDirectory() as tmp:
             paths = []
             for name, order in (("train.csv", range(len(rows))), ("shuffled.csv", perm)):

@@ -497,7 +497,7 @@ def _coded(task, categorical, n=60):
     if categorical:
         level = np.random.default_rng(1).integers(0, 3, n)
         d = Dataset(np.column_stack([d.X, level]), d.y, d.feature_names + ["c"],
-                    d.kinds + [FeatureKind(CATEGORICAL, 3, ("a", "b", "c"))],
+                    d.kinds + [FeatureKind(CATEGORICAL, ("a", "b", "c"))],
                     task, d.n_classes)
     return dummy_encode(d)
 
